@@ -16,6 +16,16 @@ repeat of its data set. ``--trace 0`` reports the end-to-end metrics as
 medians over the passes; ``--trace 1`` pairs each untraced pass with a traced
 repeat and reports the per-layer metrics: the untraced passes' stage times and
 the traced passes' layer spans (see spans.py).
+
+Times are taken at the host's fast speed. A shared 2-vCPU x86_64 host was
+seen to switch every few seconds between two speeds, 1.7 times apart, in a
+mix that drifts from minute to minute; so untraced stages and the set-up run under a SpeedProbe
+(calibrate.py), which samples the host's speed while they run, and
+``setup_s``, ``pipeline_s`` and ``stage.*_s`` are their times rescaled to the
+fast speed. The plain wall times are the per-layer ``wall.*_s`` and are on
+every pass line. Traced passes run without the probe, so the layer spans are
+wall times.
+
 The last line of standard output is the JSON result; the lines before it give
 the environment, every pass, and each data set's digest and model quality.
 
@@ -45,6 +55,8 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import calibrate  # noqa: E402
+
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
@@ -53,6 +65,10 @@ RUNS = ROOT / ".perfbench_runs"
 MIB = 1024.0 * 1024.0
 # A stage is timed around its root wrapper, so the two differ by one call.
 CLOSURE_TOLERANCE_S = 1e-3
+# Cold set-ups per pass, each in a fresh interpreter; the pass reports their median.
+SETUP_REPEATS = 3
+# The set-up takes about 0.1 s, so it is sampled more often than a stage.
+SETUP_PROBE_INTERVAL_S = 0.01
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,10 +100,11 @@ def tiny(workload: Workload) -> Workload:
 
 STAGES = ("simulate", "build_dataset", "train", "eval", "eshop")
 # End to end, only the whole pipeline is timed. On a shared two-core x86_64
-# host the quartile spread of per-stage run medians across ten seeds reached
-# 0.25-0.33 for simulate, build-dataset and eval (0.2-1.6 s a pass) and 0.30
-# for infer-w64's one-epoch train, whose work varies with the seed; above the
-# largest bound allowed. Stage times are per-layer metrics "stage.<name>_s".
+# host the quartile spread of per-stage wall-time run medians across ten seeds
+# reached 0.25-0.33 for simulate, build-dataset and eval (0.2-1.6 s a pass) and
+# 0.30 for infer-w64's one-epoch train, whose work varies with the seed; above
+# the largest bound allowed. Stage times are per-layer metrics "stage.<name>_s".
+# setup_s and pipeline_s are at the host's fast speed (calibrate.py).
 END_TO_END_UNITS = {
     "setup_s": "s",
     "pipeline_s": "s",
@@ -151,8 +168,10 @@ def artifact_digest(run_dir: Path) -> str:
 class Pass:
     master_seed: int
     traced: bool
-    setup_s: float = 0.0
-    stage_s: dict = dataclasses.field(default_factory=dict)
+    setup_s: float = 0.0  # at the host's fast speed
+    setup_wall_s: float = 0.0
+    stage_s: dict = dataclasses.field(default_factory=dict)  # wall time
+    stage_fast_s: dict = dataclasses.field(default_factory=dict)  # untraced only
     payloads: dict = dataclasses.field(default_factory=dict)
     log_bytes: int = 0
     report_log_bytes: int = 0
@@ -163,6 +182,10 @@ class Pass:
 
     @property
     def pipeline_s(self) -> float:
+        return sum(self.stage_fast_s.values())
+
+    @property
+    def pipeline_wall_s(self) -> float:
         return sum(self.stage_s.values())
 
 
@@ -203,14 +226,9 @@ class Bench:
         self._n += 1
         run_dir = self.work / f"pass{self._n}"
         os.sync()  # earlier passes' writeback must not land in this one's stages
-        # set-up: a cold import of the program, the config and a fresh run dir
-        t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-c", "import eshopsim.cli"], env=self.child_env, check=True
-        )
+        p.setup_s, p.setup_wall_s = self.time_setup(workload, master_seed)
         run_dir.mkdir(parents=True)
         cfg = self.config(workload, run_dir, master_seed)
-        p.setup_s = time.perf_counter() - t0
 
         cli = self.cli
         calls = {
@@ -224,9 +242,12 @@ class Bench:
         try:
             with p.tracer or contextlib.nullcontext():
                 for stage in STAGES:
-                    t = time.perf_counter()
-                    p.payloads[stage] = calls[stage]()
-                    p.stage_s[stage] = time.perf_counter() - t
+                    with contextlib.nullcontext() if traced else calibrate.SpeedProbe() as probe:
+                        t = time.perf_counter()
+                        p.payloads[stage] = calls[stage]()
+                        p.stage_s[stage] = time.perf_counter() - t
+                    if probe is not None:
+                        p.stage_fast_s[stage] = probe.normalise(p.stage_s[stage])
                     if stage == "build_dataset":
                         p.log_bytes = dir_bytes(run_dir)
                 p.report_log_bytes = (run_dir / "reports.csv").stat().st_size
@@ -242,6 +263,28 @@ class Bench:
         if p.tracer is not None and not p.failures:
             p.failures += check_closure(p, self.spans)
         return p
+
+    def time_setup(self, workload: Workload, master_seed: int) -> tuple[float, float]:
+        """Median (fast-speed, wall) time of cold set-ups in fresh interpreters."""
+        fast, wall = [], []
+        for k in range(SETUP_REPEATS):
+            run_dir = self.work / f"setup{k}"
+            code = (
+                f"import sys; sys.path.insert(0, {str(BENCH_DIR)!r}); import run; "
+                f"from run import Workload; "
+                f"run.setup_child({workload!r}, {str(run_dir)!r}, {master_seed})"
+            )
+            try:
+                out = subprocess.run(
+                    [sys.executable, "-c", code], env=self.child_env, check=True,
+                    capture_output=True, text=True,
+                ).stdout
+            finally:
+                shutil.rmtree(run_dir, ignore_errors=True)
+            times = json.loads(out.splitlines()[-1])
+            fast.append(times["fast_s"])
+            wall.append(times["wall_s"])
+        return _median(fast), _median(wall)
 
     def run(self, name: str, trace: bool, workload: Workload | None = None) -> dict:
         """Warm up, then repeat passes until the next would overrun ``seconds``."""
@@ -267,6 +310,17 @@ class Bench:
         if traced:
             traced[-1].tracer.write(RUNS / f"spans-{name}.tsv")
         return summarize(name, passes, trace, self.spans)
+
+
+def setup_child(workload: Workload, run_dir: str, master_seed: int) -> None:
+    """In a fresh interpreter: import the program, make the config and run dir."""
+    with calibrate.SpeedProbe(calibrate.python_kernel, SETUP_PROBE_INTERVAL_S) as probe:
+        t = time.perf_counter()
+        bench = Bench(seed=0, seconds=0.0)
+        Path(run_dir).mkdir(parents=True)
+        bench.config(workload, Path(run_dir), master_seed)
+        wall = time.perf_counter() - t
+    print(json.dumps({"fast_s": probe.normalise(wall), "wall_s": wall}))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +402,8 @@ _PAYLOAD_UNITS = {
 }
 PER_LAYER_UNITS = {
     **{f"stage.{stage}_s": "s" for stage in STAGES},
+    "wall.setup_s": "s",
+    "wall.pipeline_s": "s",
     **{name: "s" for name in _TIME_LAYERS},
     "trace.overhead_s": "s",
     **{name: "count" for name in _TRACED_COUNTS},
@@ -373,11 +429,13 @@ def per_layer(untraced: list[Pass], traced: list[Pass], spans) -> dict[str, floa
         {spans.self_metric(k): v for k, v in p.tracer.self_times().items()} for p in traced
     ]
     values = {name: _median(t.get(name, 0.0) for t in self_times) for name in _TIME_LAYERS}
-    values["trace.overhead_s"] = _median(p.pipeline_s for p in traced) - _median(
-        p.pipeline_s for p in untraced
+    values["trace.overhead_s"] = _median(p.pipeline_wall_s for p in traced) - _median(
+        p.pipeline_wall_s for p in untraced
     )
     for stage in STAGES:
-        values[f"stage.{stage}_s"] = _median(p.stage_s[stage] for p in untraced)
+        values[f"stage.{stage}_s"] = _median(p.stage_fast_s[stage] for p in untraced)
+    values["wall.setup_s"] = _median(p.setup_wall_s for p in untraced)
+    values["wall.pipeline_s"] = _median(p.pipeline_wall_s for p in untraced)
     last = traced[-1]
     values.update({name: float(last.tracer.counts[name]) for name in _TRACED_COUNTS})
     pl = last.payloads
@@ -414,8 +472,10 @@ def summarize(name: str, passes: list[Pass], trace: bool, spans) -> dict:
         tag = "traced" if p.traced else "untraced"
         status = "ok" if not p.failures else "; ".join(p.failures)
         stages = " ".join(f"{s}={v:.3f}" for s, v in p.stage_s.items())
+        fast = f" pipeline={p.pipeline_s:.3f}" if p.stage_fast_s else ""
         print(
-            f"pass {i} {tag} seed={p.master_seed} setup={p.setup_s:.3f} {stages} "
+            f"pass {i} {tag} seed={p.master_seed} setup={p.setup_s:.3f} "
+            f"wall: setup={p.setup_wall_s:.3f} {stages}{fast} "
             f"digest={p.digest[:16]} {status}"
         )
     for seed, p in first.items():

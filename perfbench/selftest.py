@@ -8,9 +8,11 @@ import io
 import json
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import unittest
 from pathlib import Path
 
@@ -18,6 +20,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR))
 
 import run  # noqa: E402  (pins the BLAS threads before numpy loads)
+import calibrate  # noqa: E402
 
 SPEC = json.loads((run.ROOT / "BENCHMARK.json").read_text())
 
@@ -89,12 +92,26 @@ class BenchmarkSelfTest(unittest.TestCase):
         self.assertIn("artifact digest", stdout)
 
     def test_tracing_changes_no_output(self):
+        """The untraced pass also runs under the speed probe, the traced one does not."""
         result, stdout = run_tiny("infer-w64", trace=True)
         digests = pass_digests(stdout)
         self.assertEqual(len(digests), 2)
         self.assertTrue(digests[0])
         self.assertEqual(digests[0], digests[1])
         self.assertTrue(result["correct"])
+
+    def test_speed_probe_samples_and_restores_the_handler(self):
+        before = signal.getsignal(signal.SIGALRM)
+        with calibrate.SpeedProbe(interval_s=0.005) as probe:
+            t = time.perf_counter()
+            while time.perf_counter() - t < 0.2:
+                pass
+            wall = time.perf_counter() - t
+        self.assertIs(signal.getsignal(signal.SIGALRM), before)
+        self.assertEqual(signal.getitimer(signal.ITIMER_REAL), (0.0, 0.0))
+        self.assertGreater(len(probe.times), 5)
+        self.assertLess(sum(probe.times), wall)
+        self.assertGreater(probe.normalise(wall), 0.0)
 
     def test_exits_nonzero_without_the_program(self):
         with tempfile.TemporaryDirectory() as tmp:
