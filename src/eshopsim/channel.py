@@ -263,11 +263,6 @@ class L3FilterState:
         return self.value.copy()
 
 
-def l3_update(state: L3FilterState, raw) -> np.ndarray:
-    """Functional alias for :meth:`L3FilterState.update`."""
-    return state.update(raw)
-
-
 @dataclass
 class MeasurementReport:
     """40 ms snapshot of the 3 x 12 L3-filtered beam RSRP values."""

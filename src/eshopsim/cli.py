@@ -1,9 +1,10 @@
 """Command-line front end: simulate, build-dataset, train, eval, eshop, report.
 
-Every artifact embeds the configuration hash and master seed; rerunning the
-pipeline with the same configuration and seed in single-threaded mode
-reproduces every artifact byte for byte (wall-clock timings live in a
-separate, non-deterministic timings.json).
+Every artifact records the configuration hash and master seed (the dataset
+.npz files through their sha256 in meta.json); rerunning the pipeline with
+the same configuration and seed in single-threaded mode reproduces every
+artifact byte for byte (wall-clock timings live in a separate,
+non-deterministic timings.json).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -11,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from eshopsim.artifacts import write_table
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.controller import (
     HoComparison,
@@ -28,7 +29,6 @@ from eshopsim.controller import (
     serving_rsrp_at,
     simulate_eshop,
     simulate_legacy,
-    standardized_rows,
 )
 from eshopsim.dataset import (
     DataError,
@@ -36,8 +36,10 @@ from eshopsim.dataset import (
     build_dataset,
     command_times,
     read_dataset,
+    read_meta,
     reduce_series,
     segment_ids,
+    standardized_rows,
     write_dataset,
 )
 from eshopsim.tcn import TrainingDiverged
@@ -78,22 +80,31 @@ def _paths(out_dir: str) -> dict[str, str]:
     }
 
 
-def _update_summary(out_dir: str, cfg: ExperimentConfig, section: str, payload: dict) -> None:
+def _read_summary(out_dir: str) -> dict:
     path = _paths(out_dir)["summary"]
+    if not os.path.exists(path):
+        return {}
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _check_run_dir(cfg: ExperimentConfig) -> None:
+    """Refuse, before anything is written, a run directory of another configuration."""
+    old = _read_summary(cfg.output_dir)
+    if old and old.get("config_hash") != config_hash(cfg):
+        raise DataError("run directory belongs to a different configuration")
+
+
+def _update_summary(out_dir: str, cfg: ExperimentConfig, section: str, payload: dict) -> None:
     doc = {
         "schema_version": SUMMARY_SCHEMA,
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
         "los_mode": cfg.channel.los_mode,
     }
-    if os.path.exists(path):
-        with open(path) as fh:
-            old = json.load(fh)
-        if old.get("config_hash") != doc["config_hash"]:
-            raise DataError("run directory belongs to a different configuration")
-        doc.update({k: v for k, v in old.items() if k not in doc})
+    doc.update({k: v for k, v in _read_summary(out_dir).items() if k not in doc})
     doc[section] = payload
-    with open(path, "w") as fh:
+    with open(_paths(out_dir)["summary"], "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -115,12 +126,25 @@ def _load_logs(cfg: ExperimentConfig) -> dict[str, dict]:
     for key in ("reports", "events"):
         if not os.path.exists(paths[key]):
             raise DataError(f"missing log file: {paths[key]} (run 'simulate' first)")
-    per_ue = read_report_log(paths["reports"])
-    events = read_event_log(paths["events"])
+    try:
+        per_ue = read_report_log(paths["reports"])
+        events = read_event_log(paths["events"])
+    except ValueError as exc:  # e.g. a log of an older schema
+        raise DataError(f"unreadable log: {exc}") from exc
     for ue, rec in per_ue.items():
         rec["episodes"] = events.get(ue, {}).get("episodes", [])
-        rec["events"] = events.get(ue, {}).get("events", [])
     return per_ue
+
+
+def _load_model(cfg: ExperimentConfig) -> tcn.ModelParams:
+    path = _paths(cfg.output_dir)["model"]
+    if not os.path.exists(path):
+        raise DataError("missing model file (run 'train' first)")
+    params, header = tcn.load_model(path)
+    stored = header.get("extra", {}).get("config_hash")
+    if stored is not None and stored != config_hash(cfg):
+        raise DataError("model was trained under a different configuration")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +154,7 @@ def _load_logs(cfg: ExperimentConfig) -> dict[str, dict]:
 
 def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
     t_start = time.perf_counter()
+    _check_run_dir(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     layout = SiteLayout()
     runs = run_scenario(
@@ -165,6 +190,7 @@ def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
 
 def cmd_build_dataset(cfg: ExperimentConfig, quiet: bool = False) -> dict:
     t_start = time.perf_counter()
+    _check_run_dir(cfg)
     per_ue = _load_logs(cfg)
     bundle = build_dataset(
         per_ue,
@@ -201,6 +227,7 @@ def cmd_build_dataset(cfg: ExperimentConfig, quiet: bool = False) -> dict:
 
 def cmd_train(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
+    _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
     bundle = read_dataset(paths["dataset"])
     w = bundle.meta.window_len
@@ -213,12 +240,14 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     tcn.save_model(
         paths["model"], params, extra={"config_hash": digest, "master_seed": cfg.master_seed}
     )
-    with open(paths["history"], "w", newline="") as fh:
-        fh.write(f"# schema=train-history/1 config_hash={digest} master_seed={cfg.master_seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_rmse", "val_rmse"])
-        for row in history:
-            writer.writerow([row["epoch"], repr(row["train_rmse"]), repr(row["val_rmse"])])
+    write_table(
+        paths["history"],
+        "train-history/1",
+        ["epoch", "train_rmse", "val_rmse"],
+        ([r["epoch"], repr(r["train_rmse"]), repr(r["val_rmse"])] for r in history),
+        config_hash=digest,
+        master_seed=cfg.master_seed,
+    )
     best = min(history, key=lambda r: r["val_rmse"])
     payload = {
         "epochs_run": len(history),
@@ -235,17 +264,13 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
 
 def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
     t_start = time.perf_counter()
+    _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
     bundle = read_dataset(paths["dataset"])
     if split not in bundle.splits:
         raise DataError(f"unknown split '{split}'")
-    if not os.path.exists(paths["model"]):
-        raise DataError("missing model file (run 'train' first)")
-    params, header = tcn.load_model(paths["model"])
+    params = _load_model(cfg)
     digest = config_hash(cfg)
-    stored = header.get("extra", {}).get("config_hash")
-    if stored is not None and stored != digest:
-        raise DataError("model was trained under a different configuration")
     bank = WindowBank(bundle.splits[split], bundle.meta.window_len, dtype=np.float32)
     if len(bank) == 0:
         raise DataError(f"split '{split}' holds no samples")
@@ -265,20 +290,19 @@ def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
             sort_keys=True,
         )
         fh.write("\n")
-    with open(paths["predictions"], "w", newline="") as fh:
-        fh.write(
-            f"# schema=predictions/1 config_hash={digest} master_seed={cfg.master_seed}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(["ue_id", "t_ms", "actual_tef_s", "predicted_tef_s"])
-        for ue, t, ya, yp in zip(bank.ue_ids, bank.t_ms, bank.y, preds):
-            writer.writerow([ue, int(t), repr(float(ya)), repr(float(yp))])
+    write_table(
+        paths["predictions"],
+        "predictions/1",
+        ["ue_id", "t_ms", "actual_tef_s", "predicted_tef_s"],
+        (
+            [ue, int(t), repr(float(ya)), repr(float(yp))]
+            for ue, t, ya, yp in zip(bank.ue_ids, bank.t_ms, bank.y, preds)
+        ),
+        config_hash=digest,
+        master_seed=cfg.master_seed,
+    )
     payload = {split: metrics.to_dict()}
-    old = {}
-    summary_path = paths["summary"]
-    if os.path.exists(summary_path):
-        with open(summary_path) as fh:
-            old = json.load(fh).get("eval", {})
+    old = _read_summary(cfg.output_dir).get("eval", {})
     old.update(payload)
     _update_summary(cfg.output_dir, cfg, "eval", old)
     _record_timing(cfg.output_dir, "eval", time.perf_counter() - t_start)
@@ -287,16 +311,12 @@ def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
 
 def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     t_start = time.perf_counter()
+    _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
     per_ue = _load_logs(cfg)
-    params = None
-    meta = None
     if not oracle:
-        if not os.path.exists(paths["model"]):
-            raise DataError("missing model file (run 'train' first, or use --oracle)")
-        params, _header = tcn.load_model(paths["model"])
-        bundle = read_dataset(paths["dataset"])
-        meta = bundle.meta
+        params = _load_model(cfg)
+        meta = read_meta(paths["dataset"])
 
     comparisons: list[HoComparison] = []
     rsrp_samples: dict[str, tuple[float, float]] = {}
@@ -360,46 +380,52 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     stats = degradation_stats(comparisons, rsrp_samples)
 
     digest = config_hash(cfg)
-    with open(paths["comparison"], "w", newline="") as fh:
-        fh.write(f"# schema=ho-comparison/1 config_hash={digest} master_seed={cfg.master_seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
+    write_table(
+        paths["comparison"],
+        "ho-comparison/1",
+        [
+            "episode_id",
+            "t0_ms",
+            "a3_ms",
+            "d_prep_ms",
+            "legacy_cmd_ms",
+            "eshop_cmd_ms",
+            "advance_ms",
+            "rsrp_legacy_cmd_dbm",
+            "rsrp_eshop_cmd_dbm",
+            "wasted",
+            "fellback",
+        ],
+        (
             [
-                "episode_id",
-                "t0_ms",
-                "a3_ms",
-                "d_prep_ms",
-                "legacy_cmd_ms",
-                "eshop_cmd_ms",
-                "advance_ms",
-                "rsrp_legacy_cmd_dbm",
-                "rsrp_eshop_cmd_dbm",
-                "wasted",
-                "fellback",
+                c.episode_id,
+                c.t0_ms,
+                c.a3_ms,
+                repr(c.d_prep_ms),
+                repr(c.legacy_cmd_ms),
+                repr(c.eshop_cmd_ms),
+                repr(c.advance_ms),
+                repr(c.rsrp_legacy_cmd_dbm),
+                repr(c.rsrp_eshop_cmd_dbm),
+                int(c.wasted),
+                int(c.fellback),
             ]
-        )
-        for c in comparisons:
-            writer.writerow(
-                [
-                    c.episode_id,
-                    c.t0_ms,
-                    c.a3_ms,
-                    repr(c.d_prep_ms),
-                    repr(c.legacy_cmd_ms),
-                    repr(c.eshop_cmd_ms),
-                    repr(c.advance_ms),
-                    repr(c.rsrp_legacy_cmd_dbm),
-                    repr(c.rsrp_eshop_cmd_dbm),
-                    int(c.wasted),
-                    int(c.fellback),
-                ]
-            )
-    with open(paths["cdf"], "w", newline="") as fh:
-        fh.write(f"# schema=rsrp-drop-cdf/1 config_hash={digest} master_seed={cfg.master_seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["delta_rsrp_db", "cumulative_prob"])
-        for x, p in zip(stats.cdf_delta_rsrp_db, stats.cdf_cumulative_prob):
-            writer.writerow([repr(float(x)), repr(float(p))])
+            for c in comparisons
+        ),
+        config_hash=digest,
+        master_seed=cfg.master_seed,
+    )
+    write_table(
+        paths["cdf"],
+        "rsrp-drop-cdf/1",
+        ["delta_rsrp_db", "cumulative_prob"],
+        (
+            [repr(float(x)), repr(float(p))]
+            for x, p in zip(stats.cdf_delta_rsrp_db, stats.cdf_cumulative_prob)
+        ),
+        config_hash=digest,
+        master_seed=cfg.master_seed,
+    )
     payload = {
         "oracle": oracle,
         "n_compared": stats.n_compared,
@@ -470,21 +496,19 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
         if row:
             table[metric] = row
 
-    with open(out_file, "w", newline="") as fh:
-        fh.write(f"# schema={REPORT_SCHEMA}\n")
-        writer = csv.writer(fh)
-        header = ["metric"]
+    header = ["metric"]
+    for g in groups:
+        header.extend([f"{g}_mean", f"{g}_std"])
+    rows = []
+    for metric, row in table.items():
+        out_row = [metric]
         for g in groups:
-            header.extend([f"{g}_mean", f"{g}_std"])
-        writer.writerow(header)
-        for metric, row in table.items():
-            out_row = [metric]
-            for g in groups:
-                if g in row:
-                    out_row.extend([repr(row[g][0]), repr(row[g][1])])
-                else:
-                    out_row.extend(["", ""])
-            writer.writerow(out_row)
+            if g in row:
+                out_row.extend([repr(row[g][0]), repr(row[g][1])])
+            else:
+                out_row.extend(["", ""])
+        rows.append(out_row)
+    write_table(out_file, REPORT_SCHEMA, header, rows)
     return {"groups": groups, "metrics": list(table)}
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from eshopsim.dataset import DatasetMeta, N_FEATURES, build_feature_matrix, window_bounds
+from eshopsim.dataset import N_FEATURES, window_bounds
 from eshopsim.events import HoEventRecord
 from eshopsim.tcn import ModelParams, model_forward
 
@@ -48,29 +48,23 @@ class SignalingConfig:
 
 @dataclass
 class CountdownState:
-    """Ring of recent predictions plus the outstanding-preparation flag."""
+    """The last ``consecutive_required`` predictions and the outstanding-preparation flag."""
 
     recent: list[float] = field(default_factory=list)
     prepared: bool = False
-    prep_start_ms: float | None = None
-    prep_done_ms: float | None = None
-    prepared_target_cell: int | None = None
-    ring_size: int = 4
 
 
 def decide_preparation(
     state: CountdownState, pred_tef_s: float, t_ms: float, cfg: SignalingConfig
 ) -> bool:
     """True when preparation should start at this report."""
-    state.recent.append(float(pred_tef_s))
-    if len(state.recent) > state.ring_size:
-        state.recent.pop(0)
-    if state.prepared:
-        return False
     k = cfg.consecutive_required
-    if len(state.recent) < k:
+    state.recent.append(float(pred_tef_s))
+    if len(state.recent) > k:
+        state.recent.pop(0)
+    if state.prepared or len(state.recent) < k:
         return False
-    return all(p <= cfg.trigger_threshold_s for p in state.recent[-k:])
+    return all(p <= cfg.trigger_threshold_s for p in state.recent)
 
 
 @dataclass
@@ -136,9 +130,6 @@ def simulate_eshop(
         if decide_preparation(state, p, float(t), cfg):
             trigger_ms = float(t)
             state.prepared = True
-            state.prep_start_ms = trigger_ms
-            state.prep_done_ms = trigger_ms + d_prep_ms
-            state.prepared_target_cell = episode.target_cell
             break
     if trigger_ms is None:
         # prediction missed the fulfillment; legacy fallback
@@ -188,15 +179,6 @@ def oracle_countdown(report_times_ms: np.ndarray, episodes: list[HoEventRecord])
 # ---------------------------------------------------------------------------
 # model-fed inference over recorded report streams
 # ---------------------------------------------------------------------------
-
-
-def standardized_rows(
-    best_rsrp: np.ndarray, best_beams: np.ndarray, meta: DatasetMeta
-) -> np.ndarray:
-    """Feature rows for inference, standardized with the training statistics."""
-    mean = np.asarray(meta.rsrp_mean)
-    std = np.asarray(meta.rsrp_std)
-    return build_feature_matrix((best_rsrp - mean) / std, best_beams)
 
 
 class StreamingCountdown:
@@ -263,7 +245,6 @@ class DegradationStats:
     wasted_rate: float
     fallback_rate: float
     n_compared: int
-    n_skipped_trace_gap: int
 
 
 def serving_rsrp_at(
@@ -301,5 +282,4 @@ def degradation_stats(comparisons: list[HoComparison], rsrp_samples: dict[str, t
         wasted_rate=float(np.mean([c.wasted for c in comparisons])),
         fallback_rate=float(np.mean([c.fellback for c in comparisons])),
         n_compared=len(comparisons),
-        n_skipped_trace_gap=0,
     )

@@ -11,18 +11,17 @@ counts must reconcile: raw = kept + sum(excluded by reason).
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from eshopsim.artifacts import file_sha256
 from eshopsim.channel import MeasurementReport, N_SSB
 from eshopsim.events import HoEventRecord
 
-DATASET_SCHEMA = "dataset/1"
+DATASET_SCHEMA = "dataset/2"
 
 REASON_KEPT = 0
 REASON_ABORTED_TARGET = 1
@@ -223,10 +222,25 @@ class RowTable:
     segments: np.ndarray  # (N,) int, per-UE segment index
     reasons: np.ndarray  # (N,) uint8
     labels: np.ndarray  # (N,) float, NaN when excluded
-    features: np.ndarray  # (N, 39) standardized
+    best_beams: np.ndarray  # (N, 3) int, strongest beam per cell
+    best_rsrp: np.ndarray  # (N, 3) float, its L3 RSRP in dBm, unstandardized
+    features: np.ndarray  # (N, 39) from standardized_rows
 
     def __len__(self) -> int:
         return len(self.t_ms)
+
+
+# Zero-row template of the raw columns a split file stores; features are
+# derived on load.
+_RAW_COLUMNS = {
+    "ue_ids": np.asarray([], dtype=str),
+    "t_ms": np.zeros(0, dtype=np.int64),
+    "segments": np.zeros(0, dtype=np.int64),
+    "reasons": np.zeros(0, dtype=np.uint8),
+    "labels": np.zeros(0),
+    "best_beams": np.zeros((0, N_CELLS), dtype=np.int64),
+    "best_rsrp": np.zeros((0, N_CELLS)),
+}
 
 
 @dataclass
@@ -287,6 +301,21 @@ class DatasetBundle:
     meta: DatasetMeta
 
 
+def standardized_rows(
+    best_rsrp: np.ndarray, best_beams: np.ndarray, meta: DatasetMeta
+) -> np.ndarray:
+    """The model's input encoding: RSRP standardized with the training
+    statistics in ``meta``, interleaved with the one-hot beam ids."""
+    mean = np.asarray(meta.rsrp_mean)
+    std = np.asarray(meta.rsrp_std)
+    return build_feature_matrix((best_rsrp - mean) / std, best_beams)
+
+
+def _row_table(columns: dict[str, np.ndarray], meta: DatasetMeta) -> RowTable:
+    features = standardized_rows(columns["best_rsrp"], columns["best_beams"], meta)
+    return RowTable(**columns, features=features)
+
+
 def build_dataset(
     per_ue: dict[str, dict],
     cfg: DatasetConfig,
@@ -312,14 +341,14 @@ def build_dataset(
         times = np.asarray(rec["times_ms"], dtype=np.int64)
         beams, rsrp = reduce_series(np.asarray(rec["l3_rsrp"]))
         labels, reasons = label_tef(times, rec["episodes"], cfg.horizon_s)
-        segs = segment_ids(times, command_times(rec["episodes"]))
         staged[ue] = {
-            "times": times,
-            "beams": beams,
-            "rsrp": rsrp,
-            "labels": labels,
+            "ue_ids": np.full(len(times), ue),
+            "t_ms": times,
+            "segments": segment_ids(times, command_times(rec["episodes"])),
             "reasons": reasons,
-            "segments": segs,
+            "labels": labels,
+            "best_beams": beams,
+            "best_rsrp": rsrp,
         }
         raw_total += len(times)
         vals, freq = np.unique(reasons, return_counts=True)
@@ -327,7 +356,7 @@ def build_dataset(
             counts[REASON_NAMES[int(v)]] += int(f)
 
     train_rows = [
-        staged[ue]["rsrp"][staged[ue]["reasons"] == REASON_KEPT]
+        staged[ue]["best_rsrp"][staged[ue]["reasons"] == REASON_KEPT]
         for ue in assignment["train"]
     ]
     train_rows = [r for r in train_rows if len(r)]
@@ -338,34 +367,6 @@ def build_dataset(
     std = train_rsrp.std(axis=0)
     if np.any(std <= 0.0):
         raise DataError("degenerate RSRP feature: zero variance in the train split")
-
-    splits: dict[str, RowTable] = {}
-    for name, ues in assignment.items():
-        parts = [staged[ue] for ue in ues]
-        if parts:
-            features = np.concatenate(
-                [
-                    build_feature_matrix((p["rsrp"] - mean) / std, p["beams"])
-                    for p in parts
-                ]
-            )
-            splits[name] = RowTable(
-                ue_ids=np.concatenate([np.full(len(p["times"]), ue) for ue, p in zip(ues, parts)]),
-                t_ms=np.concatenate([p["times"] for p in parts]),
-                segments=np.concatenate([p["segments"] for p in parts]),
-                reasons=np.concatenate([p["reasons"] for p in parts]),
-                labels=np.concatenate([p["labels"] for p in parts]),
-                features=features,
-            )
-        else:
-            splits[name] = RowTable(
-                ue_ids=np.asarray([], dtype=str),
-                t_ms=np.asarray([], dtype=np.int64),
-                segments=np.asarray([], dtype=np.int64),
-                reasons=np.asarray([], dtype=np.uint8),
-                labels=np.asarray([], dtype=float),
-                features=np.zeros((0, N_FEATURES)),
-            )
 
     meta = DatasetMeta(
         config_hash=config_hash,
@@ -380,6 +381,11 @@ def build_dataset(
         raw_count=raw_total,
         split_ues=assignment,
     )
+    splits: dict[str, RowTable] = {}
+    for name, ues in assignment.items():
+        parts = [staged[ue] for ue in ues] or [_RAW_COLUMNS]
+        columns = {key: np.concatenate([p[key] for p in parts]) for key in _RAW_COLUMNS}
+        splits[name] = _row_table(columns, meta)
     return DatasetBundle(splits=splits, meta=meta)
 
 
@@ -387,42 +393,22 @@ def build_dataset(
 # persistence
 # ---------------------------------------------------------------------------
 
-_COLUMNS = ["ue_id", "t_ms", "segment", "reason", "label_tef_s"] + [
-    f"f{i}" for i in range(N_FEATURES)
-]
-
 
 def write_dataset(dirpath, bundle: DatasetBundle) -> None:
+    """One ``<split>.npz`` of raw columns per split, plus meta.json with their sha256."""
     os.makedirs(dirpath, exist_ok=True)
     meta = bundle.meta
     meta.file_sha256 = {}
     for name, table in bundle.splits.items():
-        path = os.path.join(dirpath, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                f"# schema={DATASET_SCHEMA} config_hash={meta.config_hash} "
-                f"master_seed={meta.master_seed}\n"
-            )
-            writer = csv.writer(fh)
-            writer.writerow(_COLUMNS)
-            for i in range(len(table)):
-                row = [
-                    str(table.ue_ids[i]),
-                    int(table.t_ms[i]),
-                    int(table.segments[i]),
-                    int(table.reasons[i]),
-                    repr(float(table.labels[i])),
-                ]
-                row.extend(repr(float(v)) for v in table.features[i])
-                writer.writerow(row)
-        with open(path, "rb") as fh:
-            meta.file_sha256[f"{name}.csv"] = hashlib.sha256(fh.read()).hexdigest()
+        path = os.path.join(dirpath, f"{name}.npz")
+        np.savez(path, **{key: getattr(table, key) for key in _RAW_COLUMNS})
+        meta.file_sha256[f"{name}.npz"] = file_sha256(path)
     with open(os.path.join(dirpath, "meta.json"), "w") as fh:
         json.dump(meta.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def read_dataset(dirpath) -> DatasetBundle:
+def read_meta(dirpath) -> DatasetMeta:
     meta_path = os.path.join(dirpath, "meta.json")
     if not os.path.exists(meta_path):
         raise DataError(f"missing dataset meta: {meta_path}")
@@ -432,40 +418,23 @@ def read_dataset(dirpath) -> DatasetBundle:
         raise DataError(
             f"dataset schema mismatch: {meta.schema_version} != {DATASET_SCHEMA}"
         )
+    return meta
+
+
+def read_dataset(dirpath) -> DatasetBundle:
+    meta = read_meta(dirpath)
     splits: dict[str, RowTable] = {}
     for name, digest in meta.file_sha256.items():
         path = os.path.join(dirpath, name)
         if not os.path.exists(path):
             raise DataError(f"missing dataset file: {path}")
-        with open(path, "rb") as fh:
-            if hashlib.sha256(fh.read()).hexdigest() != digest:
-                raise DataError(f"dataset file corrupt or truncated: {path}")
-        ue_ids, t_ms, segments, reasons, labels, feats = [], [], [], [], [], []
-        with open(path, newline="") as fh:
-            parse_meta = fh.readline()
-            if not parse_meta.startswith("#"):
-                raise DataError(f"missing meta line in {path}")
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != _COLUMNS:
+        if file_sha256(path) != digest:
+            raise DataError(f"dataset file corrupt or truncated: {path}")
+        with np.load(path, allow_pickle=False) as npz:
+            if sorted(npz.files) != sorted(_RAW_COLUMNS):
                 raise DataError(f"unexpected dataset columns in {path}")
-            for row in reader:
-                if len(row) != len(_COLUMNS):
-                    raise DataError(f"malformed dataset row in {path}")
-                ue_ids.append(row[0])
-                t_ms.append(int(row[1]))
-                segments.append(int(row[2]))
-                reasons.append(int(row[3]))
-                labels.append(float(row[4]))
-                feats.append([float(v) for v in row[5:]])
-        splits[name.removesuffix(".csv")] = RowTable(
-            ue_ids=np.asarray(ue_ids, dtype=str),
-            t_ms=np.asarray(t_ms, dtype=np.int64),
-            segments=np.asarray(segments, dtype=np.int64),
-            reasons=np.asarray(reasons, dtype=np.uint8),
-            labels=np.asarray(labels, dtype=float),
-            features=np.asarray(feats, dtype=float).reshape(len(t_ms), N_FEATURES),
-        )
+            columns = {key: npz[key] for key in _RAW_COLUMNS}
+        splits[name.removesuffix(".npz")] = _row_table(columns, meta)
     return DatasetBundle(splits=splits, meta=meta)
 
 
@@ -504,15 +473,3 @@ class WindowBank:
             out[b, self.window_len - (e - s + 1) :, :] = self.rows[s : e + 1]
         return out
 
-    def cast(self, dtype) -> "WindowBank":
-        if self.rows.dtype == dtype:
-            return self
-        clone = object.__new__(WindowBank)
-        clone.window_len = self.window_len
-        clone.rows = self.rows.astype(dtype)
-        clone.start = self.start
-        clone.end = self.end
-        clone.y = self.y
-        clone.ue_ids = self.ue_ids
-        clone.t_ms = self.t_ms
-        return clone

@@ -8,12 +8,13 @@ handover command (legacy-timed at A3 + d_prep) as the episode boundary.
 
 from __future__ import annotations
 
-import csv
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from eshopsim.artifacts import read_table, write_table
 from eshopsim.channel import (
     BeamGrid,
     ChannelParams,
@@ -26,7 +27,7 @@ from eshopsim.events import A3EventEngine, HcpConfig, HoEvent, HoEventRecord
 from eshopsim.scenario import ScenarioConfig, SimClock, SiteLayout, position_at, spawn_trajectory
 from eshopsim.seeds import derive_seed, rng_from
 
-REPORT_LOG_SCHEMA = "report-log/1"
+REPORT_LOG_SCHEMA = "report-log/2"
 EVENT_LOG_SCHEMA = "event-log/1"
 
 
@@ -142,89 +143,75 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _meta_line(schema: str, config_hash: str, master_seed: int) -> str:
-    return f"# schema={schema} config_hash={config_hash} master_seed={master_seed}"
-
-
-def parse_meta_line(line: str, expected_schema: str) -> dict[str, str]:
-    if not line.startswith("# "):
-        raise ValueError("missing artifact meta line")
-    fields = dict(part.split("=", 1) for part in line[2:].strip().split(" "))
-    if fields.get("schema") != expected_schema:
-        raise ValueError(
-            f"schema mismatch: expected {expected_schema}, found {fields.get('schema')}"
-        )
-    return fields
+def _report_columns(cell_ids) -> list[str]:
+    return ["t_ms", "ue_id"] + [f"c{c}b{b}" for c in cell_ids for b in range(N_SSB)]
 
 
 def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(REPORT_LOG_SCHEMA, config_hash, master_seed) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t_ms", "ue_id", "cell_id", "beam_id", "l3_rsrp_dbm"])
-        for run in runs:
-            for n, t in enumerate(run.times_ms):
-                frame = run.l3_rsrp[n]
-                for ci, cell_id in enumerate(run.cell_ids):
-                    row_vals = frame[ci]
-                    for b in range(N_SSB):
-                        writer.writerow([int(t), run.ue_id, cell_id, b, repr(float(row_vals[b]))])
+    """One row per report: time, UE, then the 3 x 12 beam values cell by cell."""
+    rows = (
+        [int(t), run.ue_id, *map(repr, frame.ravel().tolist())]
+        for run in runs
+        for t, frame in zip(run.times_ms, run.l3_rsrp)
+    )
+    columns = _report_columns(runs[0].cell_ids if runs else ())
+    write_table(
+        path, REPORT_LOG_SCHEMA, columns, rows, config_hash=config_hash, master_seed=master_seed
+    )
 
 
 def read_report_log(path) -> dict[str, dict]:
     """Returns per-UE dict: times (N,), l3_rsrp (N, 3, 12), cell_ids tuple."""
-    out: dict[str, dict] = {}
-    with open(path, newline="") as fh:
-        meta = parse_meta_line(fh.readline(), REPORT_LOG_SCHEMA)
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t_ms", "ue_id", "cell_id", "beam_id", "l3_rsrp_dbm"]:
+    acc: dict[str, tuple[array, array]] = {}
+    with read_table(path, REPORT_LOG_SCHEMA) as (header, reader):
+        cell_ids = tuple(int(name[1:].split("b")[0]) for name in header[2::N_SSB])
+        if header != _report_columns(cell_ids):
             raise ValueError("unexpected report log header")
-        acc: dict[str, dict] = {}
-        for t_s, ue, cell_s, beam_s, val_s in reader:
-            rec = acc.setdefault(ue, {"times": [], "vals": [], "cells": []})
-            t = int(t_s)
-            if not rec["times"] or rec["times"][-1] != t:
-                rec["times"].append(t)
-                rec["vals"].append(np.empty((3, N_SSB)))
-                rec["cells_seen"] = []
-            cell = int(cell_s)
-            if cell not in rec["cells"]:
-                rec["cells"].append(cell)
-            ci = rec["cells"].index(cell)
-            rec["vals"][-1][ci, int(beam_s)] = float(val_s)
-    for ue, rec in acc.items():
-        out[ue] = {
-            "times_ms": np.asarray(rec["times"], dtype=np.int64),
-            "l3_rsrp": np.stack(rec["vals"]),
-            "cell_ids": tuple(rec["cells"]),
-            "meta": meta,
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError("malformed report log row")
+            times, vals = acc.setdefault(row[1], (array("q"), array("d")))
+            times.append(int(row[0]))
+            vals.extend(map(float, row[2:]))  # a flat buffer holds no float objects
+    return {
+        ue: {
+            "times_ms": np.array(times, dtype=np.int64),
+            "l3_rsrp": np.array(vals).reshape(len(times), len(cell_ids), N_SSB),
+            "cell_ids": cell_ids,
         }
-    return out
+        for ue, (times, vals) in acc.items()
+    }
+
+
+_EVENT_COLUMNS = ["ue_id", "kind", "t_ms", "serving", "target"]
 
 
 def write_event_log(path, runs: list[UeRun], config_hash: str, master_seed: int) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(EVENT_LOG_SCHEMA, config_hash, master_seed) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["ue_id", "kind", "t_ms", "serving", "target"])
-        for run in runs:
-            for ev in run.events:
-                t = int(ev.t_ms) if float(ev.t_ms).is_integer() else repr(float(ev.t_ms))
-                writer.writerow([ev.ue_id, ev.kind, t, ev.serving, ev.target])
+    rows = (
+        [
+            ev.ue_id,
+            ev.kind,
+            int(ev.t_ms) if float(ev.t_ms).is_integer() else repr(float(ev.t_ms)),
+            ev.serving,
+            ev.target,
+        ]
+        for run in runs
+        for ev in run.events
+    )
+    write_table(
+        path, EVENT_LOG_SCHEMA, _EVENT_COLUMNS, rows,
+        config_hash=config_hash, master_seed=master_seed,
+    )
 
 
 def read_event_log(path) -> dict[str, dict]:
     """Returns per-UE dict with the event list and reconstructed episode records."""
     out: dict[str, dict] = {}
-    with open(path, newline="") as fh:
-        meta = parse_meta_line(fh.readline(), EVENT_LOG_SCHEMA)
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["ue_id", "kind", "t_ms", "serving", "target"]:
+    with read_table(path, EVENT_LOG_SCHEMA) as (header, reader):
+        if header != _EVENT_COLUMNS:
             raise ValueError("unexpected event log header")
         for ue, kind, t_s, serving_s, target_s in reader:
-            rec = out.setdefault(ue, {"events": [], "episodes": [], "meta": meta})
+            rec = out.setdefault(ue, {"events": [], "episodes": []})
             ev = HoEvent(ue, kind, float(t_s), int(serving_s), int(target_s))
             rec["events"].append(ev)
     for ue, rec in out.items():

@@ -478,22 +478,6 @@ def compute_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
 # ---------------------------------------------------------------------------
 
 
-class ArrayBank:
-    """Adapter giving raw (X, y) arrays the window-bank gather interface."""
-
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        if len(X) != len(y):
-            raise ValueError("X and y length mismatch")
-        self.X = X
-        self.y = np.asarray(y)
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-    def gather(self, idx) -> np.ndarray:
-        return self.X[np.asarray(idx)]
-
-
 class _Adam:
     def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig):
         self.m = [np.zeros_like(a) for a in arrays]

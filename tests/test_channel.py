@@ -14,7 +14,6 @@ from eshopsim.channel import (
     MeasurementReport,
     N_SSB,
     beam_gain,
-    l3_update,
     make_report,
     path_loss,
     rsrp_l1,
@@ -149,7 +148,7 @@ def test_rsrp_monotone_with_distance(layout):
 def test_l3_filter_recurrence():
     f = L3FilterState(a=0.5)
     assert f.update(-100.0) == -100.0
-    assert l3_update(f, -90.0) == -95.0
+    assert f.update(-90.0) == -95.0
 
 
 def test_l3_filter_identity_coefficient():

@@ -50,6 +50,11 @@ def test_main_exit_codes(tmp_path):
     save_config(cfgfile, tiny_config(out))
     assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
     assert cli.main(["report", str(tmp_path / "nowhere")]) == 3
+    # a log of another schema is a data error, not a crash
+    assert cli.main(["simulate", "--config", str(cfgfile)]) == 0
+    reports = out / "reports.csv"
+    reports.write_text(reports.read_text().replace("report-log/2", "report-log/1", 1))
+    assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
 
 
 def _run_pipeline(out_dir, cfg=None):
@@ -116,13 +121,23 @@ def test_cdf_file_is_monotone(tmp_path):
     assert ps[-1] == 1.0
 
 
-def test_simulate_outputs_are_deterministic(tmp_path):
-    cfg_a = tiny_config(tmp_path / "a")
-    cfg_b = tiny_config(tmp_path / "b")
-    cli.cmd_simulate(cfg_a)
-    cli.cmd_simulate(cfg_b)
-    for name in ("reports.csv", "events.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+def _artifact_bytes(run_dir):
+    """Every file of a run directory except the wall-clock timings.json."""
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file() and p.name != "timings.json"
+    }
+
+
+def test_pipeline_outputs_are_deterministic(tmp_path):
+    runs = []
+    for name in ("a", "b"):
+        cfg = _run_pipeline(tmp_path / name)
+        cli.cmd_eshop(cfg)
+        runs.append(_artifact_bytes(tmp_path / name))
+    assert {"reports.csv", "events.csv", "dataset/train.npz", "dataset/meta.json"} <= set(runs[0])
+    assert runs[0] == runs[1]
 
 
 def test_los_flag_changes_channel(tmp_path):
@@ -168,8 +183,22 @@ def test_report_rejects_schema_mismatch(tmp_path):
 
 def test_summary_refuses_mixed_configs(tmp_path):
     out = tmp_path / "run"
-    cfg = tiny_config(out)
-    cli.cmd_simulate(cfg)
+    _run_pipeline(out)
+    before = _artifact_bytes(out)
     other = tiny_config(out, master_seed=99)
+    commands = (cli.cmd_simulate, cli.cmd_build_dataset, cli.cmd_train, cli.cmd_eval, cli.cmd_eshop)
+    for command in commands:
+        with pytest.raises(DataError, match="different configuration"):
+            command(other)
+        assert _artifact_bytes(out) == before  # refused before writing anything
+
+
+def test_eshop_refuses_model_of_another_config(tmp_path):
+    out = tmp_path / "run"
+    cfg = _run_pipeline(out)
+    _run_pipeline(tmp_path / "other", tiny_config(tmp_path / "other", master_seed=99))
+    (out / "model.tcn").write_bytes((tmp_path / "other" / "model.tcn").read_bytes())
+    before = _artifact_bytes(out)
     with pytest.raises(DataError, match="different configuration"):
-        cli.cmd_simulate(other)
+        cli.cmd_eshop(cfg)
+    assert _artifact_bytes(out) == before

@@ -12,10 +12,9 @@ from eshopsim.controller import (
     serving_rsrp_at,
     simulate_eshop,
     simulate_legacy,
-    standardized_rows,
     HoComparison,
 )
-from eshopsim.dataset import DatasetMeta, N_FEATURES
+from eshopsim.dataset import DatasetMeta, N_FEATURES, standardized_rows
 from eshopsim.events import HoEventRecord
 from eshopsim.tcn import TcnModelConfig, init_params
 
@@ -41,6 +40,25 @@ def test_decide_preparation_examples():
     st2 = CountdownState()
     fired2 = [decide_preparation(st2, p, i * 40.0, cfg) for i, p in enumerate([0.039, 0.020])]
     assert fired2 == [False, True]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
+def test_consecutive_required_triggers_at_kth_in_window_report(k):
+    cfg = SignalingConfig(consecutive_required=k)
+    st = CountdownState()
+    fired = [decide_preparation(st, 0.0, i * 40.0, cfg) for i in range(k + 1)]
+    assert fired == [False] * (k - 1) + [True, True]
+    times = np.arange(0, 2120, 40)
+    ep = _ep(t0=1960)  # A3 at 2000
+    window_start = 2000 - 40 * k + 20  # k reports in (window_start, A3]
+    tl = simulate_eshop(
+        ep, times, np.zeros(len(times)), 25.0, cfg, window_start_ms=window_start
+    )
+    assert tl.trigger_ms == 2000.0
+    tl = simulate_eshop(
+        ep, times, np.zeros(len(times)), 25.0, cfg, window_start_ms=window_start + 40
+    )
+    assert tl.trigger_ms is None and tl.fellback
 
 
 def test_decide_preparation_single_outstanding():

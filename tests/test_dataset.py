@@ -242,7 +242,7 @@ def test_dataset_truncation_detected(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
     out = tmp_path / "dataset"
     write_dataset(out, bundle)
-    path = out / "train.csv"
+    path = out / "train.npz"
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(DataError, match="corrupt or truncated"):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from eshopsim import tcn
 from eshopsim.tcn import (
-    ArrayBank,
     BlockParams,
     TcnModelConfig,
     TrainConfig,
@@ -212,6 +211,20 @@ def test_receptive_field_probe_matches_formula(k, n_dil):
         seed=k * 10 + n_dil,
     )
     assert measure_receptive_field(cfg) == receptive_field(cfg)
+
+
+class ArrayBank:
+    """Raw (X, y) arrays behind the window-bank gather interface."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X = X
+        self.y = np.asarray(y)
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def gather(self, idx) -> np.ndarray:
+        return self.X[np.asarray(idx)]
 
 
 def _overfit_data(n=32, T=16, c=4, seed=0):
