@@ -237,9 +237,13 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
         raise DataError("train split holds no samples")
     params, history = tcn.train(train_bank, val_bank, cfg.model, cfg.train)
     digest = config_hash(cfg)
-    tcn.save_model(
-        paths["model"], params, extra={"config_hash": digest, "master_seed": cfg.master_seed}
-    )
+    shape = {
+        "receptive_field": tcn.receptive_field(cfg.model),
+        "window_len": w,
+        "live_param_count": tcn.live_param_count(params, w),
+    }
+    extra = {"config_hash": digest, "master_seed": cfg.master_seed, **shape}
+    tcn.save_model(paths["model"], params, extra=extra)
     write_table(
         paths["history"],
         "train-history/1",
@@ -254,6 +258,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
         "best_epoch": best["epoch"],
         "best_val_rmse": best["val_rmse"],
         "param_count": params.param_count(),
+        **shape,
         "train_samples": len(train_bank),
         "val_samples": len(val_bank),
     }

@@ -225,12 +225,13 @@ def read_event_log(path) -> dict[str, dict]:
                     target_cell=ev.target,
                     t0_ms=int(ev.t_ms),
                 )
-            elif ev.kind == "A3":
-                open_rec.a3_ms = int(ev.t_ms)
-                episodes.append(open_rec)
-                open_rec = None
-            elif ev.kind == "ABORT":
-                open_rec.aborted = True
+            elif ev.kind in ("A3", "ABORT"):
+                if open_rec is None:
+                    raise ValueError(f"{ue}: {ev.kind} at {ev.t_ms} ms without an open T0")
+                if ev.kind == "A3":
+                    open_rec.a3_ms = int(ev.t_ms)
+                else:
+                    open_rec.aborted = True
                 episodes.append(open_rec)
                 open_rec = None
             elif ev.kind == "CMD":
@@ -239,5 +240,7 @@ def read_event_log(path) -> dict[str, dict]:
                     if not rec_ep.aborted and rec_ep.command_ms is None:
                         rec_ep.command_ms = float(ev.t_ms)
                         break
+            else:
+                raise ValueError(f"{ue}: unknown event kind {ev.kind!r}")
         rec["episodes"] = episodes
     return out

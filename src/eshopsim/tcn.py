@@ -4,10 +4,11 @@ Causal dilated convolutions with residual blocks, a small dense head on the
 last timestep, hand-written reverse-mode gradients, RMSE training loss with
 an adaptive-moment optimizer, and the five evaluation metrics.
 
-All convolutions zero-pad the past, so output length equals input length and
-no output depends on future inputs. Gradients are exact (checked against
-central finite differences); training is deterministic for a fixed seed in
-single-threaded mode.
+All convolutions zero-pad the past, so no output depends on future inputs.
+The head reads only the last timestep, so the model passes compute each block
+only at the positions that timestep depends on (its dependency cone).
+Gradients are exact (checked against central finite differences); training is
+deterministic for a fixed seed in single-threaded mode.
 """
 
 from __future__ import annotations
@@ -208,41 +209,61 @@ def init_params(config: TcnModelConfig, dtype=np.float64) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """y[t] = b + sum_p w[p] . x[t - d*p], zero history before t=0."""
+def _strided(x: np.ndarray, stride: int) -> np.ndarray:
+    """The positions ``T-1, T-1-stride, ...`` of x (B, T, C), in time order."""
+    return x[:, (x.shape[1] - 1) % stride :: stride, :]
+
+
+def _taps(T: int, k: int, d: int, stride: int):
+    """The taps of a causal conv that reach an output of ``_strided``.
+
+    Yields (p, j0, sl): outputs j0, j0+1, ... read tap p at ``x[:, sl]``.
+    Taps come in order and stop at the first whose shift d*p passes T-1.
+    """
+    off = (T - 1) % stride
+    m = (T - 1) // stride + 1
+    for p in range(k):
+        s = d * p
+        j0 = max(0, -(-(s - off) // stride))  # first output at time >= s
+        if j0 >= m:
+            return
+        yield p, j0, slice(off + j0 * stride - s, T - s, stride)
+
+
+def _dconv_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int, stride: int = 1
+) -> np.ndarray:
+    """y[j] = b + sum_p w[p] . x[t_j - d*p], zero history before t=0.
+
+    The outputs are the positions t_j of ``_strided(x, stride)``; stride 1 is
+    the full sequence. Taps are added in order, bias first.
+    """
     B, T, c_in = x.shape
     k, _, c_out = w.shape
-    y = np.empty((B, T, c_out), dtype=x.dtype)
+    m = (T - 1) // stride + 1
+    y = np.empty((B, m, c_out), dtype=x.dtype)
     y[...] = b
-    y += (x.reshape(B * T, c_in) @ w[0]).reshape(B, T, c_out)
-    for p in range(1, k):
-        s = d * p
-        if s >= T:
-            break
-        seg = x[:, : T - s, :].reshape(-1, c_in)
-        y[:, s:, :] += (seg @ w[p]).reshape(B, T - s, c_out)
+    for p, j0, sl in _taps(T, k, d, stride):
+        y[:, j0:, :] += (x[:, sl, :].reshape(-1, c_in) @ w[p]).reshape(B, m - j0, c_out)
     return y
 
 
 def _dconv_backward(
-    x: np.ndarray, w: np.ndarray, d: int, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, w: np.ndarray, d: int, dy: np.ndarray, stride: int = 1, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of ``_dconv_forward``; dx is None unless
+    ``input_grad``."""
     B, T, c_in = x.shape
     k, _, c_out = w.shape
+    m = dy.shape[1]
     dw = np.zeros_like(w)
     db = dy.sum(axis=(0, 1))
-    x2 = x.reshape(B * T, c_in)
-    dy2 = dy.reshape(B * T, c_out)
-    dw[0] = x2.T @ dy2
-    dx = (dy2 @ w[0].T).reshape(B, T, c_in)
-    for p in range(1, k):
-        s = d * p
-        if s >= T:
-            break
-        xs = x[:, : T - s, :].reshape(-1, c_in)
-        ds = dy[:, s:, :].reshape(-1, c_out)
-        dw[p] = xs.T @ ds
-        dx[:, : T - s, :] += (ds @ w[p].T).reshape(B, T - s, c_in)
+    dx = np.zeros_like(x) if input_grad else None
+    for p, j0, sl in _taps(T, k, d, stride):
+        ds = dy[:, j0:, :].reshape(-1, c_out)
+        dw[p] = x[:, sl, :].reshape(-1, c_in).T @ ds
+        if input_grad:
+            dx[:, sl, :] += (ds @ w[p].T).reshape(B, m - j0, c_in)
     return dx, dw, db
 
 
@@ -270,33 +291,30 @@ def dilated_causal_conv(
     return _dconv_forward(x[None], f, b, d)[0]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def _block_forward(x: np.ndarray, bp: BlockParams, d: int):
-    z = _dconv_forward(x, bp.w, bp.b, d)
+def _block_forward(x: np.ndarray, bp: BlockParams, d: int, stride: int = 1):
+    z = _dconv_forward(x, bp.w, bp.b, d, stride)
     h = np.maximum(z, 0)
-    r = (x.reshape(-1, x.shape[2]) @ bp.proj).reshape(x.shape[0], x.shape[1], -1) if bp.proj is not None else x
+    xs = _strided(x, stride)
+    r = (xs.reshape(-1, x.shape[2]) @ bp.proj).reshape(h.shape) if bp.proj is not None else xs
     u = r + h
     y = np.maximum(u, 0)
     return y, (x, z > 0, u > 0)
 
 
-def _block_backward(dy: np.ndarray, bp: BlockParams, d: int, cache):
+def _block_backward(
+    dy: np.ndarray, bp: BlockParams, d: int, cache, stride: int = 1, input_grad: bool = True
+):
     x, zpos, upos = cache
     du = np.where(upos, dy, 0)
     dz = np.where(zpos, du, 0)
-    dx, dw, db = _dconv_backward(x, bp.w, d, dz)
+    dx, dw, db = _dconv_backward(x, bp.w, d, dz, stride, input_grad)
+    dproj = None
     if bp.proj is not None:
-        B, T, c_in = x.shape
-        x2 = x.reshape(B * T, c_in)
-        du2 = du.reshape(B * T, -1)
-        dproj = x2.T @ du2
-        dx += (du2 @ bp.proj.T).reshape(B, T, c_in)
-    else:
-        dproj = None
-        dx += du
+        du2 = du.reshape(-1, du.shape[2])
+        dproj = _strided(x, stride).reshape(-1, x.shape[2]).T @ du2
+    if input_grad:
+        dxs = _strided(dx, stride)
+        dxs += du if bp.proj is None else (du2 @ bp.proj.T).reshape(dxs.shape)
     return dx, BlockParams(dw, db, dproj)
 
 
@@ -337,26 +355,58 @@ def _head_backward(dyhat: np.ndarray, dense: list[DenseParams], caches):
     return da, grads
 
 
+def _cone_plan(config: TcnModelConfig, T: int) -> list[tuple[int, int]]:
+    """(input length, output stride) of each block when only the last of T
+    timesteps is computed.
+
+    Block i reads its input only at the positions t = T-1 (mod d_i) and
+    writes only t = T-1 (mod d_{i+1}); the last block writes only T-1. Each
+    block's input is stored compressed to those positions, which turns the
+    conv into a dilation-1 conv evaluated every d_{i+1}/d_i-th position.
+    """
+    dil = config.dilations
+    lengths = [-(-T // d) for d in dil]
+    strides = [b // a for a, b in zip(dil, dil[1:])] + [lengths[-1]]
+    return list(zip(lengths, strides))
+
+
+def live_param_count(params: ModelParams, window_len: int) -> int:
+    """Parameters that can receive a gradient from windows of ``window_len``.
+
+    A conv tap p of dilation d is dead when d*p >= window_len: it never sees
+    an input, so its gradient is exactly zero. Counted from the taps the
+    kernels visit.
+    """
+    dead = 0
+    for bp, (n, stride) in zip(params.blocks, _cone_plan(params.config, window_len)):
+        live = sum(1 for _ in _taps(n, len(bp.w), 1, stride))
+        dead += bp.w[live:].size
+    return params.param_count() - dead
+
+
 def forward_batch(params: ModelParams, X: np.ndarray):
-    """Batched forward pass: X (B, T, C_in) -> predictions (B,) plus cache."""
-    h = X
+    """Batched forward pass: X (B, T, C_in) -> predictions (B,) plus cache.
+
+    Only the positions the last timestep depends on are computed.
+    """
+    plan = _cone_plan(params.config, X.shape[1])
+    h = _strided(X, params.config.dilations[0])
     caches = []
-    for bp, d in zip(params.blocks, params.config.dilations):
-        h, c = _block_forward(h, bp, d)
+    for bp, (_, stride) in zip(params.blocks, plan):
+        h, c = _block_forward(h, bp, 1, stride)
         caches.append(c)
-    v = h[:, -1, :]
-    yhat, head_caches = _head_forward(v, params.dense)
-    return yhat, (caches, head_caches, h.shape)
+    yhat, head_caches = _head_forward(h[:, -1, :], params.dense)
+    return yhat, (caches, head_caches, plan)
 
 
 def backward_batch(params: ModelParams, cache, dyhat: np.ndarray):
-    caches, head_caches, h_shape = cache
+    caches, head_caches, plan = cache
     dv, dense_grads = _head_backward(dyhat, params.dense, head_caches)
-    dh = np.zeros(h_shape, dtype=dyhat.dtype)
-    dh[:, -1, :] = dv
+    dh = dv[:, None, :]  # the last block writes only the last timestep
     block_grads: list[BlockParams] = [None] * len(params.blocks)
     for i in range(len(params.blocks) - 1, -1, -1):
-        dh, g = _block_backward(dh, params.blocks[i], params.config.dilations[i], caches[i])
+        # nothing reads the gradient of the model input
+        dh, g = _block_backward(dh, params.blocks[i], 1, caches[i], plan[i][1], input_grad=i > 0)
         block_grads[i] = g
     return ModelParams(params.config, block_grads, dense_grads)
 

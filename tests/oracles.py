@@ -28,6 +28,65 @@ def naive_causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int = 1) -
     return y
 
 
+def full_sequence_tcn(params, X: np.ndarray, dyhat: np.ndarray):
+    """Forward and backward of the TCN computed at every timestep of every
+    block, one sample at a time, on ``naive_causal_conv``.
+
+    Returns (yhat (B,), gradients in ``params.arrays()`` order). The input
+    gradient of a causal conv is the causal conv of the time-reversed output
+    gradient with the transposed filter, reversed back.
+    """
+    dil = params.config.dilations
+    grads = [np.zeros_like(a, dtype=np.float64) for a in params.arrays()]
+    yhat = np.zeros(len(X))
+    for b in range(len(X)):
+        # forward, keeping each block's input and relu masks
+        h = np.asarray(X[b], dtype=np.float64)
+        blocks = []
+        for bp, d in zip(params.blocks, dil):
+            z = naive_causal_conv(h, bp.w, bp.b, d)
+            r = h @ bp.proj if bp.proj is not None else h
+            u = r + np.maximum(z, 0.0)
+            blocks.append((h, z > 0, u > 0))
+            h = np.maximum(u, 0.0)
+        acts = [h[-1]]
+        for dp in params.dense[:-1]:
+            acts.append(np.maximum(acts[-1] @ dp.w + dp.b, 0.0))
+        yhat[b] = (acts[-1] @ params.dense[-1].w + params.dense[-1].b)[0]
+        # backward
+        dense_grads = []
+        da = np.array([dyhat[b]], dtype=np.float64)
+        for i in range(len(params.dense) - 1, -1, -1):
+            if i < len(params.dense) - 1:
+                da = np.where(acts[i + 1] > 0, da, 0.0)
+            dense_grads.append((np.outer(acts[i], da), da))
+            da = params.dense[i].w @ da
+        dh = np.zeros_like(h)
+        dh[-1] = da
+        block_grads = []
+        for (x, zpos, upos), bp, d in reversed(list(zip(blocks, params.blocks, dil))):
+            du = np.where(upos, dh, 0.0)
+            dz = np.where(zpos, du, 0.0)
+            T, k = len(x), bp.w.shape[0]
+            dw = np.zeros(bp.w.shape)
+            for p in range(k):
+                for t in range(d * p, T):
+                    dw[p] += np.outer(x[t - d * p], dz[t])
+            wt = np.transpose(bp.w, (0, 2, 1))
+            dh = naive_causal_conv(dz[::-1], wt, np.zeros(x.shape[1]), d)[::-1]
+            if bp.proj is not None:
+                block_grads.append((dw, dz.sum(axis=0), x.T @ du))
+                dh = dh + du @ bp.proj.T
+            else:
+                block_grads.append((dw, dz.sum(axis=0)))
+                dh = dh + du
+        flat = [g for bg in reversed(block_grads) for g in bg]
+        flat += [g for dg in reversed(dense_grads) for g in dg]
+        for acc, g in zip(grads, flat):
+            acc += g
+    return yhat, grads
+
+
 def fd_gradient(fn, arrays: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
     """Central finite differences of a scalar function of the given arrays."""
     grads = []

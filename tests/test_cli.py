@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from eshopsim import cli
+from eshopsim import cli, tcn
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config, save_config
 from eshopsim.dataset import DataError
 
@@ -53,8 +53,16 @@ def test_main_exit_codes(tmp_path):
     # a log of another schema is a data error, not a crash
     assert cli.main(["simulate", "--config", str(cfgfile)]) == 0
     reports = out / "reports.csv"
-    reports.write_text(reports.read_text().replace("report-log/2", "report-log/1", 1))
+    good = reports.read_text()
+    reports.write_text(good.replace("report-log/2", "report-log/1", 1))
     assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
+    reports.write_text(good)
+    # an event log whose UE opens with an A3 or ABORT (no T0), or an unknown kind
+    for first in ("ue000,A3,40,0,1", "ue000,ABORT,40,0,1", "ue000,HO,40,0,1"):
+        (out / "events.csv").write_text(
+            "# schema=event-log/1\nue_id,kind,t_ms,serving,target\n" + first + "\n"
+        )
+        assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
 
 
 def _run_pipeline(out_dir, cfg=None):
@@ -80,6 +88,11 @@ def test_full_pipeline_artifacts(tmp_path):
     assert summary["simulate"]["a3_count"] >= summary["simulate"]["cmd_count"]
     assert summary["eval"]["test"]["n"] > 0
     assert summary["eshop"]["n_compared"] > 0
+    # k=3, dilations (1, 2, 4), W=16: receptive field 15 < W, so no tap is dead
+    _, header = tcn.load_model(paths["model"])
+    shape = {"receptive_field": 15, "window_len": 16, "live_param_count": header["param_count"]}
+    for key, value in shape.items():
+        assert header["extra"][key] == summary["train"][key] == value
     # oracle-fed countdown never wastes a preparation
     assert summary["eshop"]["wasted_rate"] == 0.0
     with open(paths["metrics"]) as fh:
@@ -89,7 +102,6 @@ def test_full_pipeline_artifacts(tmp_path):
 
 def test_eval_matches_library_evaluate(tmp_path):
     from eshopsim.dataset import WindowBank, read_dataset
-    from eshopsim import tcn
 
     out = tmp_path / "run"
     cfg = _run_pipeline(out)

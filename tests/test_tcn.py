@@ -13,6 +13,7 @@ from eshopsim.tcn import (
     forward_batch,
     backward_batch,
     init_params,
+    live_param_count,
     load_model,
     measure_receptive_field,
     model_forward,
@@ -22,7 +23,7 @@ from eshopsim.tcn import (
     save_model,
     train,
 )
-from oracles import fd_gradient, naive_causal_conv
+from oracles import fd_gradient, full_sequence_tcn, naive_causal_conv
 
 SMALL = TcnModelConfig(
     in_channels=4,
@@ -185,6 +186,70 @@ def test_full_gradient_check_small_net():
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
         rel = np.abs(analytic - fd) / denom
         assert rel.max() < 1e-4
+
+
+@given(
+    k=st.integers(min_value=1, max_value=5),
+    dilations=st.sets(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), min_size=1),
+    T=st.integers(min_value=1, max_value=39),
+    B=st.integers(min_value=1, max_value=5),
+    c_in=st.integers(min_value=1, max_value=3),
+    hidden=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_cone_forward_backward_equal_full_sequence(k, dilations, T, B, c_in, hidden, seed):
+    # integer-valued float64 data keeps every sum exact in any order, so the
+    # last-step cone must agree with the all-timestep oracle bit for bit
+    cfg = TcnModelConfig(
+        in_channels=c_in,
+        kernel_size=k,
+        dilations=tuple(sorted(dilations)),
+        hidden_channels=hidden,
+        dense_sizes=(2,),
+    )
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = init_params(cfg)
+    for a in params.arrays():
+        a[...] = rng.integers(-1, 2, size=a.shape)
+    X = rng.integers(-2, 3, size=(B, T, c_in)).astype(np.float64)
+    dyhat = rng.integers(-2, 3, size=B).astype(np.float64)
+    want_y, want_grads = full_sequence_tcn(params, X, dyhat)
+    yhat, cache = forward_batch(params, X)
+    assert np.array_equal(yhat, want_y)
+    grads = backward_batch(params, cache, dyhat)
+    for got, want in zip(grads.arrays(), want_grads):
+        assert np.array_equal(got, want)
+
+
+def test_live_param_count_paper_config():
+    params = init_params(TcnModelConfig())
+    assert params.param_count() == 84_513
+    assert live_param_count(params, 96) == 61_985
+    assert live_param_count(params, 64) == 54_817
+    assert live_param_count(params, 2000) == 84_513
+
+
+def test_dead_taps_never_move_in_training():
+    # taps with d*p >= W never see an input: zero gradient, zero Adam step
+    cfg = TcnModelConfig(
+        in_channels=4, kernel_size=3, dilations=(1, 2, 4, 8), hidden_channels=4, dense_sizes=(4,), seed=4
+    )
+    T = 8
+    bank = _overfit_data(T=T, seed=7)
+    tr = TrainConfig(epochs=3, batch_size=8, patience=0, dtype="float32", seed=2)
+    params, _ = train(bank, bank, cfg, tr)
+    init = init_params(cfg, np.float32)
+    dead = 0
+    for bp, bp0, d in zip(params.blocks, init.blocks, cfg.dilations):
+        for p in range(cfg.kernel_size):
+            if d * p >= T:
+                assert np.array_equal(bp.w[p], bp0.w[p])
+                dead += bp.w[p].size
+            else:
+                assert not np.array_equal(bp.w[p], bp0.w[p])
+    assert dead == 3 * 4 * 4
+    assert live_param_count(params, T) == params.param_count() - dead
 
 
 def test_receptive_field_closed_form_and_probe():
