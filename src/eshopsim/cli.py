@@ -231,8 +231,8 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     paths = _paths(cfg.output_dir)
     bundle = read_dataset(paths["dataset"])
     w = bundle.meta.window_len
-    train_bank = WindowBank(bundle.splits["train"], w, dtype=cfg.train.np_dtype)
-    val_bank = WindowBank(bundle.splits["val"], w, dtype=cfg.train.np_dtype)
+    train_bank = WindowBank.labeled(bundle.splits["train"], w, dtype=cfg.train.np_dtype)
+    val_bank = WindowBank.labeled(bundle.splits["val"], w, dtype=cfg.train.np_dtype)
     if len(train_bank) == 0:
         raise DataError("train split holds no samples")
     params, history = tcn.train(train_bank, val_bank, cfg.model, cfg.train)
@@ -276,7 +276,7 @@ def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
         raise DataError(f"unknown split '{split}'")
     params = _load_model(cfg)
     digest = config_hash(cfg)
-    bank = WindowBank(bundle.splits[split], bundle.meta.window_len, dtype=np.float32)
+    bank = WindowBank.labeled(bundle.splits[split], bundle.meta.window_len, dtype=np.float32)
     if len(bank) == 0:
         raise DataError(f"split '{split}' holds no samples")
     preds = tcn.predict(params, bank)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field, fields
 
 from eshopsim.channel import BeamGridConfig, ChannelParams
@@ -23,6 +24,24 @@ class ConfigError(ValueError):
     """Raised for malformed configuration documents."""
 
 
+def _coerce(value, hint):
+    """A JSON value as its declared type, so that 16 and 16.0 configure and hash alike."""
+    args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+        hints = typing.get_type_hints(hint)
+        return {k: _coerce(v, hints.get(k)) for k, v in value.items()}
+    if typing.get_origin(hint) is tuple and isinstance(value, list):
+        elems = args[:1] * len(value) if args[-1] is ... else args
+        return tuple(map(_coerce, value, elems)) if len(elems) == len(value) else value
+    if type(value) is int and (hint is float or float in args):
+        return float(value)
+    if type(value) is float and (hint is int or int in args):
+        if not value.is_integer():
+            raise ValueError(f"{value} is not an integer")
+        return int(value)
+    return value
+
+
 def _block_from_dict(cls, d: dict, block: str):
     if not isinstance(d, dict):
         raise ConfigError(f"config block '{block}' must be an object")
@@ -31,7 +50,7 @@ def _block_from_dict(cls, d: dict, block: str):
     if unknown:
         raise ConfigError(f"unknown keys in config block '{block}': {sorted(unknown)}")
     try:
-        return cls(**d)
+        return cls(**_coerce(d, cls))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config block '{block}': {exc}") from exc
 
@@ -57,6 +76,11 @@ class ExperimentConfig:
         "train": TrainConfig,
         "signaling": SignalingConfig,
     }
+
+    def __post_init__(self) -> None:
+        ttt = self.hcp.ttt_ms  # the one TTT: preparation fits inside it, the guard outlasts it
+        if not self.signaling.d_prep_max_ms <= ttt < self.signaling.guard_ms:
+            raise ConfigError(f"need signaling d_prep_max_ms <= hcp.ttt_ms {ttt} < guard_ms")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from eshopsim.dataset import N_FEATURES, window_bounds
+from eshopsim import tcn
+from eshopsim.dataset import N_FEATURES, WindowBank
 from eshopsim.events import HoEventRecord
 from eshopsim.tcn import ModelParams, model_forward
 
@@ -27,17 +28,14 @@ class SignalingConfig:
     """Preparation-latency and trigger settings."""
 
     d_prep_min_ms: float = 15.0
-    d_prep_max_ms: float = 35.0
-    ttt_ms: int = 40
-    guard_ms: float = 200.0
+    d_prep_max_ms: float = 35.0  # at most the TTT, hcp.ttt_ms
+    guard_ms: float = 200.0  # longer than the TTT
     trigger_threshold_ms: float = 40.0
     consecutive_required: int = 2
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.d_prep_min_ms <= self.d_prep_max_ms <= self.ttt_ms):
-            raise ValueError("preparation latency range must lie within (0, TTT]")
-        if self.guard_ms <= self.ttt_ms:
-            raise ValueError("guard window must exceed the TTT")
+        if not (0.0 < self.d_prep_min_ms <= self.d_prep_max_ms):
+            raise ValueError("preparation latency range must satisfy 0 < min <= max")
         if self.consecutive_required < 1:
             raise ValueError("need at least one triggering prediction")
 
@@ -214,20 +212,12 @@ def infer_countdown(
     """Offline inference over a recorded trace, one prediction per report.
 
     Windows are built exactly like the training windows (zero-padded, clipped
-    at command boundaries) and evaluated one at a time through the same
-    single-window forward pass as the streaming path, so offline and online
+    at command boundaries) and go through the batched forward pass, which
+    gives each window the bits of a single-window pass, so offline and online
     inference agree bit-exactly.
     """
-    n = len(rows)
-    start, end = window_bounds(np.asarray(segments), np.arange(n), window_len)
-    out = np.empty(n, dtype=np.float64)
-    window = np.zeros((window_len, rows.shape[1]))
-    for i in range(n):
-        window[:] = 0.0
-        chunk = rows[start[i] : end[i] + 1]
-        window[window_len - len(chunk) :, :] = chunk
-        out[i] = model_forward(params, window)
-    return out
+    bank = WindowBank(rows, segments, np.arange(len(rows)), window_len, dtype=params.dtype)
+    return tcn.predict(params, bank)
 
 
 # ---------------------------------------------------------------------------

@@ -163,24 +163,6 @@ def window_bounds(
     return start, end
 
 
-def windowize(
-    features: np.ndarray,
-    labels: np.ndarray,
-    segments: np.ndarray,
-    window_len: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize causal windows ending at each labeled row (zero-padded)."""
-    if window_len < 1:
-        raise ValueError("window length must be >= 1")
-    kept = np.nonzero(np.isfinite(labels))[0]
-    start, end = window_bounds(segments, kept, window_len)
-    X = np.zeros((len(kept), window_len, features.shape[1]), dtype=features.dtype)
-    for i, (s, e) in enumerate(zip(start, end)):
-        chunk = features[s : e + 1]
-        X[i, window_len - len(chunk) :, :] = chunk
-    return X, labels[kept], kept
-
-
 def split_ues(ue_ids: list[str], ratios: tuple[float, float, float], seed: int) -> dict[str, list[str]]:
     """Deterministic UE-level partition into train/val/test."""
     names = ("train", "val", "test")
@@ -444,26 +426,29 @@ def read_dataset(dirpath) -> DatasetBundle:
 
 
 class WindowBank:
-    """Gathers fixed-length causal windows for the labeled rows of a table."""
+    """Zero-padded causal windows, never crossing a segment edge, ending at chosen
+    rows of a feature matrix; training, evaluation and eshop all gather here."""
 
-    def __init__(self, table: RowTable, window_len: int, dtype=np.float64):
+    y = ue_ids = t_ms = None  # label, UE and time of each window end; set by ``labeled``
+
+    def __init__(self, rows, segments, ends, window_len: int, dtype=np.float64):
         self.window_len = window_len
-        self.rows = np.ascontiguousarray(table.features, dtype=dtype)
+        self.rows = np.ascontiguousarray(rows, dtype=dtype)
+        self.start, self.end = window_bounds(segments, ends, window_len)
+
+    @classmethod
+    def labeled(cls, table: RowTable, window_len: int, dtype=np.float64) -> "WindowBank":
+        """Windows ending at the kept rows of a table, with their labels."""
         # segment boundaries must also break at UE boundaries
-        ue_codes = np.unique(table.ue_ids, return_inverse=True)[1] if len(table) else np.array([])
-        combined = (
-            table.segments.astype(np.int64) + (ue_codes.astype(np.int64) << 32)
-            if len(table)
-            else np.asarray([], dtype=np.int64)
-        )
+        ue_codes = np.unique(table.ue_ids, return_inverse=True)[1]
+        combined = table.segments.astype(np.int64) + (ue_codes.astype(np.int64) << 32)
         kept = np.nonzero(table.reasons == REASON_KEPT)[0]
-        self.start, self.end = window_bounds(combined, kept, window_len)
-        self.y = table.labels[kept]
-        self.ue_ids = table.ue_ids[kept] if len(table) else table.ue_ids
-        self.t_ms = table.t_ms[kept] if len(table) else table.t_ms
+        bank = cls(table.features, combined, kept, window_len, dtype)
+        bank.y, bank.ue_ids, bank.t_ms = table.labels[kept], table.ue_ids[kept], table.t_ms[kept]
+        return bank
 
     def __len__(self) -> int:
-        return len(self.y)
+        return len(self.end)
 
     def gather(self, idx) -> np.ndarray:
         idx = np.asarray(idx)
@@ -472,4 +457,3 @@ class WindowBank:
             s, e = self.start[i], self.end[i]
             out[b, self.window_len - (e - s + 1) :, :] = self.rows[s : e + 1]
         return out
-

@@ -31,8 +31,6 @@ class HcpConfig:
     ttt_ms: int = 40
     hysteresis_db: float = 0.0
     offset_db: float = 3.0
-    report_interval_ms: int = 0
-    report_amount: int = 1
     a5_threshold1_dbm: float | None = None
     a5_threshold2_dbm: float | None = None
 

@@ -238,13 +238,13 @@ def _dconv_forward(
     The outputs are the positions t_j of ``_strided(x, stride)``; stride 1 is
     the full sequence. Taps are added in order, bias first.
     """
-    B, T, c_in = x.shape
+    B, T, _ = x.shape
     k, _, c_out = w.shape
     m = (T - 1) // stride + 1
     y = np.empty((B, m, c_out), dtype=x.dtype)
     y[...] = b
     for p, j0, sl in _taps(T, k, d, stride):
-        y[:, j0:, :] += (x[:, sl, :].reshape(-1, c_in) @ w[p]).reshape(B, m - j0, c_out)
+        y[:, j0:, :] += x[:, sl, :] @ w[p]
     return y
 
 
@@ -295,7 +295,7 @@ def _block_forward(x: np.ndarray, bp: BlockParams, d: int, stride: int = 1):
     z = _dconv_forward(x, bp.w, bp.b, d, stride)
     h = np.maximum(z, 0)
     xs = _strided(x, stride)
-    r = (xs.reshape(-1, x.shape[2]) @ bp.proj).reshape(h.shape) if bp.proj is not None else xs
+    r = xs @ bp.proj if bp.proj is not None else xs
     u = r + h
     y = np.maximum(u, 0)
     return y, (x, z > 0, u > 0)
@@ -330,15 +330,16 @@ def residual_block(x: np.ndarray, bp: BlockParams, d: int) -> np.ndarray:
 
 
 def _head_forward(v: np.ndarray, dense: list[DenseParams]):
+    """Dense head on v (B, 1, C); the caches hold (B, C) rows."""
     caches = []
     a = v
     for dp in dense[:-1]:
         z = a @ dp.w + dp.b
-        caches.append((a, z > 0))
+        caches.append((a[:, 0], z[:, 0] > 0))
         a = np.maximum(z, 0)
     out = a @ dense[-1].w + dense[-1].b
-    caches.append((a, None))
-    return out[:, 0], caches
+    caches.append((a[:, 0], None))
+    return out[:, 0, 0], caches
 
 
 def _head_backward(dyhat: np.ndarray, dense: list[DenseParams], caches):
@@ -387,7 +388,9 @@ def live_param_count(params: ModelParams, window_len: int) -> int:
 def forward_batch(params: ModelParams, X: np.ndarray):
     """Batched forward pass: X (B, T, C_in) -> predictions (B,) plus cache.
 
-    Only the positions the last timestep depends on are computed.
+    Only the positions the last timestep depends on are computed. Every matmul
+    is (B, m, C) @ (C, N): one BLAS call per window, of the shape a B=1 pass
+    uses, so a window's prediction has the same bits in any batch.
     """
     plan = _cone_plan(params.config, X.shape[1])
     h = _strided(X, params.config.dilations[0])
@@ -395,7 +398,7 @@ def forward_batch(params: ModelParams, X: np.ndarray):
     for bp, (_, stride) in zip(params.blocks, plan):
         h, c = _block_forward(h, bp, 1, stride)
         caches.append(c)
-    yhat, head_caches = _head_forward(h[:, -1, :], params.dense)
+    yhat, head_caches = _head_forward(h[:, -1:, :], params.dense)
     return yhat, (caches, head_caches, plan)
 
 

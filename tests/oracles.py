@@ -87,6 +87,20 @@ def full_sequence_tcn(params, X: np.ndarray, dyhat: np.ndarray):
     return yhat, grads
 
 
+def windowize(features: np.ndarray, labels: np.ndarray, segments: np.ndarray, window_len: int):
+    """Causal windows ending at each labeled row, zero-padded; built by walking
+    back from the row while the segment holds (reference for ``WindowBank``)."""
+    kept = [i for i in range(len(labels)) if np.isfinite(labels[i])]
+    X = np.zeros((len(kept), window_len, features.shape[1]), dtype=features.dtype)
+    for b, i in enumerate(kept):
+        for lag in range(window_len):
+            j = i - lag
+            if j < 0 or segments[j] != segments[i]:
+                break
+            X[b, window_len - 1 - lag] = features[j]
+    return X, labels[kept], np.asarray(kept, dtype=np.int64)
+
+
 def fd_gradient(fn, arrays: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
     """Central finite differences of a scalar function of the given arrays."""
     grads = []

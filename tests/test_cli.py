@@ -27,6 +27,40 @@ def test_config_hash_ignores_output_dir():
     assert config_hash(c) != config_hash(a)
 
 
+def test_config_hash_coerces_declared_types():
+    # 16 and 16.0 are one duration; a run directory must accept either spelling
+    ints = ExperimentConfig.from_dict(
+        {"scenario": {"duration_s": 16, "speeds_mps": [25, 31]}, "signaling": {"guard_ms": 200}}
+    )
+    floats = ExperimentConfig.from_dict(
+        {
+            "scenario": {"duration_s": 16.0, "speeds_mps": [25.0, 31.0]},
+            "signaling": {"guard_ms": 200.0},
+        }
+    )
+    assert config_hash(ints) == config_hash(floats)
+    assert isinstance(ints.scenario.duration_s, float)
+    # and an int field written as an integral float is that int
+    as_float = ExperimentConfig.from_dict({"model": {"dilations": [1.0, 2.0]}})
+    assert as_float.model.dilations == (1, 2) and isinstance(as_float.model.dilations[0], int)
+    as_int = ExperimentConfig.from_dict({"model": {"dilations": [1, 2]}})
+    assert config_hash(as_float) == config_hash(as_int)
+    with pytest.raises(ConfigError, match="not an integer"):
+        ExperimentConfig.from_dict({"scenario": {"num_ues": 2.5}})
+
+
+def test_config_refuses_ttt_mismatch():
+    # the TTT is the HCP block's; the signaling bounds are checked against it
+    ok = ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}, "signaling": {"d_prep_max_ms": 120}})
+    assert ok.hcp.ttt_ms == 160
+    with pytest.raises(ConfigError, match="guard_ms"):
+        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}, "signaling": {"guard_ms": 120}})
+    with pytest.raises(ConfigError, match="d_prep_max_ms"):
+        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 40}, "signaling": {"d_prep_max_ms": 60}})
+    with pytest.raises(ConfigError, match="unknown keys"):
+        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}, "signaling": {"ttt_ms": 40}})
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": {"num_ues": 3, "bogus": 1}}))
@@ -108,7 +142,7 @@ def test_eval_matches_library_evaluate(tmp_path):
     paths = cli._paths(str(out))
     params, _ = tcn.load_model(paths["model"])
     bundle = read_dataset(paths["dataset"])
-    bank = WindowBank(bundle.splits["test"], bundle.meta.window_len, dtype=np.float32)
+    bank = WindowBank.labeled(bundle.splits["test"], bundle.meta.window_len, dtype=np.float32)
     rep = tcn.evaluate(params, bank)
     with open(paths["metrics"]) as fh:
         stored = json.load(fh)["metrics"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eshopsim.config import ConfigError, ExperimentConfig
 from eshopsim.controller import (
     CountdownState,
     SignalingConfig,
@@ -27,9 +28,12 @@ def test_signaling_config_validation():
     with pytest.raises(ValueError):
         SignalingConfig(d_prep_min_ms=0.0)
     with pytest.raises(ValueError):
-        SignalingConfig(d_prep_max_ms=45.0)  # exceeds TTT
-    with pytest.raises(ValueError):
-        SignalingConfig(guard_ms=40.0)
+        SignalingConfig(d_prep_min_ms=30.0, d_prep_max_ms=20.0)
+    # the bounds against the TTT are checked where the TTT lives
+    with pytest.raises(ConfigError):
+        ExperimentConfig(signaling=SignalingConfig(d_prep_max_ms=45.0))  # exceeds TTT
+    with pytest.raises(ConfigError):
+        ExperimentConfig(signaling=SignalingConfig(guard_ms=40.0))
 
 
 def test_decide_preparation_examples():
@@ -212,6 +216,25 @@ def test_streaming_causality_under_truncation_paper_tcn():
     prefix = infer_countdown(params, rows[:140], segments[:140], window_len=96)
     assert np.array_equal(full[:140], prefix)
     assert len(np.unique(full)) > 100  # the model is not constant on this trace
+
+
+def test_streaming_equals_batch_inference_across_predict_chunks():
+    # 1,200 reports make three batches of the offline path (512, 512, 176);
+    # the command boundaries fall inside the first batch, on the edge to the
+    # second, and inside the second
+    params = init_params(PAPER_TCN, np.float32)
+    rng = np.random.Generator(np.random.PCG64(13))
+    n = 1200
+    rows = rng.normal(size=(n, N_FEATURES))
+    segments = np.searchsorted([300, 512, 1000], np.arange(n), side="right")
+    batch = infer_countdown(params, rows, segments, window_len=96)
+    stream = StreamingCountdown(params, window_len=96)
+    got = []
+    for i in range(n):
+        if i and segments[i] != segments[i - 1]:
+            stream.on_command()
+        got.append(stream.push(rows[i]))
+    assert np.array_equal(np.asarray(got), batch)
 
 
 def test_standardized_rows_uses_meta_stats():

@@ -19,14 +19,13 @@ from eshopsim.dataset import (
     reduce_series,
     segment_ids,
     split_ues,
-    windowize,
     write_dataset,
     N_FEATURES,
 )
 from eshopsim.events import HcpConfig, HoEventRecord
 from eshopsim.scenario import ScenarioConfig, SiteLayout
 from eshopsim.simulate import run_scenario
-from oracles import label_scan, random_episode_set
+from oracles import label_scan, random_episode_set, windowize
 
 
 def _ep(t0, aborted=False, ue="ue", d_prep=25.0):
@@ -112,13 +111,18 @@ def test_label_oracle_equivalence_randomized():
     assert total > 5000
 
 
-def test_windowize_padding_and_counts():
+def _bank(feats, labels, segments, window_len):
+    return WindowBank(feats, segments, np.nonzero(np.isfinite(labels))[0], window_len)
+
+
+def test_window_bank_padding_and_counts():
     feats = np.arange(12, dtype=float).reshape(6, 2)
     labels = np.array([np.nan, 1.0, 0.5, np.nan, 1.0, 0.9])
     segments = np.array([0, 0, 0, 1, 1, 1])
-    X, y, idx = windowize(feats, labels, segments, window_len=4)
+    bank = _bank(feats, labels, segments, window_len=4)
+    X = bank.gather(np.arange(len(bank)))
     assert X.shape == (4, 4, 2)
-    assert list(idx) == [1, 2, 4, 5]
+    assert list(bank.end) == [1, 2, 4, 5]
     # first labeled row of segment 0: one real row of history plus itself
     assert np.array_equal(X[0, :2], np.zeros((2, 2)))
     assert np.array_equal(X[0, 2:], feats[0:2])
@@ -129,14 +133,15 @@ def test_windowize_padding_and_counts():
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=40))
 @settings(max_examples=40)
-def test_windowize_never_spans_segments(window_len, n):
+def test_window_bank_never_spans_segments(window_len, n):
     rng = np.random.Generator(np.random.PCG64(n * 7 + window_len))
     feats = rng.normal(size=(n, 3)) + 1.0  # nonzero so padding is detectable
     segments = np.sort(rng.integers(0, 3, size=n))
     labels = np.where(rng.random(n) < 0.7, rng.uniform(0.1, 2.0, n), np.nan)
-    X, y, idx = windowize(feats, labels, segments, window_len)
+    bank = _bank(feats, labels, segments, window_len)
+    X = bank.gather(np.arange(len(bank)))
     assert len(X) == np.isfinite(labels).sum()
-    for w, i in zip(X, idx):
+    for w, i in zip(X, bank.end):
         seg = segments[i]
         first = np.searchsorted(segments, seg, side="left")
         depth = min(window_len, i - first + 1)
@@ -265,14 +270,14 @@ def test_dataset_schema_mismatch_detected(tmp_path):
 def test_window_bank_matches_windowize(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
     table = bundle.splits["train"]
-    bank = WindowBank(table, window_len=8)
-    # windowize on a single UE slice must agree with the bank's gather
-    ue = table.ue_ids[0]
-    mask = table.ue_ids == ue
-    X, y, idx = windowize(
-        table.features[mask], table.labels[mask], table.segments[mask], window_len=8
-    )
-    bank_rows = np.nonzero(bank.ue_ids == ue)[0]
-    got = bank.gather(bank_rows)
-    assert np.array_equal(got, X)
-    assert np.array_equal(bank.y[bank_rows], y)
+    bank = WindowBank.labeled(table, window_len=8)
+    # windowize on each UE slice must agree with the bank's gather, so windows
+    # also break at UE boundaries
+    for ue in np.unique(table.ue_ids):
+        mask = table.ue_ids == ue
+        X, y, idx = windowize(
+            table.features[mask], table.labels[mask], table.segments[mask], window_len=8
+        )
+        bank_rows = np.nonzero(bank.ue_ids == ue)[0]
+        assert np.array_equal(bank.gather(bank_rows), X)
+        assert np.array_equal(bank.y[bank_rows], y)

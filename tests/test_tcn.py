@@ -222,6 +222,42 @@ def test_cone_forward_backward_equal_full_sequence(k, dilations, T, B, c_in, hid
         assert np.array_equal(got, want)
 
 
+@given(
+    k=st.integers(min_value=1, max_value=5),
+    dilations=st.sets(st.sampled_from([1, 2, 4, 8, 16]), min_size=1, max_size=3),
+    T=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=70),
+    c_in=st.integers(min_value=1, max_value=40),
+    hidden=st.integers(min_value=1, max_value=8),
+    dense=st.lists(st.integers(min_value=1, max_value=8), max_size=3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_predict_is_batch_invariant(k, dilations, T, n, c_in, hidden, dense, dtype, seed, data):
+    # each window's matmuls keep the shape of a single-window pass, so a
+    # prediction has the same bits in a batch of any size; small widths are
+    # the shapes where one GEMM over all windows' rows drifts with the batch
+    cfg = TcnModelConfig(
+        in_channels=c_in,
+        kernel_size=k,
+        dilations=tuple(sorted(dilations)),
+        hidden_channels=hidden,
+        dense_sizes=tuple(dense),
+        seed=seed,
+    )
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = init_params(cfg, dtype)
+    for a in params.arrays():
+        if a.ndim == 1:  # nonzero biases, so fewer relus are exactly zero
+            a[...] = rng.normal(size=a.shape) * 0.3
+    bank = ArrayBank(rng.normal(size=(n, T, c_in)).astype(dtype), np.zeros(n))
+    want = np.asarray([model_forward(params, x) for x in bank.X])
+    for b in (1, data.draw(st.integers(min_value=1, max_value=n)), n):
+        assert np.array_equal(tcn.predict(params, bank, batch_size=b), want)
+
+
 def test_live_param_count_paper_config():
     params = init_params(TcnModelConfig())
     assert params.param_count() == 84_513
