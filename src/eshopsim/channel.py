@@ -51,47 +51,17 @@ class BeamGridConfig:
             raise ValueError("front-back limit must be positive")
 
 
-@dataclass(frozen=True)
-class Beam:
-    beam_id: int
-    boresight_az_deg: float
-    boresight_el_deg: float
-    az_3db_deg: float
-    el_3db_deg: float
-    peak_gain_dbi: float
-
-
 class BeamGrid:
     """Static per-cell beam sets; beam_id = elevation_tier * 3 + azimuth_column."""
 
     def __init__(self, layout: SiteLayout, cfg: BeamGridConfig | None = None):
         self.cfg = cfg or BeamGridConfig()
-        self.flm_db = self.cfg.front_back_limit_db
-        self.cells: dict[int, tuple[Beam, ...]] = {}
-        # vectorized boresight tables, indexed like layout.cell_ids
-        self._az = np.empty((3, N_SSB))
-        self._el = np.empty((3, N_SSB))
-        for ci, (cell_id, boresight) in enumerate(
-            zip(layout.cell_ids, layout.sector_boresights_deg)
-        ):
-            beams = []
-            for ei, el in enumerate(self.cfg.el_tilts_deg):
-                for ai, az_off in enumerate(self.cfg.az_offsets_deg):
-                    bid = ei * len(self.cfg.az_offsets_deg) + ai
-                    beams.append(
-                        Beam(
-                            beam_id=bid,
-                            boresight_az_deg=(boresight + az_off) % 360.0,
-                            boresight_el_deg=el,
-                            az_3db_deg=self.cfg.az_3db_deg,
-                            el_3db_deg=self.cfg.el_3db_deg,
-                            peak_gain_dbi=self.cfg.peak_gain_dbi,
-                        )
-                    )
-            assert len(beams) == N_SSB
-            self.cells[cell_id] = tuple(beams)
-            self._az[ci] = [b.boresight_az_deg for b in beams]
-            self._el[ci] = [b.boresight_el_deg for b in beams]
+        az_offsets = np.asarray(self.cfg.az_offsets_deg, dtype=float)
+        tilts = np.asarray(self.cfg.el_tilts_deg, dtype=float)
+        # boresight tables (3, 12), indexed like layout.cell_ids
+        boresights = np.asarray(layout.sector_boresights_deg, dtype=float)
+        self._az = (boresights[:, None] + np.tile(az_offsets, len(tilts))) % 360.0
+        self._el = np.tile(np.repeat(tilts, len(az_offsets)), (len(boresights), 1))
 
     def gains_dbi(self, az_deg: float, el_deg: float) -> np.ndarray:
         """Beam gains toward (az, el) for all cells, shape (3, 12)."""
@@ -100,20 +70,12 @@ class BeamGrid:
         atten = 12.0 * (
             (daz / self.cfg.az_3db_deg) ** 2 + (del_ / self.cfg.el_3db_deg) ** 2
         )
-        return self.cfg.peak_gain_dbi - np.minimum(atten, self.flm_db)
+        return self.cfg.peak_gain_dbi - np.minimum(atten, self.cfg.front_back_limit_db)
 
 
 def wrap_angle_deg(x):
     """Wrap angle differences to (-180, 180]."""
     return -((-np.asarray(x) + 180.0) % 360.0 - 180.0)
-
-
-def beam_gain(beam: Beam, az_deg: float, el_deg: float, flm_db: float = DEFAULT_FRONT_BACK_LIMIT_DB) -> float:
-    """Parabolic two-plane pattern with a front-back floor, in dBi."""
-    daz = float(wrap_angle_deg(az_deg - beam.boresight_az_deg))
-    del_ = float(wrap_angle_deg(el_deg - beam.boresight_el_deg))
-    atten = 12.0 * ((daz / beam.az_3db_deg) ** 2 + (del_ / beam.el_3db_deg) ** 2)
-    return beam.peak_gain_dbi - min(atten, flm_db)
 
 
 def path_loss(d3d_m: float, los: bool, fc_ghz: float = FC_GHZ, ue_height_m: float = 1.5) -> float:
@@ -183,24 +145,6 @@ def shadow_step(prev_db, delta_d_m: float, params: ChannelParams, rng: np.random
     prev_db = np.asarray(prev_db, dtype=float)
     noise = rng.standard_normal(prev_db.shape) if prev_db.shape else rng.standard_normal()
     return rho * prev_db + math.sqrt(1.0 - rho * rho) * sigma * noise
-
-
-def rsrp_l1(
-    ue_pos: np.ndarray,
-    cell_id: int,
-    beam_id: int,
-    layout: SiteLayout,
-    grid: BeamGrid,
-    params: ChannelParams,
-    shadow_db: float = 0.0,
-    fading_db: float = 0.0,
-) -> float:
-    """Compose one beam's L1 RSRP; impairment terms are passed in explicitly."""
-    az, el, d3d = bearing_from_bs(layout, ue_pos)
-    beam = grid.cells[cell_id][beam_id]
-    gain = beam_gain(beam, az, el, flm_db=grid.flm_db)
-    pl = path_loss(d3d, los=params.los, fc_ghz=params.fc_ghz, ue_height_m=layout.ue_height_m)
-    return params.tx_power_per_ssb_dbm + gain - pl - shadow_db + fading_db
 
 
 class ChannelState:

@@ -140,7 +140,10 @@ def _load_model(cfg: ExperimentConfig) -> tcn.ModelParams:
     path = _paths(cfg.output_dir)["model"]
     if not os.path.exists(path):
         raise DataError("missing model file (run 'train' first)")
-    params, header = tcn.load_model(path)
+    try:
+        params, header = tcn.load_model(path)
+    except ValueError as exc:  # e.g. a truncated file
+        raise DataError(f"unreadable model file {path}: {exc}") from exc
     stored = header.get("extra", {}).get("config_hash")
     if stored is not None and stored != config_hash(cfg):
         raise DataError("model was trained under a different configuration")
@@ -484,7 +487,6 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
     groups = sorted({doc.get("los_mode", "?") for doc in summaries})
     table: dict[str, dict[str, tuple[float, float]]] = {}
     for metric, key_path in _REPORT_METRICS:
-        # metrics live either under eval.test.metrics-like dicts or eshop
         row = {}
         for g in groups:
             vals = []
@@ -492,8 +494,6 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
                 if doc.get("los_mode") != g:
                     continue
                 v = dig(doc, key_path)
-                if v is None and key_path[0] == "eval":
-                    v = dig(doc, ("eval", "test", "metrics", key_path[-1]))
                 if v is not None:
                     vals.append(float(v))
             if vals:
@@ -534,11 +534,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--los", choices=["los", "nlos"], help="override the propagation mode")
-        p.add_argument("--parallel", type=int, default=0, help="worker processes for simulation")
 
     for name in ("simulate", "build-dataset", "train", "eval", "eshop"):
         p = sub.add_parser(name)
         add_common(p)
+        if name == "simulate":
+            p.add_argument("--parallel", type=int, default=0, help="worker processes")
         if name == "eval":
             p.add_argument("--split", default="test", choices=["train", "val", "test"])
         if name == "eshop":

@@ -114,17 +114,18 @@ def simulate_eshop(
 ) -> EshopTimeline:
     """Early-preparation timeline for one episode given the countdown trace.
 
-    Only reports inside (window_start, a3] can trigger; the command is gated
-    by the UE's A3 report, so it never precedes a3 even for early triggers.
+    Only reports inside (window_start, a3] of the ascending report times can
+    trigger; the command is gated by the UE's A3 report, so it never precedes
+    a3 even for early triggers.
     """
     if episode.aborted or episode.a3_ms is None:
         raise ValueError("cannot prepare an aborted episode")
     a3 = float(episode.a3_ms)
     state = CountdownState()
     trigger_ms: float | None = None
-    for t, p in zip(report_times_ms, preds_tef_s):
-        if not (window_start_ms < t <= a3):
-            continue
+    times = np.asarray(report_times_ms)
+    lo, hi = np.searchsorted(times, [window_start_ms, a3], side="right")
+    for t, p in zip(times[lo:hi], preds_tef_s[lo:hi]):
         if decide_preparation(state, p, float(t), cfg):
             trigger_ms = float(t)
             state.prepared = True

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from eshopsim.artifacts import file_sha256
-from eshopsim.channel import MeasurementReport, N_SSB
+from eshopsim.channel import N_SSB
 from eshopsim.events import HoEventRecord
 
 DATASET_SCHEMA = "dataset/2"
@@ -60,14 +60,6 @@ class DatasetConfig:
 
 class DataError(RuntimeError):
     """Raised for missing, truncated or inconsistent data artifacts."""
-
-
-def reduce_report(report: MeasurementReport) -> tuple[int, list[tuple[int, float]]]:
-    """Strongest beam per cell; ties resolve to the lowest beam id."""
-    best_beams = report.rsrp_dbm.argmax(axis=1)
-    return report.t_ms, [
-        (int(b), float(report.rsrp_dbm[c, b])) for c, b in enumerate(best_beams)
-    ]
 
 
 def reduce_series(l3_rsrp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,39 +234,22 @@ class DatasetMeta:
     file_sha256: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "horizon_s": self.horizon_s,
-            "window_len": self.window_len,
-            "cell_ids": list(self.cell_ids),
-            "rsrp_mean": list(self.rsrp_mean),
-            "rsrp_std": list(self.rsrp_std),
-            "exclusion_counts": self.exclusion_counts,
-            "kept_count": self.kept_count,
-            "raw_count": self.raw_count,
-            "split_ues": self.split_ues,
-            "file_sha256": self.file_sha256,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DatasetMeta":
-        return cls(
-            schema_version=d["schema_version"],
-            config_hash=d["config_hash"],
-            master_seed=int(d["master_seed"]),
-            horizon_s=float(d["horizon_s"]),
-            window_len=int(d["window_len"]),
-            cell_ids=tuple(d["cell_ids"]),
-            rsrp_mean=tuple(d["rsrp_mean"]),
-            rsrp_std=tuple(d["rsrp_std"]),
-            exclusion_counts={k: int(v) for k, v in d["exclusion_counts"].items()},
-            kept_count=int(d["kept_count"]),
-            raw_count=int(d["raw_count"]),
-            split_ues={k: list(v) for k, v in d["split_ues"].items()},
-            file_sha256=dict(d["file_sha256"]),
-        )
+    def from_dict(cls, d) -> "DatasetMeta":
+        """Inverse of ``to_dict``; a missing or unknown key is a DataError."""
+        names = {f.name for f in fields(cls)}
+        keys = set(d) if isinstance(d, dict) else set()
+        if keys != names:
+            raise DataError(
+                f"dataset meta: missing keys {sorted(names - keys)}, unknown {sorted(keys - names)}"
+            )
+        # JSON holds the tuple fields as lists
+        return cls(**{
+            f.name: tuple(d[f.name]) if isinstance(f.default, tuple) else d[f.name]
+            for f in fields(cls)
+        })
 
 
 @dataclass
@@ -394,8 +369,12 @@ def read_meta(dirpath) -> DatasetMeta:
     meta_path = os.path.join(dirpath, "meta.json")
     if not os.path.exists(meta_path):
         raise DataError(f"missing dataset meta: {meta_path}")
-    with open(meta_path) as fh:
-        meta = DatasetMeta.from_dict(json.load(fh))
+    try:
+        with open(meta_path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, e.g. a truncated file
+        raise DataError(f"unreadable dataset meta {meta_path}: {exc}") from exc
+    meta = DatasetMeta.from_dict(doc)
     if meta.schema_version != DATASET_SCHEMA:
         raise DataError(
             f"dataset schema mismatch: {meta.schema_version} != {DATASET_SCHEMA}"

@@ -46,10 +46,6 @@ class HcpConfig:
         ):
             raise ValueError("A5 requires both thresholds")
 
-    @property
-    def hom_db(self) -> float:
-        return self.offset_db + self.hysteresis_db
-
 
 @dataclass
 class TttState:

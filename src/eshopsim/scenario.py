@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TICK_MS = 10  # SSB period
-REPORT_PERIOD_TICKS = 4
-REPORT_PERIOD_MS = TICK_MS * REPORT_PERIOD_TICKS  # 40 ms measurement reporting
+REPORT_PERIOD_MS = 40  # measurement reporting
 BS_HEIGHT_M = 10.0
 UE_HEIGHT_M = 1.5
 SECTOR_BORESIGHTS_DEG = (90.0, 210.0, 330.0)
@@ -74,41 +72,8 @@ class UeTrajectory:
             raise ValueError("duration must be positive")
 
     @property
-    def period_s(self) -> float:
-        """Time for one full revolution."""
-        return 2.0 * math.pi * self.radius_m / self.speed_mps
-
-    @property
     def duration_ms(self) -> float:
         return self.duration_s * 1000.0
-
-
-@dataclass
-class SimClock:
-    """10 ms tick clock; every 4th tick is a 40 ms measurement report instant."""
-
-    tick_ms: int = TICK_MS
-    report_period_ticks: int = REPORT_PERIOD_TICKS
-    current_tick: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tick_ms != TICK_MS:
-            raise ValueError(f"tick is fixed at the {TICK_MS} ms SSB period")
-        if self.report_period_ticks != REPORT_PERIOD_TICKS:
-            raise ValueError(f"report period is fixed at {REPORT_PERIOD_TICKS} ticks")
-        if self.current_tick < 0:
-            raise ValueError("current_tick must be non-negative")
-
-    @property
-    def time_ms(self) -> int:
-        return self.current_tick * self.tick_ms
-
-    @property
-    def at_report(self) -> bool:
-        return self.current_tick % self.report_period_ticks == 0
-
-    def advance(self) -> None:
-        self.current_tick += 1
 
 
 @dataclass
@@ -180,28 +145,6 @@ def position_at(traj: UeTrajectory, t_ms: float, ue_height_m: float = UE_HEIGHT_
             ue_height_m,
         ]
     )
-
-
-def trajectory_positions(
-    traj: UeTrajectory, times_ms: np.ndarray, ue_height_m: float = UE_HEIGHT_M
-) -> np.ndarray:
-    """Vectorized :func:`position_at` for an array of times, shape (N, 3)."""
-    times_ms = np.asarray(times_ms, dtype=float)
-    if times_ms.size and (times_ms.min() < 0.0 or times_ms.max() > traj.duration_ms):
-        raise ValueError("times outside trajectory duration")
-    omega = traj.speed_mps / traj.radius_m
-    theta = traj.start_angle_rad + traj.direction * omega * (times_ms / 1000.0)
-    out = np.empty((times_ms.size, 3))
-    out[:, 0] = traj.center_xy[0] + traj.radius_m * np.cos(theta)
-    out[:, 1] = traj.center_xy[1] + traj.radius_m * np.sin(theta)
-    out[:, 2] = ue_height_m
-    return out
-
-
-def report_grid_ms(duration_s: float) -> np.ndarray:
-    """Report instants 0, 40, 80, ... up to and including the duration."""
-    duration_ms = int(round(duration_s * 1000.0))
-    return np.arange(0, duration_ms + 1, REPORT_PERIOD_MS, dtype=np.int64)
 
 
 def bearing_from_bs(layout: SiteLayout, ue_pos: np.ndarray) -> tuple[float, float, float]:

@@ -1,8 +1,8 @@
 """Per-UE simulation loop and the raw report / event log file formats.
 
 Each UE gets independent sub-seeded streams for trajectory, channel and
-preparation-latency draws. The loop runs the 10 ms clock, samples the channel
-at every 40 ms report instant, feeds the event engine, and applies each
+preparation-latency draws. The loop visits every 40 ms report instant,
+samples the channel there, feeds the event engine, and applies each
 handover command (legacy-timed at A3 + d_prep) as the episode boundary.
 """
 
@@ -24,7 +24,13 @@ from eshopsim.channel import (
     make_report,
 )
 from eshopsim.events import A3EventEngine, HcpConfig, HoEvent, HoEventRecord
-from eshopsim.scenario import ScenarioConfig, SimClock, SiteLayout, position_at, spawn_trajectory
+from eshopsim.scenario import (
+    REPORT_PERIOD_MS,
+    ScenarioConfig,
+    SiteLayout,
+    position_at,
+    spawn_trajectory,
+)
 from eshopsim.seeds import derive_seed, rng_from
 
 REPORT_LOG_SCHEMA = "report-log/2"
@@ -74,31 +80,27 @@ def run_ue(
     l3_frames: list[np.ndarray] = []
     events: list[HoEvent] = []
 
-    clock = SimClock()
     duration_ms = int(round(scenario.duration_s * 1000.0))
-    while clock.time_ms <= duration_ms:
-        if clock.at_report:
-            t = clock.time_ms
-            pos = position_at(traj, t, ue_height_m=layout.ue_height_m)
-            raw = chan.sample(pos)
-            l3 = filt.update(raw)
-            report = make_report(t, layout.cell_ids, filt)
-            if engine is None:
-                serving0 = layout.cell_ids[int(np.argmax(l3.max(axis=1)))]
-                engine = A3EventEngine(ue_id, layout.cell_ids, hcp, serving0)
-            if engine.pending is not None and engine.pending.command_ms <= t:
-                events.append(engine.apply_handover(engine.pending))
-            new_events = engine.step(report)
-            for ev in new_events:
-                if ev.kind == "A3":
-                    rec = engine.episodes[-1]
-                    rec.command_ms = rec.a3_ms + float(
-                        prep_rng.uniform(d_prep_min_ms, d_prep_max_ms)
-                    )
-            events.extend(new_events)
-            times.append(t)
-            l3_frames.append(l3)
-        clock.advance()
+    for t in range(0, duration_ms + 1, REPORT_PERIOD_MS):
+        pos = position_at(traj, t, ue_height_m=layout.ue_height_m)
+        raw = chan.sample(pos)
+        l3 = filt.update(raw)
+        report = make_report(t, layout.cell_ids, filt)
+        if engine is None:
+            serving0 = layout.cell_ids[int(np.argmax(l3.max(axis=1)))]
+            engine = A3EventEngine(ue_id, layout.cell_ids, hcp, serving0)
+        if engine.pending is not None and engine.pending.command_ms <= t:
+            events.append(engine.apply_handover(engine.pending))
+        new_events = engine.step(report)
+        for ev in new_events:
+            if ev.kind == "A3":
+                rec = engine.episodes[-1]
+                rec.command_ms = rec.a3_ms + float(
+                    prep_rng.uniform(d_prep_min_ms, d_prep_max_ms)
+                )
+        events.extend(new_events)
+        times.append(t)
+        l3_frames.append(l3)
 
     return UeRun(
         ue_id=ue_id,

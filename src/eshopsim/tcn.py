@@ -214,26 +214,23 @@ def _strided(x: np.ndarray, stride: int) -> np.ndarray:
     return x[:, (x.shape[1] - 1) % stride :: stride, :]
 
 
-def _taps(T: int, k: int, d: int, stride: int):
+def _taps(T: int, k: int, stride: int):
     """The taps of a causal conv that reach an output of ``_strided``.
 
     Yields (p, j0, sl): outputs j0, j0+1, ... read tap p at ``x[:, sl]``.
-    Taps come in order and stop at the first whose shift d*p passes T-1.
+    Taps come in order and stop at the first whose shift p passes T-1.
     """
     off = (T - 1) % stride
     m = (T - 1) // stride + 1
     for p in range(k):
-        s = d * p
-        j0 = max(0, -(-(s - off) // stride))  # first output at time >= s
+        j0 = max(0, -(-(p - off) // stride))  # first output at time >= p
         if j0 >= m:
             return
-        yield p, j0, slice(off + j0 * stride - s, T - s, stride)
+        yield p, j0, slice(off + j0 * stride - p, T - p, stride)
 
 
-def _dconv_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int, stride: int = 1
-) -> np.ndarray:
-    """y[j] = b + sum_p w[p] . x[t_j - d*p], zero history before t=0.
+def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
+    """y[j] = b + sum_p w[p] . x[t_j - p], zero history before t=0.
 
     The outputs are the positions t_j of ``_strided(x, stride)``; stride 1 is
     the full sequence. Taps are added in order, bias first.
@@ -243,13 +240,13 @@ def _dconv_forward(
     m = (T - 1) // stride + 1
     y = np.empty((B, m, c_out), dtype=x.dtype)
     y[...] = b
-    for p, j0, sl in _taps(T, k, d, stride):
+    for p, j0, sl in _taps(T, k, stride):
         y[:, j0:, :] += x[:, sl, :] @ w[p]
     return y
 
 
 def _dconv_backward(
-    x: np.ndarray, w: np.ndarray, d: int, dy: np.ndarray, stride: int = 1, input_grad: bool = True
+    x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of ``_dconv_forward``; dx is None unless
     ``input_grad``."""
@@ -259,7 +256,7 @@ def _dconv_backward(
     dw = np.zeros_like(w)
     db = dy.sum(axis=(0, 1))
     dx = np.zeros_like(x) if input_grad else None
-    for p, j0, sl in _taps(T, k, d, stride):
+    for p, j0, sl in _taps(T, k, stride):
         ds = dy[:, j0:, :].reshape(-1, c_out)
         dw[p] = x[:, sl, :].reshape(-1, c_in).T @ ds
         if input_grad:
@@ -267,32 +264,9 @@ def _dconv_backward(
     return dx, dw, db
 
 
-def causal_conv(x: np.ndarray, f: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Single-sequence causal convolution: x (T, C_in), f (k, C_in, C_out)."""
-    return dilated_causal_conv(x, f, 1, bias)
-
-
-def dilated_causal_conv(
-    x: np.ndarray, f: np.ndarray, d: int, bias: np.ndarray | None = None
-) -> np.ndarray:
-    if d < 1:
-        raise ValueError("dilation must be >= 1")
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if f.ndim == 1:
-        f = f[:, None, None]
-    if x.shape[1] != f.shape[1]:
-        raise ValueError(f"channel mismatch: x has {x.shape[1]}, filter expects {f.shape[1]}")
-    b = np.zeros(f.shape[2], dtype=x.dtype) if bias is None else np.asarray(bias, dtype=float)
-    if b.shape != (f.shape[2],):
-        raise ValueError("bias shape mismatch")
-    return _dconv_forward(x[None], f, b, d)[0]
-
-
-def _block_forward(x: np.ndarray, bp: BlockParams, d: int, stride: int = 1):
-    z = _dconv_forward(x, bp.w, bp.b, d, stride)
+def _block_forward(x: np.ndarray, bp: BlockParams, stride: int):
+    """Residual unit relu(skip(x) + relu(conv(x))) at the outputs of ``_strided``."""
+    z = _dconv_forward(x, bp.w, bp.b, stride)
     h = np.maximum(z, 0)
     xs = _strided(x, stride)
     r = xs @ bp.proj if bp.proj is not None else xs
@@ -301,13 +275,11 @@ def _block_forward(x: np.ndarray, bp: BlockParams, d: int, stride: int = 1):
     return y, (x, z > 0, u > 0)
 
 
-def _block_backward(
-    dy: np.ndarray, bp: BlockParams, d: int, cache, stride: int = 1, input_grad: bool = True
-):
+def _block_backward(dy: np.ndarray, bp: BlockParams, cache, stride: int, input_grad: bool = True):
     x, zpos, upos = cache
     du = np.where(upos, dy, 0)
     dz = np.where(zpos, du, 0)
-    dx, dw, db = _dconv_backward(x, bp.w, d, dz, stride, input_grad)
+    dx, dw, db = _dconv_backward(x, bp.w, dz, stride, input_grad)
     dproj = None
     if bp.proj is not None:
         du2 = du.reshape(-1, du.shape[2])
@@ -316,17 +288,6 @@ def _block_backward(
         dxs = _strided(dx, stride)
         dxs += du if bp.proj is None else (du2 @ bp.proj.T).reshape(dxs.shape)
     return dx, BlockParams(dw, db, dproj)
-
-
-def residual_block(x: np.ndarray, bp: BlockParams, d: int) -> np.ndarray:
-    """Single-sequence residual unit: relu(skip(x) + relu(dilated_conv(x)))."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[1] != bp.w.shape[1]:
-        raise ValueError("channel mismatch")
-    y, _ = _block_forward(x[None].astype(bp.w.dtype), bp, d)
-    return y[0]
 
 
 def _head_forward(v: np.ndarray, dense: list[DenseParams]):
@@ -380,7 +341,7 @@ def live_param_count(params: ModelParams, window_len: int) -> int:
     """
     dead = 0
     for bp, (n, stride) in zip(params.blocks, _cone_plan(params.config, window_len)):
-        live = sum(1 for _ in _taps(n, len(bp.w), 1, stride))
+        live = sum(1 for _ in _taps(n, len(bp.w), stride))
         dead += bp.w[live:].size
     return params.param_count() - dead
 
@@ -396,7 +357,7 @@ def forward_batch(params: ModelParams, X: np.ndarray):
     h = _strided(X, params.config.dilations[0])
     caches = []
     for bp, (_, stride) in zip(params.blocks, plan):
-        h, c = _block_forward(h, bp, 1, stride)
+        h, c = _block_forward(h, bp, stride)
         caches.append(c)
     yhat, head_caches = _head_forward(h[:, -1:, :], params.dense)
     return yhat, (caches, head_caches, plan)
@@ -409,7 +370,7 @@ def backward_batch(params: ModelParams, cache, dyhat: np.ndarray):
     block_grads: list[BlockParams] = [None] * len(params.blocks)
     for i in range(len(params.blocks) - 1, -1, -1):
         # nothing reads the gradient of the model input
-        dh, g = _block_backward(dh, params.blocks[i], 1, caches[i], plan[i][1], input_grad=i > 0)
+        dh, g = _block_backward(dh, params.blocks[i], caches[i], plan[i][1], input_grad=i > 0)
         block_grads[i] = g
     return ModelParams(params.config, block_grads, dense_grads)
 
@@ -564,10 +525,6 @@ def predict(params: ModelParams, bank, batch_size: int = 512) -> np.ndarray:
     return out
 
 
-def evaluate(params: ModelParams, bank, batch_size: int = 512) -> MetricsReport:
-    return compute_metrics(np.asarray(bank.y, dtype=np.float64), predict(params, bank, batch_size))
-
-
 def train(
     train_bank,
     val_bank,
@@ -682,11 +639,13 @@ def load_model(path) -> tuple[ModelParams, dict]:
         raise ValueError(f"model schema mismatch: {header.get('schema_version')}")
     cfg = TcnModelConfig(**header["config"])
     params = init_params(cfg, np.float32)
-    flat = np.frombuffer(data[8 + hlen :], dtype="<f4")
-    if flat.size != header["param_count"]:
+    payload = data[8 + hlen :]
+    if len(payload) != 4 * header["param_count"]:
         raise ValueError(
-            f"model file truncated: {flat.size} values, expected {header['param_count']}"
+            f"model file truncated: {len(payload)} parameter bytes, "
+            f"expected {4 * header['param_count']}"
         )
+    flat = np.frombuffer(payload, dtype="<f4")
     pos = 0
     for a in params.arrays():
         a[...] = flat[pos : pos + a.size].reshape(a.shape)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eshopsim.channel import (
-    Beam,
     BeamGrid,
     BeamGridConfig,
     ChannelParams,
@@ -13,10 +12,8 @@ from eshopsim.channel import (
     L3FilterState,
     MeasurementReport,
     N_SSB,
-    beam_gain,
     make_report,
     path_loss,
-    rsrp_l1,
     shadow_step,
     wrap_angle_deg,
 )
@@ -27,44 +24,48 @@ from eshopsim.scenario import SiteLayout, position_at, spawn_trajectory, Scenari
 PL_LOS_50M_28GHZ = 97.02153071790078
 
 
-def _beam(az=0.0, el=0.0):
-    return Beam(
-        beam_id=0,
-        boresight_az_deg=az,
-        boresight_el_deg=el,
-        az_3db_deg=40.0,
-        el_3db_deg=14.0,
-        peak_gain_dbi=14.0,
-    )
+# cell 0 (boresight 90 deg), beam 4: middle azimuth column, tilt -7 deg
+CELL0_BEAM4 = (90.0, -7.0)
 
 
-def test_gain_on_boresight_is_peak():
-    assert beam_gain(_beam(), 0.0, 0.0) == 14.0
+def _gain(layout, az, el, cell=0, beam=4):
+    return BeamGrid(layout).gains_dbi(az, el)[cell, beam]
 
 
-def test_gain_at_half_beamwidth_is_minus_3db():
-    assert beam_gain(_beam(), 20.0, 0.0) == pytest.approx(14.0 - 3.0, abs=1e-12)
-    assert beam_gain(_beam(), 0.0, 7.0) == pytest.approx(14.0 - 3.0, abs=1e-12)
+def test_gain_on_boresight_is_peak(layout):
+    assert _gain(layout, *CELL0_BEAM4) == 14.0
 
 
-def test_gain_far_sidelobe_clamped():
-    assert beam_gain(_beam(), 180.0, 0.0) == 14.0 - 30.0
+def test_gain_at_half_beamwidth_is_minus_3db(layout):
+    assert _gain(layout, 90.0 + 20.0, -7.0) == pytest.approx(14.0 - 3.0, abs=1e-12)
+    assert _gain(layout, 90.0, -7.0 + 7.0) == pytest.approx(14.0 - 3.0, abs=1e-12)
 
 
-def test_gain_wraps_angles():
-    assert beam_gain(_beam(az=350.0), 10.0, 0.0) == pytest.approx(
-        beam_gain(_beam(az=0.0), 20.0, 0.0), abs=1e-12
+def test_gain_far_sidelobe_clamped(layout):
+    assert _gain(layout, 270.0, -7.0) == 14.0 - 30.0
+
+
+def test_gain_wraps_angles(layout):
+    # cell 2 (boresight 330 deg), beam 5: azimuth 330 + 40 wraps to 10 deg;
+    # seen from 350 deg it is 20 deg off, like cell 0 beam 4 seen from 110
+    assert _gain(layout, 350.0, -7.0, cell=2, beam=5) == pytest.approx(
+        _gain(layout, 110.0, -7.0), abs=1e-12
     )
     assert wrap_angle_deg(190.0) == -170.0
     assert wrap_angle_deg(180.0) == 180.0
 
 
 def test_beam_grid_has_12_static_beams(layout):
+    # beam_id = elevation tier * 3 + azimuth column: each beam peaks on its boresight
     grid = BeamGrid(layout)
-    for cell_id in layout.cell_ids:
-        beams = grid.cells[cell_id]
-        assert len(beams) == N_SSB
-        assert [b.beam_id for b in beams] == list(range(N_SSB))
+    cfg = grid.cfg
+    for ci, boresight in enumerate(layout.sector_boresights_deg):
+        for ei, el in enumerate(cfg.el_tilts_deg):
+            for ai, az_off in enumerate(cfg.az_offsets_deg):
+                gains = grid.gains_dbi(boresight + az_off, el)
+                assert gains.shape == (3, N_SSB)
+                assert np.argmax(gains[ci]) == ei * 3 + ai
+                assert gains[ci, ei * 3 + ai] == cfg.peak_gain_dbi
 
 
 def test_pathloss_los_frozen_value():
@@ -114,35 +115,44 @@ def test_shadow_stationary_stddev_monte_carlo(rng):
     assert vals[1000:].std() == pytest.approx(params.shadow_sigma_db, rel=0.02)
 
 
-def test_rsrp_composition_identity(layout):
-    grid = BeamGrid(layout)
+def _sample_without_shadow(layout, pos, grid=None, seed=9):
+    """Fading-off L1 RSRP of a fresh channel, its initial shadowing added back."""
     params = ChannelParams(fast_fading_enabled=False)
-    # UE on the boresight of cell 0's beam 3 (az offset -40 from 90 deg => 50 deg)
-    beam = grid.cells[0][3]
-    rad = math.radians(beam.boresight_az_deg)
+    chan = ChannelState(
+        layout, grid or BeamGrid(layout), params, np.random.Generator(np.random.PCG64(seed))
+    )
+    shadow = params.shadow_sigma_db * np.random.Generator(np.random.PCG64(seed)).standard_normal(3)
+    return chan.sample(pos) + shadow[:, None]
+
+
+def test_rsrp_composition_identity(layout):
+    # UE on the azimuth of cell 0's beam 3 (az offset -40 from 90 deg => 50 deg)
+    rad = math.radians(50.0)
     pos = np.array([50.0 * math.cos(rad), 50.0 * math.sin(rad), 1.5])
-    az, el, d3d = 0, 0, math.sqrt(50.0**2 + 8.5**2)
-    val = rsrp_l1(pos, 0, 3, layout, grid, params)
-    expected_gain = beam_gain(beam, beam.boresight_az_deg, math.degrees(math.atan2(-8.5, 50.0)))
+    d3d = math.sqrt(50.0**2 + 8.5**2)
+    el = math.degrees(math.atan2(-8.5, 50.0))
+    expected_gain = 14.0 - 12.0 * ((el - (-7.0)) / 14.0) ** 2  # tier 1 tilts -7 deg
     expected = 30.0 + expected_gain - path_loss(d3d, los=True)
-    assert val == pytest.approx(expected, abs=1e-12)
+    assert _sample_without_shadow(layout, pos)[0, 3] == pytest.approx(expected, abs=1e-12)
 
 
 def test_rsrp_frozen_composition(layout):
-    # tx 30 dBm + full 14 dBi gain - LoS pathloss at exactly 50 m
-    grid = BeamGrid(layout)
-    params = ChannelParams(fast_fading_enabled=False)
-    val = 30.0 + 14.0 - path_loss(50.0, los=True)
+    # tx 30 dBm + full 14 dBi gain - LoS pathloss at exactly 50 m: a grid
+    # whose tier-0 beams tilt straight at a UE 50 m from the antenna
+    el = math.degrees(math.asin(-8.5 / 50.0))
+    grid = BeamGrid(layout, BeamGridConfig(el_tilts_deg=(el, -7.0, 7.0, 21.0)))
+    rad = math.radians(90.0)  # cell 0's beam 1 azimuth
+    ground = math.sqrt(50.0**2 - 8.5**2)
+    pos = np.array([ground * math.cos(rad), ground * math.sin(rad), 1.5])
+    val = _sample_without_shadow(layout, pos, grid)[0, 1]
     assert val == pytest.approx(30.0 + 14.0 - PL_LOS_50M_28GHZ, abs=1e-9)
     assert val == pytest.approx(-53.02153071790078, abs=1e-9)
 
 
 def test_rsrp_monotone_with_distance(layout):
-    grid = BeamGrid(layout)
-    params = ChannelParams(fast_fading_enabled=False)
-    near = rsrp_l1(np.array([40.0, 0.0, 1.5]), 0, 3, layout, grid, params)
-    far = rsrp_l1(np.array([60.0, 0.0, 1.5]), 0, 3, layout, grid, params)
-    assert far < near
+    near = _sample_without_shadow(layout, np.array([40.0, 0.0, 1.5]))
+    far = _sample_without_shadow(layout, np.array([60.0, 0.0, 1.5]))
+    assert far[0, 3] < near[0, 3]
 
 
 def test_l3_filter_recurrence():
@@ -199,18 +209,12 @@ def test_make_report_validation(layout):
 
 def test_rsrp_periodic_along_circle(layout):
     # impairments off: the geometry repeats exactly after one revolution
-    grid = BeamGrid(layout)
-    params = ChannelParams(fast_fading_enabled=False)
     traj = spawn_trajectory(5, ScenarioConfig(duration_s=60.0), center_xy=(0.0, 0.0))
-    period_ms = traj.period_s * 1000.0
+    period_ms = 2.0 * math.pi * traj.radius_m / traj.speed_mps * 1000.0
     for t in (0.0, 1234.0, 5000.0):
-        p0 = position_at(traj, t)
-        p1 = position_at(traj, t + period_ms)
-        for cell in layout.cell_ids:
-            for beam in (0, 5, 11):
-                a = rsrp_l1(p0, cell, beam, layout, grid, params)
-                b = rsrp_l1(p1, cell, beam, layout, grid, params)
-                assert abs(a - b) < 1e-6
+        a = _sample_without_shadow(layout, position_at(traj, t))
+        b = _sample_without_shadow(layout, position_at(traj, t + period_ms))
+        assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_channel_state_deterministic(layout):

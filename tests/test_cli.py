@@ -6,14 +6,14 @@ import pytest
 
 from conftest import tiny_config
 from eshopsim import cli, tcn
-from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config, save_config
+from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.dataset import DataError
 
 
 def test_default_config_round_trip(tmp_path):
     cfg = ExperimentConfig()
     path = tmp_path / "cfg.json"
-    save_config(path, cfg)
+    path.write_text(json.dumps(cfg.to_dict()))
     loaded = load_config(path)
     assert loaded.to_dict() == cfg.to_dict()
     assert config_hash(loaded) == config_hash(cfg)
@@ -81,7 +81,7 @@ def test_main_exit_codes(tmp_path):
     # build-dataset before simulate: missing logs -> data error
     out = tmp_path / "run"
     cfgfile = tmp_path / "cfg.json"
-    save_config(cfgfile, tiny_config(out))
+    cfgfile.write_text(json.dumps(tiny_config(out).to_dict()))
     assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
     assert cli.main(["report", str(tmp_path / "nowhere")]) == 3
     # a log of another schema is a data error, not a crash
@@ -92,11 +92,33 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
     reports.write_text(good)
     # an event log whose UE opens with an A3 or ABORT (no T0), or an unknown kind
+    events = out / "events.csv"
+    good_events = events.read_text()
     for first in ("ue000,A3,40,0,1", "ue000,ABORT,40,0,1", "ue000,HO,40,0,1"):
-        (out / "events.csv").write_text(
-            "# schema=event-log/1\nue_id,kind,t_ms,serving,target\n" + first + "\n"
-        )
+        events.write_text("# schema=event-log/1\nue_id,kind,t_ms,serving,target\n" + first + "\n")
         assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
+    events.write_text(good_events)
+    for command in ("build-dataset", "train"):
+        assert cli.main([command, "--config", str(cfgfile)]) == 0
+    # a model file cut short
+    model = out / "model.tcn"
+    good_model = model.read_bytes()
+    model.write_bytes(good_model[:-10])
+    for command in ("eval", "eshop"):
+        assert cli.main([command, "--config", str(cfgfile)]) == 3
+    model.write_bytes(good_model)
+    # half a dataset meta.json, and one without a field
+    meta = out / "dataset" / "meta.json"
+    good_meta = meta.read_text()
+    doc = json.loads(good_meta)
+    del doc["rsrp_std"]
+    for text in (good_meta[: len(good_meta) // 2], json.dumps(doc)):
+        meta.write_text(text)
+        for command in ("train", "eshop"):
+            assert cli.main([command, "--config", str(cfgfile)]) == 3
+    # --parallel is a simulate option only
+    with pytest.raises(SystemExit):
+        cli.main(["train", "--config", str(cfgfile), "--parallel", "2"])
 
 
 def _run_pipeline(out_dir, cfg=None):
@@ -143,7 +165,7 @@ def test_eval_matches_library_evaluate(tmp_path):
     params, _ = tcn.load_model(paths["model"])
     bundle = read_dataset(paths["dataset"])
     bank = WindowBank.labeled(bundle.splits["test"], bundle.meta.window_len, dtype=np.float32)
-    rep = tcn.evaluate(params, bank)
+    rep = tcn.compute_metrics(np.asarray(bank.y, dtype=np.float64), tcn.predict(params, bank))
     with open(paths["metrics"]) as fh:
         stored = json.load(fh)["metrics"]
     assert stored["rmse_s"] == rep.rmse_s

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eshopsim.channel import ChannelParams, MeasurementReport
+from eshopsim.channel import ChannelParams
 from eshopsim.dataset import (
     DataError,
     DatasetConfig,
@@ -15,7 +15,6 @@ from eshopsim.dataset import (
     command_times,
     label_tef,
     read_dataset,
-    reduce_report,
     reduce_series,
     segment_ids,
     split_ues,
@@ -34,27 +33,25 @@ def _ep(t0, aborted=False, ue="ue", d_prep=25.0):
     return HoEventRecord(ue, 0, 1, t0, a3_ms=t0 + 40, command_ms=t0 + 40 + d_prep)
 
 
-def test_reduce_report_argmax_and_ties():
+def test_reduce_series_argmax_and_ties():
     frame = np.full((3, 12), -100.0)
     frame[0, 1] = -80.0
     frame[1, :] = -90.0  # all equal -> beam 0
     frame[2, 7] = -85.0
-    t, cells = reduce_report(MeasurementReport(40, (0, 1, 2), frame))
-    assert t == 40
-    assert cells[0] == (1, -80.0)
-    assert cells[1] == (0, -90.0)
-    assert cells[2] == (7, -85.0)
-    assert len(cells) * 2 == 6  # six raw features
+    beams, rsrp = reduce_series(frame[None])
+    assert beams.tolist() == [[1, 0, 7]]
+    assert rsrp.tolist() == [[-80.0, -90.0, -85.0]]
 
 
 def test_reduce_series_matches_scalar_reduction():
     rng = np.random.Generator(np.random.PCG64(3))
-    series = rng.uniform(-110, -50, size=(20, 3, 12))
+    series = rng.uniform(-110, -50, size=(20, 3, 12)).round(0)  # rounding makes ties
     beams, rsrp = reduce_series(series)
     for i in range(20):
-        _, cells = reduce_report(MeasurementReport(int(i * 40), (0, 1, 2), series[i]))
         for c in range(3):
-            assert (beams[i, c], rsrp[i, c]) == cells[c]
+            vals = series[i, c].tolist()
+            best = max(vals)
+            assert (beams[i, c], rsrp[i, c]) == (vals.index(best), best)  # lowest id on ties
 
 
 def test_label_countdown_example():

@@ -24,8 +24,10 @@ def test_a3_entry_examples():
     hcp = HcpConfig(hysteresis_db=0.0, offset_db=3.0)
     assert a3_entry(-80.0, -84.0, hcp) is True
     assert a3_entry(-81.0, -84.0, hcp) is False  # strict at the boundary
-    assert HcpConfig(hysteresis_db=1.0).hom_db == 4.0
-    assert HcpConfig(hysteresis_db=0.0).hom_db == 3.0
+    # the margin is offset + hysteresis: 4 dB with 1 dB hysteresis
+    hys = HcpConfig(hysteresis_db=1.0, offset_db=3.0)
+    assert a3_entry(-79.9, -84.0, hys) is True
+    assert a3_entry(-80.0, -84.0, hys) is False
 
 
 def test_a5_entry_examples():

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from eshopsim.channel import ChannelParams
+from eshopsim.events import HcpConfig
 from eshopsim.scenario import (
     REPORT_PERIOD_MS,
     ScenarioConfig,
-    SimClock,
     SiteLayout,
     bearing_from_bs,
     position_at,
-    report_grid_ms,
     spawn_trajectory,
-    trajectory_positions,
 )
+from eshopsim.simulate import run_ue
 
 
 def test_spawn_is_deterministic():
@@ -93,9 +93,9 @@ def test_position_antipodal_at_half_period():
 
 def test_full_revolution_period():
     t = _traj(radius=50.0, speed=25.0)
-    assert t.period_s == pytest.approx(2.0 * math.pi * 50.0 / 25.0, rel=1e-12)
+    period_s = 2.0 * math.pi * 50.0 / 25.0
     p0 = position_at(t, 0.0)
-    p1 = position_at(t, t.period_s * 1000.0)
+    p1 = position_at(t, period_s * 1000.0)
     assert np.allclose(p0, p1, atol=1e-9)
 
 
@@ -127,14 +127,6 @@ def test_arc_length_between_reports():
         assert arc == pytest.approx(expected, abs=1e-12)
 
 
-def test_trajectory_positions_matches_scalar():
-    t = _traj(start=1.1, direction=-1)
-    times = report_grid_ms(2.0)
-    block = trajectory_positions(t, times)
-    for i, ms in enumerate(times):
-        assert np.allclose(block[i], position_at(t, float(ms)), atol=1e-12)
-
-
 def test_bearing_hand_trigonometry(layout):
     # UE due east at 50 m ground distance
     az, el, d3d = bearing_from_bs(layout, np.array([50.0, 0.0, 1.5]))
@@ -163,20 +155,6 @@ def test_bearing_rejects_coincident_points(layout):
         bearing_from_bs(layout, np.asarray(layout.bs_position))
 
 
-def test_sim_clock_contract():
-    clock = SimClock()
-    seen = []
-    for _ in range(9):
-        if clock.at_report:
-            seen.append(clock.time_ms)
-        clock.advance()
-    assert seen == [0, 40, 80]
-    with pytest.raises(ValueError):
-        SimClock(tick_ms=20)
-    with pytest.raises(ValueError):
-        SimClock(report_period_ticks=2)
-
-
 def test_layout_validation():
     with pytest.raises(ValueError):
         SiteLayout(sector_boresights_deg=(0.0, 90.0, 180.0))
@@ -187,6 +165,8 @@ def test_layout_validation():
 
 
 def test_report_grid():
-    grid = report_grid_ms(1.0)
+    # reports at 0, 40, 80, ... up to and including the duration
+    sc = ScenarioConfig(num_ues=1, duration_s=1.0)
+    grid = run_ue(0, sc, ChannelParams(), HcpConfig(), SiteLayout(), master_seed=1).times_ms
     assert grid[0] == 0 and grid[-1] == 1000
     assert np.all(np.diff(grid) == REPORT_PERIOD_MS)

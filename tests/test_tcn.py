@@ -8,8 +8,9 @@ from eshopsim.tcn import (
     TcnModelConfig,
     TrainConfig,
     TrainingDiverged,
-    causal_conv,
-    dilated_causal_conv,
+    _block_forward,
+    _dconv_forward,
+    _strided,
     forward_batch,
     backward_batch,
     init_params,
@@ -18,7 +19,6 @@ from eshopsim.tcn import (
     measure_receptive_field,
     model_forward,
     receptive_field,
-    residual_block,
     rmse_loss,
     save_model,
     train,
@@ -35,85 +35,87 @@ SMALL = TcnModelConfig(
 )
 
 
+def _conv(x, f, b=None, stride=1):
+    """``_dconv_forward`` on one sequence x (T, C_in) with filter f (k, C_in, C_out)."""
+    b = np.zeros(f.shape[2]) if b is None else b
+    return _dconv_forward(x[None], f, b, stride)[0]
+
+
 def test_causal_conv_identity_filter():
     x = np.array([[1.0], [2.0], [3.0]])
     f = np.array([[[1.0]]])
-    assert np.array_equal(causal_conv(x, f), x)
+    assert np.array_equal(_conv(x, f), x)
 
 
 def test_causal_conv_hand_example():
-    y = causal_conv(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0]))
+    y = _conv(np.array([[1.0], [2.0], [3.0]]), np.ones((2, 1, 1)))
     assert np.allclose(y[:, 0], [1.0, 3.0, 5.0])
 
 
 def test_dilated_conv_hand_example():
-    y = dilated_causal_conv(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0]), d=2)
-    assert np.allclose(y[:, 0], [1.0, 2.0, 4.0, 6.0])
-
-
-def test_dilation_one_reduces_to_causal():
-    rng = np.random.Generator(np.random.PCG64(0))
-    x = rng.normal(size=(20, 3))
-    f = rng.normal(size=(5, 3, 2))
-    b = rng.normal(size=2)
-    assert np.array_equal(causal_conv(x, f, b), dilated_causal_conv(x, f, 1, b))
+    # a dilation-2 conv of [1, 2, 3, 4] is [1, 2, 4, 6]; the cone reads its
+    # input at t = T-1 (mod 2), where the conv has dilation 1: [2, 4] -> [2, 6]
+    x = np.array([[1.0], [2.0], [3.0], [4.0]])
+    y = _conv(_strided(x[None], 2)[0], np.ones((2, 1, 1)))
+    assert np.allclose(y[:, 0], [2.0, 6.0])
 
 
 def test_dilated_conv_impulse_response():
-    k, d, T = 4, 3, 32
+    # impulse at t=0, dilation 3, T = 31: the outputs at t = 0, 3, ..., 30 are
+    # the taps 1..4 at t = 0, 3, 6, 9 and zero after
+    k, d, T = 4, 3, 31
     x = np.zeros((T, 1))
     x[0, 0] = 1.0
     f = np.arange(1.0, k + 1.0).reshape(k, 1, 1)
-    y = dilated_causal_conv(x, f, d)[:, 0]
+    y = _conv(_strided(x[None], d)[0], f)[:, 0]
     nz = np.nonzero(y)[0]
-    assert list(nz) == [0, d, 2 * d, 3 * d]
+    assert list(nz * d) == [0, d, 2 * d, 3 * d]
     assert np.allclose(y[nz], [1.0, 2.0, 3.0, 4.0])
 
 
-def test_conv_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        causal_conv(np.zeros((5, 3)), np.zeros((3, 2, 2)))
-    with pytest.raises(ValueError):
-        dilated_causal_conv(np.zeros((5, 2)), np.zeros((3, 2, 2)), d=0)
-
-
 def test_conv_matches_naive_oracle():
+    # dilation d on the input compressed to t = T-1 (mod d), then output
+    # stride s: the outputs at t = T-1 (mod d*s) of the dilated conv
     rng = np.random.Generator(np.random.PCG64(42))
-    for _ in range(30):
+    for _ in range(60):
         T = int(rng.integers(1, 40))
         ci = int(rng.integers(1, 6))
         co = int(rng.integers(1, 6))
         k = int(rng.integers(1, 6))
         d = int(rng.choice([1, 2, 4]))
+        stride = int(rng.choice([1, 2, 4]))
         x = rng.normal(size=(T, ci))
         f = rng.normal(size=(k, ci, co))
         b = rng.normal(size=co)
-        got = dilated_causal_conv(x, f, d, b)
-        want = naive_causal_conv(x, f, b, d)
+        got = _conv(_strided(x[None], d)[0], f, b, stride)
+        want = naive_causal_conv(x, f, b, d)[(T - 1) % (d * stride) :: d * stride]
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_residual_block_identity_skip():
     bp = BlockParams(w=np.zeros((3, 4, 4)), b=np.zeros(4), proj=None)
     x = np.abs(np.random.default_rng(0).normal(size=(10, 4)))
-    assert np.array_equal(residual_block(x, bp, d=1), x)
+    assert np.array_equal(_block_forward(x[None], bp, 1)[0][0], x)
     x_neg = x.copy()
     x_neg[3, 2] = -5.0
-    out = residual_block(x_neg, bp, d=1)
+    out = _block_forward(x_neg[None], bp, 1)[0][0]
     assert out[3, 2] == 0.0  # negatives clamped by the output relu
     assert np.array_equal(np.delete(out, 3, axis=0), np.delete(x_neg, 3, axis=0))
 
 
 def test_residual_block_causality_probe():
-    params = init_params(SMALL)
-    bp = params.blocks[0]
+    # a block with a 1x1 projection skip (3 -> 4 channels)
+    cfg = TcnModelConfig(in_channels=3, kernel_size=3, dilations=(1,), hidden_channels=4, seed=5)
+    bp = init_params(cfg).blocks[0]
+    assert bp.proj is not None
     rng = np.random.Generator(np.random.PCG64(5))
-    x = rng.normal(size=(30, 4))
-    base = residual_block(x, bp, d=2)
+    x = rng.normal(size=(1, 30, 3))
+    base, _ = _block_forward(x, bp, 1)
     x2 = x.copy()
-    x2[20:, :] = rng.normal(size=(10, 4))
-    out = residual_block(x2, bp, d=2)
-    assert np.array_equal(base[:20], out[:20])
+    x2[:, 20:, :] = rng.normal(size=(1, 10, 3))
+    out, _ = _block_forward(x2, bp, 1)
+    assert np.array_equal(base[:, :20], out[:, :20])
 
 
 def test_model_causality_bit_exact():
@@ -124,11 +126,9 @@ def test_model_causality_bit_exact():
     X2 = X.copy()
     X2[:, 17:, :] = rng.normal(size=(2, 7, 4))
     h, h2 = X, X2
-    for bp, d in zip(params.blocks, params.config.dilations):
-        from eshopsim.tcn import _block_forward
-
-        h, _ = _block_forward(h, bp, d)
-        h2, _ = _block_forward(h2, bp, d)
+    for bp in params.blocks:
+        h, _ = _block_forward(h, bp, 1)
+        h2, _ = _block_forward(h2, bp, 1)
         assert np.array_equal(h[:, :17, :], h2[:, :17, :])
     assert not np.array_equal(h[:, 17:, :], h2[:, 17:, :])
 
