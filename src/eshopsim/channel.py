@@ -78,20 +78,20 @@ def wrap_angle_deg(x):
     return -((-np.asarray(x) + 180.0) % 360.0 - 180.0)
 
 
-def path_loss(d3d_m: float, los: bool, fc_ghz: float = FC_GHZ, ue_height_m: float = 1.5) -> float:
+def path_loss(d3d_m: float, los: bool, ue_height_m: float = 1.5) -> float:
     """38.901 UMi street-canyon closed forms below the breakpoint distance.
 
     NLoS is clamped to be no smaller than LoS at the same distance.
     """
     if d3d_m < 1.0:
         raise ValueError("pathloss model needs d3d >= 1 m")
-    pl_los = 32.4 + 21.0 * math.log10(d3d_m) + 20.0 * math.log10(fc_ghz)
+    pl_los = 32.4 + 21.0 * math.log10(d3d_m) + 20.0 * math.log10(FC_GHZ)
     if los:
         return pl_los
     pl_nlos = (
         22.4
         + 35.3 * math.log10(d3d_m)
-        + 21.3 * math.log10(fc_ghz)
+        + 21.3 * math.log10(FC_GHZ)
         - 0.3 * (ue_height_m - 1.5)
     )
     return max(pl_los, pl_nlos)
@@ -101,8 +101,6 @@ def path_loss(d3d_m: float, los: bool, fc_ghz: float = FC_GHZ, ue_height_m: floa
 class ChannelParams:
     """Channel configuration block."""
 
-    fc_ghz: float = FC_GHZ
-    bandwidth_mhz: float = 100.0
     tx_power_per_ssb_dbm: float = 30.0
     los_mode: str = "los"  # "los" | "nlos"
     shadow_sigma_los_db: float = 4.0
@@ -115,8 +113,6 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if isinstance(self.beam_grid, dict):
             self.beam_grid = BeamGridConfig(**self.beam_grid)
-        if self.fc_ghz != FC_GHZ:
-            raise ValueError(f"carrier is fixed at {FC_GHZ} GHz")
         self.los_mode = self.los_mode.lower()
         if self.los_mode not in ("los", "nlos"):
             raise ValueError("los_mode must be 'los' or 'nlos'")
@@ -180,7 +176,7 @@ class ChannelState:
             self._shadow = shadow_step(self._shadow, delta_d, p, self.rng)
         self._last_pos = np.asarray(ue_pos, dtype=float).copy()
         gains = self.grid.gains_dbi(az, el)
-        pl = path_loss(d3d, los=p.los, fc_ghz=p.fc_ghz, ue_height_m=self.layout.ue_height_m)
+        pl = path_loss(d3d, los=p.los, ue_height_m=self.layout.ue_height_m)
         rsrp = p.tx_power_per_ssb_dbm + gains - pl - self._shadow[:, None]
         if p.fast_fading_enabled and p.fast_fading_sigma_db > 0.0:
             rsrp = rsrp + p.fast_fading_sigma_db * self.rng.standard_normal((3, N_SSB))

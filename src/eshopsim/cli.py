@@ -80,12 +80,20 @@ def _paths(out_dir: str) -> dict[str, str]:
     }
 
 
+def _load_summary(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:  # e.g. a file cut short
+        raise DataError(f"unreadable run summary {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"run summary {path} is not a JSON object")
+    return doc
+
+
 def _read_summary(out_dir: str) -> dict:
     path = _paths(out_dir)["summary"]
-    if not os.path.exists(path):
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
+    return _load_summary(path) if os.path.exists(path) else {}
 
 
 def _check_run_dir(cfg: ExperimentConfig) -> None:
@@ -370,7 +378,6 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             comparisons.append(
                 HoComparison(
                     episode_id=episode_id,
-                    ue_id=ue,
                     t0_ms=ep.t0_ms,
                     a3_ms=ep.a3_ms,
                     d_prep_ms=d_prep,
@@ -468,8 +475,7 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
         path = os.path.join(d, "summary.json")
         if not os.path.exists(path):
             raise DataError(f"missing run summary: {path}")
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _load_summary(path)
         if doc.get("schema_version") != SUMMARY_SCHEMA:
             raise DataError(
                 f"summary schema mismatch in {path}: {doc.get('schema_version')}"

@@ -12,7 +12,7 @@ import json
 import typing
 from dataclasses import dataclass, field, fields
 
-from eshopsim.channel import BeamGridConfig, ChannelParams
+from eshopsim.channel import ChannelParams
 from eshopsim.controller import SignalingConfig
 from eshopsim.dataset import DatasetConfig
 from eshopsim.events import HcpConfig
@@ -26,16 +26,16 @@ class ConfigError(ValueError):
 
 def _coerce(value, hint):
     """A JSON value as its declared type, so that 16 and 16.0 configure and hash alike."""
-    args = typing.get_args(hint)
     if dataclasses.is_dataclass(hint) and isinstance(value, dict):
         hints = typing.get_type_hints(hint)
         return {k: _coerce(v, hints.get(k)) for k, v in value.items()}
     if typing.get_origin(hint) is tuple and isinstance(value, list):
+        args = typing.get_args(hint)
         elems = args[:1] * len(value) if args[-1] is ... else args
         return tuple(map(_coerce, value, elems)) if len(elems) == len(value) else value
-    if type(value) is int and (hint is float or float in args):
+    if type(value) is int and hint is float:
         return float(value)
-    if type(value) is float and (hint is int or int in args):
+    if type(value) is float and hint is int:
         if not value.is_integer():
             raise ValueError(f"{value} is not an integer")
         return int(value)

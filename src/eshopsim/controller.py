@@ -68,7 +68,6 @@ def decide_preparation(
 @dataclass
 class HoComparison:
     episode_id: str
-    ue_id: str
     t0_ms: int
     a3_ms: int
     d_prep_ms: float

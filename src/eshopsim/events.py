@@ -1,5 +1,5 @@
-"""3GPP measurement-event engine: A3/A5 entry evaluation, TTT arming and
-abort, and serving-cell switching at handover command time.
+"""3GPP measurement-event engine: A3 entry evaluation, TTT arming and abort,
+and serving-cell switching at handover command time.
 
 Cell quality is the maximum over the cell's 12 beam L3 values. The A3
 comparison target at every report is the strongest neighbor; the armed
@@ -10,7 +10,7 @@ episode aborts (a candidate switch aborts and immediately re-arms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,24 +27,15 @@ EVENT_CMD = "CMD"
 class HcpConfig:
     """Handover control parameters; HOM = offset + hysteresis."""
 
-    event_type: str = "A3"
     ttt_ms: int = 40
     hysteresis_db: float = 0.0
     offset_db: float = 3.0
-    a5_threshold1_dbm: float | None = None
-    a5_threshold2_dbm: float | None = None
 
     def __post_init__(self) -> None:
-        if self.event_type not in ("A3", "A5"):
-            raise ValueError("event_type must be 'A3' or 'A5'")
         if self.ttt_ms <= 0 or self.ttt_ms % REPORT_PERIOD_MS != 0:
             raise ValueError("TTT must be a positive multiple of the 40 ms report period")
         if self.hysteresis_db not in (0.0, 1.0):
             raise ValueError("hysteresis is configured as 0 or 1 dB")
-        if self.event_type == "A5" and (
-            self.a5_threshold1_dbm is None or self.a5_threshold2_dbm is None
-        ):
-            raise ValueError("A5 requires both thresholds")
 
 
 @dataclass
@@ -81,16 +72,6 @@ def a3_entry(mn_dbm: float, mp_dbm: float, hcp: HcpConfig) -> bool:
     return mn_dbm > mp_dbm + hcp.offset_db + hcp.hysteresis_db
 
 
-def a5_entry(mp_dbm: float, mn_dbm: float, hcp: HcpConfig) -> bool:
-    """A5 entry: serving below threshold1 and neighbor above threshold2."""
-    if hcp.a5_threshold1_dbm is None or hcp.a5_threshold2_dbm is None:
-        raise ValueError("A5 thresholds not configured")
-    return (
-        mp_dbm + hcp.hysteresis_db < hcp.a5_threshold1_dbm
-        and mn_dbm - hcp.hysteresis_db > hcp.a5_threshold2_dbm
-    )
-
-
 class A3EventEngine:
     """Per-UE measurement-event state machine fed by 40 ms reports."""
 
@@ -105,11 +86,6 @@ class A3EventEngine:
         self.pending: HoEventRecord | None = None  # A3 reported, command not yet applied
         self.episodes: list[HoEventRecord] = []
         self._last_t_ms: int | None = None
-
-    def _entry(self, mn: float, mp: float) -> bool:
-        if self.hcp.event_type == "A5":
-            return a5_entry(mp, mn, self.hcp)
-        return a3_entry(mn, mp, self.hcp)
 
     def step(self, report: MeasurementReport) -> list[HoEvent]:
         """Advance the state machine by one report; returns emitted events."""
@@ -126,7 +102,7 @@ class A3EventEngine:
         strongest = nb_idx[int(np.argmax(nb_vals))]
         n_star = self.cell_ids[strongest]
         mn = float(best[strongest])
-        entry = self._entry(mn, serving_val)
+        entry = a3_entry(mn, serving_val, self.hcp)
 
         events: list[HoEvent] = []
         if self.pending is not None:

@@ -58,8 +58,6 @@ class UeTrajectory:
     start_angle_rad: float
     direction: int  # +1 counter-clockwise, -1 clockwise
     duration_s: float
-    ue_id: str
-    seed: int
 
     def __post_init__(self) -> None:
         if self.radius_m <= 0.0:
@@ -85,7 +83,6 @@ class ScenarioConfig:
     speeds_mps: tuple[float, ...] = (25.0, 31.0)
     duration_s: float = 20.0
     num_ues: int = 10
-    seed: int | None = None  # overrides the master seed for mobility/channel streams
 
     def __post_init__(self) -> None:
         if isinstance(self.speeds_mps, list):
@@ -103,7 +100,6 @@ class ScenarioConfig:
 def spawn_trajectory(
     seed: int,
     scenario: ScenarioConfig,
-    ue_id: str = "ue000",
     center_xy: tuple[float, float] = (0.0, 0.0),
 ) -> UeTrajectory:
     """Draw a randomized circular trajectory.
@@ -127,8 +123,6 @@ def spawn_trajectory(
         start_angle_rad=start_angle,
         direction=direction,
         duration_s=scenario.duration_s,
-        ue_id=ue_id,
-        seed=seed,
     )
 
 

@@ -18,8 +18,8 @@ from eshopsim.artifacts import read_table, write_table
 from eshopsim.channel import (
     BeamGrid,
     ChannelParams,
+    ChannelState,
     L3FilterState,
-    MeasurementReport,
     N_SSB,
     make_report,
 )
@@ -59,19 +59,15 @@ def run_ue(
     d_prep_min_ms: float = 15.0,
     d_prep_max_ms: float = 35.0,
 ) -> UeRun:
-    seed_base = scenario.seed if scenario.seed is not None else master_seed
     ue_id = f"ue{ue_index:03d}"
     traj = spawn_trajectory(
-        derive_seed(seed_base, "trajectory", ue_index),
+        derive_seed(master_seed, "trajectory", ue_index),
         scenario,
-        ue_id=ue_id,
         center_xy=layout.bs_position[:2],
     )
     grid = BeamGrid(layout, channel_cfg.beam_grid)
-    chan_rng = rng_from(seed_base, "channel", ue_index)
-    prep_rng = rng_from(seed_base, "prep-latency", ue_index)
-    from eshopsim.channel import ChannelState  # local import keeps pickling simple
-
+    chan_rng = rng_from(master_seed, "channel", ue_index)
+    prep_rng = rng_from(master_seed, "prep-latency", ue_index)
     chan = ChannelState(layout, grid, channel_cfg, chan_rng)
     filt = L3FilterState()
     engine: A3EventEngine | None = None

@@ -14,7 +14,7 @@ deterministic for a fixed seed in single-threaded mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class TcnModelConfig:
     dilations: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
     hidden_channels: int = 32
     dense_sizes: tuple[int, ...] = (32, 16, 8)
-    output_dim: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -51,8 +50,6 @@ class TcnModelConfig:
         for d in self.dilations:
             if d < 1 or (d & (d - 1)) != 0:
                 raise ValueError("dilations must be powers of two")
-        if self.output_dim != 1:
-            raise ValueError("scalar regression head only")
 
 
 @dataclass
@@ -64,8 +61,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     patience: int = 10  # early-stop patience in epochs; 0 disables
-    lr_decay_factor: float = 1.0  # multiplied into lr on a validation plateau
-    lr_decay_patience: int = 0  # plateau length in epochs; 0 disables decay
     dtype: str = "float64"  # "float32" for production-speed training
     seed: int = 0
 
@@ -76,8 +71,8 @@ class TrainConfig:
             raise ValueError("need at least one epoch")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if not (0.0 < self.lr_decay_factor <= 1.0):
-            raise ValueError("lr decay factor must lie in (0, 1]")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0 (0 disables early stopping)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 
@@ -97,15 +92,7 @@ class MetricsReport:
     undefined: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "r2": self.r2,
-            "evs": self.evs,
-            "mape_pct": self.mape_pct,
-            "mae": self.mae,
-            "rmse_s": self.rmse_s,
-            "n": self.n,
-            "undefined": self.undefined,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +164,7 @@ def _dense_dims(config: TcnModelConfig) -> list[tuple[int, int]]:
     for size in config.dense_sizes:
         dims.append((d_in, size))
         d_in = size
-    dims.append((d_in, config.output_dim))
+    dims.append((d_in, 1))  # scalar countdown head
     return dims
 
 
@@ -498,7 +485,6 @@ class _Adam:
         self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
         self.cfg = cfg
-        self.lr = cfg.learning_rate
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
         c = self.cfg
@@ -510,7 +496,7 @@ class _Adam:
             m += (1.0 - c.beta1) * g
             v *= c.beta2
             v += (1.0 - c.beta2) * np.square(g)
-            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            a -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
 
 
 def predict(params: ModelParams, bank, batch_size: int = 512) -> np.ndarray:
@@ -550,7 +536,6 @@ def train(
     best_val = np.inf
     best_params = params.copy()
     since_best = 0
-    since_decay = 0
 
     for epoch in range(1, train_cfg.epochs + 1):
         perm = rng.permutation(n)
@@ -580,19 +565,10 @@ def train(
             best_val = val_rmse
             best_params = params.copy()
             since_best = 0
-            since_decay = 0
         else:
             since_best += 1
-            since_decay += 1
             if train_cfg.patience and since_best >= train_cfg.patience:
                 break
-            if (
-                train_cfg.lr_decay_patience
-                and train_cfg.lr_decay_factor < 1.0
-                and since_decay >= train_cfg.lr_decay_patience
-            ):
-                opt.lr *= train_cfg.lr_decay_factor
-                since_decay = 0
     return best_params, history
 
 
@@ -603,18 +579,9 @@ def train(
 
 def save_model(path, params: ModelParams, extra: dict | None = None) -> None:
     """JSON header + flat little-endian float32 parameter array."""
-    cfg = params.config
     header = {
         "schema_version": MODEL_SCHEMA,
-        "config": {
-            "in_channels": cfg.in_channels,
-            "kernel_size": cfg.kernel_size,
-            "dilations": list(cfg.dilations),
-            "hidden_channels": cfg.hidden_channels,
-            "dense_sizes": list(cfg.dense_sizes),
-            "output_dim": cfg.output_dim,
-            "seed": cfg.seed,
-        },
+        "config": asdict(params.config),
         "param_count": params.param_count(),
     }
     if extra:
@@ -637,7 +604,10 @@ def load_model(path) -> tuple[ModelParams, dict]:
     header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
     if header.get("schema_version") != MODEL_SCHEMA:
         raise ValueError(f"model schema mismatch: {header.get('schema_version')}")
-    cfg = TcnModelConfig(**header["config"])
+    try:
+        cfg = TcnModelConfig(**header["config"])
+    except TypeError as exc:  # e.g. a field an older model file still names
+        raise ValueError(f"model config not readable: {exc}") from exc
     params = init_params(cfg, np.float32)
     payload = data[8 + hlen :]
     if len(payload) != 4 * header["param_count"]:

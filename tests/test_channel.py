@@ -17,7 +17,7 @@ from eshopsim.channel import (
     shadow_step,
     wrap_angle_deg,
 )
-from eshopsim.scenario import SiteLayout, position_at, spawn_trajectory, ScenarioConfig
+from eshopsim.scenario import position_at, spawn_trajectory, ScenarioConfig
 
 # frozen via an independent high-precision evaluation of
 # 32.4 + 21*log10(50) + 20*log10(28)
@@ -228,8 +228,6 @@ def test_channel_state_deterministic(layout):
 
 
 def test_channel_params_validation():
-    with pytest.raises(ValueError):
-        ChannelParams(fc_ghz=3.5)
     with pytest.raises(ValueError):
         ChannelParams(los_mode="urban")
     with pytest.raises(ValueError):

@@ -72,14 +72,32 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(path)
+    # removed settings (the A5 event, fields with one legal value or no reader,
+    # switches no run turned on): a file that still sets one is refused
+    removed = [
+        ("hcp", "event_type", "A3"),
+        ("hcp", "a5_threshold1_dbm", -100.0),
+        ("channel", "fc_ghz", 28.0),
+        ("channel", "bandwidth_mhz", 100.0),
+        ("model", "output_dim", 1),
+        ("train", "lr_decay_factor", 1.0),
+        ("train", "lr_decay_patience", 0),
+        ("scenario", "seed", None),
+    ]
+    for block, key, value in removed:
+        path.write_text(json.dumps({block: {key: value}, "output_dir": str(tmp_path / "run")}))
+        assert cli.main(["simulate", "--config", str(path)]) == 2, key
+    assert not (tmp_path / "run").exists()
 
 
 def test_main_exit_codes(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"scenario": {"num_ues": 0}}))
-    assert cli.main(["simulate", "--config", str(bad)]) == 2
-    # build-dataset before simulate: missing logs -> data error
     out = tmp_path / "run"
+    bad = tmp_path / "bad.json"
+    for block in ({"scenario": {"num_ues": 0}}, {"train": {"patience": -1}}):
+        bad.write_text(json.dumps({**block, "output_dir": str(out)}))
+        assert cli.main(["simulate", "--config", str(bad)]) == 2
+    assert not out.exists()
+    # build-dataset before simulate: missing logs -> data error
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(tiny_config(out).to_dict()))
     assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
@@ -107,6 +125,18 @@ def test_main_exit_codes(tmp_path):
     for command in ("eval", "eshop"):
         assert cli.main([command, "--config", str(cfgfile)]) == 3
     model.write_bytes(good_model)
+    # a summary.json cut short or not an object: every command refuses before writing
+    summary = out / "summary.json"
+    good_summary = summary.read_text()
+    report = tmp_path / "report.csv"
+    for text in (good_summary[: len(good_summary) // 2], "[]"):
+        summary.write_text(text)
+        before = _artifact_bytes(out)
+        for command in ("simulate", "build-dataset", "train", "eval", "eshop"):
+            assert cli.main([command, "--config", str(cfgfile)]) == 3
+        assert cli.main(["report", str(out), "--out-file", str(report)]) == 3
+        assert _artifact_bytes(out) == before and not report.exists()
+    summary.write_text(good_summary)
     # half a dataset meta.json, and one without a field
     meta = out / "dataset" / "meta.json"
     good_meta = meta.read_text()

@@ -259,7 +259,6 @@ def test_serving_rsrp_interpolation():
 def _comparison(i, advance, wasted=False, fellback=False):
     return HoComparison(
         episode_id=f"ue:{i}",
-        ue_id="ue",
         t0_ms=1000,
         a3_ms=1040,
         d_prep_ms=25.0,

@@ -16,7 +16,6 @@ from eshopsim.dataset import (
     label_tef,
     read_dataset,
     reduce_series,
-    segment_ids,
     split_ues,
     write_dataset,
     N_FEATURES,

@@ -7,7 +7,6 @@ from eshopsim.events import (
     HcpConfig,
     HoEventRecord,
     a3_entry,
-    a5_entry,
 )
 from oracles import drive_engine, random_trace, scan_events
 
@@ -28,30 +27,6 @@ def test_a3_entry_examples():
     hys = HcpConfig(hysteresis_db=1.0, offset_db=3.0)
     assert a3_entry(-79.9, -84.0, hys) is True
     assert a3_entry(-80.0, -84.0, hys) is False
-
-
-def test_a5_entry_examples():
-    hcp = HcpConfig(
-        event_type="A5",
-        hysteresis_db=0.0,
-        a5_threshold1_dbm=-100.0,
-        a5_threshold2_dbm=-90.0,
-    )
-    assert a5_entry(-110.0, -80.0, hcp) is True
-    assert a5_entry(-95.0, -80.0, hcp) is False  # serving above threshold1
-    tight = HcpConfig(
-        event_type="A5",
-        hysteresis_db=1.0,
-        a5_threshold1_dbm=-100.0,
-        a5_threshold2_dbm=-90.0,
-    )
-    assert a5_entry(-100.5, -89.5, tight) is False
-    assert a5_entry(-102.0, -88.0, tight) is True
-
-
-def test_a5_requires_thresholds():
-    with pytest.raises(ValueError):
-        HcpConfig(event_type="A5")
 
 
 def test_hcp_validation():

@@ -70,8 +70,6 @@ def _traj(radius=50.0, speed=25.0, start=0.0, direction=1, duration=120.0):
         start_angle_rad=start,
         direction=direction,
         duration_s=duration,
-        ue_id="ue000",
-        seed=0,
     )
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,6 +405,14 @@ def test_model_file_truncation_detected(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_model(path)
+    # a header naming a config field the model no longer has (an older file)
+    hlen = int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8 : 8 + hlen])
+    header["config"]["output_dim"] = 1
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:4] + len(blob).to_bytes(4, "little") + blob + data[8 + hlen :])
+    with pytest.raises(ValueError, match="output_dim"):
+        load_model(path)
 
 
 def test_config_validation():
@@ -414,3 +424,5 @@ def test_config_validation():
         TcnModelConfig(kernel_size=0)
     with pytest.raises(ValueError):
         TrainConfig(dtype="float16")
+    with pytest.raises(ValueError, match="patience"):
+        TrainConfig(patience=-1)
