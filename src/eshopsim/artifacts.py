@@ -1,4 +1,4 @@
-"""Artifact headers, machine-read CSV tables and file digests.
+"""Artifact headers, machine-read CSV tables, JSON documents and file digests.
 
 Every CSV artifact opens with one header line,
 ``# schema=<name> config_hash=<hex> master_seed=<int>``, then a column row,
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
@@ -36,6 +37,19 @@ def read_table(path, schema: str) -> Iterator[tuple[list[str], Iterator[list[str
             raise ValueError(f"schema mismatch: expected {schema}, found {fields.get('schema')}")
         reader = csv.reader(fh)
         yield next(reader, []), reader
+
+
+def write_json(path, doc) -> None:
+    """Sorted keys, two-space indent and a trailing newline, so equal
+    documents give equal bytes."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path):
+    """The parsed document; a file that is not JSON raises ValueError."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def file_sha256(path) -> str:

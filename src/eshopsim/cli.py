@@ -12,14 +12,14 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
-from eshopsim.artifacts import write_table
+from eshopsim.artifacts import read_json, write_json, write_table
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.controller import (
     HoComparison,
@@ -28,7 +28,6 @@ from eshopsim.controller import (
     oracle_countdown,
     serving_rsrp_at,
     simulate_eshop,
-    simulate_legacy,
 )
 from eshopsim.dataset import (
     DataError,
@@ -80,11 +79,17 @@ def _paths(out_dir: str) -> dict[str, str]:
     }
 
 
+def _csv_cell(value):
+    """repr for floats (exact round trip), 0/1 for flags, the rest as is."""
+    if isinstance(value, bool):
+        return int(value)
+    return repr(value) if isinstance(value, float) else value
+
+
 def _load_summary(path: str) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:  # e.g. a file cut short
+        doc = read_json(path)
+    except ValueError as exc:  # e.g. a file cut short
         raise DataError(f"unreadable run summary {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"run summary {path} is not a JSON object")
@@ -112,21 +117,20 @@ def _update_summary(out_dir: str, cfg: ExperimentConfig, section: str, payload: 
     }
     doc.update({k: v for k, v in _read_summary(out_dir).items() if k not in doc})
     doc[section] = payload
-    with open(_paths(out_dir)["summary"], "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(_paths(out_dir)["summary"], doc)
 
 
 def _record_timing(out_dir: str, command: str, seconds: float) -> None:
+    """Wall-clock times sit outside the determinism guarantee, so a missing or
+    unreadable timings.json starts over rather than failing the command."""
     path = _paths(out_dir)["timings"]
-    doc = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
+    try:
+        doc = read_json(path)
+    except (FileNotFoundError, ValueError):  # missing, cut short or not JSON
+        doc = {}
+    doc = doc if isinstance(doc, dict) else {}
     doc[command] = seconds
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _load_logs(cfg: ExperimentConfig) -> dict[str, dict]:
@@ -292,20 +296,16 @@ def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
         raise DataError(f"split '{split}' holds no samples")
     preds = tcn.predict(params, bank)
     metrics = tcn.compute_metrics(np.asarray(bank.y, dtype=np.float64), preds)
-    with open(paths["metrics"], "w") as fh:
-        json.dump(
-            {
-                "schema_version": "metrics/1",
-                "config_hash": digest,
-                "master_seed": cfg.master_seed,
-                "split": split,
-                "metrics": metrics.to_dict(),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        paths["metrics"],
+        {
+            "schema_version": "metrics/1",
+            "config_hash": digest,
+            "master_seed": cfg.master_seed,
+            "split": split,
+            "metrics": metrics.to_dict(),
+        },
+    )
     write_table(
         paths["predictions"],
         "predictions/1",
@@ -344,7 +344,7 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         cmds = command_times(episodes)
         beams, rsrp = reduce_series(np.asarray(rec["l3_rsrp"]))
         if oracle:
-            preds = oracle_countdown(times, episodes)
+            preds = oracle_countdown(times, episodes, cfg.dataset.horizon_s)
         else:
             rows = standardized_rows(rsrp, beams, meta)
             segs = segment_ids(times, cmds)
@@ -358,22 +358,21 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
                 skipped_gap += 1
                 continue
             d_prep = float(ep.command_ms) - float(ep.a3_ms)
-            legacy = simulate_legacy(ep, d_prep)
+            legacy_cmd = ep.a3_ms + d_prep
             early = simulate_eshop(
                 ep, times, preds, d_prep, cfg.signaling, window_start_ms=prev_cmd
             )
             prev_cmd = float(ep.command_ms)
             serving_trace = rsrp[:, cell_index[ep.serving_cell]]
-            latest = max(legacy.command_ms, early.command_ms, ep.a3_ms + d_prep)
-            if latest > times[-1]:
+            if max(legacy_cmd, early.command_ms) > times[-1]:
                 skipped_gap += 1
                 continue
             episode_id = f"{ue}:{k}"
-            rsrp_legacy = serving_rsrp_at(times, serving_trace, legacy.command_ms)
+            rsrp_legacy = serving_rsrp_at(times, serving_trace, legacy_cmd)
             rsrp_early = serving_rsrp_at(times, serving_trace, early.command_ms)
             rsrp_samples[episode_id] = (
                 serving_rsrp_at(times, serving_trace, float(ep.a3_ms)),
-                serving_rsrp_at(times, serving_trace, float(ep.a3_ms) + d_prep),
+                serving_rsrp_at(times, serving_trace, legacy_cmd),
             )
             comparisons.append(
                 HoComparison(
@@ -381,9 +380,9 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
                     t0_ms=ep.t0_ms,
                     a3_ms=ep.a3_ms,
                     d_prep_ms=d_prep,
-                    legacy_cmd_ms=legacy.command_ms,
+                    legacy_cmd_ms=legacy_cmd,
                     eshop_cmd_ms=early.command_ms,
-                    advance_ms=legacy.command_ms - early.command_ms,
+                    advance_ms=legacy_cmd - early.command_ms,
                     rsrp_legacy_cmd_dbm=rsrp_legacy,
                     rsrp_eshop_cmd_dbm=rsrp_early,
                     wasted=early.wasted,
@@ -395,38 +394,12 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     stats = degradation_stats(comparisons, rsrp_samples)
 
     digest = config_hash(cfg)
+    columns = [f.name for f in fields(HoComparison)]
     write_table(
         paths["comparison"],
         "ho-comparison/1",
-        [
-            "episode_id",
-            "t0_ms",
-            "a3_ms",
-            "d_prep_ms",
-            "legacy_cmd_ms",
-            "eshop_cmd_ms",
-            "advance_ms",
-            "rsrp_legacy_cmd_dbm",
-            "rsrp_eshop_cmd_dbm",
-            "wasted",
-            "fellback",
-        ],
-        (
-            [
-                c.episode_id,
-                c.t0_ms,
-                c.a3_ms,
-                repr(c.d_prep_ms),
-                repr(c.legacy_cmd_ms),
-                repr(c.eshop_cmd_ms),
-                repr(c.advance_ms),
-                repr(c.rsrp_legacy_cmd_dbm),
-                repr(c.rsrp_eshop_cmd_dbm),
-                int(c.wasted),
-                int(c.fellback),
-            ]
-            for c in comparisons
-        ),
+        columns,
+        ([_csv_cell(getattr(c, name)) for name in columns] for c in comparisons),
         config_hash=digest,
         master_seed=cfg.master_seed,
     )

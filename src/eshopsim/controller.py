@@ -13,12 +13,12 @@ the legacy procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from eshopsim import tcn
-from eshopsim.dataset import N_FEATURES, WindowBank
+from eshopsim.dataset import N_FEATURES, WindowBank, label_tef
 from eshopsim.events import HoEventRecord
 from eshopsim.tcn import ModelParams, model_forward
 
@@ -39,31 +39,6 @@ class SignalingConfig:
         if self.consecutive_required < 1:
             raise ValueError("need at least one triggering prediction")
 
-    @property
-    def trigger_threshold_s(self) -> float:
-        return self.trigger_threshold_ms / 1000.0
-
-
-@dataclass
-class CountdownState:
-    """The last ``consecutive_required`` predictions and the outstanding-preparation flag."""
-
-    recent: list[float] = field(default_factory=list)
-    prepared: bool = False
-
-
-def decide_preparation(
-    state: CountdownState, pred_tef_s: float, t_ms: float, cfg: SignalingConfig
-) -> bool:
-    """True when preparation should start at this report."""
-    k = cfg.consecutive_required
-    state.recent.append(float(pred_tef_s))
-    if len(state.recent) > k:
-        state.recent.pop(0)
-    if state.prepared or len(state.recent) < k:
-        return False
-    return all(p <= cfg.trigger_threshold_s for p in state.recent)
-
 
 @dataclass
 class HoComparison:
@@ -81,26 +56,11 @@ class HoComparison:
 
 
 @dataclass
-class LegacyTimeline:
-    prep_start_ms: float
-    command_ms: float
-
-
-@dataclass
 class EshopTimeline:
     trigger_ms: float | None
-    prep_start_ms: float | None
-    prep_done_ms: float | None
     command_ms: float
     wasted: bool
     fellback: bool
-
-
-def simulate_legacy(episode: HoEventRecord, d_prep_ms: float) -> LegacyTimeline:
-    """Legacy preparation starts at the UE's A3 report."""
-    if episode.aborted or episode.a3_ms is None:
-        raise ValueError("cannot prepare an aborted episode")
-    return LegacyTimeline(prep_start_ms=float(episode.a3_ms), command_ms=episode.a3_ms + d_prep_ms)
 
 
 def simulate_eshop(
@@ -113,65 +73,38 @@ def simulate_eshop(
 ) -> EshopTimeline:
     """Early-preparation timeline for one episode given the countdown trace.
 
-    Only reports inside (window_start, a3] of the ascending report times can
-    trigger; the command is gated by the UE's A3 report, so it never precedes
-    a3 even for early triggers.
+    Preparation starts at the first report of (window_start, a3] that closes a
+    run of ``consecutive_required`` predictions at or below the threshold; the
+    command is gated by the UE's A3 report, so it never precedes a3 even for
+    early triggers. Legacy preparation starts at a3 itself.
     """
     if episode.aborted or episode.a3_ms is None:
         raise ValueError("cannot prepare an aborted episode")
     a3 = float(episode.a3_ms)
-    state = CountdownState()
-    trigger_ms: float | None = None
     times = np.asarray(report_times_ms)
     lo, hi = np.searchsorted(times, [window_start_ms, a3], side="right")
-    for t, p in zip(times[lo:hi], preds_tef_s[lo:hi]):
-        if decide_preparation(state, p, float(t), cfg):
-            trigger_ms = float(t)
-            state.prepared = True
-            break
-    if trigger_ms is None:
+    k = cfg.consecutive_required
+    below = np.asarray(preds_tef_s[lo:hi], dtype=np.float64) <= cfg.trigger_threshold_ms / 1000.0
+    run_len = np.cumsum(np.concatenate(([0], below)))
+    runs = np.flatnonzero(run_len[k:] - run_len[:-k] == k)  # first index of each full run
+    if not len(runs):
         # prediction missed the fulfillment; legacy fallback
-        return EshopTimeline(
-            trigger_ms=None,
-            prep_start_ms=a3,
-            prep_done_ms=a3 + d_prep_ms,
-            command_ms=a3 + d_prep_ms,
-            wasted=False,
-            fellback=True,
-        )
+        return EshopTimeline(trigger_ms=None, command_ms=a3 + d_prep_ms, wasted=False, fellback=True)
+    trigger_ms = float(times[lo + runs[0] + k - 1])
     prep_done = trigger_ms + d_prep_ms
     if a3 > prep_done + cfg.guard_ms:
         # prepared resources expired before the A3 arrived
-        return EshopTimeline(
-            trigger_ms=trigger_ms,
-            prep_start_ms=trigger_ms,
-            prep_done_ms=prep_done,
-            command_ms=a3 + d_prep_ms,
-            wasted=True,
-            fellback=True,
-        )
-    return EshopTimeline(
-        trigger_ms=trigger_ms,
-        prep_start_ms=trigger_ms,
-        prep_done_ms=prep_done,
-        command_ms=max(a3, prep_done),
-        wasted=False,
-        fellback=False,
-    )
+        return EshopTimeline(trigger_ms, command_ms=a3 + d_prep_ms, wasted=True, fellback=True)
+    return EshopTimeline(trigger_ms, command_ms=max(a3, prep_done), wasted=False, fellback=False)
 
 
-def oracle_countdown(report_times_ms: np.ndarray, episodes: list[HoEventRecord]) -> np.ndarray:
-    """Ground-truth countdown: seconds to the next non-aborted T0 (0 at T0)."""
-    times = np.asarray(report_times_ms, dtype=float)
-    t0s = np.asarray(
-        sorted(ep.t0_ms for ep in episodes if not ep.aborted), dtype=float
-    )
-    out = np.full(times.shape, np.inf)
-    if len(t0s):
-        nxt = np.searchsorted(t0s, times, side="left")  # first T0 >= t
-        has = nxt < len(t0s)
-        out[has] = (t0s[nxt[has]] - times[has]) / 1000.0
-    return out
+def oracle_countdown(
+    report_times_ms: np.ndarray, episodes: list[HoEventRecord], horizon_s: float
+) -> np.ndarray:
+    """Ground-truth countdown: the training label ``label_tef`` over the whole
+    trace, with every excluded sample at +inf (never triggers)."""
+    labels, _ = label_tef(report_times_ms, episodes, horizon_s)
+    return np.where(np.isnan(labels), np.inf, labels)
 
 
 # ---------------------------------------------------------------------------

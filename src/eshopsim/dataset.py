@@ -2,22 +2,22 @@
 features, attach countdown labels for the next entry-criterion fulfillment,
 split leakage-free at UE granularity, and persist with a bit-exact round trip.
 
-Labels point at the earliest T0 strictly after the sample, restricted to the
-sample's pre-command segment; samples whose target T0 aborted mid-TTT are
-excluded, as are samples past their segment's handover command and samples
-beyond the label horizon. Every exclusion carries a reason code and the
-counts must reconcile: raw = kept + sum(excluded by reason).
+Labels count down to the earliest T0 at or after the sample (0 at T0 itself),
+restricted to the sample's pre-command segment; samples whose target T0
+aborted mid-TTT are excluded, as are samples past their segment's handover
+command and samples beyond the label horizon. Every exclusion carries a
+reason code and the counts must reconcile: raw = kept + sum(excluded by
+reason). The same countdown, over the whole trace, is the eshop oracle.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from eshopsim.artifacts import file_sha256
+from eshopsim.artifacts import file_sha256, read_json, write_json
 from eshopsim.channel import N_SSB
 from eshopsim.events import HoEventRecord
 
@@ -27,13 +27,11 @@ REASON_KEPT = 0
 REASON_ABORTED_TARGET = 1
 REASON_POST_COMMAND = 2
 REASON_OVER_HORIZON = 3
-REASON_NONPOSITIVE = 4
 REASON_NAMES = {
     REASON_KEPT: "kept",
     REASON_ABORTED_TARGET: "aborted_target",
     REASON_POST_COMMAND: "post_command",
     REASON_OVER_HORIZON: "over_horizon",
-    REASON_NONPOSITIVE: "nonpositive_label",
 }
 
 N_CELLS = 3
@@ -89,8 +87,9 @@ def label_tef(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Countdown labels in seconds plus per-sample reason codes.
 
-    label(t) = (next T0 strictly after t - t) / 1000, constrained to the same
-    pre-command segment; excluded labels are NaN with a nonzero reason code.
+    label(t) = (first T0 at or after t - t) / 1000, so 0 at T0, constrained
+    to the same pre-command segment; excluded labels are NaN with a nonzero
+    reason code.
     """
     t = np.asarray(report_times, dtype=np.int64)
     if np.any(np.diff(t) <= 0):
@@ -103,12 +102,8 @@ def label_tef(
 
     labels = np.full(t.shape, np.nan)
     reasons = np.full(t.shape, REASON_POST_COMMAND, dtype=np.uint8)
-    nxt = np.searchsorted(t0s, t, side="right")  # first T0 strictly after t
-    has_next = nxt < len(t0s)
-    if not np.any(has_next):
-        return labels, reasons
-
-    idx = np.nonzero(has_next)[0]
+    nxt = np.searchsorted(t0s, t, side="left")  # first T0 at or after t
+    idx = np.nonzero(nxt < len(t0s))[0]
     target_t0 = t0s[nxt[idx]]
     same_segment = segment_ids(t[idx], cmds) == segment_ids(target_t0, cmds)
     idx = idx[same_segment]
@@ -121,12 +116,9 @@ def label_tef(
 
     lab = (target_t0 - t[idx]) / 1000.0
     over = lab > horizon_s
-    nonpos = lab <= 0.0
-    keep = ~(over | nonpos)
     reasons[idx[over]] = REASON_OVER_HORIZON
-    reasons[idx[nonpos]] = REASON_NONPOSITIVE
-    reasons[idx[keep]] = REASON_KEPT
-    labels[idx[keep]] = lab[keep]
+    reasons[idx[~over]] = REASON_KEPT
+    labels[idx[~over]] = lab[~over]
     return labels, reasons
 
 
@@ -146,10 +138,10 @@ def window_bounds(
     segments: np.ndarray, sample_idx: np.ndarray, window_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample [start, end] row indices; windows never cross a segment edge."""
-    segments = np.asarray(segments)
+    edges = np.flatnonzero(np.diff(segments)) + 1
     seg_start = np.zeros(len(segments), dtype=np.int64)
-    for i in range(1, len(segments)):
-        seg_start[i] = seg_start[i - 1] if segments[i] == segments[i - 1] else i
+    seg_start[edges] = edges
+    seg_start = np.maximum.accumulate(seg_start)
     end = np.asarray(sample_idx, dtype=np.int64)
     start = np.maximum(seg_start[end], end - window_len + 1)
     return start, end
@@ -360,9 +352,7 @@ def write_dataset(dirpath, bundle: DatasetBundle) -> None:
         path = os.path.join(dirpath, f"{name}.npz")
         np.savez(path, **{key: getattr(table, key) for key in _RAW_COLUMNS})
         meta.file_sha256[f"{name}.npz"] = file_sha256(path)
-    with open(os.path.join(dirpath, "meta.json"), "w") as fh:
-        json.dump(meta.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(dirpath, "meta.json"), meta.to_dict())
 
 
 def read_meta(dirpath) -> DatasetMeta:
@@ -370,8 +360,7 @@ def read_meta(dirpath) -> DatasetMeta:
     if not os.path.exists(meta_path):
         raise DataError(f"missing dataset meta: {meta_path}")
     try:
-        with open(meta_path) as fh:
-            doc = json.load(fh)
+        doc = read_json(meta_path)
     except ValueError as exc:  # not JSON, e.g. a truncated file
         raise DataError(f"unreadable dataset meta {meta_path}: {exc}") from exc
     meta = DatasetMeta.from_dict(doc)

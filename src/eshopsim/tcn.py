@@ -440,7 +440,7 @@ def rmse_loss(y: np.ndarray, yhat: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def compute_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
-    """R^2, explained variance, MAPE (%), MAE and RMSE.
+    """R^2, explained variance, MAPE (%, over the positive targets), MAE and RMSE.
 
     Shares mean-square terms between R^2 and EVS so that EVS - R^2 equals
     mean(residual)^2 / var(y) exactly, guaranteeing R^2 <= EVS.
@@ -466,11 +466,12 @@ def compute_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
         evs = None
         undefined["r2"] = "constant targets: total sum of squares is zero"
         undefined["evs"] = "constant targets: variance of y is zero"
-    if np.all(y > 0.0):
-        mape = float(100.0 * np.mean(np.abs(res) / y))
+    pos = y > 0.0  # a countdown of 0 (at T0) has no relative error
+    if np.any(pos):
+        mape = float(100.0 * np.mean(np.abs(res[pos]) / y[pos]))
     else:
         mape = None
-        undefined["mape_pct"] = "MAPE undefined for non-positive targets"
+        undefined["mape_pct"] = "MAPE undefined: no positive target"
     return MetricsReport(r2=r2, evs=evs, mape_pct=mape, mae=mae, rmse_s=rmse, n=int(n), undefined=undefined)
 
 

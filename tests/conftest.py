@@ -49,3 +49,12 @@ def tiny_config(out_dir, **overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def artifact_bytes(run_dir):
+    """Every file of a run directory except the wall-clock timings.json."""
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file() and p.name != "timings.json"
+    }

@@ -223,19 +223,31 @@ def random_trace(rng: np.random.Generator, n_reports: int = 500):
     return times, best
 
 
+def first_trigger_scan(times, preds, window_start_ms, a3_ms, threshold_s, k):
+    """Report-by-report trigger rule: the first report of (window_start, a3]
+    that ends k consecutive in-window predictions at or below the threshold."""
+    streak = 0
+    for t, p in zip(times, preds):
+        if not (window_start_ms < t <= a3_ms):
+            continue
+        streak = streak + 1 if float(p) <= threshold_s else 0
+        if streak == k:
+            return float(t)
+    return None
+
+
 def label_scan(t_ms: int, episodes, cmd_times: list[float], horizon_s: float):
     """Per-sample linear-scan labeling oracle; returns (label, reason)."""
     from eshopsim.dataset import (
         REASON_ABORTED_TARGET,
         REASON_KEPT,
-        REASON_NONPOSITIVE,
         REASON_OVER_HORIZON,
         REASON_POST_COMMAND,
     )
 
     nxt = None
     for ep in episodes:
-        if ep.t0_ms > t_ms:
+        if ep.t0_ms >= t_ms:
             nxt = ep
             break
     if nxt is None:
@@ -247,8 +259,6 @@ def label_scan(t_ms: int, episodes, cmd_times: list[float], horizon_s: float):
     if nxt.aborted:
         return float("nan"), REASON_ABORTED_TARGET
     label = (nxt.t0_ms - t_ms) / 1000.0
-    if label <= 0.0:
-        return float("nan"), REASON_NONPOSITIVE
     if label > horizon_s:
         return float("nan"), REASON_OVER_HORIZON
     return label, REASON_KEPT

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import artifact_bytes, tiny_config
 from eshopsim import cli, tcn
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.dataset import DataError
@@ -131,11 +131,11 @@ def test_main_exit_codes(tmp_path):
     report = tmp_path / "report.csv"
     for text in (good_summary[: len(good_summary) // 2], "[]"):
         summary.write_text(text)
-        before = _artifact_bytes(out)
+        before = artifact_bytes(out)
         for command in ("simulate", "build-dataset", "train", "eval", "eshop"):
             assert cli.main([command, "--config", str(cfgfile)]) == 3
         assert cli.main(["report", str(out), "--out-file", str(report)]) == 3
-        assert _artifact_bytes(out) == before and not report.exists()
+        assert artifact_bytes(out) == before and not report.exists()
     summary.write_text(good_summary)
     # half a dataset meta.json, and one without a field
     meta = out / "dataset" / "meta.json"
@@ -149,6 +149,21 @@ def test_main_exit_codes(tmp_path):
     # --parallel is a simulate option only
     with pytest.raises(SystemExit):
         cli.main(["train", "--config", str(cfgfile), "--parallel", "2"])
+
+
+def test_eval_survives_truncated_timings(tmp_path):
+    # timings.json is outside the determinism guarantee: a copy cut short
+    # must not fail the command that appends to it
+    out = tmp_path / "run"
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(tiny_config(out).to_dict()))
+    for command in ("simulate", "build-dataset", "train"):
+        assert cli.main([command, "--config", str(cfgfile)]) == 0
+    timings = out / "timings.json"
+    timings.write_text(timings.read_text()[:20])
+    assert cli.main(["eval", "--config", str(cfgfile)]) == 0
+    assert (out / "metrics.json").exists()
+    assert list(json.loads(timings.read_text())) == ["eval"]
 
 
 def _run_pipeline(out_dir, cfg=None):
@@ -219,21 +234,12 @@ def test_cdf_file_is_monotone(tmp_path):
     assert ps[-1] == 1.0
 
 
-def _artifact_bytes(run_dir):
-    """Every file of a run directory except the wall-clock timings.json."""
-    return {
-        str(p.relative_to(run_dir)): p.read_bytes()
-        for p in sorted(run_dir.rglob("*"))
-        if p.is_file() and p.name != "timings.json"
-    }
-
-
 def test_pipeline_outputs_are_deterministic(tmp_path):
     runs = []
     for name in ("a", "b"):
         cfg = _run_pipeline(tmp_path / name)
         cli.cmd_eshop(cfg)
-        runs.append(_artifact_bytes(tmp_path / name))
+        runs.append(artifact_bytes(tmp_path / name))
     assert {"reports.csv", "events.csv", "dataset/train.npz", "dataset/meta.json"} <= set(runs[0])
     assert runs[0] == runs[1]
 
@@ -282,13 +288,13 @@ def test_report_rejects_schema_mismatch(tmp_path):
 def test_summary_refuses_mixed_configs(tmp_path):
     out = tmp_path / "run"
     _run_pipeline(out)
-    before = _artifact_bytes(out)
+    before = artifact_bytes(out)
     other = tiny_config(out, master_seed=99)
     commands = (cli.cmd_simulate, cli.cmd_build_dataset, cli.cmd_train, cli.cmd_eval, cli.cmd_eshop)
     for command in commands:
         with pytest.raises(DataError, match="different configuration"):
             command(other)
-        assert _artifact_bytes(out) == before  # refused before writing anything
+        assert artifact_bytes(out) == before  # refused before writing anything
 
 
 def test_eshop_refuses_model_of_another_config(tmp_path):
@@ -296,7 +302,7 @@ def test_eshop_refuses_model_of_another_config(tmp_path):
     cfg = _run_pipeline(out)
     _run_pipeline(tmp_path / "other", tiny_config(tmp_path / "other", master_seed=99))
     (out / "model.tcn").write_bytes((tmp_path / "other" / "model.tcn").read_bytes())
-    before = _artifact_bytes(out)
+    before = artifact_bytes(out)
     with pytest.raises(DataError, match="different configuration"):
         cli.cmd_eshop(cfg)
-    assert _artifact_bytes(out) == before
+    assert artifact_bytes(out) == before

@@ -3,21 +3,19 @@ import pytest
 
 from eshopsim.config import ConfigError, ExperimentConfig
 from eshopsim.controller import (
-    CountdownState,
     SignalingConfig,
     StreamingCountdown,
-    decide_preparation,
     degradation_stats,
     infer_countdown,
     oracle_countdown,
     serving_rsrp_at,
     simulate_eshop,
-    simulate_legacy,
     HoComparison,
 )
 from eshopsim.dataset import DatasetMeta, N_FEATURES, standardized_rows
 from eshopsim.events import HoEventRecord
 from eshopsim.tcn import TcnModelConfig, init_params
+from oracles import first_trigger_scan
 
 
 def _ep(t0=1960, ue="ue000", target=1):
@@ -38,22 +36,26 @@ def test_signaling_config_validation():
 
 def test_decide_preparation_examples():
     cfg = SignalingConfig()  # threshold 40 ms, 2 consecutive
-    st = CountdownState()
-    fired = [decide_preparation(st, p, i * 40.0, cfg) for i, p in enumerate([0.30, 0.08, 0.03])]
-    assert fired == [False, False, False]  # only one prediction at/below 0.04
-    st2 = CountdownState()
-    fired2 = [decide_preparation(st2, p, i * 40.0, cfg) for i, p in enumerate([0.039, 0.020])]
-    assert fired2 == [False, True]
+    # only one prediction at/below 0.04 in the window: no trigger
+    tl = simulate_eshop(_ep(t0=40), np.array([0, 40, 80]), np.array([0.30, 0.08, 0.03]), 25.0, cfg)
+    assert tl.trigger_ms is None and tl.fellback
+    tl = simulate_eshop(_ep(t0=0), np.array([0, 40]), np.array([0.039, 0.020]), 25.0, cfg)
+    assert tl.trigger_ms == 40.0 and not tl.fellback
+    # float32 predictions compare in float64: float32(0.1) lies above 0.1
+    preds = np.full(2, 0.1, dtype=np.float32)
+    cfg = SignalingConfig(trigger_threshold_ms=100.0)
+    assert simulate_eshop(_ep(t0=0), np.array([0, 40]), preds, 25.0, cfg).trigger_ms is None
+    preds = np.full(2, 0.1)
+    assert simulate_eshop(_ep(t0=0), np.array([0, 40]), preds, 25.0, cfg).trigger_ms == 40.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
 def test_consecutive_required_triggers_at_kth_in_window_report(k):
     cfg = SignalingConfig(consecutive_required=k)
-    st = CountdownState()
-    fired = [decide_preparation(st, 0.0, i * 40.0, cfg) for i in range(k + 1)]
-    assert fired == [False] * (k - 1) + [True, True]
     times = np.arange(0, 2120, 40)
     ep = _ep(t0=1960)  # A3 at 2000
+    tl = simulate_eshop(ep, times, np.zeros(len(times)), 25.0, cfg)
+    assert tl.trigger_ms == 40.0 * (k - 1)
     window_start = 2000 - 40 * k + 20  # k reports in (window_start, A3]
     tl = simulate_eshop(
         ep, times, np.zeros(len(times)), 25.0, cfg, window_start_ms=window_start
@@ -65,27 +67,47 @@ def test_consecutive_required_triggers_at_kth_in_window_report(k):
     assert tl.trigger_ms is None and tl.fellback
 
 
+def test_trigger_matches_report_scan_randomized():
+    rng = np.random.Generator(np.random.PCG64(21))
+    times = np.arange(0, 4000, 40)
+    fired = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        cfg = SignalingConfig(consecutive_required=k, trigger_threshold_ms=40.0)
+        preds = np.where(rng.random(len(times)) < 0.7, rng.uniform(0.0, 0.06, len(times)), 9.9)
+        preds = preds.astype(rng.choice([np.float32, np.float64]))
+        ep = _ep(t0=int(rng.integers(5, 95)) * 40)
+        window_start = float(rng.choice([-np.inf, rng.uniform(0.0, ep.a3_ms)]))
+        tl = simulate_eshop(ep, times, preds, 25.0, cfg, window_start_ms=window_start)
+        want = first_trigger_scan(times, preds, window_start, ep.a3_ms, 0.04, k)
+        assert tl.trigger_ms == want
+        fired += want is not None
+    assert 50 < fired < 300
+
+
 def test_decide_preparation_single_outstanding():
+    # one preparation per episode: the first qualifying report starts it, and
+    # later qualifying reports (or a broken run) do not move it
     cfg = SignalingConfig()
-    st = CountdownState()
-    decide_preparation(st, 0.03, 0.0, cfg)
-    assert decide_preparation(st, 0.02, 40.0, cfg) is True
-    st.prepared = True
-    assert decide_preparation(st, 0.01, 80.0, cfg) is False
+    times = np.arange(0, 240, 40)
+    preds = np.array([0.03, 0.02, 0.01, 9.9, 0.0, 0.0])
+    tl = simulate_eshop(_ep(t0=160), times, preds, 25.0, cfg)
+    assert tl.trigger_ms == 40.0
 
 
 def test_simulate_legacy_timeline():
-    timeline = simulate_legacy(_ep(t0=1960), d_prep_ms=25.0)
-    assert timeline.prep_start_ms == 2000.0
-    assert timeline.command_ms == 2025.0
+    # with no trigger the episode keeps the legacy timeline: command at A3 + d_prep
+    times = np.arange(0, 2120, 40)
+    tl = simulate_eshop(_ep(t0=1960), times, np.full(len(times), np.inf), 25.0, SignalingConfig())
+    assert tl.command_ms == 2025.0 and tl.fellback and not tl.wasted
     with pytest.raises(ValueError):
-        simulate_legacy(HoEventRecord("ue", 0, 1, 100, aborted=True), 25.0)
+        simulate_eshop(HoEventRecord("ue", 0, 1, 100, aborted=True), times, times, 25.0, SignalingConfig())
 
 
 def _countdown_trace(t0=1960, horizon_end=2120):
     times = np.arange(0, horizon_end, 40)
     eps = [_ep(t0=t0)]
-    return times, oracle_countdown(times, eps)
+    return times, oracle_countdown(times, eps, horizon_s=8.0)
 
 
 def test_simulate_eshop_perfect_prediction():
@@ -93,11 +115,10 @@ def test_simulate_eshop_perfect_prediction():
     ep = _ep(t0=1960)
     tl = simulate_eshop(ep, times, preds, d_prep_ms=35.0, cfg=SignalingConfig())
     assert tl.trigger_ms == 1960.0  # trigger exactly at T0
-    assert tl.prep_done_ms == 1995.0  # inside the TTT window
-    assert tl.command_ms == 2000.0  # gated by the UE report
+    # preparation is done at 1995, inside the TTT window, so the command goes
+    # out at the UE's A3 report and the whole preparation latency is saved
+    assert tl.command_ms == 2000.0
     assert not tl.wasted and not tl.fellback
-    legacy = simulate_legacy(ep, 25.0)
-    assert legacy.command_ms - tl.command_ms == 25.0
 
 
 def test_simulate_eshop_late_trigger():
@@ -134,15 +155,17 @@ def test_simulate_eshop_wasted_preparation():
 
 
 def test_oracle_countdown_values():
-    times = np.array([0, 40, 80, 120, 160])
+    times = np.array([0, 40, 80, 120, 160, 200])
     eps = [
         HoEventRecord("ue", 0, 1, 40, aborted=True),
         HoEventRecord("ue", 0, 1, 120, a3_ms=160, command_ms=180.0),
     ]
-    preds = oracle_countdown(times, eps)
-    # aborted T0 is skipped; countdown points at the real fulfillment
-    assert np.allclose(preds[:4], [0.120, 0.080, 0.040, 0.0])
-    assert preds[4] == np.inf
+    preds = oracle_countdown(times, eps, horizon_s=8.0)
+    # the training label with exclusions at +inf: up to the aborted T0 the
+    # countdown points at it (no predictor can see the abort coming), then at
+    # the real fulfillment, and after T0 there is no same-segment T0
+    assert preds.tolist() == [np.inf, np.inf, 0.04, 0.0, np.inf, np.inf]
+    assert oracle_countdown(times, eps, horizon_s=0.03).tolist() == [np.inf] * 3 + [0.0] + [np.inf] * 2
 
 
 def test_streaming_equals_batch_inference():

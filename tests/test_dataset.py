@@ -64,20 +64,23 @@ def test_label_aborted_target_dropped():
     times = np.arange(0, 400, 40)
     eps = [_ep(200, aborted=True), _ep(320)]
     labels, reasons = label_tef(times, eps, horizon_s=8.0)
-    # samples before the aborted T0 point at it -> dropped
-    assert np.all(reasons[times < 200] == REASON_ABORTED_TARGET)
-    # samples between the abort and the good T0 are labeled
-    live = (times >= 200) & (times < 320)
+    # samples up to and at the aborted T0 point at it -> dropped
+    assert np.all(reasons[times <= 200] == REASON_ABORTED_TARGET)
+    # samples after the abort up to the good T0 are labeled, 0 at that T0
+    live = (times > 200) & (times <= 320)
     assert np.all(reasons[live] == REASON_KEPT)
     assert np.allclose(labels[live], (320 - times[live]) / 1000.0)
+    assert labels[times == 320] == [0.0]
 
 
 def test_label_post_command_and_horizon():
     times = np.arange(0, 800, 40)
     eps = [_ep(200, d_prep=25.0)]
     labels, reasons = label_tef(times, eps, horizon_s=8.0)
-    # at and after T0 there is no further same-segment T0
-    assert np.all(reasons[times >= 200] == REASON_POST_COMMAND)
+    # the countdown reaches 0 at T0 ...
+    assert reasons[times == 200] == [REASON_KEPT] and labels[times == 200] == [0.0]
+    # ... and after T0 there is no further same-segment T0
+    assert np.all(reasons[times > 200] == REASON_POST_COMMAND)
     short = label_tef(times, eps, horizon_s=0.1)[1]
     assert short[0] == 3  # REASON_OVER_HORIZON: 200 ms away > 100 ms horizon
 
@@ -216,11 +219,14 @@ def test_train_split_standardization(tmp_path):
 
 def test_labels_in_horizon(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
+    at_t0 = 0
     for table in bundle.splits.values():
         kept = table.reasons == REASON_KEPT
-        assert np.all(table.labels[kept] > 0.0)
+        assert np.all(table.labels[kept] >= 0.0)
         assert np.all(table.labels[kept] <= bundle.meta.horizon_s)
         assert np.all(np.isnan(table.labels[~kept]))
+        at_t0 += int(np.sum(table.labels[kept] == 0.0))
+    assert at_t0 > 0  # the rows at T0 are kept with label 0
 
 
 def test_dataset_round_trip_bit_exact(tmp_path):

@@ -56,9 +56,17 @@ def test_constant_targets_reported_as_undefined():
 
 
 def test_nonpositive_targets_disable_mape():
-    rep = compute_metrics(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
+    rep = compute_metrics(np.array([0.0, -1.0]), np.array([0.5, 1.0]))
     assert rep.mape_pct is None
     assert "mape_pct" in rep.undefined
+
+
+def test_mape_skips_zero_targets():
+    # a countdown of 0 (the report at T0) has no relative error; the rest count
+    rep = compute_metrics(np.array([0.0, 2.0, 4.0]), np.array([0.5, 1.0, 5.0]))
+    assert rep.mape_pct == pytest.approx(37.5, abs=1e-12)
+    assert "mape_pct" not in rep.undefined
+    assert rep.mae == pytest.approx(2.5 / 3.0, abs=1e-12)
 
 
 def test_empty_split_rejected():
