@@ -31,13 +31,10 @@ from eshopsim.controller import (
 )
 from eshopsim.dataset import (
     DataError,
+    DatasetBundle,
     WindowBank,
     build_dataset,
-    command_times,
     read_dataset,
-    read_meta,
-    reduce_series,
-    segment_ids,
     standardized_rows,
     write_dataset,
 )
@@ -133,19 +130,21 @@ def _record_timing(out_dir: str, command: str, seconds: float) -> None:
     write_json(path, doc)
 
 
-def _load_logs(cfg: ExperimentConfig) -> dict[str, dict]:
-    paths = _paths(cfg.output_dir)
-    for key in ("reports", "events"):
-        if not os.path.exists(paths[key]):
-            raise DataError(f"missing log file: {paths[key]} (run 'simulate' first)")
+def _read_log(cfg: ExperimentConfig, key: str, reader):
+    path = _paths(cfg.output_dir)[key]
+    if not os.path.exists(path):
+        raise DataError(f"missing log file: {path} (run 'simulate' first)")
     try:
-        per_ue = read_report_log(paths["reports"])
-        events = read_event_log(paths["events"])
+        return reader(path)
     except ValueError as exc:  # e.g. a log of an older schema
         raise DataError(f"unreadable log: {exc}") from exc
-    for ue, rec in per_ue.items():
-        rec["episodes"] = events.get(ue, {}).get("episodes", [])
-    return per_ue
+
+
+def _read_dataset(cfg: ExperimentConfig) -> DatasetBundle:
+    bundle = read_dataset(_paths(cfg.output_dir)["dataset"])
+    if bundle.meta.config_hash != config_hash(cfg):
+        raise DataError("dataset was built under a different configuration")
+    return bundle
 
 
 def _load_model(cfg: ExperimentConfig) -> tcn.ModelParams:
@@ -206,7 +205,10 @@ def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
 def cmd_build_dataset(cfg: ExperimentConfig, quiet: bool = False) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
-    per_ue = _load_logs(cfg)
+    per_ue = _read_log(cfg, "reports", read_report_log)
+    episodes = _read_log(cfg, "events", read_event_log)
+    for ue, rec in per_ue.items():
+        rec["episodes"] = episodes.get(ue, [])
     bundle = build_dataset(
         per_ue,
         cfg.dataset,
@@ -244,10 +246,10 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    bundle = read_dataset(paths["dataset"])
+    bundle = _read_dataset(cfg)
     w = bundle.meta.window_len
-    train_bank = WindowBank.labeled(bundle.splits["train"], w, dtype=cfg.train.np_dtype)
-    val_bank = WindowBank.labeled(bundle.splits["val"], w, dtype=cfg.train.np_dtype)
+    train_bank = WindowBank.labeled(bundle.splits["train"], bundle.meta, dtype=cfg.train.np_dtype)
+    val_bank = WindowBank.labeled(bundle.splits["val"], bundle.meta, dtype=cfg.train.np_dtype)
     if len(train_bank) == 0:
         raise DataError("train split holds no samples")
     params, history = tcn.train(train_bank, val_bank, cfg.model, cfg.train)
@@ -286,12 +288,12 @@ def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    bundle = read_dataset(paths["dataset"])
+    bundle = _read_dataset(cfg)
     if split not in bundle.splits:
         raise DataError(f"unknown split '{split}'")
     params = _load_model(cfg)
     digest = config_hash(cfg)
-    bank = WindowBank.labeled(bundle.splits[split], bundle.meta.window_len, dtype=np.float32)
+    bank = WindowBank.labeled(bundle.splits[split], bundle.meta, dtype=np.float32)
     if len(bank) == 0:
         raise DataError(f"split '{split}' holds no samples")
     preds = tcn.predict(params, bank)
@@ -326,30 +328,34 @@ def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
 
 
 def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
+    """Replays each UE's stored dataset trace against its logged episodes."""
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    per_ue = _load_logs(cfg)
+    bundle = _read_dataset(cfg)
+    episodes_by_ue = _read_log(cfg, "events", read_event_log)
     if not oracle:
         params = _load_model(cfg)
-        meta = read_meta(paths["dataset"])
+    meta = bundle.meta
+    cell_index = {c: i for i, c in enumerate(meta.cell_ids)}
+    traces = {  # every report of a UE sits in one split
+        ue: (table, rows)
+        for table in bundle.splits.values()
+        for ue, rows in table.ue_rows().items()
+    }
 
     comparisons: list[HoComparison] = []
-    rsrp_samples: dict[str, tuple[float, float]] = {}
+    rsrp_a3: list[float] = []
     skipped_gap = 0
-    for ue in sorted(per_ue):
-        rec = per_ue[ue]
-        times = np.asarray(rec["times_ms"], dtype=np.int64)
-        episodes = rec["episodes"]
-        cmds = command_times(episodes)
-        beams, rsrp = reduce_series(np.asarray(rec["l3_rsrp"]))
+    for ue in sorted(traces):
+        table, rows = traces[ue]
+        times, rsrp = table.t_ms[rows], table.best_rsrp[rows]
+        episodes = episodes_by_ue.get(ue, [])
         if oracle:
             preds = oracle_countdown(times, episodes, cfg.dataset.horizon_s)
         else:
-            rows = standardized_rows(rsrp, beams, meta)
-            segs = segment_ids(times, cmds)
-            preds = infer_countdown(params, rows, segs, meta.window_len)
-        cell_index = {c: i for i, c in enumerate(rec["cell_ids"])}
+            features = standardized_rows(rsrp, table.best_beams[rows], meta)
+            preds = infer_countdown(params, features, table.segments[rows], meta.window_len)
         prev_cmd = -np.inf
         for k, ep in enumerate(episodes):
             if ep.aborted:
@@ -367,16 +373,12 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             if max(legacy_cmd, early.command_ms) > times[-1]:
                 skipped_gap += 1
                 continue
-            episode_id = f"{ue}:{k}"
             rsrp_legacy = serving_rsrp_at(times, serving_trace, legacy_cmd)
             rsrp_early = serving_rsrp_at(times, serving_trace, early.command_ms)
-            rsrp_samples[episode_id] = (
-                serving_rsrp_at(times, serving_trace, float(ep.a3_ms)),
-                serving_rsrp_at(times, serving_trace, legacy_cmd),
-            )
+            rsrp_a3.append(serving_rsrp_at(times, serving_trace, float(ep.a3_ms)))
             comparisons.append(
                 HoComparison(
-                    episode_id=episode_id,
+                    episode_id=f"{ue}:{k}",
                     t0_ms=ep.t0_ms,
                     a3_ms=ep.a3_ms,
                     d_prep_ms=d_prep,
@@ -391,7 +393,7 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             )
     if not comparisons:
         raise DataError("no comparable handover episodes in the logs")
-    stats = degradation_stats(comparisons, rsrp_samples)
+    stats = degradation_stats(comparisons, rsrp_a3)
 
     digest = config_hash(cfg)
     columns = [f.name for f in fields(HoComparison)]

@@ -181,17 +181,18 @@ def serving_rsrp_at(
     return float(np.interp(t_ms, times, serving_best_dbm))
 
 
-def degradation_stats(comparisons: list[HoComparison], rsrp_samples: dict[str, tuple[float, float]]) -> DegradationStats:
+def degradation_stats(
+    comparisons: list[HoComparison], rsrp_a3_dbm: list[float]
+) -> DegradationStats:
     """Aggregate per-episode comparisons.
 
-    ``rsrp_samples`` maps episode_id -> (rsrp at a3, rsrp at a3 + d_prep) on
-    the pre-handover serving cell.
+    ``rsrp_a3_dbm`` holds, in comparison order, the pre-handover serving
+    cell's RSRP at the A3 report; the CDF is of its drop until the legacy
+    command.
     """
     if not comparisons:
         raise ValueError("no episodes to aggregate")
-    deltas = np.asarray(
-        [rsrp_samples[c.episode_id][0] - rsrp_samples[c.episode_id][1] for c in comparisons]
-    )
+    deltas = np.asarray(rsrp_a3_dbm) - np.asarray([c.rsrp_legacy_cmd_dbm for c in comparisons])
     order = np.argsort(deltas, kind="stable")
     cdf_x = deltas[order]
     cdf_p = (np.arange(len(deltas)) + 1) / len(deltas)

@@ -181,7 +181,8 @@ def split_ues(ue_ids: list[str], ratios: tuple[float, float, float], seed: int) 
 
 @dataclass
 class RowTable:
-    """All reduced rows of one split's UEs, labeled and excluded alike."""
+    """All reduced rows of one split's UEs, labeled and excluded alike: every
+    report of each UE, its rows contiguous and in time order."""
 
     ue_ids: np.ndarray  # (N,) str
     t_ms: np.ndarray  # (N,) int
@@ -190,14 +191,17 @@ class RowTable:
     labels: np.ndarray  # (N,) float, NaN when excluded
     best_beams: np.ndarray  # (N, 3) int, strongest beam per cell
     best_rsrp: np.ndarray  # (N, 3) float, its L3 RSRP in dBm, unstandardized
-    features: np.ndarray  # (N, 39) from standardized_rows
 
     def __len__(self) -> int:
         return len(self.t_ms)
 
+    def ue_rows(self) -> dict[str, slice]:
+        """The slice of the table that holds each UE's rows."""
+        ues, first, count = np.unique(self.ue_ids, return_index=True, return_counts=True)
+        return {str(ue): slice(a, a + n) for ue, a, n in zip(ues, first, count)}
 
-# Zero-row template of the raw columns a split file stores; features are
-# derived on load.
+
+# Zero-row template of the columns a split file stores.
 _RAW_COLUMNS = {
     "ue_ids": np.asarray([], dtype=str),
     "t_ms": np.zeros(0, dtype=np.int64),
@@ -260,11 +264,6 @@ def standardized_rows(
     return build_feature_matrix((best_rsrp - mean) / std, best_beams)
 
 
-def _row_table(columns: dict[str, np.ndarray], meta: DatasetMeta) -> RowTable:
-    features = standardized_rows(columns["best_rsrp"], columns["best_beams"], meta)
-    return RowTable(**columns, features=features)
-
-
 def build_dataset(
     per_ue: dict[str, dict],
     cfg: DatasetConfig,
@@ -322,7 +321,7 @@ def build_dataset(
         master_seed=master_seed,
         horizon_s=cfg.horizon_s,
         window_len=cfg.window_len,
-        cell_ids=tuple(per_ue[ue_ids[0]].get("cell_ids", (0, 1, 2))),
+        cell_ids=tuple(per_ue[ue_ids[0]]["cell_ids"]),
         rsrp_mean=tuple(float(x) for x in mean),
         rsrp_std=tuple(float(x) for x in std),
         exclusion_counts={k: v for k, v in counts.items() if k != "kept"},
@@ -334,7 +333,7 @@ def build_dataset(
     for name, ues in assignment.items():
         parts = [staged[ue] for ue in ues] or [_RAW_COLUMNS]
         columns = {key: np.concatenate([p[key] for p in parts]) for key in _RAW_COLUMNS}
-        splits[name] = _row_table(columns, meta)
+        splits[name] = RowTable(**columns)
     return DatasetBundle(splits=splits, meta=meta)
 
 
@@ -355,10 +354,10 @@ def write_dataset(dirpath, bundle: DatasetBundle) -> None:
     write_json(os.path.join(dirpath, "meta.json"), meta.to_dict())
 
 
-def read_meta(dirpath) -> DatasetMeta:
+def read_dataset(dirpath) -> DatasetBundle:
     meta_path = os.path.join(dirpath, "meta.json")
     if not os.path.exists(meta_path):
-        raise DataError(f"missing dataset meta: {meta_path}")
+        raise DataError(f"missing dataset meta: {meta_path} (run 'build-dataset' first)")
     try:
         doc = read_json(meta_path)
     except ValueError as exc:  # not JSON, e.g. a truncated file
@@ -368,11 +367,6 @@ def read_meta(dirpath) -> DatasetMeta:
         raise DataError(
             f"dataset schema mismatch: {meta.schema_version} != {DATASET_SCHEMA}"
         )
-    return meta
-
-
-def read_dataset(dirpath) -> DatasetBundle:
-    meta = read_meta(dirpath)
     splits: dict[str, RowTable] = {}
     for name, digest in meta.file_sha256.items():
         path = os.path.join(dirpath, name)
@@ -384,7 +378,7 @@ def read_dataset(dirpath) -> DatasetBundle:
             if sorted(npz.files) != sorted(_RAW_COLUMNS):
                 raise DataError(f"unexpected dataset columns in {path}")
             columns = {key: npz[key] for key in _RAW_COLUMNS}
-        splits[name.removesuffix(".npz")] = _row_table(columns, meta)
+        splits[name.removesuffix(".npz")] = RowTable(**columns)
     return DatasetBundle(splits=splits, meta=meta)
 
 
@@ -405,13 +399,15 @@ class WindowBank:
         self.start, self.end = window_bounds(segments, ends, window_len)
 
     @classmethod
-    def labeled(cls, table: RowTable, window_len: int, dtype=np.float64) -> "WindowBank":
-        """Windows ending at the kept rows of a table, with their labels."""
+    def labeled(cls, table: RowTable, meta: DatasetMeta, dtype=np.float64) -> "WindowBank":
+        """Windows of ``meta.window_len`` ending at the kept rows of a table,
+        with their labels."""
         # segment boundaries must also break at UE boundaries
         ue_codes = np.unique(table.ue_ids, return_inverse=True)[1]
         combined = table.segments.astype(np.int64) + (ue_codes.astype(np.int64) << 32)
         kept = np.nonzero(table.reasons == REASON_KEPT)[0]
-        bank = cls(table.features, combined, kept, window_len, dtype)
+        rows = standardized_rows(table.best_rsrp, table.best_beams, meta)
+        bank = cls(rows, combined, kept, meta.window_len, dtype)
         bank.y, bank.ue_ids, bank.t_ms = table.labels[kept], table.ue_ids[kept], table.t_ms[kept]
         return bank
 

@@ -202,43 +202,35 @@ def write_event_log(path, runs: list[UeRun], config_hash: str, master_seed: int)
     )
 
 
-def read_event_log(path) -> dict[str, dict]:
-    """Returns per-UE dict with the event list and reconstructed episode records."""
-    out: dict[str, dict] = {}
+def read_event_log(path) -> dict[str, list[HoEventRecord]]:
+    """Per-UE handover episodes reconstructed from the event log."""
+    out: dict[str, list[HoEventRecord]] = {}
+    open_recs: dict[str, HoEventRecord] = {}  # the T0 each UE's next A3/ABORT closes
     with read_table(path, EVENT_LOG_SCHEMA) as (header, reader):
         if header != _EVENT_COLUMNS:
             raise ValueError("unexpected event log header")
         for ue, kind, t_s, serving_s, target_s in reader:
-            rec = out.setdefault(ue, {"events": [], "episodes": []})
-            ev = HoEvent(ue, kind, float(t_s), int(serving_s), int(target_s))
-            rec["events"].append(ev)
-    for ue, rec in out.items():
-        episodes: list[HoEventRecord] = []
-        open_rec: HoEventRecord | None = None
-        for ev in rec["events"]:
-            if ev.kind == "T0":
-                open_rec = HoEventRecord(
-                    ue_id=ue,
-                    serving_cell=ev.serving,
-                    target_cell=ev.target,
-                    t0_ms=int(ev.t_ms),
+            t_ms, serving, target = float(t_s), int(serving_s), int(target_s)
+            episodes = out.setdefault(ue, [])
+            if kind == "T0":
+                open_recs[ue] = HoEventRecord(
+                    ue_id=ue, serving_cell=serving, target_cell=target, t0_ms=int(t_ms)
                 )
-            elif ev.kind in ("A3", "ABORT"):
-                if open_rec is None:
-                    raise ValueError(f"{ue}: {ev.kind} at {ev.t_ms} ms without an open T0")
-                if ev.kind == "A3":
-                    open_rec.a3_ms = int(ev.t_ms)
+            elif kind in ("A3", "ABORT"):
+                rec = open_recs.pop(ue, None)
+                if rec is None:
+                    raise ValueError(f"{ue}: {kind} at {t_ms} ms without an open T0")
+                if kind == "A3":
+                    rec.a3_ms = int(t_ms)
                 else:
-                    open_rec.aborted = True
-                episodes.append(open_rec)
-                open_rec = None
-            elif ev.kind == "CMD":
+                    rec.aborted = True
+                episodes.append(rec)
+            elif kind == "CMD":
                 # command for the most recent non-aborted episode
-                for rec_ep in reversed(episodes):
-                    if not rec_ep.aborted and rec_ep.command_ms is None:
-                        rec_ep.command_ms = float(ev.t_ms)
+                for rec in reversed(episodes):
+                    if not rec.aborted and rec.command_ms is None:
+                        rec.command_ms = t_ms
                         break
             else:
-                raise ValueError(f"{ue}: unknown event kind {ev.kind!r}")
-        rec["episodes"] = episodes
+                raise ValueError(f"{ue}: unknown event kind {kind!r}")
     return out

@@ -603,18 +603,22 @@ def load_model(path) -> tuple[ModelParams, dict]:
         raise ValueError("not a model file")
     hlen = int.from_bytes(data[4:8], "little")
     header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("model header is not a JSON object")
     if header.get("schema_version") != MODEL_SCHEMA:
         raise ValueError(f"model schema mismatch: {header.get('schema_version')}")
     try:
         cfg = TcnModelConfig(**header["config"])
+        n_bytes = 4 * header["param_count"]
+    except KeyError as exc:
+        raise ValueError(f"model header lacks {exc}") from exc
     except TypeError as exc:  # e.g. a field an older model file still names
         raise ValueError(f"model config not readable: {exc}") from exc
     params = init_params(cfg, np.float32)
     payload = data[8 + hlen :]
-    if len(payload) != 4 * header["param_count"]:
+    if len(payload) != n_bytes:
         raise ValueError(
-            f"model file truncated: {len(payload)} parameter bytes, "
-            f"expected {4 * header['param_count']}"
+            f"model file truncated: {len(payload)} parameter bytes, expected {n_bytes}"
         )
     flat = np.frombuffer(payload, dtype="<f4")
     pos = 0

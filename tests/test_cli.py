@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import artifact_bytes, tiny_config
 from eshopsim import cli, tcn
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
-from eshopsim.dataset import DataError
+from eshopsim.dataset import DataError, DatasetConfig
 
 
 def test_default_config_round_trip(tmp_path):
@@ -90,6 +91,17 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def _model_headers(blob: bytes):
+    """The model file's JSON header, and a function that swaps in another."""
+    hlen = int.from_bytes(blob[4:8], "little")
+
+    def with_header(header) -> bytes:
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        return blob[:4] + len(text).to_bytes(4, "little") + text + blob[8 + hlen :]
+
+    return json.loads(blob[8 : 8 + hlen]), with_header
+
+
 def test_main_exit_codes(tmp_path):
     out = tmp_path / "run"
     bad = tmp_path / "bad.json"
@@ -124,6 +136,14 @@ def test_main_exit_codes(tmp_path):
     model.write_bytes(good_model[:-10])
     for command in ("eval", "eshop"):
         assert cli.main([command, "--config", str(cfgfile)]) == 3
+    # a model header without its parameter count or its model configuration,
+    # or not a JSON object
+    header, with_header = _model_headers(good_model)
+    lacking = [{k: v for k, v in header.items() if k != key} for key in ("param_count", "config")]
+    for broken in (*lacking, []):
+        model.write_bytes(with_header(broken))
+        for command in ("eval", "eshop"):
+            assert cli.main([command, "--config", str(cfgfile)]) == 3
     model.write_bytes(good_model)
     # a summary.json cut short or not an object: every command refuses before writing
     summary = out / "summary.json"
@@ -209,7 +229,7 @@ def test_eval_matches_library_evaluate(tmp_path):
     paths = cli._paths(str(out))
     params, _ = tcn.load_model(paths["model"])
     bundle = read_dataset(paths["dataset"])
-    bank = WindowBank.labeled(bundle.splits["test"], bundle.meta.window_len, dtype=np.float32)
+    bank = WindowBank.labeled(bundle.splits["test"], bundle.meta, dtype=np.float32)
     rep = tcn.compute_metrics(np.asarray(bank.y, dtype=np.float64), tcn.predict(params, bank))
     with open(paths["metrics"]) as fh:
         stored = json.load(fh)["metrics"]
@@ -306,3 +326,40 @@ def test_eshop_refuses_model_of_another_config(tmp_path):
     with pytest.raises(DataError, match="different configuration"):
         cli.cmd_eshop(cfg)
     assert artifact_bytes(out) == before
+
+
+def test_commands_refuse_dataset_of_another_config(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = _run_pipeline(out)
+    other = tiny_config(tmp_path / "other")
+    other.dataset = DatasetConfig(window_len=32, horizon_s=8.0)
+    cli.cmd_simulate(other)
+    cli.cmd_build_dataset(other, quiet=True)
+    shutil.rmtree(out / "dataset")
+    shutil.copytree(tmp_path / "other" / "dataset", out / "dataset")
+    before = artifact_bytes(out)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg.to_dict()))
+    for command in (["train"], ["eval"], ["eshop"], ["eshop", "--oracle"]):
+        assert cli.main([*command, "--config", str(cfgfile)]) == 3
+        assert "different configuration" in capsys.readouterr().err
+        assert artifact_bytes(out) == before  # refused before writing anything
+
+
+def test_eshop_needs_no_report_log(tmp_path):
+    # eshop replays the traces stored in the dataset: the report log is read
+    # by build-dataset only
+    with_log, without_log = tmp_path / "with", tmp_path / "without"
+    _run_pipeline(with_log)
+    shutil.copytree(with_log, without_log)
+    (without_log / "reports.csv").unlink()
+    for oracle in (False, True):
+        results = []
+        for run_dir in (with_log, without_log):
+            payload = cli.cmd_eshop(tiny_config(run_dir), oracle=oracle)
+            summary = json.loads((run_dir / "summary.json").read_text())
+            assert summary["eshop"] == payload
+            files = {name: (run_dir / name).read_bytes() for name in ("comparison.csv", "cdf.csv")}
+            results.append((payload, files))
+        assert results[0] == results[1]
+    assert not (without_log / "reports.csv").exists()

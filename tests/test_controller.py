@@ -297,8 +297,8 @@ def _comparison(i, advance, wasted=False, fellback=False):
 
 def test_degradation_stats_stationary_trace_gives_zero_delta():
     comps = [_comparison(i, advance=0.0) for i in range(5)]
-    samples = {c.episode_id: (-85.0, -85.0) for c in comps}
-    stats = degradation_stats(comps, samples)
+    rsrp_a3 = [c.rsrp_legacy_cmd_dbm for c in comps]  # -85 dBm at A3 and at the command
+    stats = degradation_stats(comps, rsrp_a3)
     assert np.all(stats.cdf_delta_rsrp_db == 0.0)
     assert stats.cdf_cumulative_prob[-1] == 1.0
     assert np.all(np.diff(stats.cdf_cumulative_prob) > 0)
@@ -310,8 +310,8 @@ def test_degradation_stats_aggregates():
         _comparison(1, 15.0),
         _comparison(2, 0.0, wasted=True, fellback=True),
     ]
-    samples = {c.episode_id: (-84.0, -86.0) for c in comps}
-    stats = degradation_stats(comps, samples)
+    rsrp_a3 = [c.rsrp_legacy_cmd_dbm + 2.0 for c in comps]  # 2 dB above the command's
+    stats = degradation_stats(comps, rsrp_a3)
     assert stats.mean_advance_ms == pytest.approx((25.0 + 15.0) / 3.0)
     assert stats.wasted_rate == pytest.approx(1.0 / 3.0)
     assert stats.fallback_rate == pytest.approx(1.0 / 3.0)

@@ -17,6 +17,7 @@ from eshopsim.dataset import (
     read_dataset,
     reduce_series,
     split_ues,
+    standardized_rows,
     write_dataset,
     N_FEATURES,
 )
@@ -208,12 +209,13 @@ def test_train_split_standardization(tmp_path):
     train = bundle.splits["train"]
     kept = train.reasons == REASON_KEPT
     rsrp_cols = [0, 13, 26]
-    feats = train.features[kept][:, rsrp_cols]
+    feats = standardized_rows(train.best_rsrp, train.best_beams, bundle.meta)[kept][:, rsrp_cols]
     assert np.all(np.abs(feats.mean(axis=0)) < 1e-6)
     assert np.all(np.abs(feats.std(axis=0) - 1.0) < 1e-6)
     # held-out splits reuse the train statistics: their mean is generally offset
     val = bundle.splits["val"]
-    vfeats = val.features[val.reasons == REASON_KEPT][:, rsrp_cols]
+    vrows = standardized_rows(val.best_rsrp, val.best_beams, bundle.meta)
+    vfeats = vrows[val.reasons == REASON_KEPT][:, rsrp_cols]
     assert np.any(np.abs(vfeats.mean(axis=0)) > 1e-6)
 
 
@@ -242,7 +244,12 @@ def test_dataset_round_trip_bit_exact(tmp_path):
         assert np.array_equal(got.segments, table.segments)
         assert np.array_equal(got.reasons, table.reasons)
         assert np.array_equal(got.labels, table.labels, equal_nan=True)
-        assert np.array_equal(got.features, table.features)
+        assert np.array_equal(got.best_beams, table.best_beams)
+        assert np.array_equal(got.best_rsrp, table.best_rsrp)
+        assert np.array_equal(
+            standardized_rows(got.best_rsrp, got.best_beams, loaded.meta),
+            standardized_rows(table.best_rsrp, table.best_beams, bundle.meta),
+        )
 
 
 def test_dataset_truncation_detected(tmp_path):
@@ -272,13 +279,15 @@ def test_dataset_schema_mismatch_detected(tmp_path):
 def test_window_bank_matches_windowize(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
     table = bundle.splits["train"]
-    bank = WindowBank.labeled(table, window_len=8)
+    assert bundle.meta.window_len == 8
+    bank = WindowBank.labeled(table, bundle.meta)
+    features = standardized_rows(table.best_rsrp, table.best_beams, bundle.meta)
     # windowize on each UE slice must agree with the bank's gather, so windows
     # also break at UE boundaries
     for ue in np.unique(table.ue_ids):
         mask = table.ue_ids == ue
         X, y, idx = windowize(
-            table.features[mask], table.labels[mask], table.segments[mask], window_len=8
+            features[mask], table.labels[mask], table.segments[mask], window_len=8
         )
         bank_rows = np.nonzero(bank.ue_ids == ue)[0]
         assert np.array_equal(bank.gather(bank_rows), X)

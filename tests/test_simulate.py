@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from eshopsim.artifacts import read_table
 from eshopsim.channel import ChannelParams
 from eshopsim.events import HcpConfig
 from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig, SiteLayout
 from eshopsim.simulate import (
+    EVENT_LOG_SCHEMA,
     read_event_log,
     read_report_log,
     run_scenario,
@@ -79,18 +81,20 @@ def test_log_round_trip(tmp_path):
     write_report_log(rp, runs, "deadbeef", 11)
     write_event_log(ep, runs, "deadbeef", 11)
     reports = read_report_log(rp)
-    events = read_event_log(ep)
+    episodes = read_event_log(ep)
+    with read_table(ep, EVENT_LOG_SCHEMA) as (_, reader):
+        event_rows = list(reader)
     for run in runs:
         got = reports[run.ue_id]
         assert np.array_equal(got["times_ms"], run.times_ms)
         assert np.array_equal(got["l3_rsrp"], run.l3_rsrp)  # repr round-trips exactly
         assert got["cell_ids"] == run.cell_ids
-        got_ev = events[run.ue_id]["events"]
-        assert [(e.kind, e.t_ms, e.serving, e.target) for e in got_ev] == [
+        got_ev = [row[1:] for row in event_rows if row[0] == run.ue_id]
+        assert [(kind, float(t), int(s), int(tg)) for kind, t, s, tg in got_ev] == [
             (e.kind, float(e.t_ms), e.serving, e.target) for e in run.events
         ]
         # reconstructed episodes match the engine's records
-        recon = events[run.ue_id]["episodes"]
+        recon = episodes[run.ue_id]
         assert len(recon) == len(run.episodes)
         for a, b in zip(recon, run.episodes):
             assert (a.t0_ms, a.a3_ms, a.aborted) == (b.t0_ms, b.a3_ms, b.aborted)
