@@ -26,8 +26,9 @@ def write_table(path, schema: str, columns: list[str], rows: Iterable, **fields)
 
 
 @contextmanager
-def read_table(path, schema: str) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
-    """Checks the header line's schema; yields the column row and the data rows."""
+def read_table(path, schema: str) -> Iterator[tuple[dict, list[str], Iterator[list[str]]]]:
+    """Checks the header line's schema; yields its fields (``schema``,
+    ``config_hash``, ...), the column row and the data rows."""
     with open(path, newline="") as fh:
         line = fh.readline()
         if not line.startswith("# "):
@@ -36,7 +37,7 @@ def read_table(path, schema: str) -> Iterator[tuple[list[str], Iterator[list[str
         if fields.get("schema") != schema:
             raise ValueError(f"schema mismatch: expected {schema}, found {fields.get('schema')}")
         reader = csv.reader(fh)
-        yield next(reader, []), reader
+        yield fields, next(reader, []), reader
 
 
 def write_json(path, doc) -> None:

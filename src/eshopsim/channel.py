@@ -16,6 +16,7 @@ import numpy as np
 from eshopsim.scenario import SiteLayout, bearing_from_bs
 
 FC_GHZ = 28.0
+N_CELLS = 3  # a cell is its row index 0-2 in every (3, 12) array
 N_SSB = 12
 L3_FILTER_COEFF = 0.5  # settles within ~4 reports
 
@@ -58,7 +59,7 @@ class BeamGrid:
         self.cfg = cfg or BeamGridConfig()
         az_offsets = np.asarray(self.cfg.az_offsets_deg, dtype=float)
         tilts = np.asarray(self.cfg.el_tilts_deg, dtype=float)
-        # boresight tables (3, 12), indexed like layout.cell_ids
+        # boresight tables (3, 12), one row per cell
         boresights = np.asarray(layout.sector_boresights_deg, dtype=float)
         self._az = (boresights[:, None] + np.tile(az_offsets, len(tilts))) % 360.0
         self._el = np.tile(np.repeat(tilts, len(az_offsets)), (len(boresights), 1))
@@ -146,7 +147,7 @@ def shadow_step(prev_db, delta_d_m: float, params: ChannelParams, rng: np.random
 class ChannelState:
     """Per-UE stochastic channel: shadowing memory plus fading draws.
 
-    Draw order per sample is fixed: one shadowing innovation per cell (cell_ids
+    Draw order per sample is fixed: one shadowing innovation per cell (in row
     order), then the (3, 12) fast-fading block, keeping streams reproducible.
     """
 
@@ -170,7 +171,7 @@ class ChannelState:
         az, el, d3d = bearing_from_bs(self.layout, ue_pos)
         if self._shadow is None:
             # stationary initialization
-            self._shadow = p.shadow_sigma_db * self.rng.standard_normal(3)
+            self._shadow = p.shadow_sigma_db * self.rng.standard_normal(N_CELLS)
         else:
             delta_d = float(np.linalg.norm(np.asarray(ue_pos) - self._last_pos))
             self._shadow = shadow_step(self._shadow, delta_d, p, self.rng)
@@ -179,7 +180,7 @@ class ChannelState:
         pl = path_loss(d3d, los=p.los, ue_height_m=self.layout.ue_height_m)
         rsrp = p.tx_power_per_ssb_dbm + gains - pl - self._shadow[:, None]
         if p.fast_fading_enabled and p.fast_fading_sigma_db > 0.0:
-            rsrp = rsrp + p.fast_fading_sigma_db * self.rng.standard_normal((3, N_SSB))
+            rsrp = rsrp + p.fast_fading_sigma_db * self.rng.standard_normal((N_CELLS, N_SSB))
         return rsrp
 
 
@@ -208,12 +209,11 @@ class MeasurementReport:
     """40 ms snapshot of the 3 x 12 L3-filtered beam RSRP values."""
 
     t_ms: int
-    cell_ids: tuple[int, int, int]
-    rsrp_dbm: np.ndarray  # shape (3, 12)
+    rsrp_dbm: np.ndarray  # shape (3, 12), row = cell
 
     def __post_init__(self) -> None:
         self.rsrp_dbm = np.asarray(self.rsrp_dbm, dtype=float)
-        if self.rsrp_dbm.shape != (3, N_SSB):
+        if self.rsrp_dbm.shape != (N_CELLS, N_SSB):
             raise ValueError(f"report must carry (3, {N_SSB}) beam values")
         if not np.isfinite(self.rsrp_dbm).all():
             raise ValueError("report values must be finite")
@@ -221,8 +221,8 @@ class MeasurementReport:
             raise ValueError("reports land on the 40 ms grid")
 
 
-def make_report(t_ms: int, cell_ids: tuple[int, int, int], filt: L3FilterState) -> MeasurementReport:
+def make_report(t_ms: int, filt: L3FilterState) -> MeasurementReport:
     """Snapshot the current L3 filter state into a timestamped report."""
     if filt.value is None:
         raise ValueError("L3 filter state not initialized")
-    return MeasurementReport(t_ms=t_ms, cell_ids=tuple(cell_ids), rsrp_dbm=filt.value.copy())
+    return MeasurementReport(t_ms=t_ms, rsrp_dbm=filt.value.copy())

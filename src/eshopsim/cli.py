@@ -39,7 +39,7 @@ from eshopsim.dataset import (
     write_dataset,
 )
 from eshopsim.tcn import TrainingDiverged
-from eshopsim.events import EVENT_A3, EVENT_ABORT, EVENT_T0
+from eshopsim.events import EVENT_A3, EVENT_ABORT, EVENT_CMD, EVENT_T0
 from eshopsim.scenario import SiteLayout
 from eshopsim.seeds import derive_seed
 from eshopsim.simulate import (
@@ -135,9 +135,12 @@ def _read_log(cfg: ExperimentConfig, key: str, reader):
     if not os.path.exists(path):
         raise DataError(f"missing log file: {path} (run 'simulate' first)")
     try:
-        return reader(path)
-    except ValueError as exc:  # e.g. a log of an older schema
+        fields, data = reader(path)
+    except ValueError as exc:  # e.g. a log of an older schema or a malformed event
         raise DataError(f"unreadable log: {exc}") from exc
+    if fields.get("config_hash") != config_hash(cfg):
+        raise DataError(f"{path} was written under a different configuration")
+    return data
 
 
 def _read_dataset(cfg: ExperimentConfig) -> DatasetBundle:
@@ -155,8 +158,10 @@ def _load_model(cfg: ExperimentConfig) -> tcn.ModelParams:
         params, header = tcn.load_model(path)
     except ValueError as exc:  # e.g. a truncated file
         raise DataError(f"unreadable model file {path}: {exc}") from exc
-    stored = header.get("extra", {}).get("config_hash")
-    if stored is not None and stored != config_hash(cfg):
+    extra = header.get("extra")
+    if not isinstance(extra, dict) or "config_hash" not in extra:
+        raise DataError(f"model header of {path} names no configuration")
+    if extra["config_hash"] != config_hash(cfg):
         raise DataError("model was trained under a different configuration")
     return params
 
@@ -185,17 +190,17 @@ def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
     digest = config_hash(cfg)
     write_report_log(paths["reports"], runs, digest, cfg.master_seed)
     write_event_log(paths["events"], runs, digest, cfg.master_seed)
-    counts = {EVENT_T0: 0, EVENT_A3: 0, EVENT_ABORT: 0, "CMD": 0}
+    counts = {EVENT_T0: 0, EVENT_A3: 0, EVENT_ABORT: 0, EVENT_CMD: 0}
     for run in runs:
         for ev in run.events:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
+            counts[ev.kind] += 1
     payload = {
         "num_ues": len(runs),
         "reports_per_ue": int(runs[0].times_ms.size) if runs else 0,
         "t0_count": counts[EVENT_T0],
         "a3_count": counts[EVENT_A3],
         "abort_count": counts[EVENT_ABORT],
-        "cmd_count": counts["CMD"],
+        "cmd_count": counts[EVENT_CMD],
     }
     _update_summary(cfg.output_dir, cfg, "simulate", payload)
     _record_timing(cfg.output_dir, "simulate", time.perf_counter() - t_start)
@@ -337,7 +342,6 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     if not oracle:
         params = _load_model(cfg)
     meta = bundle.meta
-    cell_index = {c: i for i, c in enumerate(meta.cell_ids)}
     traces = {  # every report of a UE sits in one split
         ue: (table, rows)
         for table in bundle.splits.values()
@@ -369,7 +373,7 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
                 ep, times, preds, d_prep, cfg.signaling, window_start_ms=prev_cmd
             )
             prev_cmd = float(ep.command_ms)
-            serving_trace = rsrp[:, cell_index[ep.serving_cell]]
+            serving_trace = rsrp[:, ep.serving_cell]
             if max(legacy_cmd, early.command_ms) > times[-1]:
                 skipped_gap += 1
                 continue

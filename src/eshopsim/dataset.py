@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from eshopsim.artifacts import file_sha256, read_json, write_json
-from eshopsim.channel import N_SSB
+from eshopsim.channel import N_CELLS, N_SSB
 from eshopsim.events import HoEventRecord
 
-DATASET_SCHEMA = "dataset/2"
+DATASET_SCHEMA = "dataset/3"
 
 REASON_KEPT = 0
 REASON_ABORTED_TARGET = 1
@@ -34,7 +34,6 @@ REASON_NAMES = {
     REASON_OVER_HORIZON: "over_horizon",
 }
 
-N_CELLS = 3
 FEATURES_PER_CELL = 1 + N_SSB  # standardized best RSRP + one-hot beam id
 N_FEATURES = N_CELLS * FEATURES_PER_CELL  # 39
 
@@ -220,7 +219,6 @@ class DatasetMeta:
     master_seed: int = 0
     horizon_s: float = 8.0
     window_len: int = 64
-    cell_ids: tuple[int, ...] = (0, 1, 2)
     rsrp_mean: tuple[float, ...] = ()
     rsrp_std: tuple[float, ...] = ()
     exclusion_counts: dict[str, int] = field(default_factory=dict)
@@ -273,8 +271,8 @@ def build_dataset(
 ) -> DatasetBundle:
     """Assemble the labeled dataset from per-UE report series and episodes.
 
-    ``per_ue`` maps ue_id -> dict with times_ms, l3_rsrp (N, 3, 12), episodes,
-    cell_ids. Normalization statistics come from the kept train rows only.
+    ``per_ue`` maps ue_id -> dict with times_ms, l3_rsrp (N, 3, 12) and
+    episodes. Normalization statistics come from the kept train rows only.
     """
     if not per_ue:
         raise DataError("no UE runs to build a dataset from")
@@ -321,7 +319,6 @@ def build_dataset(
         master_seed=master_seed,
         horizon_s=cfg.horizon_s,
         window_len=cfg.window_len,
-        cell_ids=tuple(per_ue[ue_ids[0]]["cell_ids"]),
         rsrp_mean=tuple(float(x) for x in mean),
         rsrp_std=tuple(float(x) for x in std),
         exclusion_counts={k: v for k, v in counts.items() if k != "kept"},

@@ -6,15 +6,21 @@ comparison target at every report is the strongest neighbor; the armed
 candidate must stay the strongest neighbor and keep satisfying the entry
 condition at every 40 ms report instant from T0 through T0+TTT, otherwise the
 episode aborts (a candidate switch aborts and immediately re-arms).
+
+The engine emits events only; ``episodes_from_events`` is the one grammar
+that turns a UE's events, in memory or read back from the log, into episodes.
+A cell is its row index 0-2.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from eshopsim.channel import MeasurementReport
+from eshopsim.channel import N_CELLS, MeasurementReport
 from eshopsim.scenario import REPORT_PERIOD_MS
 
 EVENT_T0 = "T0"
@@ -36,13 +42,6 @@ class HcpConfig:
             raise ValueError("TTT must be a positive multiple of the 40 ms report period")
         if self.hysteresis_db not in (0.0, 1.0):
             raise ValueError("hysteresis is configured as 0 or 1 dB")
-
-
-@dataclass
-class TttState:
-    armed: bool = False
-    armed_since_ms: int | None = None  # T0 candidate timestamp
-    candidate_target_cell: int | None = None
 
 
 @dataclass
@@ -75,16 +74,14 @@ def a3_entry(mn_dbm: float, mp_dbm: float, hcp: HcpConfig) -> bool:
 class A3EventEngine:
     """Per-UE measurement-event state machine fed by 40 ms reports."""
 
-    def __init__(self, ue_id: str, cell_ids: tuple[int, int, int], hcp: HcpConfig, serving_cell: int):
-        if serving_cell not in cell_ids:
+    def __init__(self, ue_id: str, hcp: HcpConfig, serving_cell: int):
+        if serving_cell not in range(N_CELLS):
             raise ValueError("serving cell not in layout")
         self.ue_id = ue_id
-        self.cell_ids = tuple(cell_ids)
         self.hcp = hcp
         self.serving_cell = serving_cell
-        self.ttt = TttState()
-        self.pending: HoEventRecord | None = None  # A3 reported, command not yet applied
-        self.episodes: list[HoEventRecord] = []
+        self.armed: HoEvent | None = None  # the T0 whose TTT runs, and its candidate
+        self.pending: HoEvent | None = None  # the A3 that waits for its command
         self._last_t_ms: int | None = None
 
     def step(self, report: MeasurementReport) -> list[HoEvent]:
@@ -95,72 +92,76 @@ class A3EventEngine:
         self._last_t_ms = t
 
         best = report.rsrp_dbm.max(axis=1)  # per-cell best beam
-        s_idx = self.cell_ids.index(self.serving_cell)
-        serving_val = float(best[s_idx])
-        nb_idx = [i for i in range(len(self.cell_ids)) if i != s_idx]
-        nb_vals = best[nb_idx]
-        strongest = nb_idx[int(np.argmax(nb_vals))]
-        n_star = self.cell_ids[strongest]
-        mn = float(best[strongest])
-        entry = a3_entry(mn, serving_val, self.hcp)
+        s = self.serving_cell
+        nb = [c for c in range(N_CELLS) if c != s]
+        n_star = nb[int(np.argmax(best[nb]))]
+        entry = a3_entry(float(best[n_star]), float(best[s]), self.hcp)
 
-        events: list[HoEvent] = []
         if self.pending is not None:
             # A3 already reported; no arming until the command is applied
-            return events
-
-        if not self.ttt.armed:
-            if entry:
-                self._arm(t, n_star, events)
-            return events
-
-        cand = self.ttt.candidate_target_cell
-        if entry and n_star == cand:
-            if t >= self.ttt.armed_since_ms + self.hcp.ttt_ms:
-                t0 = self.ttt.armed_since_ms
-                record = HoEventRecord(
-                    ue_id=self.ue_id,
-                    serving_cell=self.serving_cell,
-                    target_cell=cand,
-                    t0_ms=t0,
-                    a3_ms=t0 + self.hcp.ttt_ms,
-                )
-                self.episodes.append(record)
-                self.pending = record
-                self.ttt = TttState()
-                events.append(
-                    HoEvent(self.ue_id, EVENT_A3, record.a3_ms, self.serving_cell, cand)
-                )
-            return events
-
-        # condition lost or the strongest neighbor changed: abort
-        record = HoEventRecord(
-            ue_id=self.ue_id,
-            serving_cell=self.serving_cell,
-            target_cell=cand,
-            t0_ms=self.ttt.armed_since_ms,
-            aborted=True,
-        )
-        self.episodes.append(record)
-        self.ttt = TttState()
-        events.append(HoEvent(self.ue_id, EVENT_ABORT, t, self.serving_cell, cand))
+            return []
+        events: list[HoEvent] = []
+        t0 = self.armed
+        if t0 is not None:
+            if entry and n_star == t0.target:
+                if t >= t0.t_ms + self.hcp.ttt_ms:
+                    self.armed = None
+                    a3_ms = t0.t_ms + self.hcp.ttt_ms
+                    self.pending = HoEvent(self.ue_id, EVENT_A3, a3_ms, s, n_star)
+                    events.append(self.pending)
+                return events
+            # condition lost or the strongest neighbor changed: abort
+            self.armed = None
+            events.append(HoEvent(self.ue_id, EVENT_ABORT, t, s, t0.target))
         if entry:
-            # candidate switch: re-arm on the new strongest neighbor
-            self._arm(t, n_star, events)
+            # (re-)arm on the strongest neighbor
+            self.armed = HoEvent(self.ue_id, EVENT_T0, t, s, n_star)
+            events.append(self.armed)
         return events
 
-    def _arm(self, t: int, target: int, events: list[HoEvent]) -> None:
-        self.ttt = TttState(armed=True, armed_since_ms=t, candidate_target_cell=target)
-        events.append(HoEvent(self.ue_id, EVENT_T0, t, self.serving_cell, target))
-
-    def apply_handover(self, record: HoEventRecord) -> HoEvent:
-        """Switch serving to the target at command time; returns the CMD event."""
-        if record.a3_ms is None or record.aborted:
-            raise ValueError("cannot execute an aborted episode")
-        if record.command_ms is None or record.command_ms < record.a3_ms:
+    def apply_handover(self, command_ms: float) -> HoEvent:
+        """Switch serving to the waiting A3's target at command time; returns the CMD event."""
+        a3 = self.pending
+        if a3 is None:
+            raise ValueError("no A3 report waits for a command")
+        if command_ms < a3.t_ms:
             raise ValueError("command cannot precede the A3 report")
-        old = self.serving_cell
-        self.serving_cell = record.target_cell
-        self.ttt = TttState()
+        self.serving_cell = a3.target
         self.pending = None
-        return HoEvent(self.ue_id, EVENT_CMD, record.command_ms, old, record.target_cell)
+        return HoEvent(self.ue_id, EVENT_CMD, command_ms, a3.serving, a3.target)
+
+
+def episodes_from_events(events: Iterable[HoEvent]) -> list[HoEventRecord]:
+    """The event grammar, applied to one UE's events in time order: a T0 opens
+    an episode, the next A3 or ABORT closes it, and a CMD commands the A3
+    that waits for it; no T0 comes while a T0 is armed or an A3 waits. When
+    the events end, an armed T0 is dropped and a waiting A3 keeps no command.
+    Anything else (a cell outside 0-2, serving equal to target, time going
+    back, an unknown kind or an event out of turn) raises ValueError."""
+    episodes: list[HoEventRecord] = []
+    armed: HoEventRecord | None = None  # the open T0
+    waiting: HoEventRecord | None = None  # the A3 without its command
+    last_t = -math.inf
+    cells = range(N_CELLS)
+    for ev in events:
+        if not ev.t_ms >= last_t:
+            raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms goes back in time")
+        last_t = ev.t_ms
+        if ev.serving not in cells or ev.target not in cells or ev.serving == ev.target:
+            raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms names serving {ev.serving} "
+                             f"and target {ev.target}, not two cells of 0-{N_CELLS - 1}")
+        if ev.kind == EVENT_T0 and armed is None and waiting is None:
+            armed = HoEventRecord(ev.ue_id, ev.serving, ev.target, int(ev.t_ms))
+        elif ev.kind in (EVENT_A3, EVENT_ABORT) and armed is not None:
+            if ev.kind == EVENT_A3:
+                armed.a3_ms, waiting = int(ev.t_ms), armed
+            else:
+                armed.aborted = True
+            episodes.append(armed)
+            armed = None
+        elif ev.kind == EVENT_CMD and waiting is not None:
+            waiting.command_ms = float(ev.t_ms)
+            waiting = None
+        else:
+            raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms is out of turn or unknown")
+    return episodes

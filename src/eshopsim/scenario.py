@@ -26,12 +26,9 @@ class SiteLayout:
     bs_position: tuple[float, float, float] = (0.0, 0.0, BS_HEIGHT_M)
     bs_height_m: float = BS_HEIGHT_M
     ue_height_m: float = UE_HEIGHT_M
-    sector_boresights_deg: tuple[float, float, float] = SECTOR_BORESIGHTS_DEG
-    cell_ids: tuple[int, int, int] = (0, 1, 2)
+    sector_boresights_deg: tuple[float, float, float] = SECTOR_BORESIGHTS_DEG  # cells 0-2
 
     def __post_init__(self) -> None:
-        if len(self.cell_ids) != 3 or len(set(self.cell_ids)) != 3:
-            raise ValueError("layout must define exactly 3 distinct cells")
         if len(self.sector_boresights_deg) != 3:
             raise ValueError("layout must define exactly 3 sector boresights")
         if not (self.bs_height_m > self.ue_height_m > 0.0):
@@ -58,16 +55,6 @@ class UeTrajectory:
     start_angle_rad: float
     direction: int  # +1 counter-clockwise, -1 clockwise
     duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.speed_mps <= 0.0:
-            raise ValueError("speed must be positive")
-        if self.direction not in (1, -1):
-            raise ValueError("direction must be +1 or -1")
-        if self.duration_s <= 0.0:
-            raise ValueError("duration must be positive")
 
     @property
     def duration_ms(self) -> float:
@@ -107,10 +94,6 @@ def spawn_trajectory(
     Draw order (fixed for reproducibility): radius, start angle, direction,
     speed index.
     """
-    if scenario.duration_s <= 0.0:
-        raise ValueError("duration must be positive")
-    if len(scenario.speeds_mps) == 0:
-        raise ValueError("speed set must be non-empty")
     rng = np.random.Generator(np.random.PCG64(seed))
     radius = float(rng.uniform(scenario.radius_min_m, scenario.radius_max_m))
     start_angle = float(rng.uniform(0.0, 2.0 * math.pi))

@@ -20,10 +20,18 @@ from eshopsim.channel import (
     ChannelParams,
     ChannelState,
     L3FilterState,
+    N_CELLS,
     N_SSB,
     make_report,
 )
-from eshopsim.events import A3EventEngine, HcpConfig, HoEvent, HoEventRecord
+from eshopsim.events import (
+    EVENT_A3,
+    A3EventEngine,
+    HcpConfig,
+    HoEvent,
+    HoEventRecord,
+    episodes_from_events,
+)
 from eshopsim.scenario import (
     REPORT_PERIOD_MS,
     ScenarioConfig,
@@ -45,8 +53,6 @@ class UeRun:
     times_ms: np.ndarray  # (N,) report instants
     l3_rsrp: np.ndarray  # (N, 3, 12) filtered beam values
     events: list[HoEvent]
-    episodes: list[HoEventRecord]
-    cell_ids: tuple[int, int, int]
 
 
 def run_ue(
@@ -71,6 +77,7 @@ def run_ue(
     chan = ChannelState(layout, grid, channel_cfg, chan_rng)
     filt = L3FilterState()
     engine: A3EventEngine | None = None
+    command_ms: float | None = None  # drawn command time of the A3 that waits
 
     times: list[int] = []
     l3_frames: list[np.ndarray] = []
@@ -81,19 +88,16 @@ def run_ue(
         pos = position_at(traj, t, ue_height_m=layout.ue_height_m)
         raw = chan.sample(pos)
         l3 = filt.update(raw)
-        report = make_report(t, layout.cell_ids, filt)
+        report = make_report(t, filt)
         if engine is None:
-            serving0 = layout.cell_ids[int(np.argmax(l3.max(axis=1)))]
-            engine = A3EventEngine(ue_id, layout.cell_ids, hcp, serving0)
-        if engine.pending is not None and engine.pending.command_ms <= t:
-            events.append(engine.apply_handover(engine.pending))
+            engine = A3EventEngine(ue_id, hcp, int(np.argmax(l3.max(axis=1))))
+        if command_ms is not None and command_ms <= t:
+            events.append(engine.apply_handover(command_ms))
+            command_ms = None
         new_events = engine.step(report)
         for ev in new_events:
-            if ev.kind == "A3":
-                rec = engine.episodes[-1]
-                rec.command_ms = rec.a3_ms + float(
-                    prep_rng.uniform(d_prep_min_ms, d_prep_max_ms)
-                )
+            if ev.kind == EVENT_A3:
+                command_ms = ev.t_ms + float(prep_rng.uniform(d_prep_min_ms, d_prep_max_ms))
         events.extend(new_events)
         times.append(t)
         l3_frames.append(l3)
@@ -103,8 +107,6 @@ def run_ue(
         times_ms=np.asarray(times, dtype=np.int64),
         l3_rsrp=np.stack(l3_frames),
         events=events,
-        episodes=engine.episodes if engine is not None else [],
-        cell_ids=layout.cell_ids,
     )
 
 
@@ -141,8 +143,7 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _report_columns(cell_ids) -> list[str]:
-    return ["t_ms", "ue_id"] + [f"c{c}b{b}" for c in cell_ids for b in range(N_SSB)]
+_REPORT_COLUMNS = ["t_ms", "ue_id"] + [f"c{c}b{b}" for c in range(N_CELLS) for b in range(N_SSB)]
 
 
 def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int) -> None:
@@ -152,33 +153,32 @@ def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int
         for run in runs
         for t, frame in zip(run.times_ms, run.l3_rsrp)
     )
-    columns = _report_columns(runs[0].cell_ids if runs else ())
     write_table(
-        path, REPORT_LOG_SCHEMA, columns, rows, config_hash=config_hash, master_seed=master_seed
+        path, REPORT_LOG_SCHEMA, _REPORT_COLUMNS, rows,
+        config_hash=config_hash, master_seed=master_seed,
     )
 
 
-def read_report_log(path) -> dict[str, dict]:
-    """Returns per-UE dict: times (N,), l3_rsrp (N, 3, 12), cell_ids tuple."""
+def read_report_log(path) -> tuple[dict[str, str], dict[str, dict]]:
+    """The header fields, and per UE: times (N,), strictly increasing, and
+    l3_rsrp (N, 3, 12)."""
     acc: dict[str, tuple[array, array]] = {}
-    with read_table(path, REPORT_LOG_SCHEMA) as (header, reader):
-        cell_ids = tuple(int(name[1:].split("b")[0]) for name in header[2::N_SSB])
-        if header != _report_columns(cell_ids):
+    with read_table(path, REPORT_LOG_SCHEMA) as (fields, columns, reader):
+        if columns != _REPORT_COLUMNS:
             raise ValueError("unexpected report log header")
         for row in reader:
-            if len(row) != len(header):
+            if len(row) != len(columns):
                 raise ValueError("malformed report log row")
             times, vals = acc.setdefault(row[1], (array("q"), array("d")))
             times.append(int(row[0]))
             vals.extend(map(float, row[2:]))  # a flat buffer holds no float objects
-    return {
-        ue: {
-            "times_ms": np.array(times, dtype=np.int64),
-            "l3_rsrp": np.array(vals).reshape(len(times), len(cell_ids), N_SSB),
-            "cell_ids": cell_ids,
-        }
-        for ue, (times, vals) in acc.items()
-    }
+    per_ue = {}
+    for ue, (times, vals) in acc.items():
+        t = np.array(times, dtype=np.int64)
+        if np.any(np.diff(t) <= 0):
+            raise ValueError(f"{ue}: report times must strictly increase")
+        per_ue[ue] = {"times_ms": t, "l3_rsrp": np.array(vals).reshape(len(t), N_CELLS, N_SSB)}
+    return fields, per_ue
 
 
 _EVENT_COLUMNS = ["ue_id", "kind", "t_ms", "serving", "target"]
@@ -202,35 +202,14 @@ def write_event_log(path, runs: list[UeRun], config_hash: str, master_seed: int)
     )
 
 
-def read_event_log(path) -> dict[str, list[HoEventRecord]]:
-    """Per-UE handover episodes reconstructed from the event log."""
-    out: dict[str, list[HoEventRecord]] = {}
-    open_recs: dict[str, HoEventRecord] = {}  # the T0 each UE's next A3/ABORT closes
-    with read_table(path, EVENT_LOG_SCHEMA) as (header, reader):
-        if header != _EVENT_COLUMNS:
+def read_event_log(path) -> tuple[dict[str, str], dict[str, list[HoEventRecord]]]:
+    """The header fields, and per UE the episodes of its logged events."""
+    events: dict[str, list[HoEvent]] = {}
+    with read_table(path, EVENT_LOG_SCHEMA) as (fields, columns, reader):
+        if columns != _EVENT_COLUMNS:
             raise ValueError("unexpected event log header")
-        for ue, kind, t_s, serving_s, target_s in reader:
-            t_ms, serving, target = float(t_s), int(serving_s), int(target_s)
-            episodes = out.setdefault(ue, [])
-            if kind == "T0":
-                open_recs[ue] = HoEventRecord(
-                    ue_id=ue, serving_cell=serving, target_cell=target, t0_ms=int(t_ms)
-                )
-            elif kind in ("A3", "ABORT"):
-                rec = open_recs.pop(ue, None)
-                if rec is None:
-                    raise ValueError(f"{ue}: {kind} at {t_ms} ms without an open T0")
-                if kind == "A3":
-                    rec.a3_ms = int(t_ms)
-                else:
-                    rec.aborted = True
-                episodes.append(rec)
-            elif kind == "CMD":
-                # command for the most recent non-aborted episode
-                for rec in reversed(episodes):
-                    if not rec.aborted and rec.command_ms is None:
-                        rec.command_ms = t_ms
-                        break
-            else:
-                raise ValueError(f"{ue}: unknown event kind {kind!r}")
-    return out
+        for ue, kind, t_ms, serving, target in reader:
+            events.setdefault(ue, []).append(
+                HoEvent(ue, kind, float(t_ms), int(serving), int(target))
+            )
+    return fields, {ue: episodes_from_events(evs) for ue, evs in events.items()}

@@ -191,27 +191,27 @@ def scan_events(
 def drive_engine(
     times: np.ndarray,
     best: np.ndarray,
-    cell_ids: tuple[int, ...],
     hcp: HcpConfig,
     serving0: int,
     d_preps: list[float],
 ):
-    """Feed the production engine the same trace; returns comparable tuples."""
-    engine = A3EventEngine("ue", cell_ids, hcp, serving0)
+    """Feed the production engine the same trace; returns comparable tuples
+    and the engine's events."""
+    engine = A3EventEngine("ue", hcp, serving0)
     prep_iter = iter(d_preps)
-    out = []
+    command_ms = None
+    events = []
     for i, t in enumerate(times):
-        if engine.pending is not None and engine.pending.command_ms <= t:
-            ev = engine.apply_handover(engine.pending)
-            out.append((ev.kind, ev.t_ms, ev.serving, ev.target))
+        if command_ms is not None and command_ms <= t:
+            events.append(engine.apply_handover(command_ms))
+            command_ms = None
         frame = np.full((3, N_SSB), -160.0)
         frame[:, 0] = best[i]
-        report = MeasurementReport(int(t), cell_ids, frame)
-        for ev in engine.step(report):
+        for ev in engine.step(MeasurementReport(int(t), frame)):
             if ev.kind == "A3":
-                engine.episodes[-1].command_ms = engine.episodes[-1].a3_ms + next(prep_iter)
-            out.append((ev.kind, ev.t_ms, ev.serving, ev.target))
-    return out, engine
+                command_ms = ev.t_ms + next(prep_iter)
+            events.append(ev)
+    return [(ev.kind, ev.t_ms, ev.serving, ev.target) for ev in events], events
 
 
 def random_trace(rng: np.random.Generator, n_reports: int = 500):

@@ -183,28 +183,28 @@ def test_l3_filter_stays_within_observed_range(samples):
     assert min(samples) - 1e-9 <= float(out) <= max(samples) + 1e-9
 
 
-def test_make_report_snapshot(layout):
+def test_make_report_snapshot():
     f = L3FilterState()
     vals = np.arange(36.0).reshape(3, 12) - 100.0
     f.update(vals)
-    report = make_report(40, layout.cell_ids, f)
+    report = make_report(40, f)
     assert report.rsrp_dbm.shape == (3, N_SSB)
     assert np.array_equal(report.rsrp_dbm, f.value)
     report.rsrp_dbm[0, 0] = 0.0  # snapshot must be a copy
     assert f.value[0, 0] == -100.0
 
 
-def test_make_report_validation(layout):
+def test_make_report_validation():
     with pytest.raises(ValueError):
-        make_report(40, layout.cell_ids, L3FilterState())
+        make_report(40, L3FilterState())
     f = L3FilterState()
     f.update(np.zeros((3, 12)))
     with pytest.raises(ValueError):
-        make_report(30, layout.cell_ids, f)
+        make_report(30, f)
     with pytest.raises(ValueError):
-        MeasurementReport(40, layout.cell_ids, np.zeros((3, 5)))
+        MeasurementReport(40, np.zeros((3, 5)))
     with pytest.raises(ValueError):
-        MeasurementReport(40, layout.cell_ids, np.full((3, 12), np.nan))
+        MeasurementReport(40, np.full((3, 12), np.nan))
 
 
 def test_rsrp_periodic_along_circle(layout):

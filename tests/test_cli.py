@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -140,7 +141,9 @@ def test_main_exit_codes(tmp_path):
     # or not a JSON object
     header, with_header = _model_headers(good_model)
     lacking = [{k: v for k, v in header.items() if k != key} for key in ("param_count", "config")]
-    for broken in (*lacking, []):
+    # or whose extra is not an object, or names no configuration
+    unbound = {k: v for k, v in header["extra"].items() if k != "config_hash"}
+    for broken in (*lacking, [], {**header, "extra": []}, {**header, "extra": unbound}):
         model.write_bytes(with_header(broken))
         for command in ("eval", "eshop"):
             assert cli.main([command, "--config", str(cfgfile)]) == 3
@@ -157,18 +160,97 @@ def test_main_exit_codes(tmp_path):
         assert cli.main(["report", str(out), "--out-file", str(report)]) == 3
         assert artifact_bytes(out) == before and not report.exists()
     summary.write_text(good_summary)
-    # half a dataset meta.json, and one without a field
+    # half a dataset meta.json, one without a field, and one of the older
+    # schema that still lists the cell ids
     meta = out / "dataset" / "meta.json"
     good_meta = meta.read_text()
     doc = json.loads(good_meta)
+    older = {**doc, "schema_version": "dataset/2", "cell_ids": [0, 1, 2]}
     del doc["rsrp_std"]
-    for text in (good_meta[: len(good_meta) // 2], json.dumps(doc)):
+    for text in (good_meta[: len(good_meta) // 2], json.dumps(doc), json.dumps(older)):
         meta.write_text(text)
         for command in ("train", "eshop"):
             assert cli.main([command, "--config", str(cfgfile)]) == 3
     # --parallel is a simulate option only
     with pytest.raises(SystemExit):
         cli.main(["train", "--config", str(cfgfile), "--parallel", "2"])
+
+
+def _data_row(lines, kind):
+    """Index of the first data row of an event kind."""
+    return next(i for i, line in enumerate(lines) if i > 1 and line.split(",")[1] == kind)
+
+
+def _with_cells(cells):
+    """Corruption: the T0 of the first A3 episode gets ``cells(serving, target)``."""
+
+    def corrupt(lines):
+        i = _data_row(lines, "A3") - 1
+        *head, serving, target = lines[i].split(",")
+        lines[i] = ",".join([*head, *cells(serving, target)])
+
+    return corrupt
+
+
+def _move_first_abort_to_end(lines):
+    """Moves a UE's first T0/ABORT pair after that UE's last event."""
+    i = _data_row(lines, "ABORT")
+    ue = lines[i].split(",")[0]
+    pair = lines[i - 1 : i + 1]
+    del lines[i - 1 : i + 1]
+    last = max(j for j, line in enumerate(lines) if line.startswith(ue + ","))
+    lines[last + 1 : last + 1] = pair
+
+
+def _duplicate(lines, i):
+    lines.insert(i, lines[i])
+
+
+def _foreign_hash(lines):
+    lines[0] = re.sub(r"config_hash=\w+", "config_hash=0123456789abcdef", lines[0])
+
+
+# (log file, corruption of its lines): each must exit 3 before anything is written
+_CORRUPT_LOGS = {
+    "cell_out_of_range": ("events.csv", _with_cells(lambda s, t: ("7", t))),
+    "serving_is_target": ("events.csv", _with_cells(lambda s, t: (s, s))),
+    "events_back_in_time": ("events.csv", _move_first_abort_to_end),
+    "cmd_without_a3": ("events.csv", lambda ls: _duplicate(ls, _data_row(ls, "CMD"))),
+    "t0_while_open": ("events.csv", lambda ls: _duplicate(ls, _data_row(ls, "T0"))),
+    "t0_while_a3_waits": ("events.csv", lambda ls: ls.pop(_data_row(ls, "CMD"))),
+    "events_foreign_hash": ("events.csv", _foreign_hash),
+    "reports_swapped": ("reports.csv", lambda ls: ls.insert(2, ls.pop(3))),
+    "reports_duplicated": ("reports.csv", lambda ls: _duplicate(ls, 3)),
+    "reports_foreign_hash": ("reports.csv", _foreign_hash),
+}
+
+
+@pytest.fixture(scope="module")
+def built_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("built") / "run"
+    cfg = tiny_config(out)
+    cli.cmd_simulate(cfg)
+    cli.cmd_build_dataset(cfg, quiet=True)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPT_LOGS))
+def test_corrupt_logs_exit_3(tmp_path, built_run, case):
+    out = tmp_path / "run"
+    shutil.copytree(built_run, out)
+    name, corrupt = _CORRUPT_LOGS[case]
+    lines = (out / name).read_text().splitlines()
+    corrupt(lines)
+    (out / name).write_text("\n".join(lines) + "\n")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(tiny_config(out).to_dict()))
+    commands = [["build-dataset"]]
+    if name == "events.csv":  # eshop reads the event log, not the report log
+        commands.append(["eshop", "--oracle"])
+    before = artifact_bytes(out)
+    for command in commands:
+        assert cli.main([*command, "--config", str(cfgfile)]) == 3, command
+        assert artifact_bytes(out) == before
 
 
 def test_eval_survives_truncated_timings(tmp_path):

@@ -21,7 +21,7 @@ from eshopsim.dataset import (
     write_dataset,
     N_FEATURES,
 )
-from eshopsim.events import HcpConfig, HoEventRecord
+from eshopsim.events import HcpConfig, HoEventRecord, episodes_from_events
 from eshopsim.scenario import ScenarioConfig, SiteLayout
 from eshopsim.simulate import run_scenario
 from oracles import label_scan, random_episode_set, windowize
@@ -185,8 +185,7 @@ def _pipeline_bundle(tmp_path, num_ues=6, seed=13):
         r.ue_id: {
             "times_ms": r.times_ms,
             "l3_rsrp": r.l3_rsrp,
-            "episodes": r.episodes,
-            "cell_ids": r.cell_ids,
+            "episodes": episodes_from_events(r.events),
         }
         for r in runs
     }

@@ -5,8 +5,8 @@ from eshopsim.channel import MeasurementReport, N_SSB
 from eshopsim.events import (
     A3EventEngine,
     HcpConfig,
-    HoEventRecord,
     a3_entry,
+    episodes_from_events,
 )
 from oracles import drive_engine, random_trace, scan_events
 
@@ -16,7 +16,7 @@ CELLS = (0, 1, 2)
 def _report(t, best):
     frame = np.full((3, N_SSB), -160.0)
     frame[:, 0] = best
-    return MeasurementReport(t, CELLS, frame)
+    return MeasurementReport(t, frame)
 
 
 def test_a3_entry_examples():
@@ -38,45 +38,43 @@ def test_hcp_validation():
 
 
 def test_step_t0_then_a3():
-    engine = A3EventEngine("ue", CELLS, HcpConfig(), serving_cell=0)
-    evs = engine.step(_report(1000, [-84.0, -80.0, -95.0]))
-    assert [(e.kind, e.t_ms) for e in evs] == [("T0", 1000)]
+    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    t0 = engine.step(_report(1000, [-84.0, -80.0, -95.0]))
+    assert [(e.kind, e.t_ms) for e in t0] == [("T0", 1000)]
     evs = engine.step(_report(1040, [-84.0, -80.0, -95.0]))
     assert [(e.kind, e.t_ms) for e in evs] == [("A3", 1040)]
-    rec = engine.episodes[-1]
+    rec = episodes_from_events(t0 + evs)[-1]
     assert rec.a3_ms - rec.t0_ms == 40 and not rec.aborted
 
 
 def test_step_abort_when_condition_lost():
-    engine = A3EventEngine("ue", CELLS, HcpConfig(), serving_cell=0)
-    engine.step(_report(1000, [-84.0, -80.0, -95.0]))
+    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    t0 = engine.step(_report(1000, [-84.0, -80.0, -95.0]))
     evs = engine.step(_report(1040, [-84.0, -83.9, -95.0]))
     assert [(e.kind, e.t_ms) for e in evs] == [("ABORT", 1040)]
-    assert engine.episodes[-1].aborted
+    assert episodes_from_events(t0 + evs)[-1].aborted
     assert all(e.kind != "A3" for e in evs)
 
 
 def test_step_candidate_switch_aborts_and_rearms():
-    engine = A3EventEngine("ue", CELLS, HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
     engine.step(_report(1000, [-84.0, -80.0, -95.0]))
     evs = engine.step(_report(1040, [-84.0, -80.0, -75.0]))
     assert [(e.kind, e.target) for e in evs] == [("ABORT", 1), ("T0", 2)]
 
 
 def test_step_rejects_out_of_order():
-    engine = A3EventEngine("ue", CELLS, HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
     engine.step(_report(1000, [-84.0, -90.0, -95.0]))
     with pytest.raises(ValueError):
         engine.step(_report(1000, [-84.0, -90.0, -95.0]))
 
 
 def test_apply_handover_switches_roles():
-    engine = A3EventEngine("ue", CELLS, HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
     engine.step(_report(0, [-84.0, -80.0, -95.0]))
     engine.step(_report(40, [-84.0, -80.0, -95.0]))
-    rec = engine.episodes[-1]
-    rec.command_ms = rec.a3_ms + 20.0
-    ev = engine.apply_handover(rec)
+    ev = engine.apply_handover(engine.pending.t_ms + 20.0)
     assert ev.kind == "CMD" and ev.serving == 0 and ev.target == 1
     assert engine.serving_cell == 1
     # old serving is now a neighbor and must not instantly re-trigger
@@ -85,17 +83,19 @@ def test_apply_handover_switches_roles():
 
 
 def test_apply_handover_rejects_bad_records():
-    engine = A3EventEngine("ue", CELLS, HcpConfig(), serving_cell=0)
-    aborted = HoEventRecord("ue", 0, 1, 1000, aborted=True)
+    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    engine.step(_report(1000, [-84.0, -80.0, -95.0]))
+    engine.step(_report(1040, [-84.0, -83.9, -95.0]))  # aborted: no A3 waits
     with pytest.raises(ValueError):
-        engine.apply_handover(aborted)
-    rec = HoEventRecord("ue", 0, 1, 1000, a3_ms=1040, command_ms=1030.0)
+        engine.apply_handover(1060.0)
+    engine.step(_report(1080, [-84.0, -80.0, -95.0]))
+    engine.step(_report(1120, [-84.0, -80.0, -95.0]))  # A3 at 1120
     with pytest.raises(ValueError):
-        engine.apply_handover(rec)
+        engine.apply_handover(1110.0)
 
 
 def test_no_second_t0_while_command_pending():
-    engine = A3EventEngine("ue", CELLS, HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
     engine.step(_report(0, [-84.0, -80.0, -95.0]))
     engine.step(_report(40, [-84.0, -80.0, -95.0]))
     assert engine.pending is not None
@@ -105,7 +105,7 @@ def test_no_second_t0_while_command_pending():
 
 def test_ttt_longer_than_one_report():
     hcp = HcpConfig(ttt_ms=120)
-    engine = A3EventEngine("ue", CELLS, hcp, serving_cell=0)
+    engine = A3EventEngine("ue", hcp, serving_cell=0)
     best = [-84.0, -80.0, -95.0]
     out = []
     for i in range(5):
@@ -116,7 +116,7 @@ def test_ttt_longer_than_one_report():
 def test_hysteresis_delays_t0_on_a_ramp():
     # neighbor ramps up 0.5 dB per report through the margin
     def first_t0(hys):
-        engine = A3EventEngine("ue", CELLS, HcpConfig(hysteresis_db=hys), serving_cell=0)
+        engine = A3EventEngine("ue", HcpConfig(hysteresis_db=hys), serving_cell=0)
         for i in range(40):
             mn = -90.0 + 0.5 * i
             evs = engine.step(_report(i * 40, [-84.0, mn, -120.0]))
@@ -138,7 +138,7 @@ def test_engine_matches_reference_scanner():
         )
         serving0 = CELLS[int(np.argmax(best[0]))]
         d_preps = list(rng.uniform(15.0, 35.0, size=64))
-        got, _engine = drive_engine(times, best, CELLS, hcp, serving0, list(d_preps))
+        got, _hoevents = drive_engine(times, best, hcp, serving0, list(d_preps))
         want = scan_events(times, best, CELLS, hcp, serving0, list(d_preps))
         assert got == want, f"trial {trial} diverged"
 
@@ -150,7 +150,7 @@ def test_event_stream_grammar_on_random_traces():
         hcp = HcpConfig(hysteresis_db=1.0)
         serving0 = CELLS[int(np.argmax(best[0]))]
         d_preps = list(rng.uniform(15.0, 35.0, size=64))
-        events, engine = drive_engine(times, best, CELLS, hcp, serving0, d_preps)
+        events, hoevents = drive_engine(times, best, hcp, serving0, d_preps)
         armed = False
         for kind, t, serving, target in events:
             if kind == "T0":
@@ -162,6 +162,6 @@ def test_event_stream_grammar_on_random_traces():
             elif kind == "ABORT":
                 assert armed
                 armed = False
-        for ep in engine.episodes:
+        for ep in episodes_from_events(hoevents):
             if not ep.aborted:
                 assert ep.a3_ms - ep.t0_ms == hcp.ttt_ms
