@@ -8,59 +8,37 @@ exponential filter removes short-term variation before event evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from eshopsim.scenario import SiteLayout, bearing_from_bs
+from eshopsim.scenario import SECTOR_BORESIGHTS_DEG, bearing_from_bs
 
 FC_GHZ = 28.0
 N_CELLS = 3  # a cell is its row index 0-2 in every (3, 12) array
 N_SSB = 12
 L3_FILTER_COEFF = 0.5  # settles within ~4 reports
 
-DEFAULT_AZ_OFFSETS_DEG = (-40.0, 0.0, 40.0)
-DEFAULT_AZ_3DB_DEG = 40.0
-DEFAULT_EL_TILTS_DEG = (-21.0, -7.0, 7.0, 21.0)
-DEFAULT_EL_3DB_DEG = 14.0
-DEFAULT_PEAK_GAIN_DBI = 14.0
-DEFAULT_FRONT_BACK_LIMIT_DB = 30.0
+TX_POWER_PER_SSB_DBM = 30.0
 
-
-@dataclass
-class BeamGridConfig:
-    """Beam pattern parameters; defaults tile one 120-degree sector."""
-
-    az_offsets_deg: tuple[float, ...] = DEFAULT_AZ_OFFSETS_DEG
-    az_3db_deg: float = DEFAULT_AZ_3DB_DEG
-    el_tilts_deg: tuple[float, ...] = DEFAULT_EL_TILTS_DEG
-    el_3db_deg: float = DEFAULT_EL_3DB_DEG
-    peak_gain_dbi: float = DEFAULT_PEAK_GAIN_DBI
-    front_back_limit_db: float = DEFAULT_FRONT_BACK_LIMIT_DB
-
-    def __post_init__(self) -> None:
-        if isinstance(self.az_offsets_deg, list):
-            self.az_offsets_deg = tuple(self.az_offsets_deg)
-        if isinstance(self.el_tilts_deg, list):
-            self.el_tilts_deg = tuple(self.el_tilts_deg)
-        if len(self.az_offsets_deg) * len(self.el_tilts_deg) != N_SSB:
-            raise ValueError(f"beam grid must hold exactly {N_SSB} beams per cell")
-        if self.az_3db_deg <= 0.0 or self.el_3db_deg <= 0.0:
-            raise ValueError("3 dB beamwidths must be positive")
-        if self.front_back_limit_db <= 0.0:
-            raise ValueError("front-back limit must be positive")
+# one 12-beam grid tiles each 120-degree sector
+BEAM_AZ_OFFSETS_DEG = (-40.0, 0.0, 40.0)  # from the sector boresight
+BEAM_AZ_3DB_DEG = 40.0
+BEAM_EL_TILTS_DEG = (-21.0, -7.0, 7.0, 21.0)
+BEAM_EL_3DB_DEG = 14.0
+PEAK_GAIN_DBI = 14.0
+FRONT_BACK_LIMIT_DB = 30.0
 
 
 class BeamGrid:
     """Static per-cell beam sets; beam_id = elevation_tier * 3 + azimuth_column."""
 
-    def __init__(self, layout: SiteLayout, cfg: BeamGridConfig | None = None):
-        self.cfg = cfg or BeamGridConfig()
-        az_offsets = np.asarray(self.cfg.az_offsets_deg, dtype=float)
-        tilts = np.asarray(self.cfg.el_tilts_deg, dtype=float)
+    def __init__(self):
+        az_offsets = np.asarray(BEAM_AZ_OFFSETS_DEG, dtype=float)
+        tilts = np.asarray(BEAM_EL_TILTS_DEG, dtype=float)
         # boresight tables (3, 12), one row per cell
-        boresights = np.asarray(layout.sector_boresights_deg, dtype=float)
+        boresights = np.asarray(SECTOR_BORESIGHTS_DEG, dtype=float)
         self._az = (boresights[:, None] + np.tile(az_offsets, len(tilts))) % 360.0
         self._el = np.tile(np.repeat(tilts, len(az_offsets)), (len(boresights), 1))
 
@@ -68,10 +46,8 @@ class BeamGrid:
         """Beam gains toward (az, el) for all cells, shape (3, 12)."""
         daz = wrap_angle_deg(az_deg - self._az)
         del_ = wrap_angle_deg(el_deg - self._el)
-        atten = 12.0 * (
-            (daz / self.cfg.az_3db_deg) ** 2 + (del_ / self.cfg.el_3db_deg) ** 2
-        )
-        return self.cfg.peak_gain_dbi - np.minimum(atten, self.cfg.front_back_limit_db)
+        atten = 12.0 * ((daz / BEAM_AZ_3DB_DEG) ** 2 + (del_ / BEAM_EL_3DB_DEG) ** 2)
+        return PEAK_GAIN_DBI - np.minimum(atten, FRONT_BACK_LIMIT_DB)
 
 
 def wrap_angle_deg(x):
@@ -79,8 +55,9 @@ def wrap_angle_deg(x):
     return -((-np.asarray(x) + 180.0) % 360.0 - 180.0)
 
 
-def path_loss(d3d_m: float, los: bool, ue_height_m: float = 1.5) -> float:
-    """38.901 UMi street-canyon closed forms below the breakpoint distance.
+def path_loss(d3d_m: float, los: bool) -> float:
+    """38.901 UMi street-canyon closed forms below the breakpoint distance, at
+    the fixed 1.5 m UE height (where the NLoS height term vanishes).
 
     NLoS is clamped to be no smaller than LoS at the same distance.
     """
@@ -89,12 +66,7 @@ def path_loss(d3d_m: float, los: bool, ue_height_m: float = 1.5) -> float:
     pl_los = 32.4 + 21.0 * math.log10(d3d_m) + 20.0 * math.log10(FC_GHZ)
     if los:
         return pl_los
-    pl_nlos = (
-        22.4
-        + 35.3 * math.log10(d3d_m)
-        + 21.3 * math.log10(FC_GHZ)
-        - 0.3 * (ue_height_m - 1.5)
-    )
+    pl_nlos = 22.4 + 35.3 * math.log10(d3d_m) + 21.3 * math.log10(FC_GHZ)
     return max(pl_los, pl_nlos)
 
 
@@ -102,18 +74,13 @@ def path_loss(d3d_m: float, los: bool, ue_height_m: float = 1.5) -> float:
 class ChannelParams:
     """Channel configuration block."""
 
-    tx_power_per_ssb_dbm: float = 30.0
     los_mode: str = "los"  # "los" | "nlos"
     shadow_sigma_los_db: float = 4.0
     shadow_sigma_nlos_db: float = 7.8
     decorrelation_distance_m: float = 10.0
-    fast_fading_sigma_db: float = 2.0
-    fast_fading_enabled: bool = True
-    beam_grid: BeamGridConfig = field(default_factory=BeamGridConfig)
+    fast_fading_sigma_db: float = 2.0  # 0 turns fast fading off
 
     def __post_init__(self) -> None:
-        if isinstance(self.beam_grid, dict):
-            self.beam_grid = BeamGridConfig(**self.beam_grid)
         self.los_mode = self.los_mode.lower()
         if self.los_mode not in ("los", "nlos"):
             raise ValueError("los_mode must be 'los' or 'nlos'")
@@ -151,15 +118,8 @@ class ChannelState:
     order), then the (3, 12) fast-fading block, keeping streams reproducible.
     """
 
-    def __init__(
-        self,
-        layout: SiteLayout,
-        grid: BeamGrid,
-        params: ChannelParams,
-        rng: np.random.Generator,
-    ):
-        self.layout = layout
-        self.grid = grid
+    def __init__(self, params: ChannelParams, rng: np.random.Generator):
+        self.grid = BeamGrid()
         self.params = params
         self.rng = rng
         self._shadow: np.ndarray | None = None  # (3,) dB per cell
@@ -168,7 +128,7 @@ class ChannelState:
     def sample(self, ue_pos: np.ndarray) -> np.ndarray:
         """Raw L1 RSRP for all 36 beams at this position, shape (3, 12) dBm."""
         p = self.params
-        az, el, d3d = bearing_from_bs(self.layout, ue_pos)
+        az, el, d3d = bearing_from_bs(ue_pos)
         if self._shadow is None:
             # stationary initialization
             self._shadow = p.shadow_sigma_db * self.rng.standard_normal(N_CELLS)
@@ -177,9 +137,9 @@ class ChannelState:
             self._shadow = shadow_step(self._shadow, delta_d, p, self.rng)
         self._last_pos = np.asarray(ue_pos, dtype=float).copy()
         gains = self.grid.gains_dbi(az, el)
-        pl = path_loss(d3d, los=p.los, ue_height_m=self.layout.ue_height_m)
-        rsrp = p.tx_power_per_ssb_dbm + gains - pl - self._shadow[:, None]
-        if p.fast_fading_enabled and p.fast_fading_sigma_db > 0.0:
+        pl = path_loss(d3d, los=p.los)
+        rsrp = TX_POWER_PER_SSB_DBM + gains - pl - self._shadow[:, None]
+        if p.fast_fading_sigma_db > 0.0:
             rsrp = rsrp + p.fast_fading_sigma_db * self.rng.standard_normal((N_CELLS, N_SSB))
         return rsrp
 

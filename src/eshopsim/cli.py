@@ -40,7 +40,6 @@ from eshopsim.dataset import (
 )
 from eshopsim.tcn import TrainingDiverged
 from eshopsim.events import EVENT_A3, EVENT_ABORT, EVENT_CMD, EVENT_T0
-from eshopsim.scenario import SiteLayout
 from eshopsim.seeds import derive_seed
 from eshopsim.simulate import (
     read_event_log,
@@ -175,12 +174,10 @@ def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    layout = SiteLayout()
     runs = run_scenario(
         cfg.scenario,
         cfg.channel,
         cfg.hcp,
-        layout,
         cfg.master_seed,
         d_prep_min_ms=cfg.signaling.d_prep_min_ms,
         d_prep_max_ms=cfg.signaling.d_prep_max_ms,

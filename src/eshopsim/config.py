@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from eshopsim.channel import ChannelParams
 from eshopsim.controller import SignalingConfig
-from eshopsim.dataset import DatasetConfig
+from eshopsim.dataset import N_FEATURES, DatasetConfig
 from eshopsim.events import HcpConfig
 from eshopsim.scenario import ScenarioConfig
 from eshopsim.tcn import TcnModelConfig, TrainConfig
@@ -81,6 +81,8 @@ class ExperimentConfig:
         ttt = self.hcp.ttt_ms  # the one TTT: preparation fits inside it, the guard outlasts it
         if not self.signaling.d_prep_max_ms <= ttt < self.signaling.guard_ms:
             raise ConfigError(f"need signaling d_prep_max_ms <= hcp.ttt_ms {ttt} < guard_ms")
+        if self.model.in_channels != N_FEATURES:
+            raise ConfigError(f"model.in_channels must be {N_FEATURES}, the feature count")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

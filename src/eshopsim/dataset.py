@@ -36,6 +36,7 @@ REASON_NAMES = {
 
 FEATURES_PER_CELL = 1 + N_SSB  # standardized best RSRP + one-hot beam id
 N_FEATURES = N_CELLS * FEATURES_PER_CELL  # 39
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -148,7 +149,6 @@ def window_bounds(
 
 def split_ues(ue_ids: list[str], ratios: tuple[float, float, float], seed: int) -> dict[str, list[str]]:
     """Deterministic UE-level partition into train/val/test."""
-    names = ("train", "val", "test")
     ue_ids = sorted(ue_ids)
     n = len(ue_ids)
     active = sum(1 for r in ratios if r > 0)
@@ -172,7 +172,7 @@ def split_ues(ue_ids: list[str], ratios: tuple[float, float, float], seed: int) 
             counts[i] += 1
     out: dict[str, list[str]] = {}
     pos = 0
-    for name, c in zip(names, counts):
+    for name, c in zip(SPLITS, counts):
         out[name] = sorted(order[pos : pos + c])
         pos += c
     return out
@@ -364,8 +364,12 @@ def read_dataset(dirpath) -> DatasetBundle:
         raise DataError(
             f"dataset schema mismatch: {meta.schema_version} != {DATASET_SCHEMA}"
         )
+    files = meta.file_sha256
+    if not isinstance(files, dict) or sorted(files) != sorted(f"{name}.npz" for name in SPLITS):
+        raise DataError("dataset meta must list exactly one .npz file per split: "
+                        + ", ".join(f"{name}.npz" for name in SPLITS))
     splits: dict[str, RowTable] = {}
-    for name, digest in meta.file_sha256.items():
+    for name, digest in files.items():
         path = os.path.join(dirpath, name)
         if not os.path.exists(path):
             raise DataError(f"missing dataset file: {path}")

@@ -136,7 +136,8 @@ def episodes_from_events(events: Iterable[HoEvent]) -> list[HoEventRecord]:
     an episode, the next A3 or ABORT closes it, and a CMD commands the A3
     that waits for it; no T0 comes while a T0 is armed or an A3 waits. When
     the events end, an armed T0 is dropped and a waiting A3 keeps no command.
-    Anything else (a cell outside 0-2, serving equal to target, time going
+    Anything else (a cell outside 0-2, serving equal to target, an event
+    naming other cells than the episode it closes or commands, time going
     back, an unknown kind or an event out of turn) raises ValueError."""
     episodes: list[HoEventRecord] = []
     armed: HoEventRecord | None = None  # the open T0
@@ -150,6 +151,10 @@ def episodes_from_events(events: Iterable[HoEvent]) -> list[HoEventRecord]:
         if ev.serving not in cells or ev.target not in cells or ev.serving == ev.target:
             raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms names serving {ev.serving} "
                              f"and target {ev.target}, not two cells of 0-{N_CELLS - 1}")
+        closes = {EVENT_A3: armed, EVENT_ABORT: armed, EVENT_CMD: waiting}.get(ev.kind)
+        if closes and (ev.serving, ev.target) != (closes.serving_cell, closes.target_cell):
+            raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms names serving {ev.serving} "
+                             f"and target {ev.target}, not those of its episode")
         if ev.kind == EVENT_T0 and armed is None and waiting is None:
             armed = HoEventRecord(ev.ue_id, ev.serving, ev.target, int(ev.t_ms))
         elif ev.kind in (EVENT_A3, EVENT_ABORT) and armed is not None:

@@ -16,40 +16,14 @@ import numpy as np
 REPORT_PERIOD_MS = 40  # measurement reporting
 BS_HEIGHT_M = 10.0
 UE_HEIGHT_M = 1.5
-SECTOR_BORESIGHTS_DEG = (90.0, 210.0, 330.0)
-
-
-@dataclass(frozen=True)
-class SiteLayout:
-    """Single-site three-sector deployment; azimuth 0 deg points east, CCW."""
-
-    bs_position: tuple[float, float, float] = (0.0, 0.0, BS_HEIGHT_M)
-    bs_height_m: float = BS_HEIGHT_M
-    ue_height_m: float = UE_HEIGHT_M
-    sector_boresights_deg: tuple[float, float, float] = SECTOR_BORESIGHTS_DEG  # cells 0-2
-
-    def __post_init__(self) -> None:
-        if len(self.sector_boresights_deg) != 3:
-            raise ValueError("layout must define exactly 3 sector boresights")
-        if not (self.bs_height_m > self.ue_height_m > 0.0):
-            raise ValueError("heights must satisfy bs_height > ue_height > 0")
-        if abs(self.bs_position[2] - self.bs_height_m) > 1e-9:
-            raise ValueError("bs_position z-coordinate must equal bs_height_m")
-        b = sorted(x % 360.0 for x in self.sector_boresights_deg)
-        gaps = {
-            round((b[1] - b[0]) % 360.0, 6),
-            round((b[2] - b[1]) % 360.0, 6),
-            round((b[0] - b[2]) % 360.0, 6),
-        }
-        if gaps != {120.0}:
-            raise ValueError("sector boresights must be mutually 120 degrees apart")
+SECTOR_BORESIGHTS_DEG = (90.0, 210.0, 330.0)  # cells 0-2; azimuth 0 deg points east, CCW
+BS_POSITION = (0.0, 0.0, BS_HEIGHT_M)
 
 
 @dataclass(frozen=True)
 class UeTrajectory:
-    """Closed-form circular path: center, radius, speed, phase, direction."""
+    """Closed-form circular path around the site: radius, speed, phase, direction."""
 
-    center_xy: tuple[float, float]
     radius_m: float
     speed_mps: float
     start_angle_rad: float
@@ -84,11 +58,7 @@ class ScenarioConfig:
             raise ValueError("need at least one UE")
 
 
-def spawn_trajectory(
-    seed: int,
-    scenario: ScenarioConfig,
-    center_xy: tuple[float, float] = (0.0, 0.0),
-) -> UeTrajectory:
+def spawn_trajectory(seed: int, scenario: ScenarioConfig) -> UeTrajectory:
     """Draw a randomized circular trajectory.
 
     Draw order (fixed for reproducibility): radius, start angle, direction,
@@ -100,7 +70,6 @@ def spawn_trajectory(
     direction = 1 if int(rng.integers(0, 2)) == 1 else -1
     speed = float(scenario.speeds_mps[int(rng.integers(0, len(scenario.speeds_mps)))])
     return UeTrajectory(
-        center_xy=(float(center_xy[0]), float(center_xy[1])),
         radius_m=radius,
         speed_mps=speed,
         start_angle_rad=start_angle,
@@ -109,7 +78,7 @@ def spawn_trajectory(
     )
 
 
-def position_at(traj: UeTrajectory, t_ms: float, ue_height_m: float = UE_HEIGHT_M) -> np.ndarray:
+def position_at(traj: UeTrajectory, t_ms: float) -> np.ndarray:
     """UE position (x, y, z) at time ``t_ms`` on the circle."""
     if not (0.0 <= t_ms <= traj.duration_ms):
         raise ValueError(f"t_ms={t_ms} outside [0, {traj.duration_ms}]")
@@ -117,16 +86,16 @@ def position_at(traj: UeTrajectory, t_ms: float, ue_height_m: float = UE_HEIGHT_
     theta = traj.start_angle_rad + traj.direction * omega * (t_ms / 1000.0)
     return np.array(
         [
-            traj.center_xy[0] + traj.radius_m * math.cos(theta),
-            traj.center_xy[1] + traj.radius_m * math.sin(theta),
-            ue_height_m,
+            BS_POSITION[0] + traj.radius_m * math.cos(theta),
+            BS_POSITION[1] + traj.radius_m * math.sin(theta),
+            UE_HEIGHT_M,
         ]
     )
 
 
-def bearing_from_bs(layout: SiteLayout, ue_pos: np.ndarray) -> tuple[float, float, float]:
+def bearing_from_bs(ue_pos: np.ndarray) -> tuple[float, float, float]:
     """Azimuth [0, 360), elevation (negative below BS height) and 3D distance."""
-    d = np.asarray(ue_pos, dtype=float) - np.asarray(layout.bs_position, dtype=float)
+    d = np.asarray(ue_pos, dtype=float) - np.asarray(BS_POSITION, dtype=float)
     d3d = float(np.linalg.norm(d))
     if d3d < 1e-12:
         raise ValueError("UE position coincides with the BS")

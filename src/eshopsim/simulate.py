@@ -16,7 +16,6 @@ import numpy as np
 
 from eshopsim.artifacts import read_table, write_table
 from eshopsim.channel import (
-    BeamGrid,
     ChannelParams,
     ChannelState,
     L3FilterState,
@@ -35,7 +34,6 @@ from eshopsim.events import (
 from eshopsim.scenario import (
     REPORT_PERIOD_MS,
     ScenarioConfig,
-    SiteLayout,
     position_at,
     spawn_trajectory,
 )
@@ -60,21 +58,15 @@ def run_ue(
     scenario: ScenarioConfig,
     channel_cfg: ChannelParams,
     hcp: HcpConfig,
-    layout: SiteLayout,
     master_seed: int,
     d_prep_min_ms: float = 15.0,
     d_prep_max_ms: float = 35.0,
 ) -> UeRun:
     ue_id = f"ue{ue_index:03d}"
-    traj = spawn_trajectory(
-        derive_seed(master_seed, "trajectory", ue_index),
-        scenario,
-        center_xy=layout.bs_position[:2],
-    )
-    grid = BeamGrid(layout, channel_cfg.beam_grid)
+    traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario)
     chan_rng = rng_from(master_seed, "channel", ue_index)
     prep_rng = rng_from(master_seed, "prep-latency", ue_index)
-    chan = ChannelState(layout, grid, channel_cfg, chan_rng)
+    chan = ChannelState(channel_cfg, chan_rng)
     filt = L3FilterState()
     engine: A3EventEngine | None = None
     command_ms: float | None = None  # drawn command time of the A3 that waits
@@ -85,7 +77,7 @@ def run_ue(
 
     duration_ms = int(round(scenario.duration_s * 1000.0))
     for t in range(0, duration_ms + 1, REPORT_PERIOD_MS):
-        pos = position_at(traj, t, ue_height_m=layout.ue_height_m)
+        pos = position_at(traj, t)
         raw = chan.sample(pos)
         l3 = filt.update(raw)
         report = make_report(t, filt)
@@ -118,7 +110,6 @@ def run_scenario(
     scenario: ScenarioConfig,
     channel_cfg: ChannelParams,
     hcp: HcpConfig,
-    layout: SiteLayout,
     master_seed: int,
     d_prep_min_ms: float = 15.0,
     d_prep_max_ms: float = 35.0,
@@ -126,7 +117,7 @@ def run_scenario(
 ) -> list[UeRun]:
     """Run all UEs; parallel runs stay reproducible through per-UE sub-seeds."""
     argsets = [
-        (i, scenario, channel_cfg, hcp, layout, master_seed, d_prep_min_ms, d_prep_max_ms)
+        (i, scenario, channel_cfg, hcp, master_seed, d_prep_min_ms, d_prep_max_ms)
         for i in range(scenario.num_ues)
     ]
     if parallel and parallel > 1:

@@ -57,9 +57,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 10  # early-stop patience in epochs; 0 disables
     dtype: str = "float64"  # "float32" for production-speed training
     seed: int = 0
@@ -481,23 +478,29 @@ def compute_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
 
 
 class _Adam:
-    def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig):
+    """Adam with the constants of Kingma & Ba (arXiv:1412.6980)."""
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, arrays: list[np.ndarray], learning_rate: float):
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
-        self.cfg = cfg
+        self.learning_rate = learning_rate
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        c = self.cfg
+        b1, b2 = self.BETA1, self.BETA2
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
         for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * np.square(g)
-            a -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            a -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 def predict(params: ModelParams, bank, batch_size: int = 512) -> np.ndarray:
@@ -528,7 +531,7 @@ def train(
     dtype = train_cfg.np_dtype
     params = init_params(model_cfg, dtype)
     arrays = params.arrays()
-    opt = _Adam(arrays, train_cfg)
+    opt = _Adam(arrays, train_cfg.learning_rate)
     rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
     n = len(train_bank)
     y_train = np.asarray(train_bank.y, dtype=dtype)

@@ -16,13 +16,6 @@ settings.load_profile("default")
 
 
 @pytest.fixture
-def layout():
-    from eshopsim.scenario import SiteLayout
-
-    return SiteLayout()
-
-
-@pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(1234))
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eshopsim.channel import (
+    BEAM_AZ_OFFSETS_DEG,
+    BEAM_EL_TILTS_DEG,
+    PEAK_GAIN_DBI,
     BeamGrid,
-    BeamGridConfig,
     ChannelParams,
     ChannelState,
     L3FilterState,
@@ -17,55 +19,60 @@ from eshopsim.channel import (
     shadow_step,
     wrap_angle_deg,
 )
-from eshopsim.scenario import position_at, spawn_trajectory, ScenarioConfig
+from eshopsim.scenario import SECTOR_BORESIGHTS_DEG, position_at, spawn_trajectory, ScenarioConfig
 
 # frozen via an independent high-precision evaluation of
 # 32.4 + 21*log10(50) + 20*log10(28)
 PL_LOS_50M_28GHZ = 97.02153071790078
+
+# frozen via an independent high-precision evaluation (Python decimal, 60
+# digits, sine by its Taylor series) of 32.4 + 21*log10(d) + 20*log10(28)
+# with d = 8.5 / sin(7 deg), the 3D distance at which a 1.5 m UE sits on the
+# -7 deg tilt of a 10 m high site
+PL_LOS_ON_TILT_28GHZ = 100.05717416971923
 
 
 # cell 0 (boresight 90 deg), beam 4: middle azimuth column, tilt -7 deg
 CELL0_BEAM4 = (90.0, -7.0)
 
 
-def _gain(layout, az, el, cell=0, beam=4):
-    return BeamGrid(layout).gains_dbi(az, el)[cell, beam]
+def _gain(az, el, cell=0, beam=4):
+    return BeamGrid().gains_dbi(az, el)[cell, beam]
 
 
-def test_gain_on_boresight_is_peak(layout):
-    assert _gain(layout, *CELL0_BEAM4) == 14.0
+def test_gain_on_boresight_is_peak():
+    assert _gain(*CELL0_BEAM4) == 14.0
 
 
-def test_gain_at_half_beamwidth_is_minus_3db(layout):
-    assert _gain(layout, 90.0 + 20.0, -7.0) == pytest.approx(14.0 - 3.0, abs=1e-12)
-    assert _gain(layout, 90.0, -7.0 + 7.0) == pytest.approx(14.0 - 3.0, abs=1e-12)
+def test_gain_at_half_beamwidth_is_minus_3db():
+    assert _gain(90.0 + 20.0, -7.0) == pytest.approx(14.0 - 3.0, abs=1e-12)
+    assert _gain(90.0, -7.0 + 7.0) == pytest.approx(14.0 - 3.0, abs=1e-12)
 
 
-def test_gain_far_sidelobe_clamped(layout):
-    assert _gain(layout, 270.0, -7.0) == 14.0 - 30.0
+def test_gain_far_sidelobe_clamped():
+    assert _gain(270.0, -7.0) == 14.0 - 30.0
 
 
-def test_gain_wraps_angles(layout):
+def test_gain_wraps_angles():
     # cell 2 (boresight 330 deg), beam 5: azimuth 330 + 40 wraps to 10 deg;
     # seen from 350 deg it is 20 deg off, like cell 0 beam 4 seen from 110
-    assert _gain(layout, 350.0, -7.0, cell=2, beam=5) == pytest.approx(
-        _gain(layout, 110.0, -7.0), abs=1e-12
+    assert _gain(350.0, -7.0, cell=2, beam=5) == pytest.approx(
+        _gain(110.0, -7.0), abs=1e-12
     )
     assert wrap_angle_deg(190.0) == -170.0
     assert wrap_angle_deg(180.0) == 180.0
 
 
-def test_beam_grid_has_12_static_beams(layout):
+def test_beam_grid_has_12_static_beams():
     # beam_id = elevation tier * 3 + azimuth column: each beam peaks on its boresight
-    grid = BeamGrid(layout)
-    cfg = grid.cfg
-    for ci, boresight in enumerate(layout.sector_boresights_deg):
-        for ei, el in enumerate(cfg.el_tilts_deg):
-            for ai, az_off in enumerate(cfg.az_offsets_deg):
+    grid = BeamGrid()
+    for ci, boresight in enumerate(SECTOR_BORESIGHTS_DEG):
+        for ei, el in enumerate(BEAM_EL_TILTS_DEG):
+            for ai, az_off in enumerate(BEAM_AZ_OFFSETS_DEG):
                 gains = grid.gains_dbi(boresight + az_off, el)
                 assert gains.shape == (3, N_SSB)
                 assert np.argmax(gains[ci]) == ei * 3 + ai
-                assert gains[ci, ei * 3 + ai] == cfg.peak_gain_dbi
+                assert gains[ci, ei * 3 + ai] == PEAK_GAIN_DBI
 
 
 def test_pathloss_los_frozen_value():
@@ -115,17 +122,15 @@ def test_shadow_stationary_stddev_monte_carlo(rng):
     assert vals[1000:].std() == pytest.approx(params.shadow_sigma_db, rel=0.02)
 
 
-def _sample_without_shadow(layout, pos, grid=None, seed=9):
+def _sample_without_shadow(pos, seed=9):
     """Fading-off L1 RSRP of a fresh channel, its initial shadowing added back."""
-    params = ChannelParams(fast_fading_enabled=False)
-    chan = ChannelState(
-        layout, grid or BeamGrid(layout), params, np.random.Generator(np.random.PCG64(seed))
-    )
+    params = ChannelParams(fast_fading_sigma_db=0.0)
+    chan = ChannelState(params, np.random.Generator(np.random.PCG64(seed)))
     shadow = params.shadow_sigma_db * np.random.Generator(np.random.PCG64(seed)).standard_normal(3)
     return chan.sample(pos) + shadow[:, None]
 
 
-def test_rsrp_composition_identity(layout):
+def test_rsrp_composition_identity():
     # UE on the azimuth of cell 0's beam 3 (az offset -40 from 90 deg => 50 deg)
     rad = math.radians(50.0)
     pos = np.array([50.0 * math.cos(rad), 50.0 * math.sin(rad), 1.5])
@@ -133,25 +138,23 @@ def test_rsrp_composition_identity(layout):
     el = math.degrees(math.atan2(-8.5, 50.0))
     expected_gain = 14.0 - 12.0 * ((el - (-7.0)) / 14.0) ** 2  # tier 1 tilts -7 deg
     expected = 30.0 + expected_gain - path_loss(d3d, los=True)
-    assert _sample_without_shadow(layout, pos)[0, 3] == pytest.approx(expected, abs=1e-12)
+    assert _sample_without_shadow(pos)[0, 3] == pytest.approx(expected, abs=1e-12)
 
 
-def test_rsrp_frozen_composition(layout):
-    # tx 30 dBm + full 14 dBi gain - LoS pathloss at exactly 50 m: a grid
-    # whose tier-0 beams tilt straight at a UE 50 m from the antenna
-    el = math.degrees(math.asin(-8.5 / 50.0))
-    grid = BeamGrid(layout, BeamGridConfig(el_tilts_deg=(el, -7.0, 7.0, 21.0)))
-    rad = math.radians(90.0)  # cell 0's beam 1 azimuth
-    ground = math.sqrt(50.0**2 - 8.5**2)
+def test_rsrp_frozen_composition():
+    # tx 30 dBm + full 14 dBi gain - LoS pathloss: a UE on the boresight of
+    # cell 0's beam 4 (azimuth 90 deg, tilt -7 deg)
+    rad = math.radians(90.0)
+    ground = 8.5 / math.tan(math.radians(7.0))
     pos = np.array([ground * math.cos(rad), ground * math.sin(rad), 1.5])
-    val = _sample_without_shadow(layout, pos, grid)[0, 1]
-    assert val == pytest.approx(30.0 + 14.0 - PL_LOS_50M_28GHZ, abs=1e-9)
-    assert val == pytest.approx(-53.02153071790078, abs=1e-9)
+    val = _sample_without_shadow(pos)[0, 4]
+    assert val == pytest.approx(30.0 + 14.0 - PL_LOS_ON_TILT_28GHZ, abs=1e-9)
+    assert val == pytest.approx(-56.05717416971923, abs=1e-9)
 
 
-def test_rsrp_monotone_with_distance(layout):
-    near = _sample_without_shadow(layout, np.array([40.0, 0.0, 1.5]))
-    far = _sample_without_shadow(layout, np.array([60.0, 0.0, 1.5]))
+def test_rsrp_monotone_with_distance():
+    near = _sample_without_shadow(np.array([40.0, 0.0, 1.5]))
+    far = _sample_without_shadow(np.array([60.0, 0.0, 1.5]))
     assert far[0, 3] < near[0, 3]
 
 
@@ -207,22 +210,21 @@ def test_make_report_validation():
         MeasurementReport(40, np.full((3, 12), np.nan))
 
 
-def test_rsrp_periodic_along_circle(layout):
+def test_rsrp_periodic_along_circle():
     # impairments off: the geometry repeats exactly after one revolution
-    traj = spawn_trajectory(5, ScenarioConfig(duration_s=60.0), center_xy=(0.0, 0.0))
+    traj = spawn_trajectory(5, ScenarioConfig(duration_s=60.0))
     period_ms = 2.0 * math.pi * traj.radius_m / traj.speed_mps * 1000.0
     for t in (0.0, 1234.0, 5000.0):
-        a = _sample_without_shadow(layout, position_at(traj, t))
-        b = _sample_without_shadow(layout, position_at(traj, t + period_ms))
+        a = _sample_without_shadow(position_at(traj, t))
+        b = _sample_without_shadow(position_at(traj, t + period_ms))
         assert np.max(np.abs(a - b)) < 1e-6
 
 
-def test_channel_state_deterministic(layout):
-    grid = BeamGrid(layout)
+def test_channel_state_deterministic():
     params = ChannelParams()
     pos = np.array([50.0, 10.0, 1.5])
-    a = ChannelState(layout, grid, params, np.random.Generator(np.random.PCG64(9)))
-    b = ChannelState(layout, grid, params, np.random.Generator(np.random.PCG64(9)))
+    a = ChannelState(params, np.random.Generator(np.random.PCG64(9)))
+    b = ChannelState(params, np.random.Generator(np.random.PCG64(9)))
     for _ in range(5):
         assert np.array_equal(a.sample(pos), b.sample(pos))
 
@@ -233,5 +235,3 @@ def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(decorrelation_distance_m=0.0)
     assert ChannelParams(los_mode="NLOS").shadow_sigma_db == 7.8
-    with pytest.raises(ValueError):
-        BeamGridConfig(az_offsets_deg=(0.0,))

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,19 @@ def test_default_config_round_trip(tmp_path):
     loaded = load_config(path)
     assert loaded.to_dict() == cfg.to_dict()
     assert config_hash(loaded) == config_hash(cfg)
+
+
+def test_readme_config_lists_every_key():
+    # the Configuration section's example is a valid document with every key
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
+    doc = json.loads(example)
+    ExperimentConfig.from_dict(doc)
+
+    def keys(d):
+        return {k: keys(v) if isinstance(v, dict) else None for k, v in d.items()}
+
+    assert keys(doc) == keys(ExperimentConfig().to_dict())
 
 
 def test_config_hash_ignores_output_dir():
@@ -85,6 +99,13 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("train", "lr_decay_factor", 1.0),
         ("train", "lr_decay_patience", 0),
         ("scenario", "seed", None),
+        # the fixed site: beam grid, transmit power, fading switch, Adam constants
+        ("channel", "beam_grid", {}),
+        ("channel", "tx_power_per_ssb_dbm", 30.0),
+        ("channel", "fast_fading_enabled", True),
+        ("train", "beta1", 0.9),
+        ("train", "beta2", 0.999),
+        ("train", "eps", 1e-8),
     ]
     for block, key, value in removed:
         path.write_text(json.dumps({block: {key: value}, "output_dir": str(tmp_path / "run")}))
@@ -106,7 +127,10 @@ def _model_headers(blob: bytes):
 def test_main_exit_codes(tmp_path):
     out = tmp_path / "run"
     bad = tmp_path / "bad.json"
-    for block in ({"scenario": {"num_ues": 0}}, {"train": {"patience": -1}}):
+    # the model must read the 39 features the dataset encodes
+    for block in (
+        {"scenario": {"num_ues": 0}}, {"train": {"patience": -1}}, {"model": {"in_channels": 40}}
+    ):
         bad.write_text(json.dumps({**block, "output_dir": str(out)}))
         assert cli.main(["simulate", "--config", str(bad)]) == 2
     assert not out.exists()
@@ -171,6 +195,15 @@ def test_main_exit_codes(tmp_path):
         meta.write_text(text)
         for command in ("train", "eshop"):
             assert cli.main([command, "--config", str(cfgfile)]) == 3
+    # a meta.json that binds only some of the split files
+    doc = json.loads(good_meta)
+    del doc["file_sha256"]["test.npz"]
+    meta.write_text(json.dumps(doc))
+    before = artifact_bytes(out)
+    for command in (["train"], ["eval"], ["eshop"], ["eshop", "--oracle"]):
+        assert cli.main([*command, "--config", str(cfgfile)]) == 3, command
+    assert artifact_bytes(out) == before
+    meta.write_text(good_meta)
     # --parallel is a simulate option only
     with pytest.raises(SystemExit):
         cli.main(["train", "--config", str(cfgfile), "--parallel", "2"])
@@ -181,11 +214,12 @@ def _data_row(lines, kind):
     return next(i for i, line in enumerate(lines) if i > 1 and line.split(",")[1] == kind)
 
 
-def _with_cells(cells):
-    """Corruption: the T0 of the first A3 episode gets ``cells(serving, target)``."""
+def _with_cells(cells, kind="A3", shift=-1):
+    """Corruption: the row ``shift`` after the first ``kind`` event gets
+    ``cells(serving, target)``; by default the T0 of the first A3 episode."""
 
     def corrupt(lines):
-        i = _data_row(lines, "A3") - 1
+        i = _data_row(lines, kind) + shift
         *head, serving, target = lines[i].split(",")
         lines[i] = ",".join([*head, *cells(serving, target)])
 
@@ -214,6 +248,8 @@ def _foreign_hash(lines):
 _CORRUPT_LOGS = {
     "cell_out_of_range": ("events.csv", _with_cells(lambda s, t: ("7", t))),
     "serving_is_target": ("events.csv", _with_cells(lambda s, t: (s, s))),
+    "a3_other_target": ("events.csv", _with_cells(lambda s, t: (s, str(3 - int(s) - int(t))), shift=0)),
+    "cmd_other_cells": ("events.csv", _with_cells(lambda s, t: (t, s), kind="CMD", shift=0)),
     "events_back_in_time": ("events.csv", _move_first_abort_to_end),
     "cmd_without_a3": ("events.csv", lambda ls: _duplicate(ls, _data_row(ls, "CMD"))),
     "t0_while_open": ("events.csv", lambda ls: _duplicate(ls, _data_row(ls, "T0"))),

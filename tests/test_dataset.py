@@ -22,7 +22,7 @@ from eshopsim.dataset import (
     N_FEATURES,
 )
 from eshopsim.events import HcpConfig, HoEventRecord, episodes_from_events
-from eshopsim.scenario import ScenarioConfig, SiteLayout
+from eshopsim.scenario import ScenarioConfig
 from eshopsim.simulate import run_scenario
 from oracles import label_scan, random_episode_set, windowize
 
@@ -180,7 +180,7 @@ def test_one_hot_blocks_sum_to_one():
 
 def _pipeline_bundle(tmp_path, num_ues=6, seed=13):
     sc = ScenarioConfig(num_ues=num_ues, duration_s=14.0, speeds_mps=(25.0,))
-    runs = run_scenario(sc, ChannelParams(), HcpConfig(hysteresis_db=1.0), SiteLayout(), master_seed=seed)
+    runs = run_scenario(sc, ChannelParams(), HcpConfig(hysteresis_db=1.0), master_seed=seed)
     per_ue = {
         r.ue_id: {
             "times_ms": r.times_ms,

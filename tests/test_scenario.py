@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 from eshopsim.channel import ChannelParams
 from eshopsim.events import HcpConfig
 from eshopsim.scenario import (
+    BS_POSITION,
     REPORT_PERIOD_MS,
+    SECTOR_BORESIGHTS_DEG,
     ScenarioConfig,
-    SiteLayout,
     bearing_from_bs,
     position_at,
     spawn_trajectory,
@@ -64,7 +65,6 @@ def _traj(radius=50.0, speed=25.0, start=0.0, direction=1, duration=120.0):
     from eshopsim.scenario import UeTrajectory
 
     return UeTrajectory(
-        center_xy=(0.0, 0.0),
         radius_m=radius,
         speed_mps=speed,
         start_angle_rad=start,
@@ -125,46 +125,37 @@ def test_arc_length_between_reports():
         assert arc == pytest.approx(expected, abs=1e-12)
 
 
-def test_bearing_hand_trigonometry(layout):
+def test_bearing_hand_trigonometry():
     # UE due east at 50 m ground distance
-    az, el, d3d = bearing_from_bs(layout, np.array([50.0, 0.0, 1.5]))
+    az, el, d3d = bearing_from_bs(np.array([50.0, 0.0, 1.5]))
     assert az == pytest.approx(0.0, abs=1e-12)
     assert el == pytest.approx(math.degrees(math.atan2(1.5 - 10.0, 50.0)), abs=1e-12)
     assert el == pytest.approx(-9.64805, abs=1e-4)
     assert d3d == pytest.approx(math.sqrt(50.0**2 + 8.5**2), abs=1e-12)
 
 
-def test_bearing_on_boresight_ray(layout):
-    for boresight in layout.sector_boresights_deg:
+def test_bearing_on_boresight_ray():
+    for boresight in SECTOR_BORESIGHTS_DEG:
         rad = math.radians(boresight)
         pos = np.array([50.0 * math.cos(rad), 50.0 * math.sin(rad), 1.5])
-        az, _, _ = bearing_from_bs(layout, pos)
+        az, _, _ = bearing_from_bs(pos)
         assert az == pytest.approx(boresight % 360.0, abs=1e-9)
 
 
-def test_bearing_elevation_sign_flip(layout):
-    _, below, _ = bearing_from_bs(layout, np.array([30.0, 0.0, 1.5]))
-    _, above, _ = bearing_from_bs(layout, np.array([30.0, 0.0, 20.0]))
+def test_bearing_elevation_sign_flip():
+    _, below, _ = bearing_from_bs(np.array([30.0, 0.0, 1.5]))
+    _, above, _ = bearing_from_bs(np.array([30.0, 0.0, 20.0]))
     assert below < 0.0 < above
 
 
-def test_bearing_rejects_coincident_points(layout):
+def test_bearing_rejects_coincident_points():
     with pytest.raises(ValueError):
-        bearing_from_bs(layout, np.asarray(layout.bs_position))
-
-
-def test_layout_validation():
-    with pytest.raises(ValueError):
-        SiteLayout(sector_boresights_deg=(0.0, 90.0, 180.0))
-    with pytest.raises(ValueError):
-        SiteLayout(bs_height_m=1.0, ue_height_m=1.5)
-    # rotated but still 120 degrees apart is fine
-    SiteLayout(sector_boresights_deg=(10.0, 130.0, 250.0))
+        bearing_from_bs(np.asarray(BS_POSITION))
 
 
 def test_report_grid():
     # reports at 0, 40, 80, ... up to and including the duration
     sc = ScenarioConfig(num_ues=1, duration_s=1.0)
-    grid = run_ue(0, sc, ChannelParams(), HcpConfig(), SiteLayout(), master_seed=1).times_ms
+    grid = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=1).times_ms
     assert grid[0] == 0 and grid[-1] == 1000
     assert np.all(np.diff(grid) == REPORT_PERIOD_MS)

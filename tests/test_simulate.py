@@ -3,7 +3,7 @@ import numpy as np
 from eshopsim.artifacts import read_table
 from eshopsim.channel import ChannelParams
 from eshopsim.events import HcpConfig, episodes_from_events
-from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig, SiteLayout
+from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
 from eshopsim.simulate import (
     EVENT_LOG_SCHEMA,
     read_event_log,
@@ -21,14 +21,13 @@ def _small_run(**channel_overrides):
         sc,
         ChannelParams(**channel_overrides),
         HcpConfig(hysteresis_db=1.0),
-        SiteLayout(),
         master_seed=11,
     )
 
 
 def test_run_ue_report_stream_shape():
     sc = ScenarioConfig(num_ues=1, duration_s=5.0)
-    run = run_ue(0, sc, ChannelParams(), HcpConfig(), SiteLayout(), master_seed=1)
+    run = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=1)
     assert run.times_ms.size == 126  # 0..5000 inclusive, 40 ms apart
     assert np.all(np.diff(run.times_ms) == REPORT_PERIOD_MS)
     assert run.l3_rsrp.shape == (126, 3, 12)
@@ -37,8 +36,8 @@ def test_run_ue_report_stream_shape():
 
 def test_run_ue_deterministic():
     sc = ScenarioConfig(num_ues=1, duration_s=8.0)
-    a = run_ue(0, sc, ChannelParams(), HcpConfig(), SiteLayout(), master_seed=4)
-    b = run_ue(0, sc, ChannelParams(), HcpConfig(), SiteLayout(), master_seed=4)
+    a = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=4)
+    b = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=4)
     assert np.array_equal(a.l3_rsrp, b.l3_rsrp)
     assert a.events == b.events
 
@@ -46,7 +45,7 @@ def test_run_ue_deterministic():
 def test_full_revolution_crosses_three_borders():
     # one revolution must produce at least one handover per cell border
     sc = ScenarioConfig(num_ues=1, duration_s=17.0, speeds_mps=(25.0,))
-    run = run_ue(0, sc, ChannelParams(), HcpConfig(hysteresis_db=1.0), SiteLayout(), master_seed=2)
+    run = run_ue(0, sc, ChannelParams(), HcpConfig(hysteresis_db=1.0), master_seed=2)
     a3_count = sum(1 for e in run.events if e.kind == "A3")
     assert a3_count >= 3
     # and the serving cell visits all three cells across the commands
@@ -105,8 +104,8 @@ def test_los_and_nlos_logs_differ(tmp_path):
 
 def test_parallel_equals_sequential():
     sc = ScenarioConfig(num_ues=3, duration_s=6.0)
-    seq = run_scenario(sc, ChannelParams(), HcpConfig(), SiteLayout(), master_seed=5)
-    par = run_scenario(sc, ChannelParams(), HcpConfig(), SiteLayout(), master_seed=5, parallel=2)
+    seq = run_scenario(sc, ChannelParams(), HcpConfig(), master_seed=5)
+    par = run_scenario(sc, ChannelParams(), HcpConfig(), master_seed=5, parallel=2)
     for a, b in zip(seq, par):
         assert a.ue_id == b.ue_id
         assert np.array_equal(a.l3_rsrp, b.l3_rsrp)
