@@ -18,7 +18,7 @@ from eshopsim.dataset import DatasetConfig
 from eshopsim.events import HcpConfig
 from eshopsim.scenario import ScenarioConfig
 from eshopsim.channel import ChannelParams
-from eshopsim.tcn import TcnModelConfig, TrainConfig
+from eshopsim.tcn import TrainConfig
 
 
 def make_config(out_dir: str, seed: int, los_mode: str, num_ues: int, duration_s: float, epochs: int) -> ExperimentConfig:
@@ -32,7 +32,6 @@ def make_config(out_dir: str, seed: int, los_mode: str, num_ues: int, duration_s
         ),
         hcp=HcpConfig(hysteresis_db=1.0),
         dataset=DatasetConfig(window_len=96, horizon_s=3.0),
-        model=TcnModelConfig(seed=0),
         train=TrainConfig(
             epochs=epochs, batch_size=64, patience=8, dtype="float32", seed=1
         ),

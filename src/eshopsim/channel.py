@@ -1,5 +1,5 @@
 """Per-beam RSRP synthesis: beam gain, UMi pathloss, correlated shadowing,
-optional fast fading, and layer-3 filtering into 40 ms measurement reports.
+fast fading, and layer-3 filtering into 40 ms measurement reports.
 
 Each cell transmits a static grid of 12 SSB wide beams (3 azimuth columns x 4
 elevation tiers). L1 RSRP is composed from geometry plus impairments; the L3
@@ -21,6 +21,7 @@ N_SSB = 12
 L3_FILTER_COEFF = 0.5  # settles within ~4 reports
 
 TX_POWER_PER_SSB_DBM = 30.0
+FAST_FADING_SIGMA_DB = 2.0  # i.i.d. per beam and sample
 
 # one 12-beam grid tiles each 120-degree sector
 BEAM_AZ_OFFSETS_DEG = (-40.0, 0.0, 40.0)  # from the sector boresight
@@ -78,18 +79,15 @@ class ChannelParams:
     shadow_sigma_los_db: float = 4.0
     shadow_sigma_nlos_db: float = 7.8
     decorrelation_distance_m: float = 10.0
-    fast_fading_sigma_db: float = 2.0  # 0 turns fast fading off
 
     def __post_init__(self) -> None:
-        self.los_mode = self.los_mode.lower()
-        if self.los_mode not in ("los", "nlos"):
+        if not isinstance(self.los_mode, str) or self.los_mode.lower() not in ("los", "nlos"):
             raise ValueError("los_mode must be 'los' or 'nlos'")
+        self.los_mode = self.los_mode.lower()
         if self.shadow_sigma_los_db <= 0.0 or self.shadow_sigma_nlos_db <= 0.0:
             raise ValueError("shadow sigmas must be positive")
         if self.decorrelation_distance_m <= 0.0:
             raise ValueError("decorrelation distance must be positive")
-        if self.fast_fading_sigma_db < 0.0:
-            raise ValueError("fast fading sigma must be non-negative")
 
     @property
     def los(self) -> bool:
@@ -139,9 +137,7 @@ class ChannelState:
         gains = self.grid.gains_dbi(az, el)
         pl = path_loss(d3d, los=p.los)
         rsrp = TX_POWER_PER_SSB_DBM + gains - pl - self._shadow[:, None]
-        if p.fast_fading_sigma_db > 0.0:
-            rsrp = rsrp + p.fast_fading_sigma_db * self.rng.standard_normal((N_CELLS, N_SSB))
-        return rsrp
+        return rsrp + FAST_FADING_SIGMA_DB * self.rng.standard_normal((N_CELLS, N_SSB))
 
 
 class L3FilterState:

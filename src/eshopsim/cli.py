@@ -174,15 +174,7 @@ def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    runs = run_scenario(
-        cfg.scenario,
-        cfg.channel,
-        cfg.hcp,
-        cfg.master_seed,
-        d_prep_min_ms=cfg.signaling.d_prep_min_ms,
-        d_prep_max_ms=cfg.signaling.d_prep_max_ms,
-        parallel=parallel,
-    )
+    runs = run_scenario(cfg.scenario, cfg.channel, cfg.hcp, cfg.master_seed, parallel=parallel)
     paths = _paths(cfg.output_dir)
     digest = config_hash(cfg)
     write_report_log(paths["reports"], runs, digest, cfg.master_seed)
@@ -254,10 +246,11 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     val_bank = WindowBank.labeled(bundle.splits["val"], bundle.meta, dtype=cfg.train.np_dtype)
     if len(train_bank) == 0:
         raise DataError("train split holds no samples")
-    params, history = tcn.train(train_bank, val_bank, cfg.model, cfg.train)
+    model_cfg = tcn.TcnModelConfig()  # the paper TCN
+    params, history = tcn.train(train_bank, val_bank, model_cfg, cfg.train)
     digest = config_hash(cfg)
     shape = {
-        "receptive_field": tcn.receptive_field(cfg.model),
+        "receptive_field": tcn.receptive_field(model_cfg),
         "window_len": w,
         "live_param_count": tcn.live_param_count(params, w),
     }
@@ -286,18 +279,17 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     return payload
 
 
-def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
+def cmd_eval(cfg: ExperimentConfig) -> dict:
+    """Scores the model on the test split."""
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
     bundle = _read_dataset(cfg)
-    if split not in bundle.splits:
-        raise DataError(f"unknown split '{split}'")
     params = _load_model(cfg)
     digest = config_hash(cfg)
-    bank = WindowBank.labeled(bundle.splits[split], bundle.meta, dtype=np.float32)
+    bank = WindowBank.labeled(bundle.splits["test"], bundle.meta, dtype=np.float32)
     if len(bank) == 0:
-        raise DataError(f"split '{split}' holds no samples")
+        raise DataError("split 'test' holds no samples")
     preds = tcn.predict(params, bank)
     metrics = tcn.compute_metrics(np.asarray(bank.y, dtype=np.float64), preds)
     write_json(
@@ -306,7 +298,7 @@ def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
             "schema_version": "metrics/1",
             "config_hash": digest,
             "master_seed": cfg.master_seed,
-            "split": split,
+            "split": "test",
             "metrics": metrics.to_dict(),
         },
     )
@@ -321,10 +313,8 @@ def cmd_eval(cfg: ExperimentConfig, split: str = "test") -> dict:
         config_hash=digest,
         master_seed=cfg.master_seed,
     )
-    payload = {split: metrics.to_dict()}
-    old = _read_summary(cfg.output_dir).get("eval", {})
-    old.update(payload)
-    _update_summary(cfg.output_dir, cfg, "eval", old)
+    payload = {"test": metrics.to_dict()}
+    _update_summary(cfg.output_dir, cfg, "eval", payload)
     _record_timing(cfg.output_dir, "eval", time.perf_counter() - t_start)
     return payload
 
@@ -515,15 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment configuration (defaults apply if omitted)")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--los", choices=["los", "nlos"], help="override the propagation mode")
 
     for name in ("simulate", "build-dataset", "train", "eval", "eshop"):
         p = sub.add_parser(name)
         add_common(p)
         if name == "simulate":
             p.add_argument("--parallel", type=int, default=0, help="worker processes")
-        if name == "eval":
-            p.add_argument("--split", default="test", choices=["train", "val", "test"])
         if name == "eshop":
             p.add_argument(
                 "--oracle",
@@ -543,8 +530,6 @@ def _config_from_args(args) -> ExperimentConfig:
         cfg.master_seed = args.seed
     if args.out is not None:
         cfg.output_dir = args.out
-    if args.los is not None:
-        cfg.channel.los_mode = args.los
     return cfg
 
 
@@ -563,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "train":
             cmd_train(cfg)
         elif args.command == "eval":
-            cmd_eval(cfg, split=args.split)
+            cmd_eval(cfg)
         elif args.command == "eshop":
             cmd_eshop(cfg, oracle=args.oracle)
         return 0

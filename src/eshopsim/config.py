@@ -13,11 +13,12 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from eshopsim.channel import ChannelParams
-from eshopsim.controller import SignalingConfig
-from eshopsim.dataset import N_FEATURES, DatasetConfig
+from eshopsim.controller import GUARD_MS, SignalingConfig
+from eshopsim.dataset import DatasetConfig
 from eshopsim.events import HcpConfig
 from eshopsim.scenario import ScenarioConfig
-from eshopsim.tcn import TcnModelConfig, TrainConfig
+from eshopsim.simulate import D_PREP_MAX_MS
+from eshopsim.tcn import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -33,6 +34,8 @@ def _coerce(value, hint):
         args = typing.get_args(hint)
         elems = args[:1] * len(value) if args[-1] is ... else args
         return tuple(map(_coerce, value, elems)) if len(elems) == len(value) else value
+    if type(value) is bool and hint in (int, float):
+        raise ValueError(f"{value} is not a number")
     if type(value) is int and hint is float:
         return float(value)
     if type(value) is float and hint is int:
@@ -61,7 +64,6 @@ class ExperimentConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
     hcp: HcpConfig = field(default_factory=HcpConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    model: TcnModelConfig = field(default_factory=TcnModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     signaling: SignalingConfig = field(default_factory=SignalingConfig)
     output_dir: str = "runs/default"
@@ -72,17 +74,14 @@ class ExperimentConfig:
         "channel": ChannelParams,
         "hcp": HcpConfig,
         "dataset": DatasetConfig,
-        "model": TcnModelConfig,
         "train": TrainConfig,
         "signaling": SignalingConfig,
     }
 
     def __post_init__(self) -> None:
         ttt = self.hcp.ttt_ms  # the one TTT: preparation fits inside it, the guard outlasts it
-        if not self.signaling.d_prep_max_ms <= ttt < self.signaling.guard_ms:
-            raise ConfigError(f"need signaling d_prep_max_ms <= hcp.ttt_ms {ttt} < guard_ms")
-        if self.model.in_channels != N_FEATURES:
-            raise ConfigError(f"model.in_channels must be {N_FEATURES}, the feature count")
+        if not D_PREP_MAX_MS <= ttt < GUARD_MS:
+            raise ConfigError(f"need {D_PREP_MAX_MS} ms <= hcp.ttt_ms {ttt} < {GUARD_MS} ms")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -98,7 +97,7 @@ class ExperimentConfig:
         if "output_dir" in d:
             kwargs["output_dir"] = str(d["output_dir"])
         if "master_seed" in d:
-            if not isinstance(d["master_seed"], int):
+            if type(d["master_seed"]) is not int:
                 raise ConfigError("master_seed must be an integer")
             kwargs["master_seed"] = d["master_seed"]
         return cls(**kwargs)

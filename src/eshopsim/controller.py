@@ -23,19 +23,17 @@ from eshopsim.events import HoEventRecord
 from eshopsim.tcn import ModelParams, model_forward
 
 
+GUARD_MS = 200.0  # prepared resources expire this long after preparation; longer than the TTT
+
+
 @dataclass
 class SignalingConfig:
-    """Preparation-latency and trigger settings."""
+    """Trigger settings of the early preparation."""
 
-    d_prep_min_ms: float = 15.0
-    d_prep_max_ms: float = 35.0  # at most the TTT, hcp.ttt_ms
-    guard_ms: float = 200.0  # longer than the TTT
     trigger_threshold_ms: float = 40.0
     consecutive_required: int = 2
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.d_prep_min_ms <= self.d_prep_max_ms):
-            raise ValueError("preparation latency range must satisfy 0 < min <= max")
         if self.consecutive_required < 1:
             raise ValueError("need at least one triggering prediction")
 
@@ -92,7 +90,7 @@ def simulate_eshop(
         return EshopTimeline(trigger_ms=None, command_ms=a3 + d_prep_ms, wasted=False, fellback=True)
     trigger_ms = float(times[lo + runs[0] + k - 1])
     prep_done = trigger_ms + d_prep_ms
-    if a3 > prep_done + cfg.guard_ms:
+    if a3 > prep_done + GUARD_MS:
         # prepared resources expired before the A3 arrived
         return EshopTimeline(trigger_ms, command_ms=a3 + d_prep_ms, wasted=True, fellback=True)
     return EshopTimeline(trigger_ms, command_ms=max(a3, prep_done), wasted=False, fellback=False)

@@ -18,6 +18,8 @@ BS_HEIGHT_M = 10.0
 UE_HEIGHT_M = 1.5
 SECTOR_BORESIGHTS_DEG = (90.0, 210.0, 330.0)  # cells 0-2; azimuth 0 deg points east, CCW
 BS_POSITION = (0.0, 0.0, BS_HEIGHT_M)
+RADIUS_MIN_M = 40.0  # UE circle radii are drawn uniformly from this range
+RADIUS_MAX_M = 60.0
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,8 @@ class UeTrajectory:
 
 @dataclass
 class ScenarioConfig:
-    """Mobility scenario block: circle randomization bounds and run length."""
+    """Mobility scenario block: UE speeds, run length and UE count."""
 
-    radius_min_m: float = 40.0
-    radius_max_m: float = 60.0
     speeds_mps: tuple[float, ...] = (25.0, 31.0)
     duration_s: float = 20.0
     num_ues: int = 10
@@ -48,8 +48,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if isinstance(self.speeds_mps, list):
             self.speeds_mps = tuple(self.speeds_mps)
-        if not (0.0 < self.radius_min_m <= self.radius_max_m):
-            raise ValueError("need 0 < radius_min_m <= radius_max_m")
         if len(self.speeds_mps) == 0 or any(v <= 0.0 for v in self.speeds_mps):
             raise ValueError("speed set must be non-empty and positive")
         if self.duration_s <= 0.0:
@@ -65,7 +63,7 @@ def spawn_trajectory(seed: int, scenario: ScenarioConfig) -> UeTrajectory:
     speed index.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    radius = float(rng.uniform(scenario.radius_min_m, scenario.radius_max_m))
+    radius = float(rng.uniform(RADIUS_MIN_M, RADIUS_MAX_M))
     start_angle = float(rng.uniform(0.0, 2.0 * math.pi))
     direction = 1 if int(rng.integers(0, 2)) == 1 else -1
     speed = float(scenario.speeds_mps[int(rng.integers(0, len(scenario.speeds_mps)))])

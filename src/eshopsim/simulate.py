@@ -41,6 +41,9 @@ from eshopsim.seeds import derive_seed, rng_from
 
 REPORT_LOG_SCHEMA = "report-log/2"
 EVENT_LOG_SCHEMA = "event-log/1"
+# the preparation latency of each handover, drawn uniformly; at most the TTT
+D_PREP_MIN_MS = 15.0
+D_PREP_MAX_MS = 35.0
 
 
 @dataclass
@@ -59,8 +62,6 @@ def run_ue(
     channel_cfg: ChannelParams,
     hcp: HcpConfig,
     master_seed: int,
-    d_prep_min_ms: float = 15.0,
-    d_prep_max_ms: float = 35.0,
 ) -> UeRun:
     ue_id = f"ue{ue_index:03d}"
     traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario)
@@ -89,7 +90,7 @@ def run_ue(
         new_events = engine.step(report)
         for ev in new_events:
             if ev.kind == EVENT_A3:
-                command_ms = ev.t_ms + float(prep_rng.uniform(d_prep_min_ms, d_prep_max_ms))
+                command_ms = ev.t_ms + float(prep_rng.uniform(D_PREP_MIN_MS, D_PREP_MAX_MS))
         events.extend(new_events)
         times.append(t)
         l3_frames.append(l3)
@@ -111,15 +112,10 @@ def run_scenario(
     channel_cfg: ChannelParams,
     hcp: HcpConfig,
     master_seed: int,
-    d_prep_min_ms: float = 15.0,
-    d_prep_max_ms: float = 35.0,
     parallel: int = 0,
 ) -> list[UeRun]:
     """Run all UEs; parallel runs stay reproducible through per-UE sub-seeds."""
-    argsets = [
-        (i, scenario, channel_cfg, hcp, master_seed, d_prep_min_ms, d_prep_max_ms)
-        for i in range(scenario.num_ues)
-    ]
+    argsets = [(i, scenario, channel_cfg, hcp, master_seed) for i in range(scenario.num_ues)]
     if parallel and parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             runs = list(pool.map(_run_ue_args, argsets))
@@ -168,7 +164,10 @@ def read_report_log(path) -> tuple[dict[str, str], dict[str, dict]]:
         t = np.array(times, dtype=np.int64)
         if np.any(np.diff(t) <= 0):
             raise ValueError(f"{ue}: report times must strictly increase")
-        per_ue[ue] = {"times_ms": t, "l3_rsrp": np.array(vals).reshape(len(t), N_CELLS, N_SSB)}
+        rsrp = np.array(vals).reshape(len(t), N_CELLS, N_SSB)
+        if not np.isfinite(rsrp).all():
+            raise ValueError(f"{ue}: report values must be finite")
+        per_ue[ue] = {"times_ms": t, "l3_rsrp": rsrp}
     return fields, per_ue
 
 

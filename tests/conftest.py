@@ -26,15 +26,12 @@ def tiny_config(out_dir, **overrides):
     from eshopsim.dataset import DatasetConfig
     from eshopsim.events import HcpConfig
     from eshopsim.scenario import ScenarioConfig
-    from eshopsim.tcn import TcnModelConfig, TrainConfig
+    from eshopsim.tcn import TrainConfig
 
     cfg = ExperimentConfig(
         scenario=ScenarioConfig(num_ues=5, duration_s=14.0, speeds_mps=(25.0,)),
         hcp=HcpConfig(hysteresis_db=1.0),
         dataset=DatasetConfig(window_len=16, horizon_s=8.0),
-        model=TcnModelConfig(
-            kernel_size=3, dilations=(1, 2, 4), hidden_channels=8, dense_sizes=(8,)
-        ),
         train=TrainConfig(epochs=2, dtype="float32", batch_size=32, patience=0, seed=0),
         output_dir=str(out_dir),
         master_seed=7,

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from eshopsim.channel import (
     BEAM_AZ_OFFSETS_DEG,
     BEAM_EL_TILTS_DEG,
+    FAST_FADING_SIGMA_DB,
     PEAK_GAIN_DBI,
     BeamGrid,
     ChannelParams,
@@ -123,11 +124,14 @@ def test_shadow_stationary_stddev_monte_carlo(rng):
 
 
 def _sample_without_shadow(pos, seed=9):
-    """Fading-off L1 RSRP of a fresh channel, its initial shadowing added back."""
-    params = ChannelParams(fast_fading_sigma_db=0.0)
+    """L1 RSRP of a fresh channel, its initial shadowing added back and its
+    fast fading, drawn after the three shadow draws, taken out."""
+    params = ChannelParams()
     chan = ChannelState(params, np.random.Generator(np.random.PCG64(seed)))
-    shadow = params.shadow_sigma_db * np.random.Generator(np.random.PCG64(seed)).standard_normal(3)
-    return chan.sample(pos) + shadow[:, None]
+    draws = np.random.Generator(np.random.PCG64(seed))
+    shadow = params.shadow_sigma_db * draws.standard_normal(3)
+    fading = FAST_FADING_SIGMA_DB * draws.standard_normal((3, N_SSB))
+    return chan.sample(pos) + shadow[:, None] - fading
 
 
 def test_rsrp_composition_identity():

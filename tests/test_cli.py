@@ -46,33 +46,35 @@ def test_config_hash_ignores_output_dir():
 def test_config_hash_coerces_declared_types():
     # 16 and 16.0 are one duration; a run directory must accept either spelling
     ints = ExperimentConfig.from_dict(
-        {"scenario": {"duration_s": 16, "speeds_mps": [25, 31]}, "signaling": {"guard_ms": 200}}
+        {
+            "scenario": {"duration_s": 16, "speeds_mps": [25, 31]},
+            "signaling": {"trigger_threshold_ms": 40},
+        }
     )
     floats = ExperimentConfig.from_dict(
         {
             "scenario": {"duration_s": 16.0, "speeds_mps": [25.0, 31.0]},
-            "signaling": {"guard_ms": 200.0},
+            "signaling": {"trigger_threshold_ms": 40.0},
         }
     )
     assert config_hash(ints) == config_hash(floats)
     assert isinstance(ints.scenario.duration_s, float)
     # and an int field written as an integral float is that int
-    as_float = ExperimentConfig.from_dict({"model": {"dilations": [1.0, 2.0]}})
-    assert as_float.model.dilations == (1, 2) and isinstance(as_float.model.dilations[0], int)
-    as_int = ExperimentConfig.from_dict({"model": {"dilations": [1, 2]}})
+    as_float = ExperimentConfig.from_dict({"dataset": {"window_len": 32.0}})
+    assert as_float.dataset.window_len == 32 and isinstance(as_float.dataset.window_len, int)
+    as_int = ExperimentConfig.from_dict({"dataset": {"window_len": 32}})
     assert config_hash(as_float) == config_hash(as_int)
     with pytest.raises(ConfigError, match="not an integer"):
         ExperimentConfig.from_dict({"scenario": {"num_ues": 2.5}})
 
 
 def test_config_refuses_ttt_mismatch():
-    # the TTT is the HCP block's; the signaling bounds are checked against it
-    ok = ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}, "signaling": {"d_prep_max_ms": 120}})
+    # the TTT is the HCP block's: the preparation latency fits inside it and
+    # the 200 ms guard outlasts it
+    ok = ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}})
     assert ok.hcp.ttt_ms == 160
-    with pytest.raises(ConfigError, match="guard_ms"):
-        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}, "signaling": {"guard_ms": 120}})
-    with pytest.raises(ConfigError, match="d_prep_max_ms"):
-        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 40}, "signaling": {"d_prep_max_ms": 60}})
+    with pytest.raises(ConfigError, match="ttt_ms"):
+        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 200}})
     with pytest.raises(ConfigError, match="unknown keys"):
         ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}, "signaling": {"ttt_ms": 40}})
 
@@ -106,6 +108,15 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("train", "beta1", 0.9),
         ("train", "beta2", 0.999),
         ("train", "eps", 1e-8),
+        # values no run varies: the paper TCN (the whole model block), the
+        # circle radii, the fading sigma and the preparation timeline
+        ("model", "kernel_size", 11),
+        ("scenario", "radius_min_m", 40.0),
+        ("scenario", "radius_max_m", 60.0),
+        ("channel", "fast_fading_sigma_db", 2.0),
+        ("signaling", "d_prep_min_ms", 15.0),
+        ("signaling", "d_prep_max_ms", 35.0),
+        ("signaling", "guard_ms", 200.0),
     ]
     for block, key, value in removed:
         path.write_text(json.dumps({block: {key: value}, "output_dir": str(tmp_path / "run")}))
@@ -127,12 +138,20 @@ def _model_headers(blob: bytes):
 def test_main_exit_codes(tmp_path):
     out = tmp_path / "run"
     bad = tmp_path / "bad.json"
-    # the model must read the 39 features the dataset encodes
+    # out of range, a mode that is no string, and a boolean where a number goes
     for block in (
-        {"scenario": {"num_ues": 0}}, {"train": {"patience": -1}}, {"model": {"in_channels": 40}}
+        {"scenario": {"num_ues": 0}}, {"train": {"patience": -1}}, {"channel": {"los_mode": 1}},
+        {"master_seed": True}, {"scenario": {"num_ues": True}},
+        {"hcp": {"hysteresis_db": True}}, {"train": {"epochs": True}},
     ):
         bad.write_text(json.dumps({**block, "output_dir": str(out)}))
-        assert cli.main(["simulate", "--config", str(bad)]) == 2
+        assert cli.main(["simulate", "--config", str(bad)]) == 2, block
+    assert not out.exists()
+    # eval scores the test split only, and the mode is set in the config only
+    for argv in (["eval", "--split", "val"], ["simulate", "--los", "nlos"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
     assert not out.exists()
     # build-dataset before simulate: missing logs -> data error
     cfgfile = tmp_path / "cfg.json"
@@ -236,6 +255,13 @@ def _move_first_abort_to_end(lines):
     lines[last + 1 : last + 1] = pair
 
 
+def _set_cell(lines, i, col, value):
+    """Corruption: cell ``col`` of line ``i`` becomes ``value(cell)``."""
+    cells = lines[i].split(",")
+    cells[col] = value(cells[col])
+    lines[i] = ",".join(cells)
+
+
 def _duplicate(lines, i):
     lines.insert(i, lines[i])
 
@@ -258,6 +284,13 @@ _CORRUPT_LOGS = {
     "reports_swapped": ("reports.csv", lambda ls: ls.insert(2, ls.pop(3))),
     "reports_duplicated": ("reports.csv", lambda ls: _duplicate(ls, 3)),
     "reports_foreign_hash": ("reports.csv", _foreign_hash),
+    "reports_non_finite": ("reports.csv", lambda ls: _set_cell(ls, 3, 5, lambda v: "nan")),
+    "events_infinite_time": (
+        "events.csv", lambda ls: _set_cell(ls, _data_row(ls, "T0"), 2, lambda v: "inf")
+    ),
+    "events_fractional_t0": (
+        "events.csv", lambda ls: _set_cell(ls, _data_row(ls, "T0"), 2, lambda v: v + ".5")
+    ),
 }
 
 
@@ -327,9 +360,12 @@ def test_full_pipeline_artifacts(tmp_path):
     assert summary["simulate"]["a3_count"] >= summary["simulate"]["cmd_count"]
     assert summary["eval"]["test"]["n"] > 0
     assert summary["eshop"]["n_compared"] > 0
-    # k=3, dilations (1, 2, 4), W=16: receptive field 15 < W, so no tap is dead
+    # the paper TCN (k=11, dilations 1..64) at W=16: receptive field 1271; a
+    # tap p of a 32x32 block of dilation d >= 2 is dead when d*p >= 16
     _, header = tcn.load_model(paths["model"])
-    shape = {"receptive_field": 15, "window_len": 16, "live_param_count": header["param_count"]}
+    dead = 32 * 32 * sum(11 - min(11, -(-16 // d)) for d in (2, 4, 8, 16, 32, 64))
+    live = header["param_count"] - dead
+    shape = {"receptive_field": 1271, "window_len": 16, "live_param_count": live}
     for key, value in shape.items():
         assert header["extra"][key] == summary["train"][key] == value
     # oracle-fed countdown never wastes a preparation

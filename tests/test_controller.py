@@ -13,7 +13,7 @@ from eshopsim.controller import (
     HoComparison,
 )
 from eshopsim.dataset import DatasetMeta, N_FEATURES, standardized_rows
-from eshopsim.events import HoEventRecord
+from eshopsim.events import HcpConfig, HoEventRecord
 from eshopsim.tcn import TcnModelConfig, init_params
 from oracles import first_trigger_scan
 
@@ -24,14 +24,10 @@ def _ep(t0=1960, ue="ue000", target=1):
 
 def test_signaling_config_validation():
     with pytest.raises(ValueError):
-        SignalingConfig(d_prep_min_ms=0.0)
-    with pytest.raises(ValueError):
-        SignalingConfig(d_prep_min_ms=30.0, d_prep_max_ms=20.0)
-    # the bounds against the TTT are checked where the TTT lives
+        SignalingConfig(consecutive_required=0)
+    # the preparation bounds are checked against the TTT where the TTT lives
     with pytest.raises(ConfigError):
-        ExperimentConfig(signaling=SignalingConfig(d_prep_max_ms=45.0))  # exceeds TTT
-    with pytest.raises(ConfigError):
-        ExperimentConfig(signaling=SignalingConfig(guard_ms=40.0))
+        ExperimentConfig(hcp=HcpConfig(ttt_ms=200))  # not shorter than the guard
 
 
 def test_decide_preparation_examples():

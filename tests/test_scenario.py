@@ -45,8 +45,6 @@ def test_spawn_rejects_bad_scenarios():
         ScenarioConfig(duration_s=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(speeds_mps=())
-    with pytest.raises(ValueError):
-        ScenarioConfig(radius_min_m=70.0, radius_max_m=60.0)
 
 
 def test_distinct_seeds_give_distinct_trajectories():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eshopsim import tcn
+from eshopsim.dataset import N_FEATURES
 from eshopsim.tcn import (
     BlockParams,
     TcnModelConfig,
@@ -261,6 +262,8 @@ def test_predict_is_batch_invariant(k, dilations, T, n, c_in, hidden, dense, dty
 
 
 def test_live_param_count_paper_config():
+    # the pipeline always trains the paper TCN: it reads every encoded feature
+    assert TcnModelConfig().in_channels == N_FEATURES
     params = init_params(TcnModelConfig())
     assert params.param_count() == 84_513
     assert live_param_count(params, 96) == 61_985
