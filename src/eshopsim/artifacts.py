@@ -13,6 +13,7 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from typing import TextIO
 
 
 def write_table(path, schema: str, columns: list[str], rows: Iterable, **fields) -> None:
@@ -26,9 +27,10 @@ def write_table(path, schema: str, columns: list[str], rows: Iterable, **fields)
 
 
 @contextmanager
-def read_table(path, schema: str) -> Iterator[tuple[dict, list[str], Iterator[list[str]]]]:
+def read_table(path, schema: str) -> Iterator[tuple[dict, list[str], TextIO]]:
     """Checks the header line's schema; yields its fields (``schema``,
-    ``config_hash``, ...), the column row and the data rows."""
+    ``config_hash``, ...), the column row and the open file at the first
+    data line (for ``csv.reader`` or a bulk parse)."""
     with open(path, newline="") as fh:
         line = fh.readline()
         if not line.startswith("# "):
@@ -36,8 +38,7 @@ def read_table(path, schema: str) -> Iterator[tuple[dict, list[str], Iterator[li
         fields = dict(part.split("=", 1) for part in line[2:].split())
         if fields.get("schema") != schema:
             raise ValueError(f"schema mismatch: expected {schema}, found {fields.get('schema')}")
-        reader = csv.reader(fh)
-        yield fields, next(reader, []), reader
+        yield fields, next(csv.reader([fh.readline()]), []), fh
 
 
 def write_json(path, doc) -> None:

@@ -43,10 +43,11 @@ class BeamGrid:
         self._az = (boresights[:, None] + np.tile(az_offsets, len(tilts))) % 360.0
         self._el = np.tile(np.repeat(tilts, len(az_offsets)), (len(boresights), 1))
 
-    def gains_dbi(self, az_deg: float, el_deg: float) -> np.ndarray:
-        """Beam gains toward (az, el) for all cells, shape (3, 12)."""
-        daz = wrap_angle_deg(az_deg - self._az)
-        del_ = wrap_angle_deg(el_deg - self._el)
+    def gains_dbi(self, az_deg, el_deg) -> np.ndarray:
+        """Beam gains toward (az, el) for all cells, shape (..., 3, 12) for
+        directions of shape (...)."""
+        daz = wrap_angle_deg(np.asarray(az_deg, dtype=float)[..., None, None] - self._az)
+        del_ = wrap_angle_deg(np.asarray(el_deg, dtype=float)[..., None, None] - self._el)
         atten = 12.0 * ((daz / BEAM_AZ_3DB_DEG) ** 2 + (del_ / BEAM_EL_3DB_DEG) ** 2)
         return PEAK_GAIN_DBI - np.minimum(atten, FRONT_BACK_LIMIT_DB)
 
@@ -98,46 +99,44 @@ class ChannelParams:
         return self.shadow_sigma_los_db if self.los else self.shadow_sigma_nlos_db
 
 
-def shadow_step(prev_db, delta_d_m: float, params: ChannelParams, rng: np.random.Generator):
-    """Gauss-Markov shadowing update with stationary distribution N(0, sigma^2)."""
-    if delta_d_m < 0.0:
-        raise ValueError("delta_d must be non-negative")
-    rho = math.exp(-delta_d_m / params.decorrelation_distance_m)
-    sigma = params.shadow_sigma_db
-    prev_db = np.asarray(prev_db, dtype=float)
-    noise = rng.standard_normal(prev_db.shape) if prev_db.shape else rng.standard_normal()
-    return rho * prev_db + math.sqrt(1.0 - rho * rho) * sigma * noise
-
-
 class ChannelState:
     """Per-UE stochastic channel: shadowing memory plus fading draws.
 
-    Draw order per sample is fixed: one shadowing innovation per cell (in row
+    Draw order per report is fixed: one shadowing innovation per cell (in row
     order), then the (3, 12) fast-fading block, keeping streams reproducible.
+    Shadowing is Gauss-Markov over the distance moved, with stationary
+    distribution N(0, sigma^2).
     """
 
     def __init__(self, params: ChannelParams, rng: np.random.Generator):
         self.grid = BeamGrid()
         self.params = params
         self.rng = rng
-        self._shadow: np.ndarray | None = None  # (3,) dB per cell
-        self._last_pos: np.ndarray | None = None
 
-    def sample(self, ue_pos: np.ndarray) -> np.ndarray:
-        """Raw L1 RSRP for all 36 beams at this position, shape (3, 12) dBm."""
+    def sample(self, positions: np.ndarray) -> np.ndarray:
+        """Raw L1 RSRP of all 36 beams along a UE's whole position trace
+        (N, 3), shape (N, 3, 12) dBm."""
         p = self.params
-        az, el, d3d = bearing_from_bs(ue_pos)
-        if self._shadow is None:
-            # stationary initialization
-            self._shadow = p.shadow_sigma_db * self.rng.standard_normal(N_CELLS)
-        else:
-            delta_d = float(np.linalg.norm(np.asarray(ue_pos) - self._last_pos))
-            self._shadow = shadow_step(self._shadow, delta_d, p, self.rng)
-        self._last_pos = np.asarray(ue_pos, dtype=float).copy()
+        positions = np.asarray(positions, dtype=float)
+        n = len(positions)
+        draws = self.rng.standard_normal((n, N_CELLS + N_CELLS * N_SSB))
+        # per position: a vectorized norm or trig would differ in the last bit
+        az, el, d3d = np.array([bearing_from_bs(pos) for pos in positions]).reshape(n, 3).T
+        pl = np.array([path_loss(d, los=p.los) for d in d3d.tolist()])
+        sigma = p.shadow_sigma_db
+        shadow = np.empty((n, N_CELLS))
+        for i in range(n):
+            innovation = draws[i, :N_CELLS]
+            if i == 0:  # stationary initialization
+                shadow[0] = sigma * innovation
+            else:
+                delta_d = float(np.linalg.norm(positions[i] - positions[i - 1]))
+                rho = math.exp(-delta_d / p.decorrelation_distance_m)
+                shadow[i] = rho * shadow[i - 1] + math.sqrt(1.0 - rho * rho) * sigma * innovation
         gains = self.grid.gains_dbi(az, el)
-        pl = path_loss(d3d, los=p.los)
-        rsrp = TX_POWER_PER_SSB_DBM + gains - pl - self._shadow[:, None]
-        return rsrp + FAST_FADING_SIGMA_DB * self.rng.standard_normal((N_CELLS, N_SSB))
+        rsrp = TX_POWER_PER_SSB_DBM + gains - pl[:, None, None] - shadow[:, :, None]
+        fading = draws[:, N_CELLS:].reshape(n, N_CELLS, N_SSB)
+        return rsrp + FAST_FADING_SIGMA_DB * fading
 
 
 class L3FilterState:
@@ -147,17 +146,16 @@ class L3FilterState:
         if not (0.0 < a <= 1.0):
             raise ValueError("filter coefficient must lie in (0, 1]")
         self.a = a
-        self.value: np.ndarray | None = None
 
     def update(self, raw) -> np.ndarray:
+        """Filters a UE's whole trace of samples (N, ...) in time order;
+        returns the filtered values (N, ...)."""
         raw = np.asarray(raw, dtype=float)
-        if self.value is None:
-            self.value = raw.copy()
-        else:
-            if raw.shape != self.value.shape:
-                raise ValueError("raw sample shape changed mid-run")
-            self.value = (1.0 - self.a) * self.value + self.a * raw
-        return self.value.copy()
+        weighted = self.a * raw
+        out = np.empty_like(raw)
+        for i in range(len(raw)):
+            out[i] = raw[i] if i == 0 else (1.0 - self.a) * out[i - 1] + weighted[i]
+        return out
 
 
 @dataclass
@@ -177,8 +175,6 @@ class MeasurementReport:
             raise ValueError("reports land on the 40 ms grid")
 
 
-def make_report(t_ms: int, filt: L3FilterState) -> MeasurementReport:
-    """Snapshot the current L3 filter state into a timestamped report."""
-    if filt.value is None:
-        raise ValueError("L3 filter state not initialized")
-    return MeasurementReport(t_ms=t_ms, rsrp_dbm=filt.value.copy())
+def make_report(t_ms: int, l3_rsrp) -> MeasurementReport:
+    """Snapshot one L3-filtered (3, 12) frame into a timestamped report."""
+    return MeasurementReport(t_ms=t_ms, rsrp_dbm=np.array(l3_rsrp, dtype=float))

@@ -1,14 +1,17 @@
 """Per-UE simulation loop and the raw report / event log file formats.
 
 Each UE gets independent sub-seeded streams for trajectory, channel and
-preparation-latency draws. The loop visits every 40 ms report instant,
-samples the channel there, feeds the event engine, and applies each
-handover command (legacy-timed at A3 + d_prep) as the episode boundary.
+preparation-latency draws. The channel and the L3 filter run once over
+the UE's whole trace of 40 ms report instants; the event engine then takes
+the reports in turn and applies each handover command (legacy-timed at
+A3 + d_prep) as the episode boundary.
 """
 
 from __future__ import annotations
 
-from array import array
+import csv
+import itertools
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -67,38 +70,30 @@ def run_ue(
     traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario)
     chan_rng = rng_from(master_seed, "channel", ue_index)
     prep_rng = rng_from(master_seed, "prep-latency", ue_index)
-    chan = ChannelState(channel_cfg, chan_rng)
-    filt = L3FilterState()
-    engine: A3EventEngine | None = None
-    command_ms: float | None = None  # drawn command time of the A3 that waits
-
-    times: list[int] = []
-    l3_frames: list[np.ndarray] = []
-    events: list[HoEvent] = []
 
     duration_ms = int(round(scenario.duration_s * 1000.0))
-    for t in range(0, duration_ms + 1, REPORT_PERIOD_MS):
-        pos = position_at(traj, t)
-        raw = chan.sample(pos)
-        l3 = filt.update(raw)
-        report = make_report(t, filt)
-        if engine is None:
-            engine = A3EventEngine(ue_id, hcp, int(np.argmax(l3.max(axis=1))))
+    times = range(0, duration_ms + 1, REPORT_PERIOD_MS)
+    positions = np.array([position_at(traj, t) for t in times])
+    # one channel and one filter pass over the whole trace, then the reports in turn
+    l3_rsrp = L3FilterState().update(ChannelState(channel_cfg, chan_rng).sample(positions))
+
+    engine = A3EventEngine(ue_id, hcp, int(np.argmax(l3_rsrp[0].max(axis=1))))
+    command_ms: float | None = None  # drawn command time of the A3 that waits
+    events: list[HoEvent] = []
+    for t, l3 in zip(times, l3_rsrp):
         if command_ms is not None and command_ms <= t:
             events.append(engine.apply_handover(command_ms))
             command_ms = None
-        new_events = engine.step(report)
+        new_events = engine.step(make_report(t, l3))
         for ev in new_events:
             if ev.kind == EVENT_A3:
                 command_ms = ev.t_ms + float(prep_rng.uniform(D_PREP_MIN_MS, D_PREP_MAX_MS))
         events.extend(new_events)
-        times.append(t)
-        l3_frames.append(l3)
 
     return UeRun(
         ue_id=ue_id,
         times_ms=np.asarray(times, dtype=np.int64),
-        l3_rsrp=np.stack(l3_frames),
+        l3_rsrp=l3_rsrp,
         events=events,
     )
 
@@ -146,25 +141,51 @@ def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int
     )
 
 
+# the parsed UE id column is this wide; the writer's ids are "ue" + index
+_UE_ID_WIDTH = 16
+_REPORT_ROW = np.dtype(
+    [("t_ms", np.int64), ("ue_id", f"U{_UE_ID_WIDTH}"), ("l3", np.float64, (N_CELLS, N_SSB))]
+)
+
+
 def read_report_log(path) -> tuple[dict[str, str], dict[str, dict]]:
     """The header fields, and per UE: times (N,), strictly increasing, and
     l3_rsrp (N, 3, 12)."""
-    acc: dict[str, tuple[array, array]] = {}
-    with read_table(path, REPORT_LOG_SCHEMA) as (fields, columns, reader):
+    n_lines = 0
+
+    def counted(lines):
+        nonlocal n_lines
+        for line in lines:
+            n_lines += 1
+            yield line
+
+    rows = np.empty(0, dtype=_REPORT_ROW)
+    with read_table(path, REPORT_LOG_SCHEMA) as (fields, columns, data):
         if columns != _REPORT_COLUMNS:
             raise ValueError("unexpected report log header")
-        for row in reader:
-            if len(row) != len(columns):
-                raise ValueError("malformed report log row")
-            times, vals = acc.setdefault(row[1], (array("q"), array("d")))
-            times.append(int(row[0]))
-            vals.extend(map(float, row[2:]))  # a flat buffer holds no float objects
+        first = data.readline()
+        if first:  # streamed: the parse holds no copy of the text
+            # comments=None: a "#" line is a malformed row, not a comment.
+            # Some numpy releases this package allows read "80.5" into the
+            # integer t_ms field as 80 with only a DeprecationWarning; raised
+            # as an error, it refuses the row
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(
+                    counted(itertools.chain([first], data)),
+                    dtype=_REPORT_ROW, delimiter=",", comments=None, ndmin=1,
+                )
+    ue_ids = rows["ue_id"]
+    # loadtxt skips blank lines, and cuts a UE id that fills the column short
+    if len(rows) != n_lines or np.any(np.char.str_len(ue_ids) >= _UE_ID_WIDTH):
+        raise ValueError("malformed report log row")
     per_ue = {}
-    for ue, (times, vals) in acc.items():
-        t = np.array(times, dtype=np.int64)
+    for ue in dict.fromkeys(ue_ids.tolist()):  # in order of first appearance
+        mine = ue_ids == ue
+        t = rows["t_ms"][mine]
         if np.any(np.diff(t) <= 0):
             raise ValueError(f"{ue}: report times must strictly increase")
-        rsrp = np.array(vals).reshape(len(t), N_CELLS, N_SSB)
+        rsrp = rows["l3"][mine]
         if not np.isfinite(rsrp).all():
             raise ValueError(f"{ue}: report values must be finite")
         per_ue[ue] = {"times_ms": t, "l3_rsrp": rsrp}
@@ -195,10 +216,10 @@ def write_event_log(path, runs: list[UeRun], config_hash: str, master_seed: int)
 def read_event_log(path) -> tuple[dict[str, str], dict[str, list[HoEventRecord]]]:
     """The header fields, and per UE the episodes of its logged events."""
     events: dict[str, list[HoEvent]] = {}
-    with read_table(path, EVENT_LOG_SCHEMA) as (fields, columns, reader):
+    with read_table(path, EVENT_LOG_SCHEMA) as (fields, columns, data):
         if columns != _EVENT_COLUMNS:
             raise ValueError("unexpected event log header")
-        for ue, kind, t_ms, serving, target in reader:
+        for ue, kind, t_ms, serving, target in csv.reader(data):
             events.setdefault(ue, []).append(
                 HoEvent(ue, kind, float(t_ms), int(serving), int(target))
             )

@@ -503,7 +503,7 @@ class _Adam:
             a -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
-def predict(params: ModelParams, bank, batch_size: int = 512) -> np.ndarray:
+def predict(params: ModelParams, bank, batch_size: int = 64) -> np.ndarray:
     """Batched predictions over a window bank (order preserved)."""
     n = len(bank)
     out = np.empty(n, dtype=np.float64)

@@ -6,10 +6,25 @@ These deliberately use different algorithmic shapes from the production code
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from eshopsim.channel import MeasurementReport, N_SSB
-from eshopsim.events import A3EventEngine, HcpConfig
+from eshopsim.channel import (
+    FAST_FADING_SIGMA_DB,
+    L3_FILTER_COEFF,
+    N_CELLS,
+    N_SSB,
+    TX_POWER_PER_SSB_DBM,
+    BeamGrid,
+    ChannelParams,
+    MeasurementReport,
+    path_loss,
+)
+from eshopsim.events import EVENT_A3, A3EventEngine, HcpConfig
+from eshopsim.scenario import REPORT_PERIOD_MS, bearing_from_bs, position_at, spawn_trajectory
+from eshopsim.seeds import derive_seed, rng_from
+from eshopsim.simulate import D_PREP_MAX_MS, D_PREP_MIN_MS, UeRun
 
 
 def naive_causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int = 1) -> np.ndarray:
@@ -118,6 +133,94 @@ def fd_gradient(fn, arrays: list[np.ndarray], h: float = 1e-6) -> list[np.ndarra
             gflat[i] = (fp - fm) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# per-report channel, L3 filter and simulation loop
+# ---------------------------------------------------------------------------
+
+
+def shadow_step(prev_db, delta_d_m: float, params: ChannelParams, rng: np.random.Generator):
+    """Gauss-Markov shadowing update with stationary distribution N(0, sigma^2)."""
+    if delta_d_m < 0.0:
+        raise ValueError("delta_d must be non-negative")
+    rho = math.exp(-delta_d_m / params.decorrelation_distance_m)
+    sigma = params.shadow_sigma_db
+    prev_db = np.asarray(prev_db, dtype=float)
+    noise = rng.standard_normal(prev_db.shape) if prev_db.shape else rng.standard_normal()
+    return rho * prev_db + math.sqrt(1.0 - rho * rho) * sigma * noise
+
+
+class PerReportChannel:
+    """``channel.ChannelState`` one position per call: the shadowing memory
+    and the last position carry over to the next call."""
+
+    def __init__(self, params: ChannelParams, rng: np.random.Generator):
+        self.grid = BeamGrid()
+        self.params = params
+        self.rng = rng
+        self._shadow: np.ndarray | None = None  # (3,) dB per cell
+        self._last_pos: np.ndarray | None = None
+
+    def sample(self, ue_pos: np.ndarray) -> np.ndarray:
+        """Raw L1 RSRP for all 36 beams at this position, shape (3, 12) dBm."""
+        p = self.params
+        az, el, d3d = bearing_from_bs(ue_pos)
+        if self._shadow is None:
+            # stationary initialization
+            self._shadow = p.shadow_sigma_db * self.rng.standard_normal(N_CELLS)
+        else:
+            delta_d = float(np.linalg.norm(np.asarray(ue_pos) - self._last_pos))
+            self._shadow = shadow_step(self._shadow, delta_d, p, self.rng)
+        self._last_pos = np.asarray(ue_pos, dtype=float).copy()
+        gains = self.grid.gains_dbi(az, el)
+        pl = path_loss(d3d, los=p.los)
+        rsrp = TX_POWER_PER_SSB_DBM + gains - pl - self._shadow[:, None]
+        return rsrp + FAST_FADING_SIGMA_DB * self.rng.standard_normal((N_CELLS, N_SSB))
+
+
+class PerReportL3Filter:
+    """``channel.L3FilterState`` one sample per call, holding the last output."""
+
+    def __init__(self, a: float = L3_FILTER_COEFF):
+        self.a = a
+        self.value: np.ndarray | None = None
+
+    def update(self, raw) -> np.ndarray:
+        raw = np.asarray(raw, dtype=float)
+        if self.value is None:
+            self.value = raw.copy()
+        else:
+            self.value = (1.0 - self.a) * self.value + self.a * raw
+        return self.value.copy()
+
+
+def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRun:
+    """``simulate.run_ue`` one report at a time: each instant samples the
+    channel at one position, filters that one frame and steps the engine
+    (reference for the bulk channel and filter passes)."""
+    ue_id = f"ue{ue_index:03d}"
+    traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario)
+    chan = PerReportChannel(channel_cfg, rng_from(master_seed, "channel", ue_index))
+    prep_rng = rng_from(master_seed, "prep-latency", ue_index)
+    filt = PerReportL3Filter()
+    engine = None
+    command_ms = None
+    times, frames, events = [], [], []
+    for t in range(0, int(round(scenario.duration_s * 1000.0)) + 1, REPORT_PERIOD_MS):
+        l3 = filt.update(chan.sample(position_at(traj, t)))
+        if engine is None:
+            engine = A3EventEngine(ue_id, hcp, int(np.argmax(l3.max(axis=1))))
+        if command_ms is not None and command_ms <= t:
+            events.append(engine.apply_handover(command_ms))
+            command_ms = None
+        for ev in engine.step(MeasurementReport(t_ms=t, rsrp_dbm=filt.value.copy())):
+            if ev.kind == EVENT_A3:
+                command_ms = ev.t_ms + float(prep_rng.uniform(D_PREP_MIN_MS, D_PREP_MAX_MS))
+            events.append(ev)
+        times.append(t)
+        frames.append(l3)
+    return UeRun(ue_id, np.asarray(times, dtype=np.int64), np.stack(frames), events)
 
 
 # ---------------------------------------------------------------------------

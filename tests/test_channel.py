@@ -9,6 +9,7 @@ from eshopsim.channel import (
     BEAM_EL_TILTS_DEG,
     FAST_FADING_SIGMA_DB,
     PEAK_GAIN_DBI,
+    TX_POWER_PER_SSB_DBM,
     BeamGrid,
     ChannelParams,
     ChannelState,
@@ -17,10 +18,16 @@ from eshopsim.channel import (
     N_SSB,
     make_report,
     path_loss,
-    shadow_step,
     wrap_angle_deg,
 )
-from eshopsim.scenario import SECTOR_BORESIGHTS_DEG, position_at, spawn_trajectory, ScenarioConfig
+from eshopsim.scenario import (
+    SECTOR_BORESIGHTS_DEG,
+    ScenarioConfig,
+    bearing_from_bs,
+    position_at,
+    spawn_trajectory,
+)
+from oracles import PerReportChannel, PerReportL3Filter
 
 # frozen via an independent high-precision evaluation of
 # 32.4 + 21*log10(50) + 20*log10(28)
@@ -96,17 +103,34 @@ def test_pathloss_rejects_close_range():
         path_loss(0.5, los=True)
 
 
-def test_shadow_zero_distance_keeps_value(rng):
-    params = ChannelParams()
-    assert shadow_step(3.7, 0.0, params, rng) == 3.7
+def _shadow_along(positions, seed=9):
+    """Shadowing (N, 3) of a fresh LoS channel along ``positions``: its L1
+    RSRP with the geometry and the fast fading (replayed from the seed's
+    stream, 3 shadow then 36 fading draws per report) taken out."""
+    positions = np.asarray(positions, dtype=float)
+    raw = ChannelState(ChannelParams(), np.random.Generator(np.random.PCG64(seed))).sample(positions)
+    draws = np.random.Generator(np.random.PCG64(seed)).standard_normal((len(positions), 39))
+    fading = FAST_FADING_SIGMA_DB * draws[:, 3:].reshape(-1, 3, N_SSB)
+    geometry = []
+    for pos in positions:
+        az, el, d3d = bearing_from_bs(pos)
+        geometry.append(TX_POWER_PER_SSB_DBM + BeamGrid().gains_dbi(az, el) - path_loss(d3d, los=True))
+    return (np.array(geometry) + fading - raw)[:, :, 0]
 
 
-def test_shadow_long_distance_forgets(rng):
-    params = ChannelParams()
-    # many independent far jumps: empirical stddev matches sigma
-    vals = np.array([shadow_step(50.0, 1e6, params, rng) for _ in range(4000)])
+def test_shadow_zero_distance_keeps_value():
+    pos = [50.0, 10.0, 1.5]
+    shadow = _shadow_along([pos, pos, pos])
+    initial = ChannelParams().shadow_sigma_db * np.random.Generator(np.random.PCG64(9)).standard_normal(3)
+    assert shadow == pytest.approx(np.tile(initial, (3, 1)), abs=1e-9)
+
+
+def test_shadow_long_distance_forgets():
+    # reports 1 km apart (100 decorrelation distances): independent draws
+    # whose empirical stddev matches sigma
+    vals = _shadow_along([[50.0 + 1000.0 * i, 0.0, 1.5] for i in range(4000)]).ravel()
     assert abs(vals.mean()) < 0.25
-    assert vals.std() == pytest.approx(params.shadow_sigma_db, rel=0.05)
+    assert vals.std() == pytest.approx(ChannelParams().shadow_sigma_db, rel=0.05)
 
 
 def test_shadow_stationary_stddev_monte_carlo(rng):
@@ -131,7 +155,7 @@ def _sample_without_shadow(pos, seed=9):
     draws = np.random.Generator(np.random.PCG64(seed))
     shadow = params.shadow_sigma_db * draws.standard_normal(3)
     fading = FAST_FADING_SIGMA_DB * draws.standard_normal((3, N_SSB))
-    return chan.sample(pos) + shadow[:, None] - fading
+    return chan.sample(np.asarray(pos)[None])[0] + shadow[:, None] - fading
 
 
 def test_rsrp_composition_identity():
@@ -164,50 +188,54 @@ def test_rsrp_monotone_with_distance():
 
 def test_l3_filter_recurrence():
     f = L3FilterState(a=0.5)
-    assert f.update(-100.0) == -100.0
-    assert f.update(-90.0) == -95.0
+    assert f.update([-100.0, -90.0]).tolist() == [-100.0, -95.0]
 
 
 def test_l3_filter_identity_coefficient():
     f = L3FilterState(a=1.0)
-    f.update(-100.0)
-    assert f.update(-42.0) == -42.0
+    assert f.update([-100.0, -42.0])[-1] == -42.0
 
 
 def test_l3_filter_converges_geometrically():
-    f = L3FilterState(a=0.5)
-    f.update(-100.0)
-    for _ in range(40):
-        f.update(-80.0)
-    assert f.value == pytest.approx(-80.0, abs=1e-9)
+    out = L3FilterState(a=0.5).update([-100.0] + [-80.0] * 40)
+    assert out[-1] == pytest.approx(-80.0, abs=1e-9)
 
 
 @given(st.lists(st.floats(min_value=-120.0, max_value=-40.0), min_size=1, max_size=30))
 def test_l3_filter_stays_within_observed_range(samples):
-    f = L3FilterState(a=0.5)
-    for s in samples:
-        out = f.update(s)
-    assert min(samples) - 1e-9 <= float(out) <= max(samples) + 1e-9
+    out = L3FilterState(a=0.5).update(samples)
+    assert min(samples) - 1e-9 <= out.min() and out.max() <= max(samples) + 1e-9
+
+
+@given(st.integers(min_value=1, max_value=12), st.sampled_from(["los", "nlos"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_trace_passes_equal_per_report_calls(n, los_mode, seed):
+    # one channel and one filter call over a trace keep every bit of the
+    # per-report reference (shadowing memory, draw order, filter recurrence)
+    params = ChannelParams(los_mode=los_mode)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    positions = np.column_stack([rng.uniform(-60.0, 60.0, (n, 2)), np.full(n, 1.5)])
+    raw = ChannelState(params, np.random.Generator(np.random.PCG64(seed))).sample(positions)
+    ref_chan = PerReportChannel(params, np.random.Generator(np.random.PCG64(seed)))
+    raw_ref = np.array([ref_chan.sample(pos) for pos in positions])
+    assert np.array_equal(raw.view(np.int64), raw_ref.view(np.int64))
+    ref_filt = PerReportL3Filter()
+    l3_ref = np.array([ref_filt.update(frame) for frame in raw_ref])
+    assert np.array_equal(L3FilterState().update(raw).view(np.int64), l3_ref.view(np.int64))
 
 
 def test_make_report_snapshot():
-    f = L3FilterState()
-    vals = np.arange(36.0).reshape(3, 12) - 100.0
-    f.update(vals)
-    report = make_report(40, f)
+    frame = np.arange(36.0).reshape(3, 12) - 100.0
+    report = make_report(40, frame)
     assert report.rsrp_dbm.shape == (3, N_SSB)
-    assert np.array_equal(report.rsrp_dbm, f.value)
+    assert np.array_equal(report.rsrp_dbm, frame)
     report.rsrp_dbm[0, 0] = 0.0  # snapshot must be a copy
-    assert f.value[0, 0] == -100.0
+    assert frame[0, 0] == -100.0
 
 
 def test_make_report_validation():
     with pytest.raises(ValueError):
-        make_report(40, L3FilterState())
-    f = L3FilterState()
-    f.update(np.zeros((3, 12)))
-    with pytest.raises(ValueError):
-        make_report(30, f)
+        make_report(30, np.zeros((3, 12)))
     with pytest.raises(ValueError):
         MeasurementReport(40, np.zeros((3, 5)))
     with pytest.raises(ValueError):
@@ -229,8 +257,8 @@ def test_channel_state_deterministic():
     pos = np.array([50.0, 10.0, 1.5])
     a = ChannelState(params, np.random.Generator(np.random.PCG64(9)))
     b = ChannelState(params, np.random.Generator(np.random.PCG64(9)))
-    for _ in range(5):
-        assert np.array_equal(a.sample(pos), b.sample(pos))
+    trace = np.tile(pos, (5, 1))
+    assert np.array_equal(a.sample(trace), b.sample(trace))
 
 
 def test_channel_params_validation():

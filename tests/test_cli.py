@@ -285,6 +285,14 @@ _CORRUPT_LOGS = {
     "reports_duplicated": ("reports.csv", lambda ls: _duplicate(ls, 3)),
     "reports_foreign_hash": ("reports.csv", _foreign_hash),
     "reports_non_finite": ("reports.csv", lambda ls: _set_cell(ls, 3, 5, lambda v: "nan")),
+    "reports_fractional_time": ("reports.csv", lambda ls: _set_cell(ls, 3, 0, lambda v: v + ".5")),
+    "reports_float_time": ("reports.csv", lambda ls: _set_cell(ls, 3, 0, lambda v: v + ".0")),
+    "reports_non_finite_time": ("reports.csv", lambda ls: _set_cell(ls, 3, 0, lambda v: "nan")),
+    "reports_not_a_number": ("reports.csv", lambda ls: _set_cell(ls, 3, 5, lambda v: v + "x")),
+    "reports_short_row": ("reports.csv", lambda ls: ls.__setitem__(3, ls[3].rsplit(",", 1)[0])),
+    # the bulk parser skips blank lines, and "#" lines unless told otherwise
+    "reports_blank_line": ("reports.csv", lambda ls: ls.insert(3, "")),
+    "reports_comment_line": ("reports.csv", lambda ls: ls.insert(3, "#x")),
     "events_infinite_time": (
         "events.csv", lambda ls: _set_cell(ls, _data_row(ls, "T0"), 2, lambda v: "inf")
     ),

@@ -14,6 +14,8 @@ from eshopsim.controller import (
 )
 from eshopsim.dataset import DatasetMeta, N_FEATURES, standardized_rows
 from eshopsim.events import HcpConfig, HoEventRecord
+from eshopsim.scenario import REPORT_PERIOD_MS
+from eshopsim.simulate import D_PREP_MAX_MS
 from eshopsim.tcn import TcnModelConfig, init_params
 from oracles import first_trigger_scan
 
@@ -25,9 +27,17 @@ def _ep(t0=1960, ue="ue000", target=1):
 def test_signaling_config_validation():
     with pytest.raises(ValueError):
         SignalingConfig(consecutive_required=0)
-    # the preparation bounds are checked against the TTT where the TTT lives
+    # the TTT is checked against the guard where the TTT lives
     with pytest.raises(ConfigError):
         ExperimentConfig(hcp=HcpConfig(ttt_ms=200))  # not shorter than the guard
+
+
+def test_preparation_fits_inside_every_ttt():
+    # HcpConfig keeps the TTT at one report period or more, so a preparation
+    # latency of at most one period always completes inside it
+    assert D_PREP_MAX_MS <= REPORT_PERIOD_MS
+    with pytest.raises(ValueError):
+        HcpConfig(ttt_ms=REPORT_PERIOD_MS // 2)
 
 
 def test_decide_preparation_examples():

@@ -1,4 +1,7 @@
+import csv
+
 import numpy as np
+import pytest
 
 from eshopsim.artifacts import read_table
 from eshopsim.channel import ChannelParams
@@ -13,6 +16,7 @@ from eshopsim.simulate import (
     write_event_log,
     write_report_log,
 )
+from oracles import run_ue_per_report
 
 
 def _small_run(**channel_overrides):
@@ -32,6 +36,20 @@ def test_run_ue_report_stream_shape():
     assert np.all(np.diff(run.times_ms) == REPORT_PERIOD_MS)
     assert run.l3_rsrp.shape == (126, 3, 12)
     assert np.isfinite(run.l3_rsrp).all()
+
+
+@pytest.mark.parametrize("los_mode", ["los", "nlos"])
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_run_ue_equals_per_report_loop(los_mode, seed):
+    # the bulk channel and filter passes keep every bit of the loop that
+    # samples, filters and steps one report at a time
+    sc = ScenarioConfig(num_ues=2, duration_s=12.0)
+    args = (1, sc, ChannelParams(los_mode=los_mode), HcpConfig(hysteresis_db=1.0), seed)
+    got, want = run_ue(*args), run_ue_per_report(*args)
+    assert np.array_equal(got.times_ms, want.times_ms)
+    assert np.array_equal(got.l3_rsrp.view(np.int64), want.l3_rsrp.view(np.int64))
+    assert got.events == want.events
+    assert any(ev.kind == "A3" for ev in got.events)
 
 
 def test_run_ue_deterministic():
@@ -80,8 +98,8 @@ def test_log_round_trip(tmp_path):
     report_fields, reports = read_report_log(rp)
     event_fields, episodes = read_event_log(ep)
     assert report_fields["config_hash"] == event_fields["config_hash"] == "deadbeef"
-    with read_table(ep, EVENT_LOG_SCHEMA) as (_, _, reader):
-        event_rows = list(reader)
+    with read_table(ep, EVENT_LOG_SCHEMA) as (_, _, data):
+        event_rows = list(csv.reader(data))
     for run in runs:
         got = reports[run.ue_id]
         assert np.array_equal(got["times_ms"], run.times_ms)
@@ -92,6 +110,15 @@ def test_log_round_trip(tmp_path):
         ]
         # the log's episodes are the grammar's episodes of the engine's events
         assert episodes[run.ue_id] == episodes_from_events(run.events)
+
+
+def test_report_log_refuses_a_ue_id_too_wide_to_parse(tmp_path):
+    run = _small_run()[0]
+    run.ue_id = "ue" + "0" * 14  # fills the parsed column, so it could be cut short
+    rp = tmp_path / "reports.csv"
+    write_report_log(rp, [run], "deadbeef", 11)
+    with pytest.raises(ValueError, match="malformed"):
+        read_report_log(rp)
 
 
 def test_los_and_nlos_logs_differ(tmp_path):
