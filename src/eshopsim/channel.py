@@ -130,7 +130,8 @@ class ChannelState:
             if i == 0:  # stationary initialization
                 shadow[0] = sigma * innovation
             else:
-                delta_d = float(np.linalg.norm(positions[i] - positions[i - 1]))
+                step = positions[i] - positions[i - 1]
+                delta_d = math.sqrt(step.dot(step))  # as np.linalg.norm computes it
                 rho = math.exp(-delta_d / p.decorrelation_distance_m)
                 shadow[i] = rho * shadow[i - 1] + math.sqrt(1.0 - rho * rho) * sigma * innovation
         gains = self.grid.gains_dbi(az, el)

@@ -76,10 +76,8 @@ def _paths(out_dir: str) -> dict[str, str]:
 
 
 def _csv_cell(value):
-    """repr for floats (exact round trip), 0/1 for flags, the rest as is."""
-    if isinstance(value, bool):
-        return int(value)
-    return repr(value) if isinstance(value, float) else value
+    """0/1 for flags, the rest as is."""
+    return int(value) if isinstance(value, bool) else value
 
 
 def _load_summary(path: str) -> dict:
@@ -260,7 +258,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
         paths["history"],
         "train-history/1",
         ["epoch", "train_rmse", "val_rmse"],
-        ([r["epoch"], repr(r["train_rmse"]), repr(r["val_rmse"])] for r in history),
+        ([r["epoch"], r["train_rmse"], r["val_rmse"]] for r in history),
         config_hash=digest,
         master_seed=cfg.master_seed,
     )
@@ -307,7 +305,7 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
         "predictions/1",
         ["ue_id", "t_ms", "actual_tef_s", "predicted_tef_s"],
         (
-            [ue, int(t), repr(float(ya)), repr(float(yp))]
+            [ue, int(t), float(ya), float(yp)]
             for ue, t, ya, yp in zip(bank.ue_ids, bank.t_ms, bank.y, preds)
         ),
         config_hash=digest,
@@ -401,7 +399,7 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         "rsrp-drop-cdf/1",
         ["delta_rsrp_db", "cumulative_prob"],
         (
-            [repr(float(x)), repr(float(p))]
+            [float(x), float(p)]
             for x, p in zip(stats.cdf_delta_rsrp_db, stats.cdf_cumulative_prob)
         ),
         config_hash=digest,
@@ -481,7 +479,7 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
         out_row = [metric]
         for g in groups:
             if g in row:
-                out_row.extend([repr(row[g][0]), repr(row[g][1])])
+                out_row.extend(row[g])
             else:
                 out_row.extend(["", ""])
         rows.append(out_row)

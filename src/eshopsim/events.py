@@ -18,8 +18,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from eshopsim.channel import N_CELLS, MeasurementReport
 from eshopsim.scenario import REPORT_PERIOD_MS
 
@@ -91,11 +89,11 @@ class A3EventEngine:
             raise ValueError(f"report timestamps must increase ({t} after {self._last_t_ms})")
         self._last_t_ms = t
 
-        best = report.rsrp_dbm.max(axis=1)  # per-cell best beam
+        best = report.rsrp_dbm.max(axis=1).tolist()  # per-cell best beam
         s = self.serving_cell
-        nb = [c for c in range(N_CELLS) if c != s]
-        n_star = nb[int(np.argmax(best[nb]))]
-        entry = a3_entry(float(best[n_star]), float(best[s]), self.hcp)
+        # the strongest neighbor; max keeps the first of equals, the lower cell
+        n_star = max((c for c in range(N_CELLS) if c != s), key=best.__getitem__)
+        entry = a3_entry(best[n_star], best[s], self.hcp)
 
         if self.pending is not None:
             # A3 already reported; no arming until the command is applied

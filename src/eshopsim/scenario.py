@@ -94,7 +94,7 @@ def position_at(traj: UeTrajectory, t_ms: float) -> np.ndarray:
 def bearing_from_bs(ue_pos: np.ndarray) -> tuple[float, float, float]:
     """Azimuth [0, 360), elevation (negative below BS height) and 3D distance."""
     d = np.asarray(ue_pos, dtype=float) - np.asarray(BS_POSITION, dtype=float)
-    d3d = float(np.linalg.norm(d))
+    d3d = math.sqrt(d.dot(d))  # np.linalg.norm's own formula, without its call overhead
     if d3d < 1e-12:
         raise ValueError("UE position coincides with the BS")
     az = math.degrees(math.atan2(d[1], d[0])) % 360.0

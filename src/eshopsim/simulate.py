@@ -131,9 +131,11 @@ _REPORT_COLUMNS = ["t_ms", "ue_id"] + [f"c{c}b{b}" for c in range(N_CELLS) for b
 def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int) -> None:
     """One row per report: time, UE, then the 3 x 12 beam values cell by cell."""
     rows = (
-        [int(t), run.ue_id, *map(repr, frame.ravel().tolist())]
+        [t, run.ue_id, *frame]
         for run in runs
-        for t, frame in zip(run.times_ms, run.l3_rsrp)
+        for t, frame in zip(
+            run.times_ms.tolist(), run.l3_rsrp.reshape(len(run.times_ms), N_CELLS * N_SSB).tolist()
+        )
     )
     write_table(
         path, REPORT_LOG_SCHEMA, _REPORT_COLUMNS, rows,
@@ -200,7 +202,7 @@ def write_event_log(path, runs: list[UeRun], config_hash: str, master_seed: int)
         [
             ev.ue_id,
             ev.kind,
-            int(ev.t_ms) if float(ev.t_ms).is_integer() else repr(float(ev.t_ms)),
+            int(ev.t_ms) if float(ev.t_ms).is_integer() else float(ev.t_ms),
             ev.serving,
             ev.target,
         ]

@@ -6,6 +6,7 @@ These deliberately use different algorithmic shapes from the production code
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -387,3 +388,13 @@ def random_episode_set(rng: np.random.Generator, ue_id: str = "ue", horizon_ms: 
             )
             t = a3 + int(rng.integers(10, 120)) * 40
     return episodes
+
+
+def csv_writer_table(path, schema: str, columns: list[str], rows, **fields) -> None:
+    """The table writer as ``csv.writer`` writes it: header line, column row,
+    then one CSV row per item of ``rows``, quoting where csv.writer does."""
+    with open(path, "w", newline="") as fh:
+        fh.write(" ".join([f"# schema={schema}"] + [f"{k}={v}" for k, v in fields.items()]) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from eshopsim.channel import MeasurementReport, N_SSB
+from eshopsim.channel import MeasurementReport, N_CELLS, N_SSB
 from eshopsim.events import (
     A3EventEngine,
     HcpConfig,
@@ -61,6 +62,58 @@ def test_step_candidate_switch_aborts_and_rearms():
     engine.step(_report(1000, [-84.0, -80.0, -95.0]))
     evs = engine.step(_report(1040, [-84.0, -80.0, -75.0]))
     assert [(e.kind, e.target) for e in evs] == [("ABORT", 1), ("T0", 2)]
+
+
+@pytest.mark.parametrize("serving", CELLS)
+def test_step_tie_between_neighbors_goes_to_the_lower_cell(serving):
+    best = [-80.0] * 3
+    best[serving] = -84.0
+    engine = A3EventEngine("ue", HcpConfig(), serving_cell=serving)
+    evs = engine.step(_report(0, best))
+    assert [(e.kind, e.target) for e in evs] == [("T0", min(set(CELLS) - {serving}))]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tie_to=st.lists(st.sampled_from([None, *CELLS]), min_size=2, max_size=12),
+    serving0=st.sampled_from(CELLS),
+    hys=st.sampled_from([0.0, 1.0]),
+)
+def test_step_targets_the_argmax_neighbor(seed, tie_to, serving0, hys):
+    """Events of step over random (3, 12) frames, some forced to tie two
+    cells, equal those of a reference that takes the strongest neighbor with
+    np.argmax."""
+    # a 1 dB grid and cells shifted by up to 8 dB: the A3 entry both holds and fails
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = len(tie_to)
+    frames = rng.integers(-92, -88, (n, N_CELLS, N_SSB)) + rng.integers(0, 9, (n, N_CELLS, 1))
+    frames = frames.astype(np.float64)
+    for i, c in enumerate(tie_to):
+        if c is not None:  # cell c + 1 copies cell c's beams
+            frames[i, (c + 1) % N_CELLS] = frames[i, c]
+    hcp = HcpConfig(hysteresis_db=hys)
+    engine = A3EventEngine("ue", hcp, serving_cell=serving0)
+    serving, armed, got, want = serving0, None, [], []
+    for i, frame in enumerate(frames):
+        t = 40 * i
+        evs = engine.step(MeasurementReport(t, frame))
+        got += [(e.kind, e.t_ms, e.serving, e.target) for e in evs]
+        if engine.pending is not None:
+            engine.apply_handover(t)
+        best = frame.max(axis=1)
+        nb = [c for c in CELLS if c != serving]
+        n_star = nb[int(np.argmax(best[nb]))]
+        entry = best[n_star] > best[serving] + hcp.offset_db + hcp.hysteresis_db
+        if armed is not None and not (entry and n_star == armed):
+            want.append(("ABORT", t, serving, armed))
+            armed = None
+        if armed is not None:  # TTT is one report: the A3, then the command at once
+            want.append(("A3", t, serving, armed))
+            serving, armed = armed, None
+        elif entry:
+            want.append(("T0", t, serving, n_star))
+            armed = n_star
+    assert got == want
 
 
 def test_step_rejects_out_of_order():
