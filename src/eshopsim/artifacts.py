@@ -1,33 +1,37 @@
-"""Artifact headers, machine-read CSV tables, JSON documents and file digests.
+"""Artifact headers, machine-read CSV tables, typed JSON documents and file digests.
 
 Every CSV artifact opens with one header line,
 ``# schema=<name> config_hash=<hex> master_seed=<int>``, then a column row,
 then the data rows. This module is the only code that formats or parses that
 line, so every reader checks the schema before it trusts a column. Every
-artifact is written to a temporary file beside it and renamed over it when
-complete, so a failed write leaves the previous file as it was.
+artifact, text or binary, is written to a temporary file beside it and renamed
+over it when complete, so a failed write leaves the previous file as it was.
+Every typed JSON document (config, model config, dataset meta) is read by ``from_json``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
+import sys
+import typing
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from typing import TextIO
+from typing import IO, TextIO
 
 
 @contextmanager
-def _replacing(path, newline: str | None = None) -> Iterator[TextIO]:
-    """A text file open for writing that takes ``path``'s place only when the
-    block ends without an exception; otherwise it is deleted."""
+def replacing(path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
+    """A file open for writing in ``mode`` that takes ``path``'s place only
+    when the block ends without an exception; otherwise it is deleted."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -43,7 +47,7 @@ def write_table(path, schema: str, columns: list[str], rows: Iterable, **fields)
     ``csv.writer``'s bytes for every row it would not quote; a row it would
     quote (a field holding a comma, a quote, CR or LF, or one empty field
     alone) raises ValueError."""
-    with _replacing(path, newline="") as fh:
+    with replacing(path, newline="") as fh:
         fh.write(" ".join([f"# schema={schema}"] + [f"{k}={v}" for k, v in fields.items()]) + "\n")
         write = fh.write
         for row in itertools.chain([columns], rows):
@@ -72,7 +76,7 @@ def read_table(path, schema: str) -> Iterator[tuple[dict, list[str], TextIO]]:
 def write_json(path, doc) -> None:
     """Sorted keys, two-space indent and a trailing newline, so equal
     documents give equal bytes."""
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -80,6 +84,51 @@ def read_json(path):
     """The parsed document; a file that is not JSON raises ValueError."""
     with open(path) as fh:
         return json.load(fh)
+
+
+def from_json(cls, doc, where: str):
+    """A parsed JSON object as the dataclass ``cls``, by its type hints: unknown
+    keys are refused, missing ones take their defaults, lists become tuples
+    where hinted, and a number must be finite and becomes the declared int or
+    float (16 and 16.0 alike). Raises ValueError naming ``where`` and the key."""
+    return _walk(cls, doc, where, top=True)
+
+
+def _walk(hint, value, at: str, top: bool = False):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint) or origin is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{at} must be a JSON object")
+        if origin is dict:
+            return {k: _walk(args[1], v, f"{at}.{k}") for k, v in value.items()}
+        unknown = value.keys() - {f.name for f in dataclasses.fields(hint)}
+        if unknown:
+            raise ValueError(f"unknown {'top-level ' * top}keys in {at}: {sorted(unknown)}")
+        hints = typing.get_type_hints(hint)
+        kwargs = {k: _walk(hints[k], v, f"{at}.{k}") for k, v in value.items()}
+        try:
+            return hint(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"invalid {at}: {exc}") from exc
+    if origin in (tuple, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{at} must be a list, not {value!r}")
+        elems = args[:1] * len(value) if origin is list or args[-1] is ... else args
+        if len(elems) != len(value):
+            raise ValueError(f"{at} must hold {len(elems)} values, not {len(value)}")
+        return origin(_walk(h, v, f"{at}[{i}]") for i, (h, v) in enumerate(zip(elems, value)))
+    if hint in (int, float):
+        # bool is an int subclass, and NaN fails every comparison
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{at} must be a finite number, not {value!r}")
+        if hint is int and int(value) != value:
+            raise ValueError(f"{at} is {value}, not an integer")
+        return hint(value)
+    if hint is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{at} must be a string, not {value!r}")
+        return value
+    raise TypeError(f"{at}: no JSON reading for type {hint}")
 
 
 def file_sha256(path) -> str:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from eshopsim.scenario import SECTOR_BORESIGHTS_DEG, bearing_from_bs
+from eshopsim.scenario import REPORT_PERIOD_MS, SECTOR_BORESIGHTS_DEG, bearing_from_bs
 
 FC_GHZ = 28.0
 N_CELLS = 3  # a cell is its row index 0-2 in every (3, 12) array
@@ -172,8 +172,8 @@ class MeasurementReport:
             raise ValueError(f"report must carry (3, {N_SSB}) beam values")
         if not np.isfinite(self.rsrp_dbm).all():
             raise ValueError("report values must be finite")
-        if self.t_ms % 40 != 0:
-            raise ValueError("reports land on the 40 ms grid")
+        if self.t_ms % REPORT_PERIOD_MS != 0:
+            raise ValueError(f"reports land on the {REPORT_PERIOD_MS} ms grid")
 
 
 def make_report(t_ms: int, l3_rsrp) -> MeasurementReport:

@@ -446,45 +446,27 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
             )
         summaries.append(doc)
 
-    def dig(doc, key_path):
-        cur = doc
-        for k in key_path:
-            if not isinstance(cur, dict) or k not in cur:
-                return None
-            cur = cur[k]
-        return cur
-
-    groups = sorted({doc.get("los_mode", "?") for doc in summaries})
-    table: dict[str, dict[str, tuple[float, float]]] = {}
+    by_group: dict[str, list[dict]] = {}
+    for doc in summaries:
+        by_group.setdefault(doc.get("los_mode", "?"), []).append(doc)
+    groups = sorted(by_group)
+    header = ["metric"] + [f"{g}_{stat}" for g in groups for stat in ("mean", "std")]
+    rows = []
     for metric, key_path in _REPORT_METRICS:
-        row = {}
+        row = [metric]
         for g in groups:
             vals = []
-            for doc in summaries:
-                if doc.get("los_mode") != g:
-                    continue
-                v = dig(doc, key_path)
+            for doc in by_group[g]:
+                v = doc
+                for k in key_path:  # a missing or non-object section reads None
+                    v = v.get(k) if isinstance(v, dict) else None
                 if v is not None:
                     vals.append(float(v))
-            if vals:
-                row[g] = (float(np.mean(vals)), float(np.std(vals)))
-        if row:
-            table[metric] = row
-
-    header = ["metric"]
-    for g in groups:
-        header.extend([f"{g}_mean", f"{g}_std"])
-    rows = []
-    for metric, row in table.items():
-        out_row = [metric]
-        for g in groups:
-            if g in row:
-                out_row.extend(row[g])
-            else:
-                out_row.extend(["", ""])
-        rows.append(out_row)
+            row += [float(np.mean(vals)), float(np.std(vals))] if vals else ["", ""]
+        if any(cell != "" for cell in row[1:]):
+            rows.append(row)
     write_table(out_file, REPORT_SCHEMA, header, rows)
-    return {"groups": groups, "metrics": list(table)}
+    return {"groups": groups, "metrics": [row[0] for row in rows]}
 
 
 # ---------------------------------------------------------------------------

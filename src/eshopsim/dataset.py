@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from eshopsim.artifacts import file_sha256, read_json, write_json
+from eshopsim.artifacts import file_sha256, from_json, read_json, replacing, write_json
 from eshopsim.channel import N_CELLS, N_SSB
 from eshopsim.events import HoEventRecord
 
@@ -46,8 +46,6 @@ class DatasetConfig:
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self) -> None:
-        if isinstance(self.split_ratios, list):
-            self.split_ratios = tuple(self.split_ratios)
         if self.window_len < 1:
             raise ValueError("window length must be >= 1")
         if self.horizon_s <= 0.0:
@@ -219,31 +217,33 @@ class DatasetMeta:
     master_seed: int = 0
     horizon_s: float = 8.0
     window_len: int = 64
-    rsrp_mean: tuple[float, ...] = ()
-    rsrp_std: tuple[float, ...] = ()
+    rsrp_mean: tuple[float, float, float] = (0.0, 0.0, 0.0)  # one per cell
+    rsrp_std: tuple[float, float, float] = (1.0, 1.0, 1.0)
     exclusion_counts: dict[str, int] = field(default_factory=dict)
     kept_count: int = 0
     raw_count: int = 0
     split_ues: dict[str, list[str]] = field(default_factory=dict)
     file_sha256: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.window_len < 1:
+            raise ValueError("window length must be >= 1")
+        if any(s <= 0.0 for s in self.rsrp_std):
+            raise ValueError("RSRP standard deviations must be positive")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d) -> "DatasetMeta":
-        """Inverse of ``to_dict``; a missing or unknown key is a DataError."""
-        names = {f.name for f in fields(cls)}
-        keys = set(d) if isinstance(d, dict) else set()
-        if keys != names:
-            raise DataError(
-                f"dataset meta: missing keys {sorted(names - keys)}, unknown {sorted(keys - names)}"
-            )
-        # JSON holds the tuple fields as lists
-        return cls(**{
-            f.name: tuple(d[f.name]) if isinstance(f.default, tuple) else d[f.name]
-            for f in fields(cls)
-        })
+        """Inverse of ``to_dict``; a missing, unknown or mistyped key is a DataError."""
+        missing = {f.name for f in fields(cls)} - set(d if isinstance(d, dict) else ())
+        if missing:
+            raise DataError(f"dataset meta: missing keys {sorted(missing)}")
+        try:
+            return from_json(cls, d, "dataset meta")
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
 
 
 @dataclass
@@ -346,7 +346,8 @@ def write_dataset(dirpath, bundle: DatasetBundle) -> None:
     meta.file_sha256 = {}
     for name, table in bundle.splits.items():
         path = os.path.join(dirpath, f"{name}.npz")
-        np.savez(path, **{key: getattr(table, key) for key in _RAW_COLUMNS})
+        with replacing(path, "wb") as fh:
+            np.savez(fh, **{key: getattr(table, key) for key in _RAW_COLUMNS})
         meta.file_sha256[f"{name}.npz"] = file_sha256(path)
     write_json(os.path.join(dirpath, "meta.json"), meta.to_dict())
 
@@ -365,7 +366,7 @@ def read_dataset(dirpath) -> DatasetBundle:
             f"dataset schema mismatch: {meta.schema_version} != {DATASET_SCHEMA}"
         )
     files = meta.file_sha256
-    if not isinstance(files, dict) or sorted(files) != sorted(f"{name}.npz" for name in SPLITS):
+    if sorted(files) != sorted(f"{name}.npz" for name in SPLITS):
         raise DataError("dataset meta must list exactly one .npz file per split: "
                         + ", ".join(f"{name}.npz" for name in SPLITS))
     splits: dict[str, RowTable] = {}

@@ -46,8 +46,6 @@ class ScenarioConfig:
     num_ues: int = 10
 
     def __post_init__(self) -> None:
-        if isinstance(self.speeds_mps, list):
-            self.speeds_mps = tuple(self.speeds_mps)
         if len(self.speeds_mps) == 0 or any(v <= 0.0 for v in self.speeds_mps):
             raise ValueError("speed set must be non-empty and positive")
         if self.duration_s <= 0.0:

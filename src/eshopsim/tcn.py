@@ -18,6 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from eshopsim.artifacts import from_json, replacing
+
 MODEL_SCHEMA = "tcn-model/1"
 _MAGIC = b"TCN1"
 
@@ -36,10 +38,6 @@ class TcnModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.dilations, list):
-            self.dilations = tuple(self.dilations)
-        if isinstance(self.dense_sizes, list):
-            self.dense_sizes = tuple(self.dense_sizes)
         if self.kernel_size < 1:
             raise ValueError("kernel size must be >= 1")
         if len(self.dilations) == 0:
@@ -591,7 +589,7 @@ def save_model(path, params: ModelParams, extra: dict | None = None) -> None:
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
@@ -611,12 +609,10 @@ def load_model(path) -> tuple[ModelParams, dict]:
     if header.get("schema_version") != MODEL_SCHEMA:
         raise ValueError(f"model schema mismatch: {header.get('schema_version')}")
     try:
-        cfg = TcnModelConfig(**header["config"])
-        n_bytes = 4 * header["param_count"]
+        config, n_bytes = header["config"], 4 * header["param_count"]
     except KeyError as exc:
         raise ValueError(f"model header lacks {exc}") from exc
-    except TypeError as exc:  # e.g. a field an older model file still names
-        raise ValueError(f"model config not readable: {exc}") from exc
+    cfg = from_json(TcnModelConfig, config, "model config")
     params = init_params(cfg, np.float32)
     payload = data[8 + hlen :]
     if len(payload) != n_bytes:

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -39,6 +40,16 @@ def tiny_config(out_dir, **overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def make_config(*args):
+    """``scripts/run_experiment.make_config``: the experiment configuration."""
+    spec = importlib.util.spec_from_file_location(
+        "run_experiment", Path(__file__).parent.parent / "scripts" / "run_experiment.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_config(*args)
 
 
 def artifact_bytes(run_dir):

@@ -8,7 +8,6 @@ reproduces it episode by episode; no model beats it; and a run is
 byte-deterministic.
 """
 
-import importlib.util
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -16,28 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import artifact_bytes
+from conftest import artifact_bytes, make_config
 from eshopsim import cli
 from eshopsim.dataset import read_dataset
 
-ROOT = Path(__file__).resolve().parent.parent
 SEED = 11
 MODES = ("los", "nlos")
-
-
-def _make_config():
-    spec = importlib.util.spec_from_file_location(
-        "run_experiment", ROOT / "scripts" / "run_experiment.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.make_config
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """(mode, copy) -> (config, model eshop payload, oracle eshop payload)."""
-    make_config = _make_config()
     out = {}
     for mode in MODES:
         for copy in ("a", "b"):

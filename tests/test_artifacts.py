@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eshopsim.artifacts import read_json, write_json, write_table
+from eshopsim.artifacts import from_json, read_json, write_json, write_table
 from oracles import csv_writer_table
 
 _FLOATS = st.floats() | st.sampled_from(
@@ -66,3 +67,63 @@ def test_write_json_failure_keeps_the_previous_document(tmp_path):
         write_json(path, {"a": object()})
     assert path.read_bytes() == before and read_json(path) == {"a": [1.5, None], "b": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+@dataclass
+class _Inner:
+    n: int = 1
+    x: float = 0.5
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
+
+
+@dataclass
+class _Doc:
+    name: str = "a"
+    inner: _Inner = field(default_factory=_Inner)
+    pair: tuple[float, float] = (0.0, 1.0)
+    sizes: tuple[int, ...] = ()
+    counts: dict[str, int] = field(default_factory=dict)
+    ids: dict[str, list[str]] = field(default_factory=dict)
+
+
+def test_from_json_reads_the_declared_types():
+    doc = from_json(_Doc, json.loads(
+        '{"inner": {"n": 16.0, "x": 2}, "pair": [1, 2.5], "sizes": [3.0], '
+        '"counts": {"a": 4.0}, "ids": {"t": ["u1"]}}'
+    ), "doc")
+    assert doc == _Doc("a", _Inner(16, 2.0), (1.0, 2.5), (3,), {"a": 4}, {"t": ["u1"]})
+    values = (doc.inner.n, doc.inner.x, *doc.pair, *doc.sizes, doc.counts["a"])
+    assert [type(v) for v in values] == [int, float, float, float, int, int]
+    assert from_json(_Doc, {}, "doc") == _Doc()
+
+
+# case -> (JSON text, the message it is refused with)
+_REFUSED = {
+    "root_not_object": ('["x"]', "doc must be a JSON object"),
+    "unknown_top_level_key": ('{"bogus": 1}', r"unknown top-level keys in doc: \['bogus'\]"),
+    "unknown_nested_key": ('{"inner": {"bogus": 1}}', r"unknown keys in doc.inner: \['bogus'\]"),
+    "nested_not_object": ('{"inner": []}', "doc.inner must be a JSON object"),
+    "bool_for_int": ('{"inner": {"n": true}}', "doc.inner.n must be a finite number"),
+    "string_for_int": ('{"inner": {"n": "1"}}', "doc.inner.n must be a finite number"),
+    "fraction_for_int": ('{"inner": {"n": 1.5}}', "doc.inner.n is 1.5, not an integer"),
+    "nan": ('{"inner": {"x": NaN}}', "doc.inner.x must be a finite number"),
+    "minus_infinity": ('{"inner": {"x": -Infinity}}', "doc.inner.x must be a finite number"),
+    "int_beyond_float": ('{"inner": {"x": 1' + "0" * 400 + '}}', "doc.inner.x must be a finite number"),
+    "post_init_refusal": ('{"inner": {"n": -1}}', "invalid doc.inner: n must be >= 0"),
+    "null_for_str": ('{"name": null}', "doc.name must be a string"),
+    "short_tuple": ('{"pair": [1.0]}', "doc.pair must hold 2 values, not 1"),
+    "string_for_tuple": ('{"pair": "ab"}', "doc.pair must be a list"),
+    "fraction_in_tuple": ('{"sizes": [1, 2.5]}', r"doc.sizes\[1\] is 2.5, not an integer"),
+    "string_in_dict": ('{"counts": {"a": "1"}}', "doc.counts.a must be a finite number"),
+    "int_in_list": ('{"ids": {"t": [1]}}', r"doc.ids.t\[0\] must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_from_json_refuses(case):
+    text, message = _REFUSED[case]
+    with pytest.raises(ValueError, match=message):
+        from_json(_Doc, json.loads(text), "doc")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import artifact_bytes, tiny_config
+from conftest import artifact_bytes, make_config, tiny_config
 from eshopsim import cli, tcn
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.dataset import DataError, DatasetConfig
@@ -41,6 +42,17 @@ def test_config_hash_ignores_output_dir():
     assert config_hash(a) == config_hash(b)
     c = ExperimentConfig(master_seed=2)
     assert config_hash(c) != config_hash(a)
+
+
+def test_config_hash_is_pinned():
+    # a change that moves these hashes invalidates every run directory made
+    # before it; it must edit them here and say so
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
+    assert config_hash(ExperimentConfig()) == "ab41157f25b9f419"
+    assert config_hash(make_config("runs/x", 501, "los", 20, 16.0, 3)) == "95939d3a1269d561"
+    assert config_hash(make_config("runs/x", 501, "nlos", 20, 16.0, 3)) == "176989cdd182f170"
+    assert config_hash(ExperimentConfig.from_dict(json.loads(example))) == "467ddebdec12e99c"
 
 
 def test_config_hash_coerces_declared_types():
@@ -135,18 +147,25 @@ def _model_headers(blob: bytes):
     return json.loads(blob[8 : 8 + hlen]), with_header
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a null output_dir would have written
     out = tmp_path / "run"
     bad = tmp_path / "bad.json"
-    # out of range, a mode that is no string, and a boolean where a number goes
+    # out of range, a mode that is no string, a boolean or a string where a
+    # number goes, a number that is not finite (json.dumps writes the raw NaN
+    # and Infinity tokens) and an output directory that is no string
     for block in (
         {"scenario": {"num_ues": 0}}, {"train": {"patience": -1}}, {"channel": {"los_mode": 1}},
         {"master_seed": True}, {"scenario": {"num_ues": True}},
         {"hcp": {"hysteresis_db": True}}, {"train": {"epochs": True}},
+        {"dataset": {"horizon_s": math.nan}}, {"scenario": {"duration_s": math.nan}},
+        {"hcp": {"offset_db": math.inf}}, {"signaling": {"trigger_threshold_ms": math.nan}},
+        {"output_dir": None}, {"master_seed": "1"},
     ):
-        bad.write_text(json.dumps({**block, "output_dir": str(out)}))
-        assert cli.main(["simulate", "--config", str(bad)]) == 2, block
-    assert not out.exists()
+        bad.write_text(json.dumps({"output_dir": str(out), **block}))
+        for command in ("simulate", "build-dataset"):
+            assert cli.main([command, "--config", str(bad)]) == 2, block
+    assert not out.exists() and sorted(os.listdir(tmp_path)) == ["bad.json"]
     # eval scores the test split only, and the mode is set in the config only
     for argv in (["eval", "--split", "val"], ["simulate", "--los", "nlos"]):
         with pytest.raises(SystemExit) as exc:
@@ -203,17 +222,28 @@ def test_main_exit_codes(tmp_path):
         assert cli.main(["report", str(out), "--out-file", str(report)]) == 3
         assert artifact_bytes(out) == before and not report.exists()
     summary.write_text(good_summary)
-    # half a dataset meta.json, one without a field, and one of the older
-    # schema that still lists the cell ids
+    # half a dataset meta.json, one without a field, one of the older schema
+    # that still lists the cell ids, and fields of the wrong type or range
     meta = out / "dataset" / "meta.json"
     good_meta = meta.read_text()
     doc = json.loads(good_meta)
     older = {**doc, "schema_version": "dataset/2", "cell_ids": [0, 1, 2]}
+    std = doc["rsrp_std"]
+    mistyped = [
+        {**doc, **fields} for fields in (
+            {"window_len": "16"}, {"window_len": 16.5}, {"window_len": 0},
+            {"rsrp_std": [math.nan, *std[1:]]}, {"rsrp_std": [0.0, *std[1:]]},
+            {"rsrp_std": [-1.0, *std[1:]]}, {"rsrp_mean": "-80"}, {"rsrp_std": std * 2},
+        )
+    ]
     del doc["rsrp_std"]
-    for text in (good_meta[: len(good_meta) // 2], json.dumps(doc), json.dumps(older)):
+    texts = [good_meta[: len(good_meta) // 2], json.dumps(doc), json.dumps(older)]
+    for text in texts + [json.dumps(d) for d in mistyped]:
         meta.write_text(text)
+        before = artifact_bytes(out)
         for command in ("train", "eshop"):
-            assert cli.main([command, "--config", str(cfgfile)]) == 3
+            assert cli.main([command, "--config", str(cfgfile)]) == 3, text
+        assert artifact_bytes(out) == before
     # a meta.json that binds only some of the split files
     doc = json.loads(good_meta)
     del doc["file_sha256"]["test.npz"]
@@ -455,6 +485,42 @@ def test_report_merges_runs(tmp_path):
         name, mean, std = line.split(",")
         if std:
             assert float(std) == 0.0  # identical runs -> zero spread
+
+
+def test_report_text_of_hand_made_summaries(tmp_path):
+    # two groups; the second LoS run has no eshop section and both LoS runs a
+    # null mape_pct, so that row is left out; the NLoS eval section is no object
+    def evaluation(evs, mae, rmse_s):
+        return {"test": {"evs": evs, "mape_pct": None, "mae": mae, "rmse_s": rmse_s, "r2": 0.5}}
+
+    def eshop(advance, wasted, fallback):
+        return {"mean_advance_ms": advance, "wasted_rate": wasted, "fallback_rate": fallback}
+
+    summaries = {
+        "r1": {"los_mode": "los", "eval": evaluation(0.5, 0.25, 1.0), "eshop": eshop(20.0, 0.0, 0.5)},
+        "r2": {"los_mode": "los", "eval": evaluation(0.75, 0.5, 2.0)},
+        "r3": {"los_mode": "nlos", "eval": [], "eshop": eshop(10.0, 0.25, 1.0)},
+    }
+    for name, doc in summaries.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(
+            json.dumps({"schema_version": cli.SUMMARY_SCHEMA, **doc})
+        )
+    report = tmp_path / "report.csv"
+    result = cli.cmd_report([str(tmp_path / name) for name in summaries], str(report))
+    assert result["groups"] == ["los", "nlos"]
+    assert report.read_bytes() == (
+        "# schema=consolidated-report/1\n"
+        "metric,los_mean,los_std,nlos_mean,nlos_std\r\n"
+        "evs,0.625,0.125,,\r\n"
+        "mae,0.375,0.125,,\r\n"
+        "rmse_s,1.5,0.5,,\r\n"
+        "r2,0.5,0.0,,\r\n"
+        "mean_advance_ms,20.0,0.0,10.0,0.0\r\n"
+        "wasted_rate,0.0,0.0,0.25,0.0\r\n"
+        "fallback_rate,0.5,0.0,1.0,0.0\r\n"
+    ).encode()
+    assert result["metrics"] == [line.split(",")[0] for line in report.read_text().splitlines()[2:]]
 
 
 def test_report_rejects_schema_mismatch(tmp_path):

@@ -400,6 +400,19 @@ def test_model_file_round_trip(tmp_path):
     assert model_forward(params, w) == model_forward(loaded, w)
 
 
+def test_failed_save_keeps_the_previous_model(tmp_path):
+    params = init_params(SMALL, np.float32)
+    path = tmp_path / "model.tcn"
+    save_model(path, params)
+    before = path.read_bytes()
+    broken = params.copy()
+    broken.dense[-1].b = np.array(["not a number"] * broken.dense[-1].b.size)
+    with pytest.raises(ValueError):  # raised after the header is written
+        save_model(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.tcn"]
+
+
 def test_model_file_truncation_detected(tmp_path):
     params = init_params(SMALL, np.float32)
     path = tmp_path / "model.tcn"
