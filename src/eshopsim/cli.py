@@ -343,8 +343,12 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         if oracle:
             preds = oracle_countdown(times, episodes, cfg.dataset.horizon_s)
         else:
-            features = standardized_rows(rsrp, table.best_beams[rows], meta)
-            preds = infer_countdown(params, features, table.segments[rows], meta.window_len)
+            # the countdown is causal and no episode reads a report after its
+            # A3, so inference stops at the report of the last replayed A3
+            a3s = [ep.a3_ms for ep in episodes if not ep.aborted and ep.command_ms is not None]
+            n = np.searchsorted(times, max(a3s, default=-np.inf), side="right")
+            features = standardized_rows(rsrp[:n], table.best_beams[rows][:n], meta)
+            preds = infer_countdown(params, features, table.segments[rows][:n], meta.window_len)
         prev_cmd = -np.inf
         for k, ep in enumerate(episodes):
             if ep.aborted:
@@ -355,7 +359,7 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             d_prep = float(ep.command_ms) - float(ep.a3_ms)
             legacy_cmd = ep.a3_ms + d_prep
             early = simulate_eshop(
-                ep, times, preds, d_prep, cfg.signaling, window_start_ms=prev_cmd
+                ep, times[: len(preds)], preds, d_prep, cfg.signaling, window_start_ms=prev_cmd
             )
             prev_cmd = float(ep.command_ms)
             serving_trace = rsrp[:, ep.serving_cell]
@@ -444,11 +448,11 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
             raise DataError(
                 f"summary schema mismatch in {path}: {doc.get('schema_version')}"
             )
-        summaries.append(doc)
+        summaries.append((path, doc))
 
-    by_group: dict[str, list[dict]] = {}
-    for doc in summaries:
-        by_group.setdefault(doc.get("los_mode", "?"), []).append(doc)
+    by_group: dict[str, list[tuple[str, dict]]] = {}
+    for path, doc in summaries:
+        by_group.setdefault(doc.get("los_mode", "?"), []).append((path, doc))
     groups = sorted(by_group)
     header = ["metric"] + [f"{g}_{stat}" for g in groups for stat in ("mean", "std")]
     rows = []
@@ -456,12 +460,15 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
         row = [metric]
         for g in groups:
             vals = []
-            for doc in by_group[g]:
+            for path, doc in by_group[g]:
                 v = doc
                 for k in key_path:  # a missing or non-object section reads None
                     v = v.get(k) if isinstance(v, dict) else None
-                if v is not None:
-                    vals.append(float(v))
+                if v is None:
+                    continue
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise DataError(f"metric {metric} of {path} is not a number: {v!r}")
+                vals.append(float(v))
             row += [float(np.mean(vals)), float(np.std(vals))] if vals else ["", ""]
         if any(cell != "" for cell in row[1:]):
             rows.append(row)

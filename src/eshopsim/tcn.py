@@ -14,7 +14,7 @@ deterministic for a fixed seed in single-threaded mode.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -109,39 +109,62 @@ class DenseParams:
 
 
 class ModelParams:
-    """Parameter container; array order is the declared on-disk order:
-    per block w, b, (proj); then per dense layer w, b."""
+    """Parameter container. ``flat`` holds every parameter in the declared
+    on-disk order: per block w, b, (proj); then per dense layer w, b. The
+    block and dense arrays are views of it, so one update of ``flat`` moves
+    them all. The constructor copies the arrays it is given into a new
+    ``flat``, or, when ``flat`` is given, keeps only their shapes; either way
+    it points their holders at the views."""
 
-    def __init__(self, config: TcnModelConfig, blocks: list[BlockParams], dense: list[DenseParams]):
+    def __init__(
+        self,
+        config: TcnModelConfig,
+        blocks: list[BlockParams],
+        dense: list[DenseParams],
+        flat: np.ndarray | None = None,
+    ):
         self.config = config
         self.blocks = blocks
         self.dense = dense
+        self.flat = np.concatenate([a.ravel() for a in self.arrays()]) if flat is None else flat
+        pos = 0
+        for holder, name in self._slots():
+            a = getattr(holder, name)
+            setattr(holder, name, self.flat[pos : pos + a.size].reshape(a.shape))
+            pos += a.size
+
+    def _slots(self):
+        for bp in self.blocks:
+            yield bp, "w"
+            yield bp, "b"
+            if bp.proj is not None:
+                yield bp, "proj"
+        for dp in self.dense:
+            yield dp, "w"
+            yield dp, "b"
 
     def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for bp in self.blocks:
-            out.append(bp.w)
-            out.append(bp.b)
-            if bp.proj is not None:
-                out.append(bp.proj)
-        for dp in self.dense:
-            out.append(dp.w)
-            out.append(dp.b)
-        return out
+        return [getattr(holder, name) for holder, name in self._slots()]
 
     def param_count(self) -> int:
-        return int(sum(a.size for a in self.arrays()))
+        return self.flat.size
+
+    def _with_flat(self, flat: np.ndarray) -> "ModelParams":
+        return ModelParams(
+            self.config, [replace(b) for b in self.blocks], [replace(d) for d in self.dense], flat
+        )
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.config,
-            [BlockParams(b.w.copy(), b.b.copy(), None if b.proj is None else b.proj.copy()) for b in self.blocks],
-            [DenseParams(d.w.copy(), d.b.copy()) for d in self.dense],
-        )
+        return self._with_flat(self.flat.copy())
+
+    def zeros_like(self) -> "ModelParams":
+        """The same layout and dtype, every entry 0: the gradient buffer the
+        backward pass writes into."""
+        return self._with_flat(np.zeros_like(self.flat))
 
     @property
     def dtype(self):
-        return self.blocks[0].w.dtype
+        return self.flat.dtype
 
 
 def _layer_channels(config: TcnModelConfig) -> list[tuple[int, int]]:
@@ -228,22 +251,35 @@ def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> 
 
 
 def _dconv_backward(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int, input_grad: bool = True
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of ``_dconv_forward``; dx is None unless
+    x: np.ndarray,
+    w: np.ndarray,
+    dy: np.ndarray,
+    stride: int,
+    dw: np.ndarray,
+    db: np.ndarray,
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """Gradients of ``_dconv_forward``: dw and db are written into the given
+    arrays (dw zeroed, so a dead tap keeps 0); returns dx, or None unless
     ``input_grad``."""
     B, T, c_in = x.shape
     k, _, c_out = w.shape
     m = dy.shape[1]
-    dw = np.zeros_like(w)
-    db = dy.sum(axis=(0, 1))
+    dy.sum(axis=(0, 1), out=db)
     dx = np.zeros_like(x) if input_grad else None
     for p, j0, sl in _taps(T, k, stride):
         ds = dy[:, j0:, :].reshape(-1, c_out)
-        dw[p] = x[:, sl, :].reshape(-1, c_in).T @ ds
+        np.matmul(x[:, sl, :].reshape(-1, c_in).T, ds, out=dw[p])
         if input_grad:
             dx[:, sl, :] += (ds @ w[p].T).reshape(B, m - j0, c_in)
-    return dx, dw, db
+    return dx
+
+
+def _relu_grad(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.where(mask, g, 0)`` bit for bit (-0.0, NaN and inf included),
+    without its per-element branch: the same-width integer view of g times
+    the bool mask, viewed back as float."""
+    return (g.view(f"i{g.itemsize}") * mask).view(g.dtype)
 
 
 def _block_forward(x: np.ndarray, bp: BlockParams, stride: int):
@@ -257,19 +293,21 @@ def _block_forward(x: np.ndarray, bp: BlockParams, stride: int):
     return y, (x, z > 0, u > 0)
 
 
-def _block_backward(dy: np.ndarray, bp: BlockParams, cache, stride: int, input_grad: bool = True):
+def _block_backward(
+    dy: np.ndarray, bp: BlockParams, cache, stride: int, grad: BlockParams, input_grad: bool = True
+):
+    """Writes the block's gradients into ``grad``; returns dx as ``_dconv_backward``."""
     x, zpos, upos = cache
-    du = np.where(upos, dy, 0)
-    dz = np.where(zpos, du, 0)
-    dx, dw, db = _dconv_backward(x, bp.w, dz, stride, input_grad)
-    dproj = None
+    du = _relu_grad(dy, upos)
+    dz = _relu_grad(du, zpos)
+    dx = _dconv_backward(x, bp.w, dz, stride, grad.w, grad.b, input_grad)
     if bp.proj is not None:
         du2 = du.reshape(-1, du.shape[2])
-        dproj = _strided(x, stride).reshape(-1, x.shape[2]).T @ du2
+        np.matmul(_strided(x, stride).reshape(-1, x.shape[2]).T, du2, out=grad.proj)
     if input_grad:
         dxs = _strided(dx, stride)
         dxs += du if bp.proj is None else (du2 @ bp.proj.T).reshape(dxs.shape)
-    return dx, BlockParams(dw, db, dproj)
+    return dx
 
 
 def _head_forward(v: np.ndarray, dense: list[DenseParams]):
@@ -285,18 +323,20 @@ def _head_forward(v: np.ndarray, dense: list[DenseParams]):
     return out[:, 0, 0], caches
 
 
-def _head_backward(dyhat: np.ndarray, dense: list[DenseParams], caches):
-    grads: list[DenseParams] = [None] * len(dense)
+def _head_backward(dyhat: np.ndarray, dense: list[DenseParams], caches, grads: list[DenseParams]):
+    """Writes the dense gradients into ``grads``; returns the gradient of v's rows."""
     da = dyhat[:, None]  # (B, 1)
     a_last, _ = caches[-1]
-    grads[-1] = DenseParams(a_last.T @ da, da.sum(axis=0))
+    np.matmul(a_last.T, da, out=grads[-1].w)
+    da.sum(axis=0, out=grads[-1].b)
     da = da @ dense[-1].w.T
     for i in range(len(dense) - 2, -1, -1):
         a_prev, zpos = caches[i]
-        dz = np.where(zpos, da, 0)
-        grads[i] = DenseParams(a_prev.T @ dz, dz.sum(axis=0))
+        dz = _relu_grad(da, zpos)
+        np.matmul(a_prev.T, dz, out=grads[i].w)
+        dz.sum(axis=0, out=grads[i].b)
         da = dz @ dense[i].w.T
-    return da, grads
+    return da
 
 
 def _cone_plan(config: TcnModelConfig, T: int) -> list[tuple[int, int]]:
@@ -345,16 +385,19 @@ def forward_batch(params: ModelParams, X: np.ndarray):
     return yhat, (caches, head_caches, plan)
 
 
-def backward_batch(params: ModelParams, cache, dyhat: np.ndarray):
+def backward_batch(params: ModelParams, cache, dyhat: np.ndarray) -> ModelParams:
+    """Gradient of every parameter, laid out like ``params``: the kernels
+    write straight into the views of one zeroed flat vector."""
     caches, head_caches, plan = cache
-    dv, dense_grads = _head_backward(dyhat, params.dense, head_caches)
+    grads = params.zeros_like()
+    dv = _head_backward(dyhat, params.dense, head_caches, grads.dense)
     dh = dv[:, None, :]  # the last block writes only the last timestep
-    block_grads: list[BlockParams] = [None] * len(params.blocks)
     for i in range(len(params.blocks) - 1, -1, -1):
         # nothing reads the gradient of the model input
-        dh, g = _block_backward(dh, params.blocks[i], caches[i], plan[i][1], input_grad=i > 0)
-        block_grads[i] = g
-    return ModelParams(params.config, block_grads, dense_grads)
+        dh = _block_backward(
+            dh, params.blocks[i], caches[i], plan[i][1], grads.blocks[i], input_grad=i > 0
+        )
+    return grads
 
 
 def model_forward(params: ModelParams, window: np.ndarray) -> float:
@@ -482,23 +525,31 @@ class _Adam:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, arrays: list[np.ndarray], learning_rate: float):
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+    def __init__(self, flat: np.ndarray, learning_rate: float):
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
         self.learning_rate = learning_rate
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """One update of the whole parameter vector. The ufuncs are those of
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2 and
+        flat -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in that order; they are
+        elementwise, so each element gets the bits a per-array update gives
+        it. Two scratch vectors hold the temporaries."""
         b1, b2 = self.BETA1, self.BETA2
         self.t += 1
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * np.square(g)
-            a -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+        m, v = self.m, self.v
+        step, tmp = np.empty_like(m), np.empty_like(m)
+        m *= b1
+        m += np.multiply(1.0 - b1, grad, out=tmp)
+        v *= b2
+        v += np.multiply(1.0 - b2, np.square(grad, out=tmp), out=tmp)
+        np.multiply(self.learning_rate, np.divide(m, bc1, out=step), out=step)
+        step /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), self.EPS, out=tmp)
+        flat -= step
 
 
 def predict(params: ModelParams, bank, batch_size: int = 64) -> np.ndarray:
@@ -528,8 +579,7 @@ def train(
         raise ValueError("empty train split")
     dtype = train_cfg.np_dtype
     params = init_params(model_cfg, dtype)
-    arrays = params.arrays()
-    opt = _Adam(arrays, train_cfg.learning_rate)
+    opt = _Adam(params.flat, train_cfg.learning_rate)
     rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
     n = len(train_bank)
     y_train = np.asarray(train_bank.y, dtype=dtype)
@@ -554,7 +604,7 @@ def train(
                 )
             sse += loss * loss * len(idx)
             grads = backward_batch(params, cache, dyhat)
-            opt.step(arrays, grads.arrays())
+            opt.step(params.flat, grads.flat)
         train_rmse = float(np.sqrt(sse / n))
         if len(val_bank):
             val_pred = predict(params, val_bank)
@@ -609,19 +659,19 @@ def load_model(path) -> tuple[ModelParams, dict]:
     if header.get("schema_version") != MODEL_SCHEMA:
         raise ValueError(f"model schema mismatch: {header.get('schema_version')}")
     try:
-        config, n_bytes = header["config"], 4 * header["param_count"]
+        config, count = header["config"], header["param_count"]
     except KeyError as exc:
         raise ValueError(f"model header lacks {exc}") from exc
     cfg = from_json(TcnModelConfig, config, "model config")
     params = init_params(cfg, np.float32)
-    payload = data[8 + hlen :]
-    if len(payload) != n_bytes:
+    if type(count) is not int or count != params.param_count():  # bool is an int subclass
         raise ValueError(
-            f"model file truncated: {len(payload)} parameter bytes, expected {n_bytes}"
+            f"model header param_count {count!r} is not its config's {params.param_count()}"
         )
-    flat = np.frombuffer(payload, dtype="<f4")
-    pos = 0
-    for a in params.arrays():
-        a[...] = flat[pos : pos + a.size].reshape(a.shape)
-        pos += a.size
+    payload = data[8 + hlen :]
+    if len(payload) != 4 * count:
+        raise ValueError(
+            f"model file truncated: {len(payload)} parameter bytes, expected {4 * count}"
+        )
+    params.flat[...] = np.frombuffer(payload, dtype="<f4")
     return params, header

@@ -26,6 +26,7 @@ from eshopsim.events import EVENT_A3, A3EventEngine, HcpConfig
 from eshopsim.scenario import REPORT_PERIOD_MS, bearing_from_bs, position_at, spawn_trajectory
 from eshopsim.seeds import derive_seed, rng_from
 from eshopsim.simulate import D_PREP_MAX_MS, D_PREP_MIN_MS, UeRun
+from eshopsim.tcn import _Adam, _strided, _taps, forward_batch, init_params, predict, rmse_loss
 
 
 def naive_causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int = 1) -> np.ndarray:
@@ -101,6 +102,131 @@ def full_sequence_tcn(params, X: np.ndarray, dyhat: np.ndarray):
         for acc, g in zip(grads, flat):
             acc += g
     return yhat, grads
+
+
+# ---------------------------------------------------------------------------
+# TCN backward pass with np.where relu gradients and a new array per
+# gradient, per-array Adam, and the training loop over both (reference for
+# the branch-free relu gradient and the flat parameter and gradient vectors)
+# ---------------------------------------------------------------------------
+
+
+def alloc_dconv_backward(x, w, dy, stride: int, input_grad: bool = True):
+    """``tcn._dconv_backward`` returning (dx, dw, db) in new arrays."""
+    B, T, c_in = x.shape
+    k, _, c_out = w.shape
+    m = dy.shape[1]
+    dw = np.zeros_like(w)
+    db = dy.sum(axis=(0, 1))
+    dx = np.zeros_like(x) if input_grad else None
+    for p, j0, sl in _taps(T, k, stride):
+        ds = dy[:, j0:, :].reshape(-1, c_out)
+        dw[p] = x[:, sl, :].reshape(-1, c_in).T @ ds
+        if input_grad:
+            dx[:, sl, :] += (ds @ w[p].T).reshape(B, m - j0, c_in)
+    return dx, dw, db
+
+
+def where_block_backward(dy, bp, cache, stride: int, input_grad: bool = True):
+    """``tcn._block_backward`` with ``np.where`` masks; gradients as a tuple
+    (dw, db, dproj or None)."""
+    x, zpos, upos = cache
+    du = np.where(upos, dy, 0)
+    dz = np.where(zpos, du, 0)
+    dx, dw, db = alloc_dconv_backward(x, bp.w, dz, stride, input_grad)
+    dproj = None
+    if bp.proj is not None:
+        du2 = du.reshape(-1, du.shape[2])
+        dproj = _strided(x, stride).reshape(-1, x.shape[2]).T @ du2
+    if input_grad:
+        dxs = _strided(dx, stride)
+        dxs += du if bp.proj is None else (du2 @ bp.proj.T).reshape(dxs.shape)
+    return dx, (dw, db, dproj)
+
+
+def where_head_backward(dyhat, dense, caches):
+    """``tcn._head_backward`` with ``np.where`` masks; gradients as (dw, db) tuples."""
+    grads = [None] * len(dense)
+    da = dyhat[:, None]
+    a_last, _ = caches[-1]
+    grads[-1] = (a_last.T @ da, da.sum(axis=0))
+    da = da @ dense[-1].w.T
+    for i in range(len(dense) - 2, -1, -1):
+        a_prev, zpos = caches[i]
+        dz = np.where(zpos, da, 0)
+        grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
+        da = dz @ dense[i].w.T
+    return da, grads
+
+
+def where_backward_batch(params, cache, dyhat) -> list[np.ndarray]:
+    """``tcn.backward_batch`` on the np.where kernels; the gradients as a list
+    in ``params.arrays()`` order."""
+    caches, head_caches, plan = cache
+    dv, dense_grads = where_head_backward(dyhat, params.dense, head_caches)
+    dh = dv[:, None, :]
+    block_grads = [None] * len(params.blocks)
+    for i in range(len(params.blocks) - 1, -1, -1):
+        dh, block_grads[i] = where_block_backward(
+            dh, params.blocks[i], caches[i], plan[i][1], input_grad=i > 0
+        )
+    flat = [g for bg in block_grads for g in bg if g is not None]
+    return flat + [g for dg in dense_grads for g in dg]
+
+
+class PerArrayAdam:
+    """``tcn._Adam`` as one update per parameter array."""
+
+    def __init__(self, arrays: list[np.ndarray], learning_rate: float):
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.t = 0
+        self.learning_rate = learning_rate
+
+    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        b1, b2 = _Adam.BETA1, _Adam.BETA2
+        self.t += 1
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            a -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _Adam.EPS)
+
+
+def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
+    """``tcn.train`` on ``where_backward_batch`` and ``PerArrayAdam``."""
+    dtype = train_cfg.np_dtype
+    params = init_params(model_cfg, dtype)
+    arrays = params.arrays()
+    opt = PerArrayAdam(arrays, train_cfg.learning_rate)
+    rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
+    n = len(train_bank)
+    y_train = np.asarray(train_bank.y, dtype=dtype)
+    history = []
+    best_val, best_params, since_best = np.inf, params.copy(), 0
+    for epoch in range(1, train_cfg.epochs + 1):
+        perm = rng.permutation(n)
+        sse = 0.0
+        for lo in range(0, n, train_cfg.batch_size):
+            idx = perm[lo : lo + train_cfg.batch_size]
+            yhat, cache = forward_batch(params, np.asarray(train_bank.gather(idx), dtype=dtype))
+            loss, dyhat = rmse_loss(y_train[idx], yhat)
+            sse += loss * loss * len(idx)
+            opt.step(arrays, where_backward_batch(params, cache, dyhat))
+        train_rmse = float(np.sqrt(sse / n))
+        val_res = np.asarray(val_bank.y, dtype=np.float64) - predict(params, val_bank)
+        val_rmse = float(np.sqrt(np.mean(np.square(val_res))))
+        history.append({"epoch": epoch, "train_rmse": train_rmse, "val_rmse": val_rmse})
+        if val_rmse < best_val:
+            best_val, best_params, since_best = val_rmse, params.copy(), 0
+        else:
+            since_best += 1
+            if train_cfg.patience and since_best >= train_cfg.patience:
+                break
+    return best_params, history
 
 
 def windowize(features: np.ndarray, labels: np.ndarray, segments: np.ndarray, window_len: int):

@@ -11,7 +11,8 @@ import pytest
 from conftest import artifact_bytes, make_config, tiny_config
 from eshopsim import cli, tcn
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
-from eshopsim.dataset import DataError, DatasetConfig
+from eshopsim.dataset import DataError, DatasetConfig, read_dataset, standardized_rows
+from eshopsim.simulate import read_event_log
 
 
 def test_default_config_round_trip(tmp_path):
@@ -205,7 +206,13 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     lacking = [{k: v for k, v in header.items() if k != key} for key in ("param_count", "config")]
     # or whose extra is not an object, or names no configuration
     unbound = {k: v for k, v in header["extra"].items() if k != "config_hash"}
-    for broken in (*lacking, [], {**header, "extra": []}, {**header, "extra": unbound}):
+    # or whose parameter count is no non-negative integer, or not its config's
+    count = header["param_count"]
+    miscounted = [
+        {**header, "param_count": value}
+        for value in (None, str(count), count + 0.5, float(count), True, -1, count - 1, count + 1)
+    ]
+    for broken in (*lacking, [], {**header, "extra": []}, {**header, "extra": unbound}, *miscounted):
         model.write_bytes(with_header(broken))
         for command in ("eval", "eshop"):
             assert cli.main([command, "--config", str(cfgfile)]) == 3
@@ -385,6 +392,44 @@ def _run_pipeline(out_dir, cfg=None):
     return cfg
 
 
+def test_eshop_inference_stops_at_the_last_replayed_a3(tmp_path, monkeypatch):
+    # the model path infers each UE only up to the report of its last A3 of a
+    # commanded episode; a run that infers every report writes the same bytes
+    out = tmp_path / "run"
+    cfg = _run_pipeline(out)
+    payload = cli.cmd_eshop(cfg)
+    names = ("comparison.csv", "cdf.csv", "summary.json")
+    written = {name: (out / name).read_bytes() for name in names}
+
+    bundle = read_dataset(out / "dataset")
+    episodes = read_event_log(out / "events.csv")[1]
+    traces = {}  # UE -> (features, segments, reports up to the last replayed A3)
+    for table in bundle.splits.values():
+        for ue in map(str, np.unique(table.ue_ids)):
+            rows = table.ue_ids == ue
+            replayed = [
+                ep for ep in episodes.get(ue, []) if not ep.aborted and ep.command_ms is not None
+            ]
+            n = int(np.sum(table.t_ms[rows] <= max(ep.a3_ms for ep in replayed))) if replayed else 0
+            features = standardized_rows(table.best_rsrp[rows], table.best_beams[rows], bundle.meta)
+            traces[ue] = (features, table.segments[rows], n)
+
+    infer, calls = cli.infer_countdown, []
+
+    def whole_trace(params, rows, segments, window_len):
+        ue = sorted(traces)[len(calls)]
+        features, segs, n = traces[ue]
+        calls.append(len(rows))
+        assert rows.tobytes() == features[:n].tobytes() and np.array_equal(segments, segs[:n])
+        return infer(params, features, segs, window_len)
+
+    monkeypatch.setattr(cli, "infer_countdown", whole_trace)
+    assert cli.cmd_eshop(cfg) == payload
+    assert {name: (out / name).read_bytes() for name in names} == written
+    assert calls == [traces[ue][2] for ue in sorted(traces)]
+    assert sum(calls) < sum(len(f) for f, _, _ in traces.values())
+
+
 def test_full_pipeline_artifacts(tmp_path):
     out = tmp_path / "run"
     cfg = _run_pipeline(out)
@@ -521,6 +566,31 @@ def test_report_text_of_hand_made_summaries(tmp_path):
         "fallback_rate,0.5,0.0,1.0,0.0\r\n"
     ).encode()
     assert result["metrics"] == [line.split(",")[0] for line in report.read_text().splitlines()[2:]]
+
+
+@pytest.mark.parametrize("value", ["0.5", True, [0.5], {"mean": 0.5}])
+def test_report_refuses_a_non_numeric_metric(tmp_path, value):
+    run = tmp_path / "run"
+    run.mkdir()
+    doc = {"schema_version": cli.SUMMARY_SCHEMA, "los_mode": "los",
+           "eval": {"test": {"r2": value, "mae": 0.5}}}
+    (run / "summary.json").write_text(json.dumps(doc))
+    report = tmp_path / "report.csv"
+    with pytest.raises(DataError, match="r2"):
+        cli.cmd_report([str(run)], str(report))
+    assert cli.main(["report", str(run), "--out-file", str(report)]) == 3
+    assert not report.exists()
+
+
+def test_report_reads_a_null_metric_as_empty(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    doc = {"schema_version": cli.SUMMARY_SCHEMA, "los_mode": "los",
+           "eval": {"test": {"r2": None, "mae": 1}}}
+    (run / "summary.json").write_text(json.dumps(doc))
+    report = tmp_path / "report.csv"
+    assert cli.cmd_report([str(run)], str(report))["metrics"] == ["mae"]
+    assert report.read_text().splitlines()[2:] == ["mae,1.0,0.0"]
 
 
 def test_report_rejects_schema_mismatch(tmp_path):

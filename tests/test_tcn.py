@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eshopsim import tcn
 from eshopsim.dataset import N_FEATURES
@@ -13,6 +14,7 @@ from eshopsim.tcn import (
     TrainingDiverged,
     _block_forward,
     _dconv_forward,
+    _relu_grad,
     _strided,
     forward_batch,
     backward_batch,
@@ -26,7 +28,13 @@ from eshopsim.tcn import (
     save_model,
     train,
 )
-from oracles import fd_gradient, full_sequence_tcn, naive_causal_conv
+from oracles import (
+    fd_gradient,
+    full_sequence_tcn,
+    naive_causal_conv,
+    per_array_train,
+    where_backward_batch,
+)
 
 SMALL = TcnModelConfig(
     in_channels=4,
@@ -259,6 +267,91 @@ def test_predict_is_batch_invariant(k, dilations, T, n, c_in, hidden, dense, dty
     want = np.asarray([model_forward(params, x) for x in bank.X])
     for b in (1, data.draw(st.integers(min_value=1, max_value=n)), n):
         assert np.array_equal(tcn.predict(params, bank, batch_size=b), want)
+
+
+@given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+@settings(max_examples=100)
+def test_relu_grad_equals_where_bit_for_bit(dtype, data):
+    # each special value once under a true and once under a false mask entry
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    specials = np.array(
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, info.tiny / 2, info.max],
+        dtype=dtype,
+    )
+    even = st.integers(0, 30).map(lambda n: 2 * n)
+    drawn = data.draw(hnp.arrays(dtype, even, elements=st.floats(width=info.bits)))
+    g = np.concatenate([specials, specials, drawn])
+    mask = np.concatenate([
+        np.ones(len(specials), bool),
+        np.zeros(len(specials), bool),
+        data.draw(hnp.arrays(np.bool_, len(drawn))),
+    ])
+    want = np.where(mask, g, 0)
+    got = _relu_grad(g, mask)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the (B, m, C) shapes of the block backward, and a broadcast mask row
+    g3, m3 = g.reshape(2, -1, 1), mask.reshape(2, -1, 1)
+    assert _relu_grad(g3, m3).tobytes() == np.where(m3, g3, 0).tobytes()
+    assert _relu_grad(g3, m3[:1]).tobytes() == np.where(m3[:1], g3, 0).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "cfg, T",
+    [
+        (SMALL, 12),  # identity skips after block 0
+        (TcnModelConfig(5, 3, (1, 2, 4), hidden_channels=6, dense_sizes=(6, 3)), 9),
+        (TcnModelConfig(), 96),  # the paper TCN at the reference window
+    ],
+)
+def test_backward_equals_where_oracle_bit_for_bit(cfg, T, dtype):
+    rng = np.random.Generator(np.random.PCG64(T))
+    params = init_params(cfg, dtype)
+    for a in params.arrays():
+        if a.ndim == 1:
+            a[...] = rng.normal(size=a.shape) * 0.3
+    X = rng.normal(size=(5, T, cfg.in_channels)).astype(dtype)
+    X[0, -3:] = -0.0  # signed zeros reach the relu masks
+    yhat, cache = forward_batch(params, X)
+    dyhat = rng.normal(size=5).astype(dtype)
+    got = backward_batch(params, cache, dyhat)
+    want = where_backward_batch(params, cache, dyhat)
+    assert got.flat.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
+    for a, b in zip(got.arrays(), want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_equals_per_array_oracle_bit_for_bit(tmp_path, dtype):
+    cfg = TcnModelConfig(
+        in_channels=4, kernel_size=3, dilations=(1, 2, 4), hidden_channels=6, dense_sizes=(6, 4), seed=5
+    )
+    bank, val = _overfit_data(n=40, seed=11), _overfit_data(n=12, seed=12)
+    tr = TrainConfig(epochs=3, batch_size=16, patience=0, dtype=dtype, seed=4)
+    params, history = train(bank, val, cfg, tr)
+    want, want_history = per_array_train(bank, val, cfg, tr)
+    assert history == want_history
+    assert params.flat.dtype == np.dtype(dtype)
+    assert params.flat.tobytes() == want.flat.tobytes()
+    save_model(tmp_path / "a.tcn", params)
+    save_model(tmp_path / "b.tcn", want)
+    assert (tmp_path / "a.tcn").read_bytes() == (tmp_path / "b.tcn").read_bytes()
+
+
+def test_params_are_views_of_one_flat_vector():
+    params = init_params(SMALL)
+    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+    assert params.flat.tobytes() == b"".join(a.tobytes() for a in params.arrays())
+    copy = params.copy()
+    assert not np.shares_memory(copy.flat, params.flat)
+    assert copy.flat.tobytes() == params.flat.tobytes()
+    copy.flat += 1.0
+    assert all(np.array_equal(a, b + 1.0) for a, b in zip(copy.arrays(), params.arrays()))
+    zeros = params.zeros_like()
+    assert zeros.flat.dtype == params.flat.dtype and not zeros.flat.any()
+    assert all(np.shares_memory(a, zeros.flat) for a in zeros.arrays())
+    assert [a.shape for a in zeros.arrays()] == [a.shape for a in params.arrays()]
 
 
 def test_live_param_count_paper_config():
