@@ -11,9 +11,14 @@ file it prints each side's median and quartiles and the number of pairs the
 change won in the metric's ``better`` direction. A gain is clear when the
 change wins at least nine pairs in ten, the medians differ by more than the
 parent's quartile spread, and the change has no more failed passes than the
-parent. It also checks that the ``data set N: digest`` lines the two sides
-share are equal, and that no side gave one data set two digests.
-Standard library only.
+parent. Each metric also gets a no-regression verdict against the ``bound``
+of ``BENCHMARK.json``: "regression" when the change's median is worse than
+the parent's by more than bound x the parent's median, else "unresolved"
+when the parent's quartile spread is wider than bound x its median (unless
+every run of the change reads better than every run of the parent), else
+"no regression". It exits with status 1 when a data set the two sides share
+has different ``data set N: digest`` lines, or when one side gave a data set
+two digests. Standard library only.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ def main(argv: list[str] | None = None) -> int:
 
     contract = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in contract["end_to_end"]}
     seconds = contract["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in better} for side in sides}
@@ -88,6 +94,8 @@ def main(argv: list[str] | None = None) -> int:
     differ = [key for key in common if digests["parent"][key] != digests["change"][key]]
     print(f"data set digests: {len(common)} in common, {len(differ)} differ {differ}")
     print(f"data sets with more than one digest on a side: {len(unstable)} {unstable}")
+    if differ or unstable:
+        print("artifact bytes differ: exit status 1")
     for name, direction in better.items():
         p, c = values["parent"][name], values["change"][name]
         sign = 1.0 if direction == "lower" else -1.0
@@ -103,10 +111,22 @@ def main(argv: list[str] | None = None) -> int:
             f"{name:<12} parent {pq[1]:.4f} [{pq[0]:.4f}, {pq[2]:.4f}]  "
             f"change {cq[1]:.4f} [{cq[0]:.4f}, {cq[2]:.4f}]  "
             f"{100.0 * (cq[1] / pq[1] - 1.0):+.1f} %  change wins {wins}/{args.pairs}  "
-            f"{'clear gain' if clear else 'no clear gain'} "
-            f"({direction} is better, parent spread {spread:.4f})"
+            f"{'clear gain' if clear else 'no clear gain'}, "
+            f"{regression_verdict(p, c, sign, bound[name])} "
+            f"({direction} is better, bound {bound[name]:g}, parent spread {spread:.4f})"
         )
-    return 0
+    return 1 if differ or unstable else 0
+
+
+def regression_verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """No-regression verdict of one metric; ``sign`` is 1 when lower is better."""
+    pq, cq = quartiles(parent), quartiles(change)
+    if sign * (cq[1] - pq[1]) > bound * abs(pq[1]):
+        return "regression"
+    all_better = max(sign * v for v in change) < min(sign * v for v in parent)
+    if pq[2] - pq[0] > bound * abs(pq[1]) and not all_better:
+        return "unresolved"
+    return "no regression"
 
 
 if __name__ == "__main__":

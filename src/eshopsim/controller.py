@@ -111,27 +111,35 @@ def oracle_countdown(
 
 
 class StreamingCountdown:
-    """Online per-report inference; reset at each handover command boundary."""
+    """Online per-report inference; reset at each handover command boundary.
+
+    Each report runs the one-window ``model_forward`` on the last
+    ``window_len`` rows of the segment, placed by the number of reports since
+    the last command, so it gives the bits of the offline ``infer_countdown``.
+    """
 
     def __init__(self, params: ModelParams, window_len: int):
         self.params = params
         self.window_len = window_len
         self._rows: list[np.ndarray] = []
+        self._count = 0  # reports since the last command
 
     def on_command(self) -> None:
         """A handover command closes the segment; windows never cross it."""
         self._rows = []
+        self._count = 0
 
     def push(self, row: np.ndarray) -> float:
         row = np.asarray(row, dtype=float)
         if row.shape != (N_FEATURES,):
             raise ValueError(f"feature row must have {N_FEATURES} entries")
         self._rows.append(row)
+        self._count += 1
         if len(self._rows) > self.window_len:
             self._rows.pop(0)
         window = np.zeros((self.window_len, N_FEATURES))
         window[self.window_len - len(self._rows) :, :] = np.asarray(self._rows)
-        return model_forward(self.params, window)
+        return model_forward(self.params, window, self._count - 1)
 
 
 def infer_countdown(
@@ -143,9 +151,11 @@ def infer_countdown(
     """Offline inference over a recorded trace, one prediction per report.
 
     Windows are built exactly like the training windows (zero-padded, clipped
-    at command boundaries) and go through the batched forward pass, which
-    gives each window the bits of a single-window pass, so offline and online
-    inference agree bit-exactly.
+    at command boundaries). ``tcn.predict`` computes the rows every window of
+    a segment shares once per segment, in tiles anchored at the segment
+    start, and each window's own rows per window; each prediction has the
+    bits of the one-window pass at the report's place in its segment, so
+    offline and online (``StreamingCountdown``) inference agree bit-exactly.
     """
     bank = WindowBank(rows, segments, np.arange(len(rows)), window_len, dtype=params.dtype)
     return tcn.predict(params, bank)

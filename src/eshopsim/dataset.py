@@ -16,6 +16,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from eshopsim.artifacts import file_sha256, from_json, read_json, replacing, write_json
 from eshopsim.channel import N_CELLS, N_SSB
@@ -132,17 +133,16 @@ def build_feature_matrix(best_rsrp_std: np.ndarray, best_beams: np.ndarray) -> n
     return out
 
 
-def window_bounds(
-    segments: np.ndarray, sample_idx: np.ndarray, window_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample [start, end] row indices; windows never cross a segment edge."""
+def window_bounds(segments: np.ndarray, sample_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, the first row of its segment and its own row; a window of
+    W rows ending at the sample holds rows max(first, end - W + 1)..end, so
+    it never crosses a segment edge."""
     edges = np.flatnonzero(np.diff(segments)) + 1
     seg_start = np.zeros(len(segments), dtype=np.int64)
     seg_start[edges] = edges
     seg_start = np.maximum.accumulate(seg_start)
     end = np.asarray(sample_idx, dtype=np.int64)
-    start = np.maximum(seg_start[end], end - window_len + 1)
-    return start, end
+    return seg_start[end], end
 
 
 def split_ues(ue_ids: list[str], ratios: tuple[float, float, float], seed: int) -> dict[str, list[str]]:
@@ -391,14 +391,26 @@ def read_dataset(dirpath) -> DatasetBundle:
 
 class WindowBank:
     """Zero-padded causal windows, never crossing a segment edge, ending at chosen
-    rows of a feature matrix; training, evaluation and eshop all gather here."""
+    rows of a feature matrix; training, evaluation and eshop all read here.
+    ``seg_start`` holds the first row of each window's segment, which places
+    the window in its segment for the segment-shared inference of
+    ``tcn.predict``."""
 
     y = ue_ids = t_ms = None  # label, UE and time of each window end; set by ``labeled``
 
     def __init__(self, rows, segments, ends, window_len: int, dtype=np.float64):
         self.window_len = window_len
-        self.rows = np.ascontiguousarray(rows, dtype=dtype)
-        self.start, self.end = window_bounds(segments, ends, window_len)
+        rows = np.asarray(rows)
+        store = np.zeros((window_len - 1 + len(rows), rows.shape[1]), dtype=dtype)
+        store[window_len - 1 :] = rows
+        self.rows = store[window_len - 1 :]
+        # _windows[e] is a view of rows e-W+1 .. e, the W-1 zero rows of
+        # ``store`` standing before row 0
+        s0, s1 = store.strides
+        self._windows = as_strided(
+            store, (len(rows), window_len, rows.shape[1]), (s0, s0, s1), writeable=False
+        )
+        self.seg_start, self.end = window_bounds(segments, ends)
 
     @classmethod
     def labeled(cls, table: RowTable, meta: DatasetMeta, dtype=np.float64) -> "WindowBank":
@@ -417,9 +429,12 @@ class WindowBank:
         return len(self.end)
 
     def gather(self, idx) -> np.ndarray:
+        """The windows (B, window_len, C) ending at the banked rows ``idx``:
+        one read of the whole windows, then zeros on the rows that precede
+        each window's segment."""
         idx = np.asarray(idx)
-        out = np.zeros((len(idx), self.window_len, self.rows.shape[1]), dtype=self.rows.dtype)
-        for b, i in enumerate(idx):
-            s, e = self.start[i], self.end[i]
-            out[b, self.window_len - (e - s + 1) :, :] = self.rows[s : e + 1]
+        W = self.window_len
+        out = self._windows[self.end[idx]]
+        n_pad = self.seg_start[idx] - self.end[idx] + (W - 1)
+        out.reshape(-1, out.shape[2])[(np.arange(W) < n_pad[:, None]).ravel()] = 0
         return out

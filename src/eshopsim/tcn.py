@@ -369,7 +369,8 @@ def live_param_count(params: ModelParams, window_len: int) -> int:
 
 
 def forward_batch(params: ModelParams, X: np.ndarray):
-    """Batched forward pass: X (B, T, C_in) -> predictions (B,) plus cache.
+    """Training forward pass: X (B, T, C_in) -> predictions (B,) plus the
+    cache ``backward_batch`` reads.
 
     Only the positions the last timestep depends on are computed. Every matmul
     is (B, m, C) @ (C, N): one BLAS call per window, of the shape a B=1 pass
@@ -400,58 +401,130 @@ def backward_batch(params: ModelParams, cache, dyhat: np.ndarray) -> ModelParams
     return grads
 
 
-def model_forward(params: ModelParams, window: np.ndarray) -> float:
-    """Predict the countdown for one window (T, C_in)."""
+# ---------------------------------------------------------------------------
+# inference: rows shared by the windows of a segment
+# ---------------------------------------------------------------------------
+
+# The settled rows (see ``_inference_plan``) are computed in GEMM tiles of
+# TILE_ROWS positions whose edges sit at multiples of TILE_ROWS from the
+# segment start. BLAS may round a row differently with the GEMM's row count
+# (narrow outputs, or float64); with tiles of one size at fixed places a row's
+# bits depend only on its inputs and its slot, so the segment pass of
+# ``predict`` and the one-window pass of ``model_forward`` agree bit for bit.
+TILE_ROWS = 32
+
+
+def _inference_plan(config: TcnModelConfig, W: int):
+    """How inference splits a window of W timesteps.
+
+    Block i's output at window time t reads the window rows t - R_i .. t,
+    R_i = (k-1)(d_0 + ... + d_i). From t >= R_i on, no tap reaches before the
+    window, so the row is the same for every window that holds it: it is
+    *settled*, computed once per segment. The blocks with R_i < W have
+    settled rows; the rest, and the rows t < R_i, are computed per window.
+
+    Level l is the model input (l = -1) or block l's output. Per window, the
+    next block reads level l at its cone positions t = W-1 (mod D), D the
+    next block's dilation (W after the last block), and it needs only a
+    leading part of them when it is settled too. Returns the depths R_i of
+    the settled blocks and, per level, what a window reads of it: (leading
+    cone rows computed per window, the window times of the settled rows
+    that follow them).
+    """
+    k, dil = config.kernel_size, config.dilations
+    depths = []
+    for d in dil:
+        R = (depths[-1] if depths else 0) + (k - 1) * d
+        if R >= W:
+            break
+        depths.append(R)
+    # cone stride of each level, input first
+    steps = [dil[j] if j < len(dil) else W for j in range(len(depths) + 1)]
+    offs = [(W - 1) % D for D in steps]
+    unsettled = [0] + [0 if R <= o else (R - o - 1) // D + 1
+                       for R, o, D in zip(depths, offs[1:], steps[1:])]
+    need = (W - 1) // steps[-1] + 1  # the first per-window block reads the whole cone
+    reads = []
+    for l in range(len(depths), -1, -1):
+        D, o = steps[l], offs[l]
+        computed = min(unsettled[l], need)
+        reads.append((computed, o + D * np.arange(unsettled[l], need)))
+        # the block's last computed output sets the prefix of its input it reads
+        need = (o + (computed - 1) * D - offs[l - 1]) // steps[l - 1] + 1 if computed else 0
+    return depths, reads[::-1]
+
+
+def _settled_rows(params: ModelParams, x: np.ndarray, x0: int, depths: list[int]):
+    """The settled rows of a stretch of one segment.
+
+    x holds the model input at positions x0, x0+1, ... of the segment (0 is
+    its first report; zero rows stand before it). Returns, for the input and
+    each block with a depth in ``depths``, (a, rows): rows[p - a] is that
+    level at position p, valid for x0 + R <= p < x0 + len(x). Each block
+    runs one GEMM per tile and tap, tiles anchored at position 0; rows
+    outside the valid range only fill tiles.
+    """
+    end = x0 + len(x)
+    levels = [(x0, x)]
+    for bp, d, R in zip(params.blocks, params.config.dilations, depths):
+        a_in, h = levels[-1]
+        span = (len(bp.w) - 1) * d
+        a = (x0 + R) // TILE_ROWS * TILE_ROWS
+        n = -(-(end - a) // TILE_ROWS)
+        xin = np.zeros((n * TILE_ROWS + span, h.shape[1]), dtype=h.dtype)  # from a - span
+        lo, hi = max(a - span, a_in), min(a + n * TILE_ROWS, a_in + len(h))
+        xin[lo - a + span : hi - a + span] = h[lo - a_in : hi - a_in]
+        tiles = lambda s: xin[s : s + n * TILE_ROWS].reshape(n, TILE_ROWS, -1)  # noqa: E731
+        z = np.empty((n, TILE_ROWS, bp.w.shape[2]), dtype=h.dtype)
+        z[...] = bp.b
+        for p in range(len(bp.w)):  # taps in order, bias first, as _dconv_forward
+            z += tiles(span - p * d) @ bp.w[p]
+        r = tiles(span) @ bp.proj if bp.proj is not None else tiles(span)
+        levels.append((a, np.maximum(r + np.maximum(z, 0), 0).reshape(n * TILE_ROWS, -1)))
+    return levels
+
+
+def _window_pass(params: ModelParams, W: int, levels, reads, t0: np.ndarray) -> np.ndarray:
+    """Predictions of the windows of W steps whose time 0 sits at positions
+    t0 (B,) of the segment ``levels`` holds: settled rows are read from it,
+    the rest is the cone code of ``forward_batch``."""
+    plan = _cone_plan(params.config, W)
+    h = None
+    for i, ((computed, times), (a, rows)) in enumerate(zip(reads, levels)):
+        settled = rows[(t0 - a)[:, None] + times]
+        if computed:  # block i-1's leading outputs, from the leading rows of its input
+            lead, _ = _block_forward(h, params.blocks[i - 1], plan[i - 1][1])
+            settled = np.concatenate([lead, settled], axis=1)
+        h = settled
+    n_settled = len(levels) - 1
+    for bp, (_, stride) in zip(params.blocks[n_settled:], plan[n_settled:]):
+        h, _ = _block_forward(h, bp, stride)
+    yhat, _ = _head_forward(h[:, -1:, :], params.dense)
+    return yhat
+
+
+def model_forward(params: ModelParams, window: np.ndarray, position: int) -> float:
+    """Predict the countdown for one window (T, C_in) whose last row is report
+    ``position`` (0-based) of its segment; rows before the segment start are
+    zero. The position only anchors the tiles of ``_settled_rows``, so this
+    one-window pass has the bits ``predict`` gives the window in its bank."""
     window = np.asarray(window, dtype=params.dtype)
     if window.ndim != 2 or window.shape[1] != params.config.in_channels:
         raise ValueError(
             f"window must be (T, {params.config.in_channels}), got {window.shape}"
         )
-    yhat, _ = forward_batch(params, window[None])
-    return float(yhat[0])
+    if position < 0:
+        raise ValueError(f"position in the segment must be >= 0, got {position}")
+    T = len(window)
+    depths, reads = _inference_plan(params.config, T)
+    t0 = position - (T - 1)
+    levels = _settled_rows(params, window, t0, depths)
+    return float(_window_pass(params, T, levels, reads, np.array([t0]))[0])
 
 
 def receptive_field(config: TcnModelConfig) -> int:
     """Closed-form receptive field: 1 + (k - 1) * sum(dilations)."""
     return 1 + (config.kernel_size - 1) * sum(config.dilations)
-
-
-def measure_receptive_field(config: TcnModelConfig, margin: int = 48) -> int:
-    """Impulse-probe measurement of the receptive field.
-
-    Uses an all-positive copy of the initialized weights (zero biases), so a
-    positive impulse propagates through every relu and influence in the probe
-    is monotone in lag; the boundary is located by bisection.
-    """
-    params = init_params(config)
-    for bp in params.blocks:
-        np.abs(bp.w, out=bp.w)
-        bp.b[:] = 0.0
-        if bp.proj is not None:
-            np.abs(bp.proj, out=bp.proj)
-    for dp in params.dense:
-        np.abs(dp.w, out=dp.w)
-        dp.b[:] = 0.0
-
-    T = receptive_field(config) + margin
-
-    def influenced(lag: int) -> bool:
-        x = np.zeros((T, config.in_channels))
-        x[T - 1 - lag, 0] = 1.0
-        return model_forward(params, x) > 0.0
-
-    if not influenced(0):
-        raise RuntimeError("probe failed: zero-lag impulse has no influence")
-    if influenced(T - 1):
-        raise RuntimeError("probe window too small")
-    lo, hi = 0, T - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if influenced(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo + 1
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +626,32 @@ class _Adam:
 
 
 def predict(params: ModelParams, bank, batch_size: int = 64) -> np.ndarray:
-    """Batched predictions over a window bank (order preserved)."""
-    n = len(bank)
+    """Predictions over a window bank (order preserved), segment by segment.
+
+    The settled rows of a segment (``_inference_plan``) are computed once, in
+    tiles anchored at the segment start, from the bank's rows; then the
+    segment's windows, ``batch_size`` at a time, read them and compute only
+    their unsettled rows, the later blocks and the head. Each prediction has
+    the bits of ``model_forward`` on the window at its segment position, in
+    any batch. The segment's rows are freed before the next segment.
+    """
+    n, W = len(bank), bank.window_len
     out = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, n))
-        X = np.asarray(bank.gather(idx), dtype=params.dtype)
-        yhat, _ = forward_batch(params, X)
-        out[idx] = yhat
+    if n == 0:
+        return out
+    depths, reads = _inference_plan(params.config, W)
+    order = np.argsort(bank.seg_start, kind="stable")
+    cuts = np.flatnonzero(np.diff(bank.seg_start[order])) + 1
+    for seg in np.split(order, cuts):
+        first = int(bank.seg_start[seg[0]])
+        t0 = bank.end[seg] - first - (W - 1)  # segment position of each window's time 0
+        lo, hi = int(t0.min()), int(t0.max()) + W
+        x = np.zeros((hi - lo, bank.rows.shape[1]), dtype=params.dtype)
+        x[max(0, -lo) :] = bank.rows[first + max(lo, 0) : first + hi]
+        levels = _settled_rows(params, x, lo, depths)
+        for b in range(0, len(seg), batch_size):
+            idx = seg[b : b + batch_size]
+            out[idx] = _window_pass(params, W, levels, reads, t0[b : b + batch_size])
     return out
 
 

@@ -26,7 +26,17 @@ from eshopsim.events import EVENT_A3, A3EventEngine, HcpConfig
 from eshopsim.scenario import REPORT_PERIOD_MS, bearing_from_bs, position_at, spawn_trajectory
 from eshopsim.seeds import derive_seed, rng_from
 from eshopsim.simulate import D_PREP_MAX_MS, D_PREP_MIN_MS, UeRun
-from eshopsim.tcn import _Adam, _strided, _taps, forward_batch, init_params, predict, rmse_loss
+from eshopsim.tcn import (
+    _Adam,
+    _strided,
+    _taps,
+    forward_batch,
+    init_params,
+    model_forward,
+    predict,
+    receptive_field,
+    rmse_loss,
+)
 
 
 def naive_causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int = 1) -> np.ndarray:
@@ -102,6 +112,45 @@ def full_sequence_tcn(params, X: np.ndarray, dyhat: np.ndarray):
         for acc, g in zip(grads, flat):
             acc += g
     return yhat, grads
+
+
+def measure_receptive_field(config, margin: int = 48) -> int:
+    """Impulse-probe measurement of the receptive field (reference for
+    ``tcn.receptive_field``).
+
+    Uses an all-positive copy of the initialized weights (zero biases), so a
+    positive impulse propagates through every relu and influence in the probe
+    is monotone in lag; the boundary is located by bisection.
+    """
+    params = init_params(config)
+    for bp in params.blocks:
+        np.abs(bp.w, out=bp.w)
+        bp.b[:] = 0.0
+        if bp.proj is not None:
+            np.abs(bp.proj, out=bp.proj)
+    for dp in params.dense:
+        np.abs(dp.w, out=dp.w)
+        dp.b[:] = 0.0
+
+    T = receptive_field(config) + margin
+
+    def influenced(lag: int) -> bool:
+        x = np.zeros((T, config.in_channels))
+        x[T - 1 - lag, 0] = 1.0
+        return model_forward(params, x, T - 1) > 0.0
+
+    if not influenced(0):
+        raise RuntimeError("probe failed: zero-lag impulse has no influence")
+    if influenced(T - 1):
+        raise RuntimeError("probe window too small")
+    lo, hi = 0, T - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if influenced(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo + 1
 
 
 # ---------------------------------------------------------------------------

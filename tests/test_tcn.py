@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eshopsim import tcn
-from eshopsim.dataset import N_FEATURES
+from eshopsim.dataset import N_FEATURES, WindowBank
 from eshopsim.tcn import (
     BlockParams,
     TcnModelConfig,
@@ -21,7 +21,6 @@ from eshopsim.tcn import (
     init_params,
     live_param_count,
     load_model,
-    measure_receptive_field,
     model_forward,
     receptive_field,
     rmse_loss,
@@ -31,6 +30,7 @@ from eshopsim.tcn import (
 from oracles import (
     fd_gradient,
     full_sequence_tcn,
+    measure_receptive_field,
     naive_causal_conv,
     per_array_train,
     where_backward_batch,
@@ -147,11 +147,13 @@ def test_model_causality_bit_exact():
 def test_model_forward_contract():
     params = init_params(SMALL)
     w = np.random.default_rng(1).normal(size=(16, 4))
-    a = model_forward(params, w)
-    b = model_forward(params, w)
+    a = model_forward(params, w, 15)
+    b = model_forward(params, w, 15)
     assert a == b and np.isfinite(a)
     with pytest.raises(ValueError):
-        model_forward(params, np.zeros((16, 5)))
+        model_forward(params, np.zeros((16, 5)), 15)
+    with pytest.raises(ValueError, match="position"):
+        model_forward(params, w, -1)
 
 
 def test_rmse_loss_examples():
@@ -247,7 +249,8 @@ def test_cone_forward_backward_equal_full_sequence(k, dilations, T, B, c_in, hid
 )
 @settings(max_examples=60, deadline=None)
 def test_predict_is_batch_invariant(k, dilations, T, n, c_in, hidden, dense, dtype, seed, data):
-    # each window's matmuls keep the shape of a single-window pass, so a
+    # a window's own matmuls keep the shape of a single-window pass and its
+    # shared rows come from tiles anchored at its segment start, so a
     # prediction has the same bits in a batch of any size; small widths are
     # the shapes where one GEMM over all windows' rows drifts with the batch
     cfg = TcnModelConfig(
@@ -263,9 +266,99 @@ def test_predict_is_batch_invariant(k, dilations, T, n, c_in, hidden, dense, dty
     for a in params.arrays():
         if a.ndim == 1:  # nonzero biases, so fewer relus are exactly zero
             a[...] = rng.normal(size=a.shape) * 0.3
-    bank = ArrayBank(rng.normal(size=(n, T, c_in)).astype(dtype), np.zeros(n))
-    want = np.asarray([model_forward(params, x) for x in bank.X])
+    X = rng.normal(size=(n, T, c_in)).astype(dtype)
+    bank = array_bank(X, np.zeros(n))
+    want = np.asarray([model_forward(params, x, T - 1) for x in X])
     for b in (1, data.draw(st.integers(min_value=1, max_value=n)), n):
+        assert np.array_equal(tcn.predict(params, bank, batch_size=b), want)
+
+
+def _segmented_bank(data, rows, window_len, dtype, max_windows=None):
+    """A bank over ``rows`` with random segment boundaries, its windows ending
+    at a random subset of rows (at most ``max_windows``)."""
+    n = len(rows)
+    cuts = data.draw(st.lists(st.integers(1, max(1, n - 1)), max_size=4))
+    segments = np.searchsorted(sorted(cuts), np.arange(n), side="right")
+    ends = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=max_windows or n, unique=True)
+    )
+    return WindowBank(rows, segments, sorted(ends), window_len, dtype)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=5),
+    dilations=st.sets(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=3),
+    c_in=st.integers(min_value=1, max_value=3),
+    hidden=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_predict_equals_full_sequence_oracle(k, dilations, c_in, hidden, seed, data):
+    # integer-valued float64 data keeps every sum exact in any order, so the
+    # split into segment-shared and per-window rows must give the
+    # all-timestep oracle's bits whatever the BLAS; W lands just below, on
+    # and above each block's depth R_i = (k-1)(d_0 + ... + d_i)
+    dilations = tuple(sorted(dilations))
+    cfg = TcnModelConfig(
+        in_channels=c_in,
+        kernel_size=k,
+        dilations=dilations,
+        hidden_channels=hidden,
+        dense_sizes=(2,),
+    )
+    depths = np.cumsum(dilations) * (k - 1)
+    W = data.draw(st.sampled_from(sorted({max(1, int(R) + e) for R in depths for e in (-1, 0, 1)})))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = init_params(cfg)
+    for a in params.arrays():
+        a[...] = rng.integers(-1, 2, size=a.shape)
+    n = data.draw(st.integers(min_value=1, max_value=2 * W + 40))
+    rows = rng.integers(-2, 3, size=(n, c_in)).astype(np.float64)
+    bank = _segmented_bank(data, rows, W, np.float64, max_windows=12)
+    X = bank.gather(np.arange(len(bank)))
+    want, _ = full_sequence_tcn(params, X, np.zeros(len(bank)))
+    batch = data.draw(st.integers(min_value=1, max_value=len(bank)))
+    assert np.array_equal(tcn.predict(params, bank, batch_size=batch), want)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=5),
+    dilations=st.sets(st.sampled_from([1, 2, 4, 8, 16]), min_size=1, max_size=3),
+    W=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=160),
+    c_in=st.integers(min_value=1, max_value=40),
+    hidden=st.integers(min_value=1, max_value=8),
+    dense=st.lists(st.integers(min_value=1, max_value=8), max_size=3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_predict_equals_one_window_pass_narrow_widths(
+    k, dilations, W, n, c_in, hidden, dense, dtype, seed, data
+):
+    # narrow GEMMs are where BLAS rounds a row differently with the row
+    # count: the segment pass and the one-window pass agree only because both
+    # compute the shared rows in tiles anchored at the segment start
+    cfg = TcnModelConfig(
+        in_channels=c_in,
+        kernel_size=k,
+        dilations=tuple(sorted(dilations)),
+        hidden_channels=hidden,
+        dense_sizes=tuple(dense),
+        seed=seed,
+    )
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = init_params(cfg, dtype)
+    for a in params.arrays():
+        if a.ndim == 1:  # nonzero biases, so fewer relus are exactly zero
+            a[...] = rng.normal(size=a.shape) * 0.3
+    bank = _segmented_bank(data, rng.normal(size=(n, c_in)), W, dtype)
+    X = bank.gather(np.arange(len(bank)))
+    positions = bank.end - bank.seg_start
+    want = np.asarray([model_forward(params, x, p) for x, p in zip(X, positions)])
+    for b in (1, data.draw(st.integers(min_value=1, max_value=len(bank))), len(bank)):
         assert np.array_equal(tcn.predict(params, bank, batch_size=b), want)
 
 
@@ -412,25 +505,21 @@ def test_receptive_field_probe_matches_formula(k, n_dil):
     assert measure_receptive_field(cfg) == receptive_field(cfg)
 
 
-class ArrayBank:
-    """Raw (X, y) arrays behind the window-bank gather interface."""
-
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.X = X
-        self.y = np.asarray(y)
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-    def gather(self, idx) -> np.ndarray:
-        return self.X[np.asarray(idx)]
+def array_bank(X: np.ndarray, y: np.ndarray) -> WindowBank:
+    """Raw (X, y) arrays as a window bank: each window of X (n, T, C) is a
+    segment of its own, of exactly T rows."""
+    n, T, c = X.shape
+    rows = X.reshape(n * T, c)
+    bank = WindowBank(rows, np.repeat(np.arange(n), T), np.arange(n) * T + T - 1, T, X.dtype)
+    bank.y = np.asarray(y)
+    return bank
 
 
 def _overfit_data(n=32, T=16, c=4, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     X = rng.normal(size=(n, T, c))
     y = rng.uniform(0.5, 2.0, size=n)
-    return ArrayBank(X, y)
+    return array_bank(X, y)
 
 
 def test_train_overfits_small_set():
@@ -439,7 +528,7 @@ def test_train_overfits_small_set():
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=8, dense_sizes=(8,), seed=0
     )
     tr = TrainConfig(epochs=500, batch_size=32, patience=0, dtype="float64", seed=0)
-    params, history = train(bank, ArrayBank(np.zeros((0, 16, 4)), np.zeros(0)), cfg, tr)
+    params, history = train(bank, array_bank(np.zeros((0, 16, 4)), np.zeros(0)), cfg, tr)
     assert history[-1]["train_rmse"] < 0.01
 
 
@@ -449,7 +538,7 @@ def test_train_loss_mostly_non_increasing():
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=8, dense_sizes=(8,), seed=1
     )
     tr = TrainConfig(epochs=200, batch_size=32, patience=0, dtype="float64", seed=1)
-    _, history = train(bank, ArrayBank(np.zeros((0, 16, 4)), np.zeros(0)), cfg, tr)
+    _, history = train(bank, array_bank(np.zeros((0, 16, 4)), np.zeros(0)), cfg, tr)
     losses = [h["train_rmse"] for h in history]
     warmup = 10
     increases = sum(1 for a, b in zip(losses[warmup:], losses[warmup + 1 :]) if b > a)
@@ -490,7 +579,7 @@ def test_model_file_round_trip(tmp_path):
     for a, b in zip(params.arrays(), loaded.arrays()):
         assert np.array_equal(a, b)
     w = np.random.default_rng(0).normal(size=(16, 4))
-    assert model_forward(params, w) == model_forward(loaded, w)
+    assert model_forward(params, w, 15) == model_forward(loaded, w, 15)
 
 
 def test_failed_save_keeps_the_previous_model(tmp_path):
