@@ -51,7 +51,7 @@ from eshopsim.simulate import (
 from eshopsim import tcn
 
 SUMMARY_SCHEMA = "run-summary/1"
-REPORT_SCHEMA = "consolidated-report/1"
+REPORT_SCHEMA = "consolidated-report/2"
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ _REPORT_METRICS = [
 
 
 def cmd_report(run_dirs: list[str], out_file: str) -> dict:
-    """Merge run summaries into one table with mean and std per metric."""
+    """Merge run summaries into one table: per metric the mean and the sample std (ddof 1)."""
     summaries = []
     for d in run_dirs:
         path = os.path.join(d, "summary.json")
@@ -469,7 +469,8 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise DataError(f"metric {metric} of {path} is not a number: {v!r}")
                 vals.append(float(v))
-            row += [float(np.mean(vals)), float(np.std(vals))] if vals else ["", ""]
+            row.append(float(np.mean(vals)) if vals else "")
+            row.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else "")
         if any(cell != "" for cell in row[1:]):
             rows.append(row)
     write_table(out_file, REPORT_SCHEMA, header, rows)

@@ -151,11 +151,11 @@ def infer_countdown(
     """Offline inference over a recorded trace, one prediction per report.
 
     Windows are built exactly like the training windows (zero-padded, clipped
-    at command boundaries). ``tcn.predict`` computes the rows every window of
-    a segment shares once per segment, in tiles anchored at the segment
-    start, and each window's own rows per window; each prediction has the
-    bits of the one-window pass at the report's place in its segment, so
-    offline and online (``StreamingCountdown``) inference agree bit-exactly.
+    at command boundaries). ``tcn.predict`` computes the rows a segment's
+    windows share once per segment, the rest in 32-window GEMM tiles, and
+    the head per window; a row's bits depend on no other row of its tile, so
+    each prediction has the bits of the one-window pass at the report's place
+    in its segment: offline and online (``StreamingCountdown``) agree bit-exactly.
     """
     bank = WindowBank(rows, segments, np.arange(len(rows)), window_len, dtype=params.dtype)
     return tcn.predict(params, bank)

@@ -402,15 +402,15 @@ def backward_batch(params: ModelParams, cache, dyhat: np.ndarray) -> ModelParams
 
 
 # ---------------------------------------------------------------------------
-# inference: rows shared by the windows of a segment
+# inference: settled rows shared per segment, the rest time-major per chunk
 # ---------------------------------------------------------------------------
 
-# The settled rows (see ``_inference_plan``) are computed in GEMM tiles of
-# TILE_ROWS positions whose edges sit at multiples of TILE_ROWS from the
-# segment start. BLAS may round a row differently with the GEMM's row count
-# (narrow outputs, or float64); with tiles of one size at fixed places a row's
-# bits depend only on its inputs and its slot, so the segment pass of
-# ``predict`` and the one-window pass of ``model_forward`` agree bit for bit.
+# Inference runs every conv GEMM on TILE_ROWS rows: the settled rows (see
+# ``_inference_plan``) in tiles anchored at the segment start, the rest one
+# window per slot of a chunk. BLAS may round a row differently with the GEMM's
+# row count (narrow outputs, or float64), but in a GEMM of fixed size a row's
+# bits depend on neither its slot nor its neighbours; with the head run per
+# window, ``predict`` and the one-window ``model_forward`` agree bit for bit.
 TILE_ROWS = 32
 
 
@@ -423,13 +423,12 @@ def _inference_plan(config: TcnModelConfig, W: int):
     *settled*, computed once per segment. The blocks with R_i < W have
     settled rows; the rest, and the rows t < R_i, are computed per window.
 
-    Level l is the model input (l = -1) or block l's output. Per window, the
-    next block reads level l at its cone positions t = W-1 (mod D), D the
-    next block's dilation (W after the last block), and it needs only a
-    leading part of them when it is settled too. Returns the depths R_i of
-    the settled blocks and, per level, what a window reads of it: (leading
-    cone rows computed per window, the window times of the settled rows
-    that follow them).
+    Level l is the model input (l = 0) or block l-1's output. Per window, a
+    level is read at its cone times t = o + D*j, D the dilation of block l
+    and o = (W-1) mod D; a settled next block reads a leading part of them.
+    Returns the depths R_i of the settled blocks and, per level, (D, o, the
+    leading cone rows computed per window, the window times of the settled
+    rows that follow them).
     """
     k, dil = config.kernel_size, config.dilations
     depths = []
@@ -438,20 +437,18 @@ def _inference_plan(config: TcnModelConfig, W: int):
         if R >= W:
             break
         depths.append(R)
-    # cone stride of each level, input first
-    steps = [dil[j] if j < len(dil) else W for j in range(len(depths) + 1)]
+    steps = list(dil) + [dil[-1] * W]  # a multiple of d_last >= W: one cone time, W-1
     offs = [(W - 1) % D for D in steps]
-    unsettled = [0] + [0 if R <= o else (R - o - 1) // D + 1
-                       for R, o, D in zip(depths, offs[1:], steps[1:])]
-    need = (W - 1) // steps[-1] + 1  # the first per-window block reads the whole cone
-    reads = []
-    for l in range(len(depths), -1, -1):
+    unsettled = [0] + [max(0, -(-(R - o) // D)) for R, o, D in zip(depths, offs[1:], steps[1:])]
+    need = 1  # the last block writes only time W-1
+    levels = []
+    for l in range(len(steps) - 1, -1, -1):
         D, o = steps[l], offs[l]
-        computed = min(unsettled[l], need)
-        reads.append((computed, o + D * np.arange(unsettled[l], need)))
+        computed = min(unsettled[l], need) if l < len(unsettled) else need
+        levels.append((D, o, computed, o + D * np.arange(computed, need)))
         # the block's last computed output sets the prefix of its input it reads
         need = (o + (computed - 1) * D - offs[l - 1]) // steps[l - 1] + 1 if computed else 0
-    return depths, reads[::-1]
+    return depths, levels[::-1]
 
 
 def _settled_rows(params: ModelParams, x: np.ndarray, x0: int, depths: list[int]):
@@ -484,30 +481,61 @@ def _settled_rows(params: ModelParams, x: np.ndarray, x0: int, depths: list[int]
     return levels
 
 
-def _window_pass(params: ModelParams, W: int, levels, reads, t0: np.ndarray) -> np.ndarray:
-    """Predictions of the windows of W steps whose time 0 sits at positions
-    t0 (B,) of the segment ``levels`` holds: settled rows are read from it,
-    the rest is the cone code of ``forward_batch``."""
-    plan = _cone_plan(params.config, W)
-    h = None
-    for i, ((computed, times), (a, rows)) in enumerate(zip(reads, levels)):
-        settled = rows[(t0 - a)[:, None] + times]
-        if computed:  # block i-1's leading outputs, from the leading rows of its input
-            lead, _ = _block_forward(h, params.blocks[i - 1], plan[i - 1][1])
-            settled = np.concatenate([lead, settled], axis=1)
-        h = settled
-    n_settled = len(levels) - 1
-    for bp, (_, stride) in zip(params.blocks[n_settled:], plan[n_settled:]):
-        h, _ = _block_forward(h, bp, stride)
-    yhat, _ = _head_forward(h[:, -1:, :], params.dense)
-    return yhat
+def _chunk_pass(params: ModelParams, plan, bufs: list[np.ndarray], n: int) -> np.ndarray:
+    """Predictions of the windows in slots 0..n-1 of the time-major level
+    buffers ``bufs``, (cone rows, chunk, C), whose settled rows are filled:
+    each block writes its leading rows in place, one GEMM per tile, row and tap."""
+    m = -(-n // TILE_ROWS) * TILE_ROWS
+    tiled = lambda a: a.reshape(len(a), m // TILE_ROWS, TILE_ROWS, a.shape[-1])  # noqa: E731
+    for bp, (D, o, _, _), (D_out, o_out, computed, _), x, y in zip(
+        params.blocks, plan, plan[1:], bufs, bufs[1:]
+    ):
+        s, off = D_out // D, (o_out - o) // D  # output row j reads input row off + s*j - p at tap p
+        x, z = x[:, :m], tiled(y[:computed, :m])
+        z[...] = bp.b
+        for p in range(len(bp.w)):  # taps in order, bias first, as _dconv_forward
+            j0 = max(0, -(-(p - off) // s))  # first output whose tap p is inside the window
+            if j0 >= computed:
+                break
+            z[j0:] += tiled(x[off + s * j0 - p :: s][: computed - j0]) @ bp.w[p]
+        xs = tiled(x[off::s][:computed])
+        np.maximum(z, 0, out=z)
+        np.add(xs @ bp.proj if bp.proj is not None else xs, z, out=z)
+        np.maximum(z, 0, out=z)
+    return _head_forward(bufs[-1][0, :n].reshape(n, 1, -1), params.dense)[0]
+
+
+def _infer(params: ModelParams, W: int, segments, n: int, batch_size: int) -> np.ndarray:
+    """Predictions of the n windows of W steps that ``segments`` yields per
+    segment, as (model input x from segment position x0, x0, each window's
+    time-0 position t0): chunks of ``batch_size`` windows, in whole tiles,
+    take each segment's settled rows as its windows fill their slots."""
+    depths, plan = _inference_plan(params.config, W)
+    chunk = min(-(-batch_size // TILE_ROWS), -(-n // TILE_ROWS)) * TILE_ROWS
+    widths = [params.config.in_channels] + [params.config.hidden_channels] * len(params.blocks)
+    bufs = [np.zeros((c + len(t), chunk, w), params.dtype) for (_, _, c, t), w in zip(plan, widths)]
+    out = np.empty(n, dtype=np.float64)
+    done = filled = 0
+    for x, x0, t0 in segments:
+        levels = _settled_rows(params, x, x0, depths)
+        while len(t0):
+            take, t0 = t0[: chunk - filled], t0[chunk - filled :]
+            for buf, (_, _, computed, times), (a, rows) in zip(bufs, plan, levels):
+                buf[computed:, filled : filled + len(take)] = rows[times[:, None] + (take - a)]
+            filled += len(take)
+            if filled == chunk:
+                out[done : done + chunk] = _chunk_pass(params, plan, bufs, chunk)
+                done, filled = done + chunk, 0
+    if filled:
+        out[done:] = _chunk_pass(params, plan, bufs, filled)
+    return out
 
 
 def model_forward(params: ModelParams, window: np.ndarray, position: int) -> float:
     """Predict the countdown for one window (T, C_in) whose last row is report
     ``position`` (0-based) of its segment; rows before the segment start are
-    zero. The position only anchors the tiles of ``_settled_rows``, so this
-    one-window pass has the bits ``predict`` gives the window in its bank."""
+    zero. The position anchors the settled rows' tiles and the window takes
+    slot 0 of a one-tile chunk: the bits ``predict`` gives it in any batch."""
     window = np.asarray(window, dtype=params.dtype)
     if window.ndim != 2 or window.shape[1] != params.config.in_channels:
         raise ValueError(
@@ -516,10 +544,8 @@ def model_forward(params: ModelParams, window: np.ndarray, position: int) -> flo
     if position < 0:
         raise ValueError(f"position in the segment must be >= 0, got {position}")
     T = len(window)
-    depths, reads = _inference_plan(params.config, T)
     t0 = position - (T - 1)
-    levels = _settled_rows(params, window, t0, depths)
-    return float(_window_pass(params, T, levels, reads, np.array([t0]))[0])
+    return float(_infer(params, T, [(window, t0, np.array([t0]))], 1, TILE_ROWS)[0])
 
 
 def receptive_field(config: TcnModelConfig) -> int:
@@ -625,33 +651,35 @@ class _Adam:
         flat -= step
 
 
-def predict(params: ModelParams, bank, batch_size: int = 64) -> np.ndarray:
-    """Predictions over a window bank (order preserved), segment by segment.
+def predict(params: ModelParams, bank, batch_size: int = 256) -> np.ndarray:
+    """Predictions over a window bank (order preserved).
 
-    The settled rows of a segment (``_inference_plan``) are computed once, in
-    tiles anchored at the segment start, from the bank's rows; then the
-    segment's windows, ``batch_size`` at a time, read them and compute only
-    their unsettled rows, the later blocks and the head. Each prediction has
-    the bits of ``model_forward`` on the window at its segment position, in
-    any batch. The segment's rows are freed before the next segment.
+    Each segment's settled rows (``_inference_plan``) are computed once, in
+    tiles anchored at the segment start, and freed before the next segment.
+    The windows fill chunks of ``batch_size``, rounded up to whole tiles of
+    ``TILE_ROWS``, across segments; a chunk computes its windows' other rows
+    time-major, every GEMM on one tile of windows, and the head per window.
+    Each prediction has the bits of ``model_forward`` on its window, in any batch.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n, W = len(bank), bank.window_len
     out = np.empty(n, dtype=np.float64)
     if n == 0:
         return out
-    depths, reads = _inference_plan(params.config, W)
     order = np.argsort(bank.seg_start, kind="stable")
     cuts = np.flatnonzero(np.diff(bank.seg_start[order])) + 1
-    for seg in np.split(order, cuts):
-        first = int(bank.seg_start[seg[0]])
-        t0 = bank.end[seg] - first - (W - 1)  # segment position of each window's time 0
-        lo, hi = int(t0.min()), int(t0.max()) + W
-        x = np.zeros((hi - lo, bank.rows.shape[1]), dtype=params.dtype)
-        x[max(0, -lo) :] = bank.rows[first + max(lo, 0) : first + hi]
-        levels = _settled_rows(params, x, lo, depths)
-        for b in range(0, len(seg), batch_size):
-            idx = seg[b : b + batch_size]
-            out[idx] = _window_pass(params, W, levels, reads, t0[b : b + batch_size])
+
+    def segments():
+        for seg in np.split(order, cuts):
+            first = int(bank.seg_start[seg[0]])
+            t0 = bank.end[seg] - first - (W - 1)  # segment position of each window's time 0
+            lo, hi = int(t0.min()), int(t0.max()) + W
+            x = np.zeros((hi - lo, bank.rows.shape[1]), dtype=params.dtype)
+            x[max(0, -lo) :] = bank.rows[first + max(lo, 0) : first + hi]
+            yield x, lo, t0
+
+    out[order] = _infer(params, W, segments(), n, batch_size)
     return out
 
 

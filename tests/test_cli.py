@@ -523,7 +523,7 @@ def test_report_merges_runs(tmp_path):
     result = cli.cmd_report([str(out1), str(out2)], str(report))
     assert result["groups"] == ["los"]
     lines = report.read_text().splitlines()
-    assert lines[0].startswith("# schema=consolidated-report/1")
+    assert lines[0].startswith("# schema=consolidated-report/2")
     header = lines[1].split(",")
     assert header == ["metric", "los_mean", "los_std"]
     for line in lines[2:]:
@@ -534,7 +534,8 @@ def test_report_merges_runs(tmp_path):
 
 def test_report_text_of_hand_made_summaries(tmp_path):
     # two groups; the second LoS run has no eshop section and both LoS runs a
-    # null mape_pct, so that row is left out; the NLoS eval section is no object
+    # null mape_pct, so that row is left out; the NLoS eval section is no object;
+    # the std is the sample std, left empty where one run has the metric
     def evaluation(evs, mae, rmse_s):
         return {"test": {"evs": evs, "mape_pct": None, "mae": mae, "rmse_s": rmse_s, "r2": 0.5}}
 
@@ -555,15 +556,15 @@ def test_report_text_of_hand_made_summaries(tmp_path):
     result = cli.cmd_report([str(tmp_path / name) for name in summaries], str(report))
     assert result["groups"] == ["los", "nlos"]
     assert report.read_bytes() == (
-        "# schema=consolidated-report/1\n"
+        "# schema=consolidated-report/2\n"
         "metric,los_mean,los_std,nlos_mean,nlos_std\r\n"
-        "evs,0.625,0.125,,\r\n"
-        "mae,0.375,0.125,,\r\n"
-        "rmse_s,1.5,0.5,,\r\n"
+        "evs,0.625,0.1767766952966369,,\r\n"
+        "mae,0.375,0.1767766952966369,,\r\n"
+        "rmse_s,1.5,0.7071067811865476,,\r\n"
         "r2,0.5,0.0,,\r\n"
-        "mean_advance_ms,20.0,0.0,10.0,0.0\r\n"
-        "wasted_rate,0.0,0.0,0.25,0.0\r\n"
-        "fallback_rate,0.5,0.0,1.0,0.0\r\n"
+        "mean_advance_ms,20.0,,10.0,\r\n"
+        "wasted_rate,0.0,,0.25,\r\n"
+        "fallback_rate,0.5,,1.0,\r\n"
     ).encode()
     assert result["metrics"] == [line.split(",")[0] for line in report.read_text().splitlines()[2:]]
 
@@ -590,7 +591,7 @@ def test_report_reads_a_null_metric_as_empty(tmp_path):
     (run / "summary.json").write_text(json.dumps(doc))
     report = tmp_path / "report.csv"
     assert cli.cmd_report([str(run)], str(report))["metrics"] == ["mae"]
-    assert report.read_text().splitlines()[2:] == ["mae,1.0,0.0"]
+    assert report.read_text().splitlines()[2:] == ["mae,1.0,"]  # one run: no std
 
 
 def test_report_rejects_schema_mismatch(tmp_path):

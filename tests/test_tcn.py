@@ -249,10 +249,11 @@ def test_cone_forward_backward_equal_full_sequence(k, dilations, T, B, c_in, hid
 )
 @settings(max_examples=60, deadline=None)
 def test_predict_is_batch_invariant(k, dilations, T, n, c_in, hidden, dense, dtype, seed, data):
-    # a window's own matmuls keep the shape of a single-window pass and its
-    # shared rows come from tiles anchored at its segment start, so a
-    # prediction has the same bits in a batch of any size; small widths are
-    # the shapes where one GEMM over all windows' rows drifts with the batch
+    # every conv GEMM runs on a fixed tile of TILE_ROWS rows (the shared rows
+    # anchored at the segment start, a window's own rows one window per slot)
+    # and the head per window, so a prediction has the same bits in a batch
+    # of any size; small widths are the shapes where a GEMM over all windows'
+    # rows drifts with the batch, and 31, 32 and 33 straddle one tile
     cfg = TcnModelConfig(
         in_channels=c_in,
         kernel_size=k,
@@ -269,7 +270,7 @@ def test_predict_is_batch_invariant(k, dilations, T, n, c_in, hidden, dense, dty
     X = rng.normal(size=(n, T, c_in)).astype(dtype)
     bank = array_bank(X, np.zeros(n))
     want = np.asarray([model_forward(params, x, T - 1) for x in X])
-    for b in (1, data.draw(st.integers(min_value=1, max_value=n)), n):
+    for b in (1, 31, 32, 33, data.draw(st.integers(min_value=1, max_value=n)), n):
         assert np.array_equal(tcn.predict(params, bank, batch_size=b), want)
 
 
@@ -339,8 +340,9 @@ def test_predict_equals_one_window_pass_narrow_widths(
     k, dilations, W, n, c_in, hidden, dense, dtype, seed, data
 ):
     # narrow GEMMs are where BLAS rounds a row differently with the row
-    # count: the segment pass and the one-window pass agree only because both
-    # compute the shared rows in tiles anchored at the segment start
+    # count: the chunked pass and the one-window pass agree only because both
+    # run every conv GEMM on a tile of TILE_ROWS rows (the shared rows
+    # anchored at the segment start) and the head per window
     cfg = TcnModelConfig(
         in_channels=c_in,
         kernel_size=k,
@@ -358,8 +360,49 @@ def test_predict_equals_one_window_pass_narrow_widths(
     X = bank.gather(np.arange(len(bank)))
     positions = bank.end - bank.seg_start
     want = np.asarray([model_forward(params, x, p) for x, p in zip(X, positions)])
-    for b in (1, data.draw(st.integers(min_value=1, max_value=len(bank))), len(bank)):
+    for b in (1, 31, 32, 33, data.draw(st.integers(min_value=1, max_value=len(bank))), len(bank)):
         assert np.array_equal(tcn.predict(params, bank, batch_size=b), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "cfg, W",
+    [
+        *[
+            (TcnModelConfig(3, 3, (1, 2, 4), hidden_channels=h, dense_sizes=d, seed=h), 12)
+            for h in (1, 2, 3)
+            for d in ((1,), (2,))
+        ],
+        (TcnModelConfig(), 64),  # the paper TCN at the infer-w64 window
+    ],
+)
+def test_predict_bits_do_not_depend_on_the_chunk_slot(cfg, W, dtype):
+    # a window's per-window rows run in GEMMs of TILE_ROWS windows, so its
+    # bits rest on one property of BLAS: inside a GEMM of fixed size a row's
+    # result depends on neither its slot nor its neighbours. The target
+    # window takes slot s of a chunk behind s windows of another segment.
+    rng = np.random.Generator(np.random.PCG64(W))
+    params = init_params(cfg, dtype)
+    for a in params.arrays():
+        if a.ndim == 1:  # nonzero biases, so fewer relus are exactly zero
+            a[...] = rng.normal(size=a.shape) * 0.3
+    other = rng.normal(size=(tcn.TILE_ROWS + 7, cfg.in_channels))
+    for position in (W // 2, W + 5):  # a zero-padded window, and one inside its segment
+        rows = np.concatenate([other, rng.normal(size=(position + 1, cfg.in_channels))])
+        segments = np.repeat([0, 1], [len(other), position + 1])
+        window = WindowBank(rows, segments, [len(rows) - 1], W, dtype).gather([0])[0]
+        want = np.float64(model_forward(params, window, position)).tobytes()
+        for s in range(tcn.TILE_ROWS):
+            ends = [*range(len(other) - s, len(other)), len(rows) - 1]
+            got = tcn.predict(params, WindowBank(rows, segments, ends, W, dtype))
+            assert got[s].tobytes() == want, f"slot {s}"
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_refuses_a_batch_size_below_one(batch_size):
+    bank = array_bank(np.zeros((2, 5, SMALL.in_channels)), np.zeros(2))
+    with pytest.raises(ValueError, match="batch_size"):
+        tcn.predict(init_params(SMALL), bank, batch_size=batch_size)
 
 
 @given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
