@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from eshopsim.scenario import REPORT_PERIOD_MS, SECTOR_BORESIGHTS_DEG, bearing_from_bs
+from eshopsim.scenario import REPORT_PERIOD_MS, SECTOR_BORESIGHTS_DEG, bearings_from_bs, row_norms
 
 FC_GHZ = 28.0
 N_CELLS = 3  # a cell is its row index 0-2 in every (3, 12) array
@@ -120,22 +120,19 @@ class ChannelState:
         positions = np.asarray(positions, dtype=float)
         n = len(positions)
         draws = self.rng.standard_normal((n, N_CELLS + N_CELLS * N_SSB))
-        # per position: a vectorized norm or trig would differ in the last bit
-        az, el, d3d = np.array([bearing_from_bs(pos) for pos in positions]).reshape(n, 3).T
-        pl = np.array([path_loss(d, los=p.los) for d in d3d.tolist()])
+        az, el, d3d = bearings_from_bs(positions)
+        pl = np.array([path_loss(d, los=p.los) for d in d3d])
         sigma = p.shadow_sigma_db
-        shadow = np.empty((n, N_CELLS))
-        for i in range(n):
-            innovation = draws[i, :N_CELLS]
-            if i == 0:  # stationary initialization
-                shadow[0] = sigma * innovation
-            else:
-                step = positions[i] - positions[i - 1]
-                delta_d = math.sqrt(step.dot(step))  # as np.linalg.norm computes it
-                rho = math.exp(-delta_d / p.decorrelation_distance_m)
-                shadow[i] = rho * shadow[i - 1] + math.sqrt(1.0 - rho * rho) * sigma * innovation
+        # the shadowing recurrence on Python floats: the IEEE operations of a row update
+        moved = row_norms(np.diff(positions, axis=0)).tolist()
+        innovations = draws[:, :N_CELLS].tolist()
+        shadow = [[sigma * x for x in row] for row in innovations[:1]]  # stationary initialization
+        for delta_d, innovation in zip(moved, innovations[1:]):
+            rho = math.exp(-delta_d / p.decorrelation_distance_m)
+            k = math.sqrt(1.0 - rho * rho) * sigma
+            shadow.append([rho * s + k * x for s, x in zip(shadow[-1], innovation)])
         gains = self.grid.gains_dbi(az, el)
-        rsrp = TX_POWER_PER_SSB_DBM + gains - pl[:, None, None] - shadow[:, :, None]
+        rsrp = TX_POWER_PER_SSB_DBM + gains - pl[:, None, None] - np.reshape(shadow, (n, N_CELLS, 1))
         fading = draws[:, N_CELLS:].reshape(n, N_CELLS, N_SSB)
         return rsrp + FAST_FADING_SIGMA_DB * fading
 

@@ -64,8 +64,8 @@ class HoEvent:
     target: int
 
 
-def a3_entry(mn_dbm: float, mp_dbm: float, hcp: HcpConfig) -> bool:
-    """A3 entry condition: neighbor exceeds serving by the HO margin (strict)."""
+def a3_entry(mn_dbm, mp_dbm, hcp: HcpConfig):
+    """A3 entry condition: neighbor exceeds serving by the HO margin (strict), also on arrays."""
     return mn_dbm > mp_dbm + hcp.offset_db + hcp.hysteresis_db
 
 
@@ -116,6 +116,11 @@ class A3EventEngine:
             self.armed = HoEvent(self.ue_id, EVENT_T0, t, s, n_star)
             events.append(self.armed)
         return events
+
+    def quiet(self, entry: bool) -> bool:
+        """Whether ``step`` on a report with this A3 ``entry`` would emit nothing and
+        change nothing but the last report time: an A3 waits, or none is armed or enters."""
+        return self.pending is not None or (self.armed is None and not entry)
 
     def apply_handover(self, command_ms: float) -> HoEvent:
         """Switch serving to the waiting A3's target at command time; returns the CMD event."""

@@ -89,17 +89,28 @@ def position_at(traj: UeTrajectory, t_ms: float) -> np.ndarray:
     )
 
 
-def bearing_from_bs(ue_pos: np.ndarray) -> tuple[float, float, float]:
-    """Azimuth [0, 360), elevation (negative below BS height) and 3D distance."""
-    d = np.asarray(ue_pos, dtype=float) - np.asarray(BS_POSITION, dtype=float)
-    d3d = math.sqrt(d.dot(d))  # np.linalg.norm's own formula, without its call overhead
-    if d3d < 1e-12:
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Each row's length, bit for bit ``math.sqrt(v[i].dot(v[i]))``: a batched matmul
+    takes the same BLAS dot per row, where einsum or ``(v * v).sum(1)`` round differently."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(len(v)))
+
+
+def bearings_from_bs(positions: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """Azimuth [0, 360), elevation (negative below BS height) and 3D distance
+    of each UE position of a trace (N, 3)."""
+    d = np.asarray(positions, dtype=float) - np.asarray(BS_POSITION, dtype=float)
+    d3d = row_norms(d)
+    if np.any(d3d < 1e-12):
         raise ValueError("UE position coincides with the BS")
-    az = math.degrees(math.atan2(d[1], d[0])) % 360.0
-    d2d = math.hypot(d[0], d[1])
-    if d2d < 1e-12:
-        el = 90.0 if d[2] > 0 else -90.0
-        az = 0.0
-    else:
-        el = math.degrees(math.atan2(d[2], d2d))
-    return az, el, d3d
+    az, el = [], []
+    # libm per row: numpy's vectorized atan2 and hypot differ in the last bit
+    for x, y, z in d.tolist():
+        d2d = math.hypot(x, y)
+        if d2d < 1e-12:
+            az.append(0.0)
+            el.append(90.0 if z > 0 else -90.0)
+        else:
+            az.append(math.degrees(math.atan2(y, x)) % 360.0)
+            el.append(math.degrees(math.atan2(z, d2d)))
+    return az, el, d3d.tolist()

@@ -2,9 +2,9 @@
 
 Each UE gets independent sub-seeded streams for trajectory, channel and
 preparation-latency draws. The channel and the L3 filter run once over
-the UE's whole trace of 40 ms report instants; the event engine then takes
-the reports in turn and applies each handover command (legacy-timed at
-A3 + d_prep) as the episode boundary.
+the UE's whole trace of 40 ms report instants; the event engine then steps
+only the reports where it can act, and applies each handover command
+(legacy-timed at A3 + d_prep) as the episode boundary.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from eshopsim.events import (
     HcpConfig,
     HoEvent,
     HoEventRecord,
+    a3_entry,
     episodes_from_events,
 )
 from eshopsim.scenario import (
@@ -74,28 +74,31 @@ def run_ue(
     duration_ms = int(round(scenario.duration_s * 1000.0))
     times = range(0, duration_ms + 1, REPORT_PERIOD_MS)
     positions = np.array([position_at(traj, t) for t in times])
-    # one channel and one filter pass over the whole trace, then the reports in turn
+    # one channel and one filter pass over the whole trace
     l3_rsrp = L3FilterState().update(ChannelState(channel_cfg, chan_rng).sample(positions))
+    if not np.isfinite(l3_rsrp).all():
+        raise ValueError("report values must be finite")
 
-    engine = A3EventEngine(ue_id, hcp, int(np.argmax(l3_rsrp[0].max(axis=1))))
+    best = l3_rsrp.max(axis=2)  # (N, 3) per-cell best beam
+    # per serving cell s and report: the strongest neighbor meets the A3 entry condition
+    neighbors = [np.delete(best, s, axis=1).max(axis=1) for s in range(N_CELLS)]
+    entry = [a3_entry(nb, best[:, s], hcp).tolist() for s, nb in enumerate(neighbors)]
+    engine = A3EventEngine(ue_id, hcp, int(np.argmax(best[0])))
     command_ms: float | None = None  # drawn command time of the A3 that waits
     events: list[HoEvent] = []
-    for t, l3 in zip(times, l3_rsrp):
+    for i, t in enumerate(times):
         if command_ms is not None and command_ms <= t:
             events.append(engine.apply_handover(command_ms))
             command_ms = None
-        new_events = engine.step(make_report(t, l3))
+        if engine.quiet(entry[engine.serving_cell][i]):
+            continue
+        new_events = engine.step(make_report(t, l3_rsrp[i]))
         for ev in new_events:
             if ev.kind == EVENT_A3:
                 command_ms = ev.t_ms + float(prep_rng.uniform(D_PREP_MIN_MS, D_PREP_MAX_MS))
         events.extend(new_events)
 
-    return UeRun(
-        ue_id=ue_id,
-        times_ms=np.asarray(times, dtype=np.int64),
-        l3_rsrp=l3_rsrp,
-        events=events,
-    )
+    return UeRun(ue_id, np.asarray(times, dtype=np.int64), l3_rsrp, events)
 
 
 def _run_ue_args(args):  # ProcessPoolExecutor needs a top-level callable
@@ -112,6 +115,7 @@ def run_scenario(
     """Run all UEs; parallel runs stay reproducible through per-UE sub-seeds."""
     argsets = [(i, scenario, channel_cfg, hcp, master_seed) for i in range(scenario.num_ues)]
     if parallel and parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when asked for
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             runs = list(pool.map(_run_ue_args, argsets))
     else:

@@ -23,7 +23,7 @@ from eshopsim.channel import (
     path_loss,
 )
 from eshopsim.events import EVENT_A3, A3EventEngine, HcpConfig
-from eshopsim.scenario import REPORT_PERIOD_MS, bearing_from_bs, position_at, spawn_trajectory
+from eshopsim.scenario import BS_POSITION, REPORT_PERIOD_MS, position_at, spawn_trajectory
 from eshopsim.seeds import derive_seed, rng_from
 from eshopsim.simulate import D_PREP_MAX_MS, D_PREP_MIN_MS, UeRun
 from eshopsim.tcn import (
@@ -314,6 +314,23 @@ def fd_gradient(fn, arrays: list[np.ndarray], h: float = 1e-6) -> list[np.ndarra
 # ---------------------------------------------------------------------------
 # per-report channel, L3 filter and simulation loop
 # ---------------------------------------------------------------------------
+
+
+def bearing_from_bs(ue_pos: np.ndarray) -> tuple[float, float, float]:
+    """Azimuth [0, 360), elevation (negative below BS height) and 3D distance
+    of one UE position (reference for ``scenario.bearings_from_bs``)."""
+    d = np.asarray(ue_pos, dtype=float) - np.asarray(BS_POSITION, dtype=float)
+    d3d = math.sqrt(d.dot(d))  # np.linalg.norm's own formula, without its call overhead
+    if d3d < 1e-12:
+        raise ValueError("UE position coincides with the BS")
+    az = math.degrees(math.atan2(d[1], d[0])) % 360.0
+    d2d = math.hypot(d[0], d[1])
+    if d2d < 1e-12:
+        el = 90.0 if d[2] > 0 else -90.0
+        az = 0.0
+    else:
+        el = math.degrees(math.atan2(d[2], d2d))
+    return az, el, d3d
 
 
 def shadow_step(prev_db, delta_d_m: float, params: ChannelParams, rng: np.random.Generator):

@@ -23,7 +23,7 @@ from eshopsim.channel import (
 from eshopsim.scenario import (
     SECTOR_BORESIGHTS_DEG,
     ScenarioConfig,
-    bearing_from_bs,
+    bearings_from_bs,
     position_at,
     spawn_trajectory,
 )
@@ -111,11 +111,10 @@ def _shadow_along(positions, seed=9):
     raw = ChannelState(ChannelParams(), np.random.Generator(np.random.PCG64(seed))).sample(positions)
     draws = np.random.Generator(np.random.PCG64(seed)).standard_normal((len(positions), 39))
     fading = FAST_FADING_SIGMA_DB * draws[:, 3:].reshape(-1, 3, N_SSB)
-    geometry = []
-    for pos in positions:
-        az, el, d3d = bearing_from_bs(pos)
-        geometry.append(TX_POWER_PER_SSB_DBM + BeamGrid().gains_dbi(az, el) - path_loss(d3d, los=True))
-    return (np.array(geometry) + fading - raw)[:, :, 0]
+    az, el, d3d = bearings_from_bs(positions)
+    pl = np.array([path_loss(d, los=True) for d in d3d])
+    geometry = TX_POWER_PER_SSB_DBM + BeamGrid().gains_dbi(az, el) - pl[:, None, None]
+    return (geometry + fading - raw)[:, :, 0]
 
 
 def test_shadow_zero_distance_keeps_value():

@@ -196,6 +196,41 @@ def test_engine_matches_reference_scanner():
         assert got == want, f"trial {trial} diverged"
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ttt_ms=st.sampled_from([40, 80, 120, 160]),
+    hysteresis_db=st.sampled_from([0.0, 1.0]),
+    offset_db=st.floats(min_value=-1.0, max_value=6.0),
+)
+def test_quiet_reports_change_nothing(seed, ttt_ms, hysteresis_db, offset_db):
+    # every report the quiet test passes over: step emits nothing and keeps
+    # the serving cell, the armed T0 and the waiting A3
+    rng = np.random.Generator(np.random.PCG64(seed))
+    times, best = random_trace(rng, n_reports=300)
+    hcp = HcpConfig(ttt_ms=ttt_ms, hysteresis_db=hysteresis_db, offset_db=offset_db)
+    engine = A3EventEngine("ue", hcp, int(np.argmax(best[0])))
+    command_ms = None
+    quiet_count = 0
+    for t, frame in zip(times.tolist(), best.tolist()):
+        if command_ms is not None and command_ms <= t:
+            engine.apply_handover(command_ms)
+            command_ms = None
+        s = engine.serving_cell
+        entry = a3_entry(max(frame[c] for c in CELLS if c != s), frame[s], hcp)
+        quiet = engine.quiet(entry)
+        before = (engine.serving_cell, engine.armed, engine.pending)
+        events = engine.step(_report(t, frame))
+        if quiet:
+            quiet_count += 1
+            assert events == []
+            after = (engine.serving_cell, engine.armed, engine.pending)
+            assert all(a is b for a, b in zip(after, before))
+        for ev in events:
+            if ev.kind == "A3":  # a command up to five reports later
+                command_ms = ev.t_ms + float(rng.uniform(15.0, 200.0))
+    assert quiet_count > 0
+
+
 def test_event_stream_grammar_on_random_traces():
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(50):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eshopsim.channel import ChannelParams
 from eshopsim.events import HcpConfig
@@ -11,11 +12,13 @@ from eshopsim.scenario import (
     REPORT_PERIOD_MS,
     SECTOR_BORESIGHTS_DEG,
     ScenarioConfig,
-    bearing_from_bs,
+    bearings_from_bs,
     position_at,
+    row_norms,
     spawn_trajectory,
 )
 from eshopsim.simulate import run_ue
+from oracles import bearing_from_bs
 
 
 def test_spawn_is_deterministic():
@@ -123,9 +126,15 @@ def test_arc_length_between_reports():
         assert arc == pytest.approx(expected, abs=1e-12)
 
 
+def _bearing(pos):
+    """``bearings_from_bs`` of a one-position trace."""
+    (az,), (el,), (d3d,) = bearings_from_bs(np.asarray(pos, dtype=float)[None])
+    return az, el, d3d
+
+
 def test_bearing_hand_trigonometry():
     # UE due east at 50 m ground distance
-    az, el, d3d = bearing_from_bs(np.array([50.0, 0.0, 1.5]))
+    az, el, d3d = _bearing(np.array([50.0, 0.0, 1.5]))
     assert az == pytest.approx(0.0, abs=1e-12)
     assert el == pytest.approx(math.degrees(math.atan2(1.5 - 10.0, 50.0)), abs=1e-12)
     assert el == pytest.approx(-9.64805, abs=1e-4)
@@ -136,19 +145,50 @@ def test_bearing_on_boresight_ray():
     for boresight in SECTOR_BORESIGHTS_DEG:
         rad = math.radians(boresight)
         pos = np.array([50.0 * math.cos(rad), 50.0 * math.sin(rad), 1.5])
-        az, _, _ = bearing_from_bs(pos)
+        az, _, _ = _bearing(pos)
         assert az == pytest.approx(boresight % 360.0, abs=1e-9)
 
 
 def test_bearing_elevation_sign_flip():
-    _, below, _ = bearing_from_bs(np.array([30.0, 0.0, 1.5]))
-    _, above, _ = bearing_from_bs(np.array([30.0, 0.0, 20.0]))
+    _, below, _ = _bearing(np.array([30.0, 0.0, 1.5]))
+    _, above, _ = _bearing(np.array([30.0, 0.0, 20.0]))
     assert below < 0.0 < above
 
 
 def test_bearing_rejects_coincident_points():
     with pytest.raises(ValueError):
-        bearing_from_bs(np.asarray(BS_POSITION))
+        _bearing(np.asarray(BS_POSITION))
+
+
+@given(hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(min_value=0, max_value=40), st.just(3)),
+    elements=st.floats(min_value=-1e150, max_value=1e150),
+))
+def test_row_norms_equal_per_row_dot(v):
+    # the batched matmul takes the BLAS dot of each row, bit for bit
+    want = np.array([math.sqrt(row.dot(row)) for row in v], dtype=float)
+    assert np.array_equal(row_norms(v).view(np.int64), want.view(np.int64))
+
+
+_COORD = st.one_of(st.just(0.0), st.floats(min_value=-200.0, max_value=200.0))
+_HEIGHT = st.one_of(st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=15.0, max_value=30.0))
+
+
+@given(st.lists(st.tuples(_COORD, _COORD, _HEIGHT), min_size=1, max_size=30))
+def test_bearings_equal_per_position_reference(positions):
+    # the trace's geometry is the per-position reference's, bit for bit,
+    # straight above or below the BS included
+    want = [bearing_from_bs(np.array(p)) for p in positions]
+    got = bearings_from_bs(np.array(positions, dtype=float).reshape(-1, 3))
+    assert [tuple(v) for v in zip(*got)] == want
+
+
+def test_bearings_straight_above_and_below():
+    az, el, d3d = bearings_from_bs(np.array([[0.0, 0.0, 1.5], [0.0, 0.0, 25.0]]))
+    assert az == [0.0, 0.0] and el == [-90.0, 90.0] and d3d == [8.5, 15.0]
+    with pytest.raises(ValueError, match="coincides"):
+        bearings_from_bs(np.array([[50.0, 0.0, 1.5], BS_POSITION]))
 
 
 def test_report_grid():

@@ -1,10 +1,16 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import eshopsim
 from eshopsim.artifacts import read_table
-from eshopsim.channel import ChannelParams
+from eshopsim.channel import ChannelParams, ChannelState
 from eshopsim.events import HcpConfig, episodes_from_events
 from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
 from eshopsim.simulate import (
@@ -50,6 +56,54 @@ def test_run_ue_equals_per_report_loop(los_mode, seed):
     assert np.array_equal(got.l3_rsrp.view(np.int64), want.l3_rsrp.view(np.int64))
     assert got.events == want.events
     assert any(ev.kind == "A3" for ev in got.events)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    los_mode=st.sampled_from(["los", "nlos"]),
+    offset_db=st.floats(min_value=-1.0, max_value=6.0),
+    hysteresis_db=st.sampled_from([0.0, 1.0]),
+    ttt_ms=st.sampled_from([40, 80, 160, 320]),
+    duration_s=st.integers(min_value=1, max_value=12).map(float),
+)
+def test_run_ue_steps_where_the_per_report_loop_acts(
+    seed, los_mode, offset_db, hysteresis_db, ttt_ms, duration_s
+):
+    # stepping the engine only where it can act keeps the events and every
+    # bit of the loop that steps each report
+    sc = ScenarioConfig(num_ues=1, duration_s=duration_s)
+    hcp = HcpConfig(ttt_ms=ttt_ms, hysteresis_db=hysteresis_db, offset_db=offset_db)
+    args = (0, sc, ChannelParams(los_mode=los_mode), hcp, seed)
+    got, want = run_ue(*args), run_ue_per_report(*args)
+    assert np.array_equal(got.times_ms, want.times_ms)
+    assert np.array_equal(got.l3_rsrp.view(np.int64), want.l3_rsrp.view(np.int64))
+    assert got.events == want.events
+
+
+def test_run_ue_refuses_a_non_finite_frame(monkeypatch):
+    sample = ChannelState.sample
+
+    def with_nan(self, positions):
+        raw = sample(self, positions)
+        raw[0, 1, 5] = np.nan  # the filter carries it to every later frame
+        return raw
+
+    monkeypatch.setattr(ChannelState, "sample", with_nan)
+    with pytest.raises(ValueError, match="report values must be finite"):
+        run_ue(0, ScenarioConfig(num_ues=1, duration_s=4.0), ChannelParams(), HcpConfig(), 1)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    code = (
+        "import sys, eshopsim.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(eshopsim.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_ue_deterministic():
