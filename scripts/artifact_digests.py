@@ -6,12 +6,14 @@
 Each checkout runs, with its own program and its own
 ``run_experiment.make_config``, the pipeline simulate -> build-dataset ->
 train -> eval -> eshop -> eshop --oracle over a fixed matrix: the sizes of
-the benchmark's ref-los and infer-w64 workloads, LoS and NLoS, float32 and
-float64 training, and two seeds. The sha256 of every file in each run
-directory is taken after ``eshop``; the files ``eshop --oracle`` rewrites are
-taken again, under ``oracle/``. ``timings.json`` is left out: it holds wall
-times. The script prints each file whose digest differs between the
-checkouts (or exists in one only) and exits 1 if there is any, else 0.
+the benchmark's ref-los and infer-w64 workloads, LoS and NLoS, and two
+seeds. The sha256 of every file in each run directory is taken after
+``eshop``; the files ``eshop --oracle`` rewrites are taken again, under
+``oracle/``. ``timings.json`` is left out: it holds wall times. Each file is
+also digested with its run's ``config_hash`` replaced by a placeholder. The
+script prints each file whose digest differs between the checkouts (or
+exists in one only), marked "config_hash only" where the placeholder digests
+agree, and exits 1 if there is any, else 0.
 ``--tiny`` runs the same matrix at a few UEs and seconds. BLAS runs on one
 thread, as training's determinism requires. Standard library only.
 """
@@ -33,10 +35,10 @@ SETTINGS = {
 }
 TINY = (4, 10.0, 1)
 MODES = ("los", "nlos")
-DTYPES = ("float32", "float64")
 SEEDS = (5001, 5002)
 
-# Runs in a fresh interpreter inside one checkout; prints {file key: sha256}.
+# Runs in a fresh interpreter inside one checkout; prints {file key: [sha256,
+# sha256 with the run's config_hash replaced by a placeholder]}.
 _CHILD = r"""
 import dataclasses, hashlib, json, sys
 from pathlib import Path
@@ -44,28 +46,34 @@ matrix, work = json.loads(sys.argv[1]), Path(sys.argv[2])
 sys.path[:0] = ["scripts", "src"]
 import run_experiment
 from eshopsim import cli
+from eshopsim.config import config_hash
 
-def digests(run_dir):  # timings.json holds wall times
-    return {
-        str(p.relative_to(run_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(run_dir.rglob("*")) if p.is_file() and p.name != "timings.json"
-    }
+def digests(run_dir, run_hash):  # timings.json holds wall times
+    out = {}
+    for p in sorted(run_dir.rglob("*")):
+        if p.is_file() and p.name != "timings.json":
+            data = p.read_bytes()
+            masked = data.replace(run_hash.encode(), b"<config_hash>")
+            out[str(p.relative_to(run_dir))] = [
+                hashlib.sha256(data).hexdigest(), hashlib.sha256(masked).hexdigest()
+            ]
+    return out
 
 out = {}
-for name, (ues, seconds, epochs, dataset, mode, dtype, seed) in matrix.items():
+for name, (ues, seconds, epochs, dataset, mode, seed) in matrix.items():
     run_dir = work / name
     cfg = run_experiment.make_config(str(run_dir), seed, mode, ues, seconds, epochs)
     dataset = {k: tuple(v) if isinstance(v, list) else v for k, v in dataset.items()}
     cfg.dataset = dataclasses.replace(cfg.dataset, **dataset)
-    cfg.train = dataclasses.replace(cfg.train, dtype=dtype)
+    run_hash = config_hash(cfg)
     cli.cmd_simulate(cfg)
     cli.cmd_build_dataset(cfg, quiet=True)
     cli.cmd_train(cfg)
     cli.cmd_eval(cfg)
     cli.cmd_eshop(cfg)
-    model = digests(run_dir)
+    model = digests(run_dir, run_hash)
     cli.cmd_eshop(cfg, oracle=True)
-    oracle = digests(run_dir)
+    oracle = digests(run_dir, run_hash)
     out.update({f"{name}/{k}": v for k, v in model.items()})
     out.update({f"{name}/oracle/{k}": v for k, v in oracle.items() if model.get(k) != v})
 print(json.dumps(out))
@@ -78,11 +86,20 @@ def matrix(tiny: bool) -> dict[str, list]:
         if tiny:
             ues, seconds, epochs = TINY
         for mode in MODES:
-            for dtype in DTYPES:
-                for seed in SEEDS:
-                    name = f"{setting}-{mode}-{dtype}-{seed}"
-                    runs[name] = [ues, seconds, epochs, dataset, mode, dtype, seed]
+            for seed in SEEDS:
+                runs[f"{setting}-{mode}-{seed}"] = [ues, seconds, epochs, dataset, mode, seed]
     return runs
+
+
+def differences(parent: dict, change: dict) -> list[tuple[str, bool]]:
+    """Each file whose digest differs between the sides, or that one side
+    lacks, in key order, with whether it differs only in ``config_hash``.
+    A side maps a file key to [digest, digest with config_hash masked]."""
+    return [
+        (key, key in parent and key in change and parent[key][1] == change[key][1])
+        for key in sorted(parent.keys() | change.keys())
+        if parent.get(key, [None])[0] != change.get(key, [None])[0]
+    ]
 
 
 def start(checkout: Path, runs: dict, work: Path) -> subprocess.Popen:
@@ -110,10 +127,15 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     digests = {side: json.loads(out.splitlines()[-1]) for side, out in outs.items()}
     parent, change = digests["parent"], digests["change"]
-    differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
-    for key in differ:
-        print(f"differs: {key} parent {parent.get(key, '-')[:16]} change {change.get(key, '-')[:16]}")
-    print(f"{len(parent.keys() | change.keys())} files, {len(differ)} differ, {len(runs)} runs a side")
+    differ = differences(parent, change)
+    for key, hash_only in differ:
+        sides = " ".join(f"{side} {d.get(key, ['-'])[0][:16]}" for side, d in digests.items())
+        print(f"differs: {key} {sides} {'config_hash only' if hash_only else 'content'}")
+    n_hash = sum(hash_only for _, hash_only in differ)
+    print(
+        f"{len(parent.keys() | change.keys())} files, {len(differ)} differ, "
+        f"{n_hash} of them in config_hash only, {len(runs)} runs a side"
+    )
     return 1 if differ else 0
 
 

@@ -32,9 +32,7 @@ def make_config(out_dir: str, seed: int, los_mode: str, num_ues: int, duration_s
         ),
         hcp=HcpConfig(hysteresis_db=1.0),
         dataset=DatasetConfig(window_len=96, horizon_s=3.0),
-        train=TrainConfig(
-            epochs=epochs, batch_size=64, patience=8, dtype="float32", seed=1
-        ),
+        train=TrainConfig(epochs=epochs, batch_size=64, patience=8, seed=1),
         output_dir=out_dir,
         master_seed=seed,
     )

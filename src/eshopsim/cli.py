@@ -169,10 +169,13 @@ def _load_model(cfg: ExperimentConfig) -> tcn.ModelParams:
 
 
 def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
+    """Simulates every UE in this process; ``parallel`` may only be 0 or 1."""
+    if parallel not in (0, 1):
+        raise ValueError(f"simulate runs in one process: parallel={parallel!r}")
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    runs = run_scenario(cfg.scenario, cfg.channel, cfg.hcp, cfg.master_seed, parallel=parallel)
+    runs = run_scenario(cfg.scenario, cfg.channel, cfg.hcp, cfg.master_seed)
     paths = _paths(cfg.output_dir)
     digest = config_hash(cfg)
     write_report_log(paths["reports"], runs, digest, cfg.master_seed)
@@ -240,8 +243,8 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     paths = _paths(cfg.output_dir)
     bundle = _read_dataset(cfg)
     w = bundle.meta.window_len
-    train_bank = WindowBank.labeled(bundle.splits["train"], bundle.meta, dtype=cfg.train.np_dtype)
-    val_bank = WindowBank.labeled(bundle.splits["val"], bundle.meta, dtype=cfg.train.np_dtype)
+    train_bank = WindowBank.labeled(bundle.splits["train"], bundle.meta, dtype=tcn.DTYPE)
+    val_bank = WindowBank.labeled(bundle.splits["val"], bundle.meta, dtype=tcn.DTYPE)
     if len(train_bank) == 0:
         raise DataError("train split holds no samples")
     model_cfg = tcn.TcnModelConfig()  # the paper TCN
@@ -285,7 +288,7 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     bundle = _read_dataset(cfg)
     params = _load_model(cfg)
     digest = config_hash(cfg)
-    bank = WindowBank.labeled(bundle.splits["test"], bundle.meta, dtype=np.float32)
+    bank = WindowBank.labeled(bundle.splits["test"], bundle.meta, dtype=tcn.DTYPE)
     if len(bank) == 0:
         raise DataError("split 'test' holds no samples")
     preds = tcn.predict(params, bank)
@@ -497,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("simulate", "build-dataset", "train", "eval", "eshop"):
         p = sub.add_parser(name)
         add_common(p)
-        if name == "simulate":
-            p.add_argument("--parallel", type=int, default=0, help="worker processes")
         if name == "eshop":
             p.add_argument(
                 "--oracle",
@@ -530,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfg = _config_from_args(args)
         if args.command == "simulate":
-            cmd_simulate(cfg, parallel=args.parallel)
+            cmd_simulate(cfg)
         elif args.command == "build-dataset":
             cmd_build_dataset(cfg)
         elif args.command == "train":

@@ -33,8 +33,8 @@ class UeTrajectory:
     duration_s: float
 
     @property
-    def duration_ms(self) -> float:
-        return self.duration_s * 1000.0
+    def duration_ms(self) -> int:  # the one duration: the report grid ends on it
+        return int(round(self.duration_s * 1000.0))
 
 
 @dataclass

@@ -71,8 +71,7 @@ def run_ue(
     chan_rng = rng_from(master_seed, "channel", ue_index)
     prep_rng = rng_from(master_seed, "prep-latency", ue_index)
 
-    duration_ms = int(round(scenario.duration_s * 1000.0))
-    times = range(0, duration_ms + 1, REPORT_PERIOD_MS)
+    times = range(0, traj.duration_ms + 1, REPORT_PERIOD_MS)
     positions = np.array([position_at(traj, t) for t in times])
     # one channel and one filter pass over the whole trace
     l3_rsrp = L3FilterState().update(ChannelState(channel_cfg, chan_rng).sample(positions))
@@ -101,27 +100,15 @@ def run_ue(
     return UeRun(ue_id, np.asarray(times, dtype=np.int64), l3_rsrp, events)
 
 
-def _run_ue_args(args):  # ProcessPoolExecutor needs a top-level callable
-    return run_ue(*args)
-
-
 def run_scenario(
     scenario: ScenarioConfig,
     channel_cfg: ChannelParams,
     hcp: HcpConfig,
     master_seed: int,
-    parallel: int = 0,
 ) -> list[UeRun]:
-    """Run all UEs; parallel runs stay reproducible through per-UE sub-seeds."""
-    argsets = [(i, scenario, channel_cfg, hcp, master_seed) for i in range(scenario.num_ues)]
-    if parallel and parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only when asked for
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            runs = list(pool.map(_run_ue_args, argsets))
-    else:
-        runs = [_run_ue_args(a) for a in argsets]
-    runs.sort(key=lambda r: r.ue_id)
-    return runs
+    """Run all UEs, in UE id order; each draws from its own sub-seeded streams."""
+    runs = [run_ue(i, scenario, channel_cfg, hcp, master_seed) for i in range(scenario.num_ues)]
+    return sorted(runs, key=lambda r: r.ue_id)
 
 
 # ---------------------------------------------------------------------------

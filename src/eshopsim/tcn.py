@@ -22,6 +22,8 @@ from eshopsim.artifacts import from_json, replacing
 
 MODEL_SCHEMA = "tcn-model/1"
 _MAGIC = b"TCN1"
+DTYPE = np.float32  # the model's one precision: trained, selected, stored and served
+_FILE_DTYPE = np.dtype(DTYPE).newbyteorder("<")
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,7 +58,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 100
     patience: int = 10  # early-stop patience in epochs; 0 disables
-    dtype: str = "float64"  # "float32" for production-speed training
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -68,12 +69,6 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0 (0 disables early stopping)")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
 
 @dataclass
@@ -696,12 +691,11 @@ def train(
     """
     if len(train_bank) == 0:
         raise ValueError("empty train split")
-    dtype = train_cfg.np_dtype
-    params = init_params(model_cfg, dtype)
+    params = init_params(model_cfg, DTYPE)
     opt = _Adam(params.flat, train_cfg.learning_rate)
     rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
     n = len(train_bank)
-    y_train = np.asarray(train_bank.y, dtype=dtype)
+    y_train = np.asarray(train_bank.y, dtype=DTYPE)
 
     history: list[dict] = []
     best_val = np.inf
@@ -713,7 +707,7 @@ def train(
         sse = 0.0
         for lo in range(0, n, train_cfg.batch_size):
             idx = perm[lo : lo + train_cfg.batch_size]
-            X = np.asarray(train_bank.gather(idx), dtype=dtype)
+            X = np.asarray(train_bank.gather(idx), dtype=DTYPE)
             yb = y_train[idx]
             yhat, cache = forward_batch(params, X)
             loss, dyhat = rmse_loss(yb, yhat)
@@ -749,7 +743,7 @@ def train(
 
 
 def save_model(path, params: ModelParams, extra: dict | None = None) -> None:
-    """JSON header + flat little-endian float32 parameter array."""
+    """JSON header + flat little-endian ``DTYPE`` parameter array."""
     header = {
         "schema_version": MODEL_SCHEMA,
         "config": asdict(params.config),
@@ -763,7 +757,7 @@ def save_model(path, params: ModelParams, extra: dict | None = None) -> None:
         fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
         for a in params.arrays():
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype=_FILE_DTYPE).tobytes())
 
 
 def load_model(path) -> tuple[ModelParams, dict]:
@@ -782,15 +776,13 @@ def load_model(path) -> tuple[ModelParams, dict]:
     except KeyError as exc:
         raise ValueError(f"model header lacks {exc}") from exc
     cfg = from_json(TcnModelConfig, config, "model config")
-    params = init_params(cfg, np.float32)
+    params = init_params(cfg, DTYPE)
     if type(count) is not int or count != params.param_count():  # bool is an int subclass
         raise ValueError(
             f"model header param_count {count!r} is not its config's {params.param_count()}"
         )
-    payload = data[8 + hlen :]
-    if len(payload) != 4 * count:
-        raise ValueError(
-            f"model file truncated: {len(payload)} parameter bytes, expected {4 * count}"
-        )
-    params.flat[...] = np.frombuffer(payload, dtype="<f4")
+    payload, size = data[8 + hlen :], _FILE_DTYPE.itemsize * count
+    if len(payload) != size:
+        raise ValueError(f"model file truncated: {len(payload)} parameter bytes, expected {size}")
+    params.flat[...] = np.frombuffer(payload, dtype=_FILE_DTYPE)
     return params, header

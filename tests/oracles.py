@@ -27,6 +27,7 @@ from eshopsim.scenario import BS_POSITION, REPORT_PERIOD_MS, position_at, spawn_
 from eshopsim.seeds import derive_seed, rng_from
 from eshopsim.simulate import D_PREP_MAX_MS, D_PREP_MIN_MS, UeRun
 from eshopsim.tcn import (
+    DTYPE,
     _Adam,
     _strided,
     _taps,
@@ -247,13 +248,12 @@ class PerArrayAdam:
 
 def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
     """``tcn.train`` on ``where_backward_batch`` and ``PerArrayAdam``."""
-    dtype = train_cfg.np_dtype
-    params = init_params(model_cfg, dtype)
+    params = init_params(model_cfg, DTYPE)
     arrays = params.arrays()
     opt = PerArrayAdam(arrays, train_cfg.learning_rate)
     rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
     n = len(train_bank)
-    y_train = np.asarray(train_bank.y, dtype=dtype)
+    y_train = np.asarray(train_bank.y, dtype=DTYPE)
     history = []
     best_val, best_params, since_best = np.inf, params.copy(), 0
     for epoch in range(1, train_cfg.epochs + 1):
@@ -261,7 +261,7 @@ def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
         sse = 0.0
         for lo in range(0, n, train_cfg.batch_size):
             idx = perm[lo : lo + train_cfg.batch_size]
-            yhat, cache = forward_batch(params, np.asarray(train_bank.gather(idx), dtype=dtype))
+            yhat, cache = forward_batch(params, np.asarray(train_bank.gather(idx), dtype=DTYPE))
             loss, dyhat = rmse_loss(y_train[idx], yhat)
             sse += loss * loss * len(idx)
             opt.step(arrays, where_backward_batch(params, cache, dyhat))
@@ -400,7 +400,7 @@ def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRu
     engine = None
     command_ms = None
     times, frames, events = [], [], []
-    for t in range(0, int(round(scenario.duration_s * 1000.0)) + 1, REPORT_PERIOD_MS):
+    for t in range(0, traj.duration_ms + 1, REPORT_PERIOD_MS):
         l3 = filt.update(chan.sample(position_at(traj, t)))
         if engine is None:
             engine = A3EventEngine(ue_id, hcp, int(np.argmax(l3.max(axis=1))))

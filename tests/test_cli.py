@@ -12,7 +12,7 @@ from conftest import artifact_bytes, make_config, tiny_config
 from eshopsim import cli, tcn
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.dataset import DataError, DatasetConfig, read_dataset, standardized_rows
-from eshopsim.simulate import read_event_log
+from eshopsim.simulate import read_event_log, read_report_log
 
 
 def test_default_config_round_trip(tmp_path):
@@ -50,10 +50,31 @@ def test_config_hash_is_pinned():
     # before it; it must edit them here and say so
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     example = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
-    assert config_hash(ExperimentConfig()) == "ab41157f25b9f419"
-    assert config_hash(make_config("runs/x", 501, "los", 20, 16.0, 3)) == "95939d3a1269d561"
-    assert config_hash(make_config("runs/x", 501, "nlos", 20, 16.0, 3)) == "176989cdd182f170"
-    assert config_hash(ExperimentConfig.from_dict(json.loads(example))) == "467ddebdec12e99c"
+    assert config_hash(ExperimentConfig()) == "89c1f65796a5e247"
+    assert config_hash(make_config("runs/x", 501, "los", 20, 16.0, 3)) == "a6be2182d70f1ae5"
+    assert config_hash(make_config("runs/x", 501, "nlos", 20, 16.0, 3)) == "16d6354f7a1c62e0"
+    assert config_hash(ExperimentConfig.from_dict(json.loads(example))) == "3a28e2eab9cd368b"
+
+
+def test_settable_config_values_are_listed():
+    # every settable value of the experiment; a new knob must edit this list
+    def leaves(doc, prefix=""):
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert list(leaves(ExperimentConfig().to_dict())) == [
+        "scenario.speeds_mps", "scenario.duration_s", "scenario.num_ues",
+        "channel.los_mode", "channel.shadow_sigma_los_db", "channel.shadow_sigma_nlos_db",
+        "channel.decorrelation_distance_m",
+        "hcp.ttt_ms", "hcp.hysteresis_db", "hcp.offset_db",
+        "dataset.window_len", "dataset.horizon_s", "dataset.split_ratios",
+        "train.learning_rate", "train.batch_size", "train.epochs", "train.patience", "train.seed",
+        "signaling.trigger_threshold_ms", "signaling.consecutive_required",
+        "output_dir", "master_seed",
+    ]
 
 
 def test_config_hash_coerces_declared_types():
@@ -130,6 +151,8 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("signaling", "d_prep_min_ms", 15.0),
         ("signaling", "d_prep_max_ms", 35.0),
         ("signaling", "guard_ms", 200.0),
+        # the model has one precision, tcn.DTYPE
+        ("train", "dtype", "float32"),
     ]
     for block, key, value in removed:
         path.write_text(json.dumps({block: {key: value}, "output_dir": str(tmp_path / "run")}))
@@ -260,9 +283,11 @@ def test_main_exit_codes(tmp_path, monkeypatch):
         assert cli.main([*command, "--config", str(cfgfile)]) == 3, command
     assert artifact_bytes(out) == before
     meta.write_text(good_meta)
-    # --parallel is a simulate option only
-    with pytest.raises(SystemExit):
-        cli.main(["train", "--config", str(cfgfile), "--parallel", "2"])
+    # simulate runs in one process: --parallel is no command's option
+    for command in ("simulate", "train"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfgfile), "--parallel", "2"])
+        assert exc.value.code == 2
 
 
 def _data_row(lines, kind):
@@ -499,6 +524,28 @@ def test_pipeline_outputs_are_deterministic(tmp_path):
         runs.append(artifact_bytes(tmp_path / name))
     assert {"reports.csv", "events.csv", "dataset/train.npz", "dataset/meta.json"} <= set(runs[0])
     assert runs[0] == runs[1]
+
+
+def test_simulate_runs_in_one_process(tmp_path):
+    # cmd_simulate keeps its parallel keyword for callers that pass 0; any
+    # value that asks for more than one process is refused before a write
+    cfg = tiny_config(tmp_path / "run")
+    with pytest.raises(ValueError, match="one process"):
+        cli.cmd_simulate(cfg, parallel=2)
+    assert not (tmp_path / "run").exists()
+    assert cli.cmd_simulate(cfg, parallel=1) == cli.cmd_simulate(cfg, parallel=0)
+
+
+def test_simulate_takes_a_duration_of_whole_milliseconds(tmp_path):
+    # 8.04 s is 8040 ms, though 8.04 * 1000 is 8039.999999999999 in binary
+    cfg = tiny_config(tmp_path / "run")
+    cfg.scenario.duration_s = 8.04
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["simulate", "--config", str(cfgfile)]) == 0
+    _, per_ue = read_report_log(tmp_path / "run" / "reports.csv")
+    assert len(per_ue) == cfg.scenario.num_ues
+    assert all(rec["times_ms"][-1] == 8040 for rec in per_ue.values())
 
 
 def test_los_flag_changes_channel(tmp_path):

@@ -65,7 +65,7 @@ def test_run_ue_equals_per_report_loop(los_mode, seed):
     offset_db=st.floats(min_value=-1.0, max_value=6.0),
     hysteresis_db=st.sampled_from([0.0, 1.0]),
     ttt_ms=st.sampled_from([40, 80, 160, 320]),
-    duration_s=st.integers(min_value=1, max_value=12).map(float),
+    duration_s=st.floats(min_value=1.0, max_value=12.0),  # 8.04 s is 8040 ms, not 8039.999...
 )
 def test_run_ue_steps_where_the_per_report_loop_acts(
     seed, los_mode, offset_db, hysteresis_db, ttt_ms, duration_s
@@ -182,12 +182,3 @@ def test_los_and_nlos_logs_differ(tmp_path):
     # NLoS mean level sits well below LoS at identical geometry
     assert nlos[0].l3_rsrp.mean() < los[0].l3_rsrp.mean() - 5.0
 
-
-def test_parallel_equals_sequential():
-    sc = ScenarioConfig(num_ues=3, duration_s=6.0)
-    seq = run_scenario(sc, ChannelParams(), HcpConfig(), master_seed=5)
-    par = run_scenario(sc, ChannelParams(), HcpConfig(), master_seed=5, parallel=2)
-    for a, b in zip(seq, par):
-        assert a.ue_id == b.ue_id
-        assert np.array_equal(a.l3_rsrp, b.l3_rsrp)
-        assert a.events == b.events
