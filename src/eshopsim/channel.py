@@ -156,6 +156,11 @@ class L3FilterState:
         return out
 
 
+def reduce_series(l3_rsrp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of an (N, 3, 12) trace, its strongest beam (lowest on ties) and that RSRP."""
+    return l3_rsrp.argmax(axis=2).astype(np.int64), l3_rsrp.max(axis=2)
+
+
 @dataclass
 class MeasurementReport:
     """40 ms snapshot of the 3 x 12 L3-filtered beam RSRP values."""

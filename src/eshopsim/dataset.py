@@ -1,4 +1,4 @@
-"""Supervised dataset construction: reduce reports to per-cell strongest-beam
+"""Supervised dataset construction: encode the per-cell strongest beams as
 features, attach countdown labels for the next entry-criterion fulfillment,
 split leakage-free at UE granularity, and persist with a bit-exact round trip.
 
@@ -57,13 +57,6 @@ class DatasetConfig:
 
 class DataError(RuntimeError):
     """Raised for missing, truncated or inconsistent data artifacts."""
-
-
-def reduce_series(l3_rsrp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized reduction of an (N, 3, 12) series to beams (N, 3) and RSRP (N, 3)."""
-    best_beams = l3_rsrp.argmax(axis=2)
-    best_rsrp = l3_rsrp.max(axis=2)
-    return best_beams.astype(np.int64), best_rsrp
 
 
 def command_times(episodes: list[HoEventRecord]) -> np.ndarray:
@@ -271,8 +264,8 @@ def build_dataset(
 ) -> DatasetBundle:
     """Assemble the labeled dataset from per-UE report series and episodes.
 
-    ``per_ue`` maps ue_id -> dict with times_ms, l3_rsrp (N, 3, 12) and
-    episodes. Normalization statistics come from the kept train rows only.
+    ``per_ue`` maps ue_id -> dict with times_ms, best_beams and best_rsrp (N, 3)
+    and episodes. Normalization statistics come from the kept train rows only.
     """
     if not per_ue:
         raise DataError("no UE runs to build a dataset from")
@@ -285,7 +278,6 @@ def build_dataset(
     for ue in ue_ids:
         rec = per_ue[ue]
         times = np.asarray(rec["times_ms"], dtype=np.int64)
-        beams, rsrp = reduce_series(np.asarray(rec["l3_rsrp"]))
         labels, reasons = label_tef(times, rec["episodes"], cfg.horizon_s)
         staged[ue] = {
             "ue_ids": np.full(len(times), ue),
@@ -293,8 +285,8 @@ def build_dataset(
             "segments": segment_ids(times, command_times(rec["episodes"])),
             "reasons": reasons,
             "labels": labels,
-            "best_beams": beams,
-            "best_rsrp": rsrp,
+            "best_beams": rec["best_beams"],
+            "best_rsrp": rec["best_rsrp"],
         }
         raw_total += len(times)
         vals, freq = np.unique(reasons, return_counts=True)

@@ -1,4 +1,4 @@
-"""Per-UE simulation loop and the raw report / event log file formats.
+"""Per-UE simulation loop and the report / event log file formats.
 
 Each UE gets independent sub-seeded streams for trajectory, channel and
 preparation-latency draws. The channel and the L3 filter run once over
@@ -24,6 +24,7 @@ from eshopsim.channel import (
     N_CELLS,
     N_SSB,
     make_report,
+    reduce_series,
 )
 from eshopsim.events import (
     EVENT_A3,
@@ -42,7 +43,7 @@ from eshopsim.scenario import (
 )
 from eshopsim.seeds import derive_seed, rng_from
 
-REPORT_LOG_SCHEMA = "report-log/2"
+REPORT_LOG_SCHEMA = "report-log/3"
 EVENT_LOG_SCHEMA = "event-log/1"
 # the preparation latency of each handover, drawn uniformly; at most the TTT
 D_PREP_MIN_MS = 15.0
@@ -78,7 +79,7 @@ def run_ue(
     if not np.isfinite(l3_rsrp).all():
         raise ValueError("report values must be finite")
 
-    best = l3_rsrp.max(axis=2)  # (N, 3) per-cell best beam
+    _, best = reduce_series(l3_rsrp)  # (N, 3) per-cell best beam RSRP
     # per serving cell s and report: the strongest neighbor meets the A3 entry condition
     neighbors = [np.delete(best, s, axis=1).max(axis=1) for s in range(N_CELLS)]
     entry = [a3_entry(nb, best[:, s], hcp).tolist() for s, nb in enumerate(neighbors)]
@@ -116,16 +117,18 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-_REPORT_COLUMNS = ["t_ms", "ue_id"] + [f"c{c}b{b}" for c in range(N_CELLS) for b in range(N_SSB)]
+_CELL = np.dtype([("beam", np.int64), ("rsrp", np.float64)])
+_REPORT_COLUMNS = ["t_ms", "ue_id"] + [f"c{c}_{x}" for c in range(N_CELLS) for x in _CELL.names]
 
 
 def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int) -> None:
-    """One row per report: time, UE, then the 3 x 12 beam values cell by cell."""
+    """One row per report: time, UE, then per cell its strongest beam and that
+    beam's L3 RSRP (``reduce_series``); the other beams are not logged."""
     rows = (
-        [t, run.ue_id, *frame]
+        [t, run.ue_id, *itertools.chain.from_iterable(zip(beams, rsrp))]
         for run in runs
-        for t, frame in zip(
-            run.times_ms.tolist(), run.l3_rsrp.reshape(len(run.times_ms), N_CELLS * N_SSB).tolist()
+        for t, beams, rsrp in zip(
+            run.times_ms.tolist(), *(a.tolist() for a in reduce_series(run.l3_rsrp))
         )
     )
     write_table(
@@ -136,14 +139,12 @@ def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int
 
 # the parsed UE id column is this wide; the writer's ids are "ue" + index
 _UE_ID_WIDTH = 16
-_REPORT_ROW = np.dtype(
-    [("t_ms", np.int64), ("ue_id", f"U{_UE_ID_WIDTH}"), ("l3", np.float64, (N_CELLS, N_SSB))]
-)
+_REPORT_ROW = np.dtype([("t_ms", np.int64), ("ue_id", f"U{_UE_ID_WIDTH}"), ("cells", _CELL, N_CELLS)])
 
 
 def read_report_log(path) -> tuple[dict[str, str], dict[str, dict]]:
-    """The header fields, and per UE: times (N,), strictly increasing, and
-    l3_rsrp (N, 3, 12)."""
+    """The header fields, and per UE in order of first appearance: times_ms
+    (N,), strictly increasing, best_beams (N, 3) in 0-11 and best_rsrp (N, 3)."""
     n_lines = 0
 
     def counted(lines):
@@ -159,8 +160,8 @@ def read_report_log(path) -> tuple[dict[str, str], dict[str, dict]]:
         first = data.readline()
         if first:  # streamed: the parse holds no copy of the text
             # comments=None: a "#" line is a malformed row, not a comment.
-            # Some numpy releases this package allows read "80.5" into the
-            # integer t_ms field as 80 with only a DeprecationWarning; raised
+            # Some numpy releases this package allows read "80.5" into an
+            # integer field as 80 with only a DeprecationWarning; raised
             # as an error, it refuses the row
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
@@ -172,16 +173,18 @@ def read_report_log(path) -> tuple[dict[str, str], dict[str, dict]]:
     # loadtxt skips blank lines, and cuts a UE id that fills the column short
     if len(rows) != n_lines or np.any(np.char.str_len(ue_ids) >= _UE_ID_WIDTH):
         raise ValueError("malformed report log row")
+    beams, rsrp = rows["cells"]["beam"], rows["cells"]["rsrp"]
+    if np.any((beams < 0) | (beams >= N_SSB)) or not np.isfinite(rsrp).all():
+        raise ValueError("report beams must lie in 0-11 and report values be finite")
+    ue_index: dict[str, int] = {}  # in order of first appearance
+    group = [ue_index.setdefault(ue, len(ue_index)) for ue in ue_ids.tolist()]
+    order = np.argsort(group, kind="stable")  # rows grouped by UE, each UE's in logged order
     per_ue = {}
-    for ue in dict.fromkeys(ue_ids.tolist()):  # in order of first appearance
-        mine = ue_ids == ue
+    for ue, mine in zip(ue_index, np.split(order, np.cumsum(np.bincount(group))[:-1])):
         t = rows["t_ms"][mine]
         if np.any(np.diff(t) <= 0):
             raise ValueError(f"{ue}: report times must strictly increase")
-        rsrp = rows["l3"][mine]
-        if not np.isfinite(rsrp).all():
-            raise ValueError(f"{ue}: report values must be finite")
-        per_ue[ue] = {"times_ms": t, "l3_rsrp": rsrp}
+        per_ue[ue] = {"times_ms": t, "best_beams": beams[mine], "best_rsrp": rsrp[mine]}
     return fields, per_ue
 
 

@@ -8,11 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import artifact_bytes, make_config, tiny_config
+from conftest import artifact_bytes, make_config, series_of_runs, tiny_config
 from eshopsim import cli, tcn
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
-from eshopsim.dataset import DataError, DatasetConfig, read_dataset, standardized_rows
-from eshopsim.simulate import read_event_log, read_report_log
+from eshopsim.dataset import (
+    DataError,
+    DatasetConfig,
+    build_dataset,
+    read_dataset,
+    standardized_rows,
+    write_dataset,
+)
+from eshopsim.seeds import derive_seed
+from eshopsim.simulate import read_event_log, read_report_log, run_scenario
 
 
 def test_default_config_round_trip(tmp_path):
@@ -205,7 +213,11 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", str(cfgfile)]) == 0
     reports = out / "reports.csv"
     good = reports.read_text()
-    reports.write_text(good.replace("report-log/2", "report-log/1", 1))
+    # a log headed report-log/2, as a run directory made before the
+    # per-cell best-beam log is, is refused too
+    stale = good.replace("report-log/3", "report-log/2", 1)
+    assert stale != good
+    reports.write_text(stale)
     assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
     reports.write_text(good)
     # an event log whose UE opens with an A3 or ABORT (no T0), or an unknown kind
@@ -351,6 +363,10 @@ _CORRUPT_LOGS = {
     "reports_float_time": ("reports.csv", lambda ls: _set_cell(ls, 3, 0, lambda v: v + ".0")),
     "reports_non_finite_time": ("reports.csv", lambda ls: _set_cell(ls, 3, 0, lambda v: "nan")),
     "reports_not_a_number": ("reports.csv", lambda ls: _set_cell(ls, 3, 5, lambda v: v + "x")),
+    "reports_beam_too_high": ("reports.csv", lambda ls: _set_cell(ls, 3, 2, lambda v: "12")),
+    "reports_beam_negative": ("reports.csv", lambda ls: _set_cell(ls, 3, 4, lambda v: "-1")),
+    "reports_beam_fractional": ("reports.csv", lambda ls: _set_cell(ls, 3, 6, lambda v: "3.5")),
+    "reports_beam_not_a_number": ("reports.csv", lambda ls: _set_cell(ls, 3, 2, lambda v: "x")),
     "reports_short_row": ("reports.csv", lambda ls: ls.__setitem__(3, ls[3].rsplit(",", 1)[0])),
     # the bulk parser skips blank lines, and "#" lines unless told otherwise
     "reports_blank_line": ("reports.csv", lambda ls: ls.insert(3, "")),
@@ -524,6 +540,25 @@ def test_pipeline_outputs_are_deterministic(tmp_path):
         runs.append(artifact_bytes(tmp_path / name))
     assert {"reports.csv", "events.csv", "dataset/train.npz", "dataset/meta.json"} <= set(runs[0])
     assert runs[0] == runs[1]
+
+
+def test_dataset_from_the_log_equals_the_dataset_from_memory(tmp_path):
+    # the report log carries every bit build-dataset reads of the traces
+    cfg = tiny_config(tmp_path / "run")
+    cli.cmd_simulate(cfg)
+    cli.cmd_build_dataset(cfg, quiet=True)
+    runs = run_scenario(cfg.scenario, cfg.channel, cfg.hcp, cfg.master_seed)
+    bundle = build_dataset(
+        series_of_runs(runs),
+        cfg.dataset,
+        split_seed=derive_seed(cfg.master_seed, "split"),
+        config_hash=config_hash(cfg),
+        master_seed=cfg.master_seed,
+    )
+    write_dataset(tmp_path / "memory", bundle)
+    from_log = artifact_bytes(tmp_path / "run" / "dataset")
+    assert sorted(from_log) == ["meta.json", "test.npz", "train.npz", "val.npz"]
+    assert artifact_bytes(tmp_path / "memory") == from_log
 
 
 def test_simulate_runs_in_one_process(tmp_path):

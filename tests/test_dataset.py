@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eshopsim.channel import ChannelParams
+from conftest import series_of_runs
+from eshopsim.channel import ChannelParams, reduce_series
 from eshopsim.dataset import (
     DataError,
     DatasetConfig,
@@ -15,13 +16,12 @@ from eshopsim.dataset import (
     command_times,
     label_tef,
     read_dataset,
-    reduce_series,
     split_ues,
     standardized_rows,
     write_dataset,
     N_FEATURES,
 )
-from eshopsim.events import HcpConfig, HoEventRecord, episodes_from_events
+from eshopsim.events import HcpConfig, HoEventRecord
 from eshopsim.scenario import ScenarioConfig
 from eshopsim.simulate import run_scenario
 from oracles import label_scan, random_episode_set, windowize
@@ -181,15 +181,9 @@ def test_one_hot_blocks_sum_to_one():
 def _pipeline_bundle(tmp_path, num_ues=6, seed=13):
     sc = ScenarioConfig(num_ues=num_ues, duration_s=14.0, speeds_mps=(25.0,))
     runs = run_scenario(sc, ChannelParams(), HcpConfig(hysteresis_db=1.0), master_seed=seed)
-    per_ue = {
-        r.ue_id: {
-            "times_ms": r.times_ms,
-            "l3_rsrp": r.l3_rsrp,
-            "episodes": episodes_from_events(r.events),
-        }
-        for r in runs
-    }
-    return build_dataset(per_ue, DatasetConfig(window_len=8), split_seed=3, config_hash="abc", master_seed=seed)
+    return build_dataset(
+        series_of_runs(runs), DatasetConfig(window_len=8), split_seed=3, config_hash="abc", master_seed=seed
+    )
 
 
 def test_build_dataset_reconciles_counts(tmp_path):

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import eshopsim
 from eshopsim.artifacts import read_table
-from eshopsim.channel import ChannelParams, ChannelState
+from eshopsim.channel import ChannelParams, ChannelState, reduce_series
 from eshopsim.events import HcpConfig, episodes_from_events
 from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
 from eshopsim.simulate import (
     EVENT_LOG_SCHEMA,
+    UeRun,
     read_event_log,
     read_report_log,
     run_scenario,
@@ -157,13 +158,66 @@ def test_log_round_trip(tmp_path):
     for run in runs:
         got = reports[run.ue_id]
         assert np.array_equal(got["times_ms"], run.times_ms)
-        assert np.array_equal(got["l3_rsrp"], run.l3_rsrp)  # repr round-trips exactly
+        beams, rsrp = reduce_series(run.l3_rsrp)
+        assert got["best_beams"].dtype == np.int64 and np.array_equal(got["best_beams"], beams)
+        # repr round-trips exactly
+        assert np.array_equal(got["best_rsrp"].view(np.int64), rsrp.view(np.int64))
         got_ev = [row[1:] for row in event_rows if row[0] == run.ue_id]
         assert [(kind, float(t), int(s), int(tg)) for kind, t, s, tg in got_ev] == [
             (e.kind, float(e.t_ms), e.serving, e.target) for e in run.events
         ]
         # the log's episodes are the grammar's episodes of the engine's events
         assert episodes[run.ue_id] == episodes_from_events(run.events)
+
+
+@settings(max_examples=60)
+@given(
+    n_reports=st.integers(min_value=1, max_value=6),
+    exponent=st.integers(min_value=-300, max_value=300),
+    decimals=st.integers(min_value=0, max_value=17),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_report_log_keeps_the_reduced_series_bit_for_bit(
+    tmp_path_factory, n_reports, exponent, decimals, seed
+):
+    # mantissas in (-10, 10) of both signs, rounded to few decimals to make
+    # ties, scaled to magnitudes from 1e-300 to 1e300
+    rng = np.random.Generator(np.random.PCG64(seed))
+    runs = [
+        UeRun(f"ue{i:03d}", np.arange(n_reports, dtype=np.int64) * REPORT_PERIOD_MS, l3, [])
+        for i, l3 in enumerate(
+            rng.uniform(-10.0, 10.0, size=(2, n_reports, 3, 12)).round(decimals) * 10.0**exponent
+        )
+    ]
+    rp = tmp_path_factory.mktemp("log") / "reports.csv"
+    write_report_log(rp, runs, "deadbeef", 11)
+    _, reports = read_report_log(rp)
+    assert list(reports) == [run.ue_id for run in runs]
+    for run in runs:
+        beams, rsrp = reduce_series(run.l3_rsrp)
+        got = reports[run.ue_id]
+        assert np.array_equal(got["times_ms"], run.times_ms)
+        assert np.array_equal(got["best_beams"].view(np.int64), beams.view(np.int64))
+        assert np.array_equal(got["best_rsrp"].view(np.int64), rsrp.view(np.int64))
+
+
+def test_report_log_groups_interleaved_ues_in_order_of_first_appearance(tmp_path):
+    a, b = _small_run()
+    rp = tmp_path / "reports.csv"
+    write_report_log(rp, [b, a], "deadbeef", 11)
+    with open(rp, newline="") as fh:
+        head = [fh.readline(), fh.readline()]
+        rows = fh.read().splitlines(keepends=True)
+    n = len(b.times_ms)
+    interleaved = [row for pair in zip(rows[:n], rows[n:]) for row in pair]
+    rp.write_text("".join(head + interleaved), newline="")
+    _, reports = read_report_log(rp)
+    assert list(reports) == [b.ue_id, a.ue_id]
+    for run in (a, b):
+        beams, rsrp = reduce_series(run.l3_rsrp)
+        assert np.array_equal(reports[run.ue_id]["times_ms"], run.times_ms)
+        assert np.array_equal(reports[run.ue_id]["best_beams"], beams)
+        assert np.array_equal(reports[run.ue_id]["best_rsrp"].view(np.int64), rsrp.view(np.int64))
 
 
 def test_report_log_refuses_a_ue_id_too_wide_to_parse(tmp_path):
