@@ -15,14 +15,15 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import sys
 import typing
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from typing import IO, TextIO
+
+import numpy as np
 
 
 @contextmanager
@@ -40,22 +41,41 @@ def replacing(path, mode: str = "w", newline: str | None = None) -> Iterator[IO]
         raise
 
 
-def write_table(path, schema: str, columns: list[str], rows: Iterable, **fields) -> None:
+# rows formatted at once; their strings are alive together, so they stay few
+_BLOCK_ROWS = 128
+
+
+def write_table(path, schema: str, columns: list[str], blocks: Iterable[Sequence], **fields) -> None:
     """Header line ``# schema=<schema> key=value ...`` (fields in the order
-    given), column row, then one row per item of ``rows``: its fields as
-    ``str`` gives them, joined by commas, ending in CRLF. These are
+    given), column row, then the rows of each block in turn. A block holds one
+    column per name (a list, or an array read as ``tolist()``), all of one
+    length; each field is written as ``str`` gives it, joined by commas, each
+    row ending in CRLF, formatted 128 rows and a column at a time. These are
     ``csv.writer``'s bytes for every row it would not quote; a row it would
     quote (a field holding a comma, a quote, CR or LF, or one empty field
-    alone) raises ValueError."""
+    alone) or a ragged block raises ValueError."""
     with replacing(path, newline="") as fh:
         fh.write(" ".join([f"# schema={schema}"] + [f"{k}={v}" for k, v in fields.items()]) + "\n")
-        write = fh.write
-        for row in itertools.chain([columns], rows):
-            line = ",".join(map(str, row))
-            if (line.count(",") != len(row) - 1 or not line
-                    or '"' in line or "\r" in line or "\n" in line):
-                raise ValueError(f"{path}: a field of row {row!r} would need CSV quoting")
-            write(line + "\r\n")
+        fh.write(_lines(path, [[name] for name in columns], "the column row"))
+        row = 0
+        for block in blocks:
+            n = len(block[0]) if len(block) else 0
+            if len(block) != len(columns) or any(len(col) != n for col in block):
+                raise ValueError(f"{path}: the block from row {row} needs a column per name, of one length")
+            for lo in range(0, n, _BLOCK_ROWS):
+                fh.write(_lines(path, [col[lo:lo + _BLOCK_ROWS] for col in block], f"rows from {row + lo}"))
+            row += n
+
+
+def _lines(path, columns: list, where: str) -> str:
+    """The CRLF-ended rows of equally long columns, if no field needs quoting."""
+    cells = [list(map(str, c.tolist() if isinstance(c, np.ndarray) else c)) for c in columns]
+    n, k = len(cells[0]) if cells else 0, len(cells)
+    text = "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+    if (text.count(",") != n * (k - 1) or text.count("\r") != n or text.count("\n") != n
+            or '"' in text or (k == 1 and "" in cells[0])):
+        raise ValueError(f"{path}: a field of {where} would need CSV quoting")
+    return text
 
 
 @contextmanager

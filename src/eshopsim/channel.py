@@ -36,19 +36,22 @@ class BeamGrid:
     """Static per-cell beam sets; beam_id = elevation_tier * 3 + azimuth_column."""
 
     def __init__(self):
-        az_offsets = np.asarray(BEAM_AZ_OFFSETS_DEG, dtype=float)
-        tilts = np.asarray(BEAM_EL_TILTS_DEG, dtype=float)
-        # boresight tables (3, 12), one row per cell
-        boresights = np.asarray(SECTOR_BORESIGHTS_DEG, dtype=float)
-        self._az = (boresights[:, None] + np.tile(az_offsets, len(tilts))) % 360.0
-        self._el = np.tile(np.repeat(tilts, len(az_offsets)), (len(boresights), 1))
+        # the 9 distinct beam azimuths, cell by cell, and the 4 tilts: beam b
+        # of cell c points at azimuth 3c + b % 3 and at tilt b // 3
+        self._azimuths = (np.add.outer(SECTOR_BORESIGHTS_DEG, BEAM_AZ_OFFSETS_DEG) % 360.0).ravel()
+        self._tilts = np.asarray(BEAM_EL_TILTS_DEG, dtype=float)
+        beam = np.arange(N_SSB)
+        self._az_index, self._el_index = 3 * np.arange(N_CELLS)[:, None] + beam % 3, beam // 3
 
     def gains_dbi(self, az_deg, el_deg) -> np.ndarray:
         """Beam gains toward (az, el) for all cells, shape (..., 3, 12) for
-        directions of shape (...)."""
-        daz = wrap_angle_deg(np.asarray(az_deg, dtype=float)[..., None, None] - self._az)
-        del_ = wrap_angle_deg(np.asarray(el_deg, dtype=float)[..., None, None] - self._el)
-        atten = 12.0 * ((daz / BEAM_AZ_3DB_DEG) ** 2 + (del_ / BEAM_EL_3DB_DEG) ** 2)
+        directions of shape (...). The wrapped, scaled and squared offsets
+        are taken once per distinct beam azimuth and tilt, then gathered per
+        beam: the same IEEE operations per beam as on the (..., 3, 12) grid."""
+        daz = wrap_angle_deg(np.asarray(az_deg, dtype=float)[..., None] - self._azimuths)
+        del_ = wrap_angle_deg(np.asarray(el_deg, dtype=float)[..., None] - self._tilts)
+        az_term, el_term = (daz / BEAM_AZ_3DB_DEG) ** 2, (del_ / BEAM_EL_3DB_DEG) ** 2
+        atten = 12.0 * (az_term[..., self._az_index] + el_term[..., None, self._el_index])
         return PEAK_GAIN_DBI - np.minimum(atten, FRONT_BACK_LIMIT_DB)
 
 
@@ -149,10 +152,12 @@ class L3FilterState:
         """Filters a UE's whole trace of samples (N, ...) in time order;
         returns the filtered values (N, ...)."""
         raw = np.asarray(raw, dtype=float)
-        weighted = self.a * raw
-        out = np.empty_like(raw)
-        for i in range(len(raw)):
-            out[i] = raw[i] if i == 0 else (1.0 - self.a) * out[i - 1] + weighted[i]
+        out = self.a * raw  # each row then adds (1 - a) times the row before it
+        out[:1] = raw[:1]
+        rows = list(out.reshape(len(out), math.prod(raw.shape[1:])))  # views, also of scalars
+        scaled, keep = np.empty(math.prod(raw.shape[1:])), 1.0 - self.a
+        for prev, row in zip(rows, rows[1:]):
+            row += np.multiply(prev, keep, out=scaled)
         return out
 
 

@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -73,11 +74,6 @@ def _paths(out_dir: str) -> dict[str, str]:
         "summary": os.path.join(out_dir, "summary.json"),
         "timings": os.path.join(out_dir, "timings.json"),
     }
-
-
-def _csv_cell(value):
-    """0/1 for flags, the rest as is."""
-    return int(value) if isinstance(value, bool) else value
 
 
 def _load_summary(path: str) -> dict:
@@ -180,10 +176,7 @@ def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
     digest = config_hash(cfg)
     write_report_log(paths["reports"], runs, digest, cfg.master_seed)
     write_event_log(paths["events"], runs, digest, cfg.master_seed)
-    counts = {EVENT_T0: 0, EVENT_A3: 0, EVENT_ABORT: 0, EVENT_CMD: 0}
-    for run in runs:
-        for ev in run.events:
-            counts[ev.kind] += 1
+    counts = Counter(ev.kind for run in runs for ev in run.events)
     payload = {
         "num_ues": len(runs),
         "reports_per_ue": int(runs[0].times_ms.size) if runs else 0,
@@ -258,12 +251,9 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     extra = {"config_hash": digest, "master_seed": cfg.master_seed, **shape}
     tcn.save_model(paths["model"], params, extra=extra)
     write_table(
-        paths["history"],
-        "train-history/1",
-        ["epoch", "train_rmse", "val_rmse"],
-        ([r["epoch"], r["train_rmse"], r["val_rmse"]] for r in history),
-        config_hash=digest,
-        master_seed=cfg.master_seed,
+        paths["history"], "train-history/1", ["epoch", "train_rmse", "val_rmse"],
+        [[[r[key] for r in history] for key in ("epoch", "train_rmse", "val_rmse")]],
+        config_hash=digest, master_seed=cfg.master_seed,
     )
     best = min(history, key=lambda r: r["val_rmse"])
     payload = {
@@ -304,15 +294,9 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
         },
     )
     write_table(
-        paths["predictions"],
-        "predictions/1",
-        ["ue_id", "t_ms", "actual_tef_s", "predicted_tef_s"],
-        (
-            [ue, int(t), float(ya), float(yp)]
-            for ue, t, ya, yp in zip(bank.ue_ids, bank.t_ms, bank.y, preds)
-        ),
-        config_hash=digest,
-        master_seed=cfg.master_seed,
+        paths["predictions"], "predictions/1", ["ue_id", "t_ms", "actual_tef_s", "predicted_tef_s"],
+        [[bank.ue_ids, bank.t_ms, bank.y, preds]],
+        config_hash=digest, master_seed=cfg.master_seed,
     )
     payload = {"test": metrics.to_dict()}
     _update_summary(cfg.output_dir, cfg, "eval", payload)
@@ -394,23 +378,15 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     digest = config_hash(cfg)
     columns = [f.name for f in fields(HoComparison)]
     write_table(
-        paths["comparison"],
-        "ho-comparison/1",
-        columns,
-        ([_csv_cell(getattr(c, name)) for name in columns] for c in comparisons),
-        config_hash=digest,
-        master_seed=cfg.master_seed,
+        paths["comparison"], "ho-comparison/1", columns,
+        [[[int(v) if isinstance(v, bool) else v for v in (getattr(c, name) for c in comparisons)]
+          for name in columns]],  # flags as 0/1
+        config_hash=digest, master_seed=cfg.master_seed,
     )
     write_table(
-        paths["cdf"],
-        "rsrp-drop-cdf/1",
-        ["delta_rsrp_db", "cumulative_prob"],
-        (
-            [float(x), float(p)]
-            for x, p in zip(stats.cdf_delta_rsrp_db, stats.cdf_cumulative_prob)
-        ),
-        config_hash=digest,
-        master_seed=cfg.master_seed,
+        paths["cdf"], "rsrp-drop-cdf/1", ["delta_rsrp_db", "cumulative_prob"],
+        [[stats.cdf_delta_rsrp_db, stats.cdf_cumulative_prob]],
+        config_hash=digest, master_seed=cfg.master_seed,
     )
     payload = {
         "oracle": oracle,
@@ -476,7 +452,7 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
             row.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else "")
         if any(cell != "" for cell in row[1:]):
             rows.append(row)
-    write_table(out_file, REPORT_SCHEMA, header, rows)
+    write_table(out_file, REPORT_SCHEMA, header, [list(zip(*rows))] if rows else [])
     return {"groups": groups, "metrics": [row[0] for row in rows]}
 
 

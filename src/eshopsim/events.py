@@ -117,11 +117,6 @@ class A3EventEngine:
             events.append(self.armed)
         return events
 
-    def quiet(self, entry: bool) -> bool:
-        """Whether ``step`` on a report with this A3 ``entry`` would emit nothing and
-        change nothing but the last report time: an A3 waits, or none is armed or enters."""
-        return self.pending is not None or (self.armed is None and not entry)
-
     def apply_handover(self, command_ms: float) -> HoEvent:
         """Switch serving to the waiting A3's target at command time; returns the CMD event."""
         a3 = self.pending

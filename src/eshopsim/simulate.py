@@ -9,6 +9,7 @@ only the reports where it can act, and applies each handover command
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import warnings
@@ -67,6 +68,9 @@ def run_ue(
     hcp: HcpConfig,
     master_seed: int,
 ) -> UeRun:
+    """One UE's reports, their L3 beam RSRP and its events. The engine steps
+    every report while a T0 is armed; else the loop jumps to the first report
+    at or after the waiting A3's command, or to the serving cell's next A3 entry."""
     ue_id = f"ue{ue_index:03d}"
     traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario)
     chan_rng = rng_from(master_seed, "channel", ue_index)
@@ -80,23 +84,32 @@ def run_ue(
         raise ValueError("report values must be finite")
 
     _, best = reduce_series(l3_rsrp)  # (N, 3) per-cell best beam RSRP
-    # per serving cell s and report: the strongest neighbor meets the A3 entry condition
+    # per serving cell s: the reports where the strongest neighbor meets the A3 entry condition
     neighbors = [np.delete(best, s, axis=1).max(axis=1) for s in range(N_CELLS)]
-    entry = [a3_entry(nb, best[:, s], hcp).tolist() for s, nb in enumerate(neighbors)]
+    entries = [np.flatnonzero(a3_entry(nb, best[:, s], hcp)) for s, nb in enumerate(neighbors)]
     engine = A3EventEngine(ue_id, hcp, int(np.argmax(best[0])))
     command_ms: float | None = None  # drawn command time of the A3 that waits
     events: list[HoEvent] = []
-    for i, t in enumerate(times):
-        if command_ms is not None and command_ms <= t:
+    i = 0
+    while i < len(times):
+        if command_ms is not None:  # nothing happens until the first report at or after it
+            i = bisect.bisect_left(times, command_ms, i)
+            if i == len(times):
+                break
             events.append(engine.apply_handover(command_ms))
             command_ms = None
-        if engine.quiet(entry[engine.serving_cell][i]):
-            continue
-        new_events = engine.step(make_report(t, l3_rsrp[i]))
+        if engine.armed is None:  # nothing happens until the serving cell's next A3 entry
+            entry = entries[engine.serving_cell]
+            j = entry.searchsorted(i)
+            if j == len(entry):
+                break
+            i = int(entry[j])
+        new_events = engine.step(make_report(times[i], l3_rsrp[i]))
         for ev in new_events:
             if ev.kind == EVENT_A3:
                 command_ms = ev.t_ms + float(prep_rng.uniform(D_PREP_MIN_MS, D_PREP_MAX_MS))
         events.extend(new_events)
+        i += 1
 
     return UeRun(ue_id, np.asarray(times, dtype=np.int64), l3_rsrp, events)
 
@@ -124,15 +137,14 @@ _REPORT_COLUMNS = ["t_ms", "ue_id"] + [f"c{c}_{x}" for c in range(N_CELLS) for x
 def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int) -> None:
     """One row per report: time, UE, then per cell its strongest beam and that
     beam's L3 RSRP (``reduce_series``); the other beams are not logged."""
-    rows = (
-        [t, run.ue_id, *itertools.chain.from_iterable(zip(beams, rsrp))]
-        for run in runs
-        for t, beams, rsrp in zip(
-            run.times_ms.tolist(), *(a.tolist() for a in reduce_series(run.l3_rsrp))
-        )
-    )
+    def blocks():  # one per UE, so no column outgrows the UE's arrays
+        for run in runs:
+            beams, rsrp = reduce_series(run.l3_rsrp)
+            cells = itertools.chain.from_iterable(zip(beams.T, rsrp.T))  # c0_beam, c0_rsrp, ...
+            yield [run.times_ms, [run.ue_id] * len(beams), *cells]
+
     write_table(
-        path, REPORT_LOG_SCHEMA, _REPORT_COLUMNS, rows,
+        path, REPORT_LOG_SCHEMA, _REPORT_COLUMNS, blocks(),
         config_hash=config_hash, master_seed=master_seed,
     )
 
@@ -188,23 +200,15 @@ def read_report_log(path) -> tuple[dict[str, str], dict[str, dict]]:
     return fields, per_ue
 
 
-_EVENT_COLUMNS = ["ue_id", "kind", "t_ms", "serving", "target"]
+_EVENT_COLUMNS = ["ue_id", "kind", "t_ms", "serving", "target"]  # HoEvent's fields
 
 
 def write_event_log(path, runs: list[UeRun], config_hash: str, master_seed: int) -> None:
-    rows = (
-        [
-            ev.ue_id,
-            ev.kind,
-            int(ev.t_ms) if float(ev.t_ms).is_integer() else float(ev.t_ms),
-            ev.serving,
-            ev.target,
-        ]
-        for run in runs
-        for ev in run.events
-    )
+    evs = [ev for run in runs for ev in run.events]
+    columns = [[getattr(ev, name) for ev in evs] for name in _EVENT_COLUMNS]
+    columns[2] = [int(t) if float(t).is_integer() else float(t) for t in columns[2]]
     write_table(
-        path, EVENT_LOG_SCHEMA, _EVENT_COLUMNS, rows,
+        path, EVENT_LOG_SCHEMA, _EVENT_COLUMNS, [columns],
         config_hash=config_hash, master_seed=master_seed,
     )
 

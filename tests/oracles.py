@@ -12,18 +12,31 @@ import math
 import numpy as np
 
 from eshopsim.channel import (
+    BEAM_AZ_3DB_DEG,
+    BEAM_AZ_OFFSETS_DEG,
+    BEAM_EL_3DB_DEG,
+    BEAM_EL_TILTS_DEG,
     FAST_FADING_SIGMA_DB,
+    FRONT_BACK_LIMIT_DB,
     L3_FILTER_COEFF,
     N_CELLS,
     N_SSB,
+    PEAK_GAIN_DBI,
     TX_POWER_PER_SSB_DBM,
     BeamGrid,
     ChannelParams,
     MeasurementReport,
     path_loss,
+    wrap_angle_deg,
 )
 from eshopsim.events import EVENT_A3, A3EventEngine, HcpConfig
-from eshopsim.scenario import BS_POSITION, REPORT_PERIOD_MS, position_at, spawn_trajectory
+from eshopsim.scenario import (
+    BS_POSITION,
+    REPORT_PERIOD_MS,
+    SECTOR_BORESIGHTS_DEG,
+    position_at,
+    spawn_trajectory,
+)
 from eshopsim.seeds import derive_seed, rng_from
 from eshopsim.simulate import D_PREP_MAX_MS, D_PREP_MIN_MS, UeRun
 from eshopsim.tcn import (
@@ -316,6 +329,20 @@ def fd_gradient(fn, arrays: list[np.ndarray], h: float = 1e-6) -> list[np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def broadcast_gains_dbi(az_deg, el_deg) -> np.ndarray:
+    """``BeamGrid.gains_dbi`` with every offset wrapped, scaled and squared on
+    the broadcast (..., 3, 12) grid of beam boresights."""
+    az_offsets = np.asarray(BEAM_AZ_OFFSETS_DEG, dtype=float)
+    tilts = np.asarray(BEAM_EL_TILTS_DEG, dtype=float)
+    boresights = np.asarray(SECTOR_BORESIGHTS_DEG, dtype=float)
+    beam_az = (boresights[:, None] + np.tile(az_offsets, len(tilts))) % 360.0
+    beam_el = np.tile(np.repeat(tilts, len(az_offsets)), (len(boresights), 1))
+    daz = wrap_angle_deg(np.asarray(az_deg, dtype=float)[..., None, None] - beam_az)
+    del_ = wrap_angle_deg(np.asarray(el_deg, dtype=float)[..., None, None] - beam_el)
+    atten = 12.0 * ((daz / BEAM_AZ_3DB_DEG) ** 2 + (del_ / BEAM_EL_3DB_DEG) ** 2)
+    return PEAK_GAIN_DBI - np.minimum(atten, FRONT_BACK_LIMIT_DB)
+
+
 def bearing_from_bs(ue_pos: np.ndarray) -> tuple[float, float, float]:
     """Azimuth [0, 360), elevation (negative below BS height) and 3D distance
     of one UE position (reference for ``scenario.bearings_from_bs``)."""
@@ -414,6 +441,13 @@ def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRu
         times.append(t)
         frames.append(l3)
     return UeRun(ue_id, np.asarray(times, dtype=np.int64), np.stack(frames), events)
+
+
+def quiet(engine: A3EventEngine, entry: bool) -> bool:
+    """Whether ``engine.step`` on a report with this A3 ``entry`` would emit
+    nothing and change nothing but the last report time: an A3 waits, or none
+    is armed or enters (the reports ``simulate.run_ue`` jumps over)."""
+    return engine.pending is not None or (engine.armed is None and not entry)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eshopsim.artifacts import from_json, read_json, write_json, write_table
+from eshopsim.artifacts import _BLOCK_ROWS, from_json, read_json, write_json, write_table
 from oracles import csv_writer_table
 
 _FLOATS = st.floats() | st.sampled_from(
@@ -21,16 +23,46 @@ _FIELDS = st.one_of(
     _FLOATS,
     _FLOATS.map(repr),
 )
-_ROWS = st.lists(st.lists(_FIELDS, min_size=1, max_size=6), max_size=6) | st.lists(
-    st.lists(_FIELDS | st.just(""), min_size=2, max_size=6), max_size=6
-)
 _COLUMNS = st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True), min_size=1, max_size=6)
+# short tables, and tables that end at and around block edges
+_LENGTHS = st.integers(0, 6) | st.sampled_from(
+    [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+)
+# the arrays the pipeline passes: times, beams, RSRP and float32 labels
+_ARRAYS = {
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "float64": _FLOATS,
+    "float32": st.floats(width=32),
+    "bool": st.booleans(),
+}
 
 
-@given(columns=_COLUMNS, rows=_ROWS)
-def test_write_table_bytes_equal_csv_writer(tmp_path_factory, columns, rows):
+@st.composite
+def _tables(draw):
+    """Column names and blocks of as many columns: lists of mixed fields (an
+    empty field only beside others; alone, csv.writer quotes it) or arrays,
+    each a drawn pattern repeated to the table's length, cut into blocks."""
+    columns = draw(_COLUMNS)
+    n = draw(_LENGTHS)
+    fields = _FIELDS | st.just("") if len(columns) > 1 else _FIELDS
+    data = []
+    for _ in columns:
+        kind = draw(st.sampled_from(["list", *_ARRAYS]))
+        pattern = draw(st.lists(fields if kind == "list" else _ARRAYS[kind], min_size=1, max_size=6))
+        column = list(itertools.islice(itertools.cycle(pattern), n))
+        data.append(column if kind == "list" else np.array(column, dtype=kind))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    blocks = [[col[lo:hi] for col in data] for lo, hi in zip([0, *cuts], [*cuts, n])]
+    return columns, data, blocks
+
+
+@given(table=_tables())
+def test_write_table_bytes_equal_csv_writer(tmp_path_factory, table):
+    # an array column is written as its tolist() values
+    columns, data, blocks = table
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in data)))
     d = tmp_path_factory.mktemp("tables")
-    write_table(d / "got.csv", "t/1", columns, rows, config_hash="ab12", master_seed=3)
+    write_table(d / "got.csv", "t/1", columns, blocks, config_hash="ab12", master_seed=3)
     csv_writer_table(d / "want.csv", "t/1", columns, rows, config_hash="ab12", master_seed=3)
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
 
@@ -43,18 +75,45 @@ def test_write_table_bytes_equal_csv_writer(tmp_path_factory, columns, rows):
 @pytest.mark.parametrize("where", ["columns", "rows"])
 def test_write_table_refuses_a_row_that_needs_quoting(tmp_path, bad_row, where):
     path = tmp_path / "table.csv"
-    write_table(path, "t/1", ["a", "b"], [["ue000", 1.0]], config_hash="ab12")
+    write_table(path, "t/1", ["a", "b"], [[["ue000"], [1.0]]], config_hash="ab12")
     before = path.read_bytes()
-    columns, rows = (bad_row, []) if where == "columns" else (["a", "b"], [["ue000", 2.0], bad_row])
+    if where == "columns":
+        columns, blocks = bad_row, []
+    else:  # the bad row after good ones, past the first rows formatted at once
+        good = ["ue000", 2.0][: len(bad_row)]
+        columns = ["a", "b"][: len(bad_row)]
+        blocks = [[[g] * (_BLOCK_ROWS + 1) + [b] for g, b in zip(good, bad_row)]]
     with pytest.raises(ValueError, match="quoting"):
-        write_table(path, "t/1", columns, rows, config_hash="ab12")
+        write_table(path, "t/1", columns, blocks, config_hash="ab12")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+@pytest.mark.parametrize(
+    "columns, blocks",
+    [
+        (["a", "b"], [[["ue000", "ue001"], [1.0]]]),
+        (["a", "b"], [[np.arange(3), np.arange(2)]]),
+        (["a", "b"], [[["ue000"]]]),
+        (["a"], [[["ue000"], [1.0]]]),
+        (["a", "b"], [[["ue000"], [1.0]], [["ue001"], []]]),
+        ([], []),
+    ],
+    ids=["short_list", "short_array", "missing_column", "extra_column", "later_block", "no_columns"],
+)
+def test_write_table_refuses_ragged_columns(tmp_path, columns, blocks):
+    path = tmp_path / "table.csv"
+    write_table(path, "t/1", ["a", "b"], [[["ue000"], [1.0]]], config_hash="ab12")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="column"):
+        write_table(path, "t/1", columns, blocks, config_hash="ab12")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_write_table_leaves_no_file_when_refused_first(tmp_path):
     with pytest.raises(ValueError):
-        write_table(tmp_path / "table.csv", "t/1", ["a"], [[""]])
+        write_table(tmp_path / "table.csv", "t/1", ["a"], [[[""]]])
     assert list(tmp_path.iterdir()) == []
 
 

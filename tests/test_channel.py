@@ -27,7 +27,7 @@ from eshopsim.scenario import (
     position_at,
     spawn_trajectory,
 )
-from oracles import PerReportChannel, PerReportL3Filter
+from oracles import PerReportChannel, PerReportL3Filter, broadcast_gains_dbi
 
 # frozen via an independent high-precision evaluation of
 # 32.4 + 21*log10(50) + 20*log10(28)
@@ -69,6 +69,24 @@ def test_gain_wraps_angles():
     )
     assert wrap_angle_deg(190.0) == -170.0
     assert wrap_angle_deg(180.0) == 180.0
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_gains_equal_the_broadcast_grid_bit_for_bit(seed):
+    # random directions, and directions exactly 0, +-180 and 360 degrees off
+    # a beam's azimuth or tilt, where the wrap meets its edges; every azimuth
+    # with every elevation, and one direction alone
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = [0.0, 180.0, -180.0, 360.0]
+    beam_az = np.add.outer(SECTOR_BORESIGHTS_DEG, BEAM_AZ_OFFSETS_DEG).ravel() % 360.0
+    az, el = np.meshgrid(
+        np.concatenate([rng.uniform(-720.0, 720.0, 40), np.add.outer(beam_az, edges).ravel()]),
+        np.concatenate([rng.uniform(-200.0, 200.0, 40), np.add.outer(BEAM_EL_TILTS_DEG, edges).ravel()]),
+    )
+    for a, e in ((az, el), (az[0, 0], el[0, 0])):
+        got, want = BeamGrid().gains_dbi(a, e), broadcast_gains_dbi(a, e)
+        assert got.shape == want.shape == (*np.shape(a), 3, 12)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_beam_grid_has_12_static_beams():

@@ -9,7 +9,7 @@ from eshopsim.events import (
     a3_entry,
     episodes_from_events,
 )
-from oracles import drive_engine, random_trace, scan_events
+from oracles import drive_engine, quiet, random_trace, scan_events
 
 CELLS = (0, 1, 2)
 
@@ -217,10 +217,10 @@ def test_quiet_reports_change_nothing(seed, ttt_ms, hysteresis_db, offset_db):
             command_ms = None
         s = engine.serving_cell
         entry = a3_entry(max(frame[c] for c in CELLS if c != s), frame[s], hcp)
-        quiet = engine.quiet(entry)
+        is_quiet = quiet(engine, entry)
         before = (engine.serving_cell, engine.armed, engine.pending)
         events = engine.step(_report(t, frame))
-        if quiet:
+        if is_quiet:
             quiet_count += 1
             assert events == []
             after = (engine.serving_cell, engine.armed, engine.pending)

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eshopsim
+import oracles
+from eshopsim import simulate
 from eshopsim.artifacts import read_table
 from eshopsim.channel import ChannelParams, ChannelState, reduce_series
-from eshopsim.events import HcpConfig, episodes_from_events
+from eshopsim.events import A3EventEngine, HcpConfig, a3_entry, episodes_from_events
 from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
 from eshopsim.simulate import (
     EVENT_LOG_SCHEMA,
@@ -80,6 +82,71 @@ def test_run_ue_steps_where_the_per_report_loop_acts(
     assert np.array_equal(got.times_ms, want.times_ms)
     assert np.array_equal(got.l3_rsrp.view(np.int64), want.l3_rsrp.view(np.int64))
     assert got.events == want.events
+
+
+def _equal_to_the_per_report_loop(monkeypatch, seed, duration_s, **hcp) -> UeRun:
+    """``run_ue`` and ``run_ue_per_report`` on one UE: the same bits and
+    events, and ``run_ue`` steps exactly the reports the loop steps that
+    ``oracles.quiet`` does not call quiet."""
+    stepped = []  # (report time, quiet) of each engine step
+    step = A3EventEngine.step
+
+    def recording(engine, report):
+        best = report.rsrp_dbm.max(axis=1)
+        s = engine.serving_cell
+        entry = a3_entry(max(best[c] for c in range(3) if c != s), best[s], engine.hcp)
+        stepped.append((report.t_ms, oracles.quiet(engine, entry)))
+        return step(engine, report)
+
+    monkeypatch.setattr(A3EventEngine, "step", recording)
+    args = (0, ScenarioConfig(num_ues=1, duration_s=duration_s), ChannelParams(), HcpConfig(**hcp), seed)
+    got = run_ue(*args)
+    got_steps, stepped[:] = list(stepped), []
+    want = run_ue_per_report(*args)
+    assert np.array_equal(got.times_ms, want.times_ms)
+    assert np.array_equal(got.l3_rsrp.view(np.int64), want.l3_rsrp.view(np.int64))
+    assert got.events == want.events
+    assert got_steps == [(t, False) for t, quiet in stepped if not quiet]
+    return got
+
+
+@pytest.mark.parametrize("ttt_ms, seed, offset_db", [(40, 4, 1.0), (320, 0, -1.0)])
+def test_run_ue_applies_a_command_due_at_a_report_instant(monkeypatch, ttt_ms, seed, offset_db):
+    # a preparation of exactly one report period puts every command on a
+    # report instant, where the new serving cell may arm a T0 at once
+    for module in (simulate, oracles):
+        monkeypatch.setattr(module, "D_PREP_MIN_MS", 40.0)
+        monkeypatch.setattr(module, "D_PREP_MAX_MS", 40.0)
+    run = _equal_to_the_per_report_loop(monkeypatch, seed, 12.0, ttt_ms=ttt_ms, offset_db=offset_db)
+    commands = [ev.t_ms for ev in run.events if ev.kind == "CMD"]
+    assert commands and set(commands) <= set(run.times_ms.tolist())
+    assert any(ev.kind == "T0" and ev.t_ms in commands for ev in run.events)
+
+
+@pytest.mark.parametrize("prep_ms", [None, 80.0])
+@pytest.mark.parametrize("ttt_ms", [40, 320])
+def test_run_ue_never_applies_a_command_due_after_the_last_report(monkeypatch, ttt_ms, prep_ms):
+    # an A3 at the last report; or, with a preparation of two report periods,
+    # an A3 one report before it
+    if prep_ms is not None:
+        for module in (simulate, oracles):
+            monkeypatch.setattr(module, "D_PREP_MIN_MS", prep_ms)
+            monkeypatch.setattr(module, "D_PREP_MAX_MS", prep_ms)
+    events = _equal_to_the_per_report_loop(monkeypatch, 0, 12.0, ttt_ms=ttt_ms).events
+    a3_ms = next(ev.t_ms for ev in events if ev.kind == "A3")
+    end_ms = a3_ms + (REPORT_PERIOD_MS if prep_ms else 0)
+    run = _equal_to_the_per_report_loop(monkeypatch, 0, end_ms / 1000.0, ttt_ms=ttt_ms)
+    assert run.times_ms[-1] == end_ms
+    assert (run.events[-1].kind, run.events[-1].t_ms) == ("A3", a3_ms)
+
+
+@pytest.mark.parametrize("ttt_ms", [40, 320])
+def test_run_ue_ends_where_the_serving_cell_never_enters_again(monkeypatch, ttt_ms):
+    # after the last command the new serving cell's A3 entry never holds
+    run = _equal_to_the_per_report_loop(monkeypatch, 1, 12.0, ttt_ms=ttt_ms)
+    assert run.events[-1].kind == "CMD"
+    # the first serving cell's entry never holds at all
+    assert _equal_to_the_per_report_loop(monkeypatch, 1, 12.0, ttt_ms=ttt_ms, offset_db=60.0).events == []
 
 
 def test_run_ue_refuses_a_non_finite_frame(monkeypatch):
