@@ -23,8 +23,10 @@ import numpy as np
 from eshopsim.artifacts import read_json, write_json, write_table
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.controller import (
+    ENTRY_RULE,
     HoComparison,
     degradation_stats,
+    entry_countdown,
     infer_countdown,
     oracle_countdown,
     serving_rsrp_at,
@@ -322,11 +324,13 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
 
     comparisons: list[HoComparison] = []
     rsrp_a3: list[float] = []
+    by_rule: list[tuple[float, bool, bool]] = []  # the entry rule's advance, wasted, fellback
     skipped_gap = 0
     for ue in sorted(traces):
         table, rows = traces[ue]
         times, rsrp = table.t_ms[rows], table.best_rsrp[rows]
         episodes = episodes_by_ue.get(ue, [])
+        rule = entry_countdown(times, episodes)
         if oracle:
             preds = oracle_countdown(times, episodes, cfg.dataset.horizon_s)
         else:
@@ -348,11 +352,13 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             early = simulate_eshop(
                 ep, times[: len(preds)], preds, d_prep, cfg.signaling, window_start_ms=prev_cmd
             )
+            entry = simulate_eshop(ep, times, rule, d_prep, ENTRY_RULE, window_start_ms=prev_cmd)
             prev_cmd = float(ep.command_ms)
             serving_trace = rsrp[:, ep.serving_cell]
             if max(legacy_cmd, early.command_ms) > times[-1]:
                 skipped_gap += 1
                 continue
+            by_rule.append((legacy_cmd - entry.command_ms, entry.wasted, entry.fellback))
             rsrp_legacy = serving_rsrp_at(times, serving_trace, legacy_cmd)
             rsrp_early = serving_rsrp_at(times, serving_trace, early.command_ms)
             rsrp_a3.append(serving_rsrp_at(times, serving_trace, float(ep.a3_ms)))
@@ -388,6 +394,7 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         [[stats.cdf_delta_rsrp_db, stats.cdf_cumulative_prob]],
         config_hash=digest, master_seed=cfg.master_seed,
     )
+    rule_advance, rule_wasted, rule_fellback = zip(*by_rule)
     payload = {
         "oracle": oracle,
         "n_compared": stats.n_compared,
@@ -397,6 +404,12 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         "wasted_rate": stats.wasted_rate,
         "fallback_rate": stats.fallback_rate,
         "median_benefit_db": float(np.median(stats.benefit_db)),
+        "entry_rule": {  # the same episodes, prepared at the first T0 after the last command
+            "mean_advance_ms": float(np.mean(rule_advance)),
+            "wasted_rate": float(np.mean(rule_wasted)),
+            "fallback_rate": float(np.mean(rule_fellback)),
+            "n_compared": len(by_rule),
+        },
     }
     _update_summary(cfg.output_dir, cfg, "eshop", payload)
     _record_timing(cfg.output_dir, "eshop", time.perf_counter() - t_start)
@@ -412,6 +425,9 @@ _REPORT_METRICS = [
     ("mean_advance_ms", ("eshop", "mean_advance_ms")),
     ("wasted_rate", ("eshop", "wasted_rate")),
     ("fallback_rate", ("eshop", "fallback_rate")),
+    ("entry_rule_mean_advance_ms", ("eshop", "entry_rule", "mean_advance_ms")),
+    ("entry_rule_wasted_rate", ("eshop", "entry_rule", "wasted_rate")),
+    ("entry_rule_fallback_rate", ("eshop", "entry_rule", "fallback_rate")),
 ]
 
 

@@ -38,6 +38,10 @@ class SignalingConfig:
             raise ValueError("need at least one triggering prediction")
 
 
+# the entry rule: prepare at the first report whose countdown is 0 (a T0)
+ENTRY_RULE = SignalingConfig(trigger_threshold_ms=0.0, consecutive_required=1)
+
+
 @dataclass
 class HoComparison:
     episode_id: str
@@ -103,6 +107,12 @@ def oracle_countdown(
     trace, with every excluded sample at +inf (never triggers)."""
     labels, _ = label_tef(report_times_ms, episodes, horizon_s)
     return np.where(np.isnan(labels), np.inf, labels)
+
+
+def entry_countdown(report_times_ms: np.ndarray, episodes: list[HoEventRecord]) -> np.ndarray:
+    """The entry rule's countdown: 0 at the report of every T0, aborted ones
+    included, and +inf elsewhere. It is causal: a T0 is known at its report."""
+    return np.where(np.isin(report_times_ms, [ep.t0_ms for ep in episodes]), 0.0, np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ LoS and NLoS runs of the experiment configuration (``scripts/run_experiment.py
 --quick``: 8 UEs x 14 s, the paper TCN at W = 96, 3 epochs) with a fixed
 seed, each made twice. The oracle is the training label over the whole
 trace, so it never falls back; a perfect predictor of the stored labels
-reproduces it episode by episode; no model beats it; and a run is
-byte-deterministic.
+reproduces it episode by episode; no model beats it; the entry rule falls
+back only after an early aborted T0; and a run is byte-deterministic.
 """
 
+import csv
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,10 @@ import pytest
 
 from conftest import artifact_bytes, make_config
 from eshopsim import cli
+from eshopsim.artifacts import read_table
+from eshopsim.controller import GUARD_MS
 from eshopsim.dataset import read_dataset
+from eshopsim.simulate import read_event_log
 
 SEED = 11
 MODES = ("los", "nlos")
@@ -53,6 +57,44 @@ def test_model_no_better_than_oracle(runs, mode):
     assert model["n_compared"] == oracle["n_compared"]
     assert model["fallback_rate"] >= oracle["fallback_rate"]
     assert model["mean_advance_ms"] <= oracle["mean_advance_ms"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_entry_rule_replays_the_compared_episodes_under_both_countdowns(runs, mode):
+    # the rule reads only the episodes, so eshop and eshop --oracle give it
+    # alike; its advance is at most the oracle's, which is every d_prep
+    _, model, oracle = runs[mode, "a"]
+    assert model["entry_rule"] == oracle["entry_rule"]
+    rule = oracle["entry_rule"]
+    assert rule["n_compared"] == oracle["n_compared"]
+    assert rule["fallback_rate"] == rule["wasted_rate"]
+    assert rule["mean_advance_ms"] <= oracle["mean_advance_ms"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_entry_rule_falls_back_only_after_an_early_aborted_t0(runs, mode):
+    # on the compared episodes, the rule falls back exactly where an aborted
+    # T0 after the last command precedes the A3 by more than GUARD_MS + d_prep
+    cfg, _, oracle = runs[mode, "a"]
+    run_dir = Path(cfg.output_dir)
+    _, episodes = read_event_log(run_dir / "events.csv")
+    with read_table(run_dir / "comparison.csv", "ho-comparison/1") as (_, _, data):
+        compared = {row[0] for row in csv.reader(data)}
+    early_aborts = 0
+    for ue, eps in episodes.items():
+        prev_cmd = -np.inf
+        for k, ep in enumerate(eps):
+            if ep.aborted or ep.command_ms is None:
+                continue
+            if f"{ue}:{k}" in compared:
+                d_prep = ep.command_ms - ep.a3_ms
+                early_aborts += any(
+                    e.aborted and prev_cmd < e.t0_ms and ep.a3_ms - e.t0_ms > GUARD_MS + d_prep
+                    for e in eps
+                )
+            prev_cmd = ep.command_ms
+    assert len(compared) == oracle["n_compared"]
+    assert oracle["entry_rule"]["fallback_rate"] == early_aborts / len(compared)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from eshopsim.config import ConfigError, ExperimentConfig
+from eshopsim.channel import ChannelParams
 from eshopsim.controller import (
+    ENTRY_RULE,
+    GUARD_MS,
     SignalingConfig,
     StreamingCountdown,
     degradation_stats,
+    entry_countdown,
     infer_countdown,
     oracle_countdown,
     serving_rsrp_at,
@@ -13,9 +17,9 @@ from eshopsim.controller import (
     HoComparison,
 )
 from eshopsim.dataset import DatasetMeta, N_FEATURES, standardized_rows
-from eshopsim.events import HcpConfig, HoEventRecord
-from eshopsim.scenario import REPORT_PERIOD_MS
-from eshopsim.simulate import D_PREP_MAX_MS
+from eshopsim.events import HcpConfig, HoEventRecord, episodes_from_events
+from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
+from eshopsim.simulate import D_PREP_MAX_MS, run_scenario
 from eshopsim.tcn import TcnModelConfig, init_params
 from oracles import first_trigger_scan
 
@@ -172,6 +176,65 @@ def test_oracle_countdown_values():
     # the real fulfillment, and after T0 there is no same-segment T0
     assert preds.tolist() == [np.inf, np.inf, 0.04, 0.0, np.inf, np.inf]
     assert oracle_countdown(times, eps, horizon_s=0.03).tolist() == [np.inf] * 3 + [0.0] + [np.inf] * 2
+
+
+def test_entry_countdown_is_zero_at_every_t0():
+    times = np.arange(0, 2000, 40)
+    episodes = [
+        HoEventRecord("ue", 0, 1, 200, aborted=True),
+        HoEventRecord("ue", 0, 2, 400, a3_ms=440, command_ms=465.5),
+        HoEventRecord("ue", 2, 1, 5000, a3_ms=5040),  # beyond the trace
+    ]
+    got = entry_countdown(times, episodes)
+    assert got.shape == times.shape
+    assert np.flatnonzero(got == 0.0).tolist() == [5, 10]
+    assert np.isinf(np.delete(got, [5, 10])).all()
+
+
+@pytest.mark.parametrize("ttt_ms", [40, 80, 160])
+@pytest.mark.parametrize("los_mode", ["los", "nlos"])
+def test_entry_rule_equals_the_oracle_but_after_an_early_aborted_t0(los_mode, ttt_ms):
+    # The regime: every TTT outlasts every preparation latency, and the A3
+    # gates the command. Then preparing at the first T0 after the last
+    # command gives the oracle's timeline (command at the A3, nothing
+    # wasted), except where an aborted T0 precedes the A3 by more than the
+    # guard plus d_prep: that preparation expires, and the episode falls back.
+    assert D_PREP_MAX_MS < REPORT_PERIOD_MS  # the shortest TTT
+    cfg = ExperimentConfig(hcp=HcpConfig(ttt_ms=ttt_ms, hysteresis_db=1.0))
+    runs = run_scenario(
+        ScenarioConfig(num_ues=20, duration_s=16.0, speeds_mps=(25.0,)),
+        ChannelParams(los_mode=los_mode, shadow_sigma_los_db=2.0, shadow_sigma_nlos_db=3.0,
+                      decorrelation_distance_m=25.0),
+        cfg.hcp, master_seed=501,
+    )
+    same = parted = 0
+    for run in runs:
+        episodes = episodes_from_events(run.events)
+        times = run.times_ms
+        oracle = oracle_countdown(times, episodes, cfg.dataset.horizon_s)
+        rule = entry_countdown(times, episodes)
+        prev_cmd = -np.inf
+        for ep in episodes:
+            if ep.aborted or ep.command_ms is None:
+                continue
+            d_prep = ep.command_ms - ep.a3_ms
+            want = simulate_eshop(ep, times, oracle, d_prep, cfg.signaling, prev_cmd)
+            got = simulate_eshop(ep, times, rule, d_prep, ENTRY_RULE, prev_cmd)
+            early_abort = any(
+                e.aborted and prev_cmd < e.t0_ms and ep.a3_ms - e.t0_ms > GUARD_MS + d_prep
+                for e in episodes
+            )
+            if early_abort:
+                parted += 1
+                assert (got.command_ms, got.wasted, got.fellback) == (ep.a3_ms + d_prep, True, True)
+            else:
+                same += 1
+                assert (got.command_ms, got.wasted, got.fellback) == (
+                    want.command_ms, want.wasted, want.fellback
+                )
+            assert (want.command_ms, want.wasted, want.fellback) == (ep.a3_ms, False, False)
+            prev_cmd = ep.command_ms
+    assert same > 0 and parted > 0, (same, parted)
 
 
 def test_streaming_equals_batch_inference():
