@@ -168,21 +168,21 @@ def reduce_series(l3_rsrp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class MeasurementReport:
-    """40 ms snapshot of the 3 x 12 L3-filtered beam RSRP values."""
+    """40 ms snapshot of each cell's best-beam L3 RSRP."""
 
     t_ms: int
-    rsrp_dbm: np.ndarray  # shape (3, 12), row = cell
+    best_rsrp: np.ndarray  # shape (3,), row = cell
 
     def __post_init__(self) -> None:
-        self.rsrp_dbm = np.asarray(self.rsrp_dbm, dtype=float)
-        if self.rsrp_dbm.shape != (N_CELLS, N_SSB):
-            raise ValueError(f"report must carry (3, {N_SSB}) beam values")
-        if not np.isfinite(self.rsrp_dbm).all():
+        self.best_rsrp = np.asarray(self.best_rsrp, dtype=float)
+        if self.best_rsrp.shape != (N_CELLS,):
+            raise ValueError(f"report must carry ({N_CELLS},) cell values")
+        if not np.isfinite(self.best_rsrp).all():
             raise ValueError("report values must be finite")
         if self.t_ms % REPORT_PERIOD_MS != 0:
             raise ValueError(f"reports land on the {REPORT_PERIOD_MS} ms grid")
 
 
-def make_report(t_ms: int, l3_rsrp) -> MeasurementReport:
-    """Snapshot one L3-filtered (3, 12) frame into a timestamped report."""
-    return MeasurementReport(t_ms=t_ms, rsrp_dbm=np.array(l3_rsrp, dtype=float))
+def make_report(t_ms: int, best_rsrp) -> MeasurementReport:
+    """Snapshot one row of ``reduce_series``'s per-cell best RSRP into a timestamped report."""
+    return MeasurementReport(t_ms=t_ms, best_rsrp=np.array(best_rsrp, dtype=float))

@@ -447,7 +447,10 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
 
     by_group: dict[str, list[tuple[str, dict]]] = {}
     for path, doc in summaries:
-        by_group.setdefault(doc.get("los_mode", "?"), []).append((path, doc))
+        los_mode = doc.get("los_mode", "?")
+        if not isinstance(los_mode, str):
+            raise DataError(f"los_mode of {path} is not a string: {los_mode!r}")
+        by_group.setdefault(los_mode, []).append((path, doc))
     groups = sorted(by_group)
     header = ["metric"] + [f"{g}_{stat}" for g in groups for stat in ("mean", "std")]
     rows = []

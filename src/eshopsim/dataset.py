@@ -51,8 +51,9 @@ class DatasetConfig:
             raise ValueError("window length must be >= 1")
         if self.horizon_s <= 0.0:
             raise ValueError("horizon must be positive")
-        if len(self.split_ratios) != 3 or abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise ValueError("split ratios must be three values summing to 1")
+        ratios = self.split_ratios
+        if len(ratios) != 3 or min(ratios) < 0.0 or abs(sum(ratios) - 1.0) > 1e-9:
+            raise ValueError("split ratios must be three non-negative values summing to 1")
 
 
 class DataError(RuntimeError):

@@ -1,11 +1,11 @@
 """3GPP measurement-event engine: A3 entry evaluation, TTT arming and abort,
 and serving-cell switching at handover command time.
 
-Cell quality is the maximum over the cell's 12 beam L3 values. The A3
-comparison target at every report is the strongest neighbor; the armed
-candidate must stay the strongest neighbor and keep satisfying the entry
-condition at every 40 ms report instant from T0 through T0+TTT, otherwise the
-episode aborts (a candidate switch aborts and immediately re-arms).
+Cell quality is the L3 RSRP of the cell's strongest beam (``channel.reduce_series``,
+once per trace). The A3 comparison target at every report is the strongest
+neighbor; the armed candidate must stay the strongest neighbor and keep satisfying
+the entry condition at every 40 ms report instant from T0 through T0+TTT, otherwise
+the episode aborts (a candidate switch aborts and immediately re-arms).
 
 The engine emits events only; ``episodes_from_events`` is the one grammar
 that turns a UE's events, in memory or read back from the log, into episodes.
@@ -89,7 +89,7 @@ class A3EventEngine:
             raise ValueError(f"report timestamps must increase ({t} after {self._last_t_ms})")
         self._last_t_ms = t
 
-        best = report.rsrp_dbm.max(axis=1).tolist()  # per-cell best beam
+        best = report.best_rsrp.tolist()
         s = self.serving_cell
         # the strongest neighbor; max keeps the first of equals, the lower cell
         n_star = max((c for c in range(N_CELLS) if c != s), key=best.__getitem__)

@@ -74,18 +74,18 @@ def spawn_trajectory(seed: int, scenario: ScenarioConfig) -> UeTrajectory:
     )
 
 
-def position_at(traj: UeTrajectory, t_ms: float) -> np.ndarray:
-    """UE position (x, y, z) at time ``t_ms`` on the circle."""
-    if not (0.0 <= t_ms <= traj.duration_ms):
-        raise ValueError(f"t_ms={t_ms} outside [0, {traj.duration_ms}]")
+def position_at(traj: UeTrajectory, times_ms) -> np.ndarray:
+    """UE positions (x, y, z) on the circle at the instants ``times_ms`` (N,): a trace (N, 3)."""
+    t_ms = np.asarray(times_ms, dtype=float)
+    if not np.all((0.0 <= t_ms) & (t_ms <= traj.duration_ms)):
+        raise ValueError(f"report times outside [0, {traj.duration_ms}] ms")
     omega = traj.speed_mps / traj.radius_m  # rad/s
     theta = traj.start_angle_rad + traj.direction * omega * (t_ms / 1000.0)
+    r = traj.radius_m
+    # libm per row: numpy's vectorized cos and sin differ in the last bit
     return np.array(
-        [
-            BS_POSITION[0] + traj.radius_m * math.cos(theta),
-            BS_POSITION[1] + traj.radius_m * math.sin(theta),
-            UE_HEIGHT_M,
-        ]
+        [(BS_POSITION[0] + r * math.cos(a), BS_POSITION[1] + r * math.sin(a), UE_HEIGHT_M)
+         for a in theta.tolist()]
     )
 
 

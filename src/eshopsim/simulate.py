@@ -57,7 +57,8 @@ class UeRun:
 
     ue_id: str
     times_ms: np.ndarray  # (N,) report instants
-    l3_rsrp: np.ndarray  # (N, 3, 12) filtered beam values
+    best_beams: np.ndarray  # (N, 3) per cell its strongest beam, 0-11
+    best_rsrp: np.ndarray  # (N, 3) that beam's L3 RSRP
     events: list[HoEvent]
 
 
@@ -68,22 +69,22 @@ def run_ue(
     hcp: HcpConfig,
     master_seed: int,
 ) -> UeRun:
-    """One UE's reports, their L3 beam RSRP and its events. The engine steps
-    every report while a T0 is armed; else the loop jumps to the first report
-    at or after the waiting A3's command, or to the serving cell's next A3 entry."""
+    """One UE's reports, per cell its best beam and that L3 RSRP, and its events.
+    The engine steps every report while a T0 is armed; else the loop jumps to the
+    first report at or after the waiting A3's command, or to the serving cell's next A3 entry."""
     ue_id = f"ue{ue_index:03d}"
     traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario)
     chan_rng = rng_from(master_seed, "channel", ue_index)
     prep_rng = rng_from(master_seed, "prep-latency", ue_index)
 
     times = range(0, traj.duration_ms + 1, REPORT_PERIOD_MS)
-    positions = np.array([position_at(traj, t) for t in times])
+    positions = position_at(traj, times)
     # one channel and one filter pass over the whole trace
     l3_rsrp = L3FilterState().update(ChannelState(channel_cfg, chan_rng).sample(positions))
     if not np.isfinite(l3_rsrp).all():
         raise ValueError("report values must be finite")
 
-    _, best = reduce_series(l3_rsrp)  # (N, 3) per-cell best beam RSRP
+    beams, best = reduce_series(l3_rsrp)  # the reduction every later step reads
     # per serving cell s: the reports where the strongest neighbor meets the A3 entry condition
     neighbors = [np.delete(best, s, axis=1).max(axis=1) for s in range(N_CELLS)]
     entries = [np.flatnonzero(a3_entry(nb, best[:, s], hcp)) for s, nb in enumerate(neighbors)]
@@ -104,14 +105,14 @@ def run_ue(
             if j == len(entry):
                 break
             i = int(entry[j])
-        new_events = engine.step(make_report(times[i], l3_rsrp[i]))
+        new_events = engine.step(make_report(times[i], best[i]))
         for ev in new_events:
             if ev.kind == EVENT_A3:
                 command_ms = ev.t_ms + float(prep_rng.uniform(D_PREP_MIN_MS, D_PREP_MAX_MS))
         events.extend(new_events)
         i += 1
 
-    return UeRun(ue_id, np.asarray(times, dtype=np.int64), l3_rsrp, events)
+    return UeRun(ue_id, np.asarray(times, dtype=np.int64), beams, best, events)
 
 
 def run_scenario(
@@ -136,12 +137,11 @@ _REPORT_COLUMNS = ["t_ms", "ue_id"] + [f"c{c}_{x}" for c in range(N_CELLS) for x
 
 def write_report_log(path, runs: list[UeRun], config_hash: str, master_seed: int) -> None:
     """One row per report: time, UE, then per cell its strongest beam and that
-    beam's L3 RSRP (``reduce_series``); the other beams are not logged."""
+    beam's L3 RSRP, as ``run_ue`` reduced them."""
     def blocks():  # one per UE, so no column outgrows the UE's arrays
         for run in runs:
-            beams, rsrp = reduce_series(run.l3_rsrp)
-            cells = itertools.chain.from_iterable(zip(beams.T, rsrp.T))  # c0_beam, c0_rsrp, ...
-            yield [run.times_ms, [run.ue_id] * len(beams), *cells]
+            cells = itertools.chain.from_iterable(zip(run.best_beams.T, run.best_rsrp.T))
+            yield [run.times_ms, [run.ue_id] * len(run.times_ms), *cells]  # c0_beam, c0_rsrp, ...
 
     write_table(
         path, REPORT_LOG_SCHEMA, _REPORT_COLUMNS, blocks(),

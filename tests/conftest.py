@@ -64,16 +64,14 @@ def artifact_bytes(run_dir):
 def series_of_runs(runs):
     """``build_dataset``'s per-UE input straight from in-memory ``UeRun``s:
     the reduced series the report log carries, and the episodes of the events."""
-    from eshopsim.channel import reduce_series
     from eshopsim.events import episodes_from_events
 
-    per_ue = {}
-    for run in runs:
-        beams, rsrp = reduce_series(run.l3_rsrp)
-        per_ue[run.ue_id] = {
+    return {
+        run.ue_id: {
             "times_ms": run.times_ms,
-            "best_beams": beams,
-            "best_rsrp": rsrp,
+            "best_beams": run.best_beams,
+            "best_rsrp": run.best_rsrp,
             "episodes": episodes_from_events(run.events),
         }
-    return per_ue
+        for run in runs
+    }

@@ -34,7 +34,8 @@ from eshopsim.scenario import (
     BS_POSITION,
     REPORT_PERIOD_MS,
     SECTOR_BORESIGHTS_DEG,
-    position_at,
+    UE_HEIGHT_M,
+    UeTrajectory,
     spawn_trajectory,
 )
 from eshopsim.seeds import derive_seed, rng_from
@@ -343,6 +344,22 @@ def broadcast_gains_dbi(az_deg, el_deg) -> np.ndarray:
     return PEAK_GAIN_DBI - np.minimum(atten, FRONT_BACK_LIMIT_DB)
 
 
+def position_at_instant(traj: UeTrajectory, t_ms: float) -> np.ndarray:
+    """UE position (x, y, z) at one instant ``t_ms`` on the circle (reference
+    for ``scenario.position_at``)."""
+    if not (0.0 <= t_ms <= traj.duration_ms):
+        raise ValueError(f"t_ms={t_ms} outside [0, {traj.duration_ms}]")
+    omega = traj.speed_mps / traj.radius_m  # rad/s
+    theta = traj.start_angle_rad + traj.direction * omega * (t_ms / 1000.0)
+    return np.array(
+        [
+            BS_POSITION[0] + traj.radius_m * math.cos(theta),
+            BS_POSITION[1] + traj.radius_m * math.sin(theta),
+            UE_HEIGHT_M,
+        ]
+    )
+
+
 def bearing_from_bs(ue_pos: np.ndarray) -> tuple[float, float, float]:
     """Azimuth [0, 360), elevation (negative below BS height) and 3D distance
     of one UE position (reference for ``scenario.bearings_from_bs``)."""
@@ -416,9 +433,10 @@ class PerReportL3Filter:
 
 
 def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRun:
-    """``simulate.run_ue`` one report at a time: each instant samples the
-    channel at one position, filters that one frame and steps the engine
-    (reference for the bulk channel and filter passes)."""
+    """``simulate.run_ue`` one report at a time: each instant takes one
+    position, samples the channel there, filters that one frame, reduces it
+    to each cell's best beam and steps the engine on that (reference for the
+    bulk position, channel, filter and reduction passes)."""
     ue_id = f"ue{ue_index:03d}"
     traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario)
     chan = PerReportChannel(channel_cfg, rng_from(master_seed, "channel", ue_index))
@@ -426,21 +444,24 @@ def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRu
     filt = PerReportL3Filter()
     engine = None
     command_ms = None
-    times, frames, events = [], [], []
+    times, beams, bests, events = [], [], [], []
     for t in range(0, traj.duration_ms + 1, REPORT_PERIOD_MS):
-        l3 = filt.update(chan.sample(position_at(traj, t)))
+        l3 = filt.update(chan.sample(position_at_instant(traj, t)))
+        best = [max(row) for row in l3.tolist()]
         if engine is None:
-            engine = A3EventEngine(ue_id, hcp, int(np.argmax(l3.max(axis=1))))
+            engine = A3EventEngine(ue_id, hcp, best.index(max(best)))
         if command_ms is not None and command_ms <= t:
             events.append(engine.apply_handover(command_ms))
             command_ms = None
-        for ev in engine.step(MeasurementReport(t_ms=t, rsrp_dbm=filt.value.copy())):
+        for ev in engine.step(MeasurementReport(t_ms=t, best_rsrp=best)):
             if ev.kind == EVENT_A3:
                 command_ms = ev.t_ms + float(prep_rng.uniform(D_PREP_MIN_MS, D_PREP_MAX_MS))
             events.append(ev)
         times.append(t)
-        frames.append(l3)
-    return UeRun(ue_id, np.asarray(times, dtype=np.int64), np.stack(frames), events)
+        beams.append([row.index(m) for row, m in zip(l3.tolist(), best)])
+        bests.append(best)
+    return UeRun(ue_id, np.asarray(times, dtype=np.int64), np.array(beams, dtype=np.int64),
+                 np.array(bests), events)
 
 
 def quiet(engine: A3EventEngine, entry: bool) -> bool:
@@ -535,9 +556,7 @@ def drive_engine(
         if command_ms is not None and command_ms <= t:
             events.append(engine.apply_handover(command_ms))
             command_ms = None
-        frame = np.full((3, N_SSB), -160.0)
-        frame[:, 0] = best[i]
-        for ev in engine.step(MeasurementReport(int(t), frame)):
+        for ev in engine.step(MeasurementReport(int(t), best[i])):
             if ev.kind == "A3":
                 command_ms = ev.t_ms + next(prep_iter)
             events.append(ev)

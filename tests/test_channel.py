@@ -242,21 +242,25 @@ def test_trace_passes_equal_per_report_calls(n, los_mode, seed):
 
 
 def test_make_report_snapshot():
-    frame = np.arange(36.0).reshape(3, 12) - 100.0
-    report = make_report(40, frame)
-    assert report.rsrp_dbm.shape == (3, N_SSB)
-    assert np.array_equal(report.rsrp_dbm, frame)
-    report.rsrp_dbm[0, 0] = 0.0  # snapshot must be a copy
-    assert frame[0, 0] == -100.0
+    best = np.array([-100.0, -90.5, -80.25])
+    report = make_report(40, best)
+    assert report.best_rsrp.shape == (3,)
+    assert np.array_equal(report.best_rsrp, best)
+    report.best_rsrp[0] = 0.0  # snapshot must be a copy
+    assert best[0] == -100.0
 
 
 def test_make_report_validation():
-    with pytest.raises(ValueError):
-        make_report(30, np.zeros((3, 12)))
-    with pytest.raises(ValueError):
-        MeasurementReport(40, np.zeros((3, 5)))
-    with pytest.raises(ValueError):
-        MeasurementReport(40, np.full((3, 12), np.nan))
+    # one value per cell, finite, on the 40 ms report grid
+    for shape in [(), (2,), (4,), (1, 3), (3, 1), (3, N_SSB)]:
+        with pytest.raises(ValueError, match="cell values"):
+            make_report(40, np.zeros(shape))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementReport(40, [-80.0, bad, -90.0])
+    for t_ms in (1, 20, 30, 41, -20):
+        with pytest.raises(ValueError, match="grid"):
+            make_report(t_ms, np.zeros(3))
 
 
 def test_rsrp_periodic_along_circle():
@@ -264,8 +268,7 @@ def test_rsrp_periodic_along_circle():
     traj = spawn_trajectory(5, ScenarioConfig(duration_s=60.0))
     period_ms = 2.0 * math.pi * traj.radius_m / traj.speed_mps * 1000.0
     for t in (0.0, 1234.0, 5000.0):
-        a = _sample_without_shadow(position_at(traj, t))
-        b = _sample_without_shadow(position_at(traj, t + period_ms))
+        a, b = map(_sample_without_shadow, position_at(traj, [t, t + period_ms]))
         assert np.max(np.abs(a - b)) < 1e-6
 
 

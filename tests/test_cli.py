@@ -132,6 +132,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(path)
+    # ratios that sum to 1 with a negative one would leave val and test empty
+    path.write_text(json.dumps({"dataset": {"split_ratios": [1.2, -0.1, -0.1]}}))
+    with pytest.raises(ConfigError, match="non-negative"):
+        load_config(path)
     # removed settings (the A5 event, fields with one legal value or no reader,
     # switches no run turned on): a file that still sets one is refused
     removed = [
@@ -193,6 +197,7 @@ def test_main_exit_codes(tmp_path, monkeypatch):
         {"dataset": {"horizon_s": math.nan}}, {"scenario": {"duration_s": math.nan}},
         {"hcp": {"offset_db": math.inf}}, {"signaling": {"trigger_threshold_ms": math.nan}},
         {"output_dir": None}, {"master_seed": "1"},
+        {"dataset": {"split_ratios": [1.2, -0.1, -0.1]}},
     ):
         bad.write_text(json.dumps({"output_dir": str(out), **block}))
         for command in ("simulate", "build-dataset"):
@@ -662,6 +667,22 @@ def test_report_refuses_a_non_numeric_metric(tmp_path, value):
     with pytest.raises(DataError, match="r2"):
         cli.cmd_report([str(run)], str(report))
     assert cli.main(["report", str(run), "--out-file", str(report)]) == 3
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("modes", [[["los"]], ["los", 1]])
+def test_report_refuses_a_mode_that_is_no_string(tmp_path, modes):
+    # a list cannot name a group; an int beside "los" cannot be sorted with it
+    run_dirs = []
+    for i, mode in enumerate(modes):
+        run = tmp_path / f"run{i}"
+        run.mkdir()
+        doc = {"schema_version": cli.SUMMARY_SCHEMA, "los_mode": mode,
+               "eval": {"test": {"mae": 0.5}}}
+        (run / "summary.json").write_text(json.dumps(doc))
+        run_dirs.append(str(run))
+    report = tmp_path / "report.csv"
+    assert cli.main(["report", *run_dirs, "--out-file", str(report)]) == 3
     assert not report.exists()
 
 

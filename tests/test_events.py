@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eshopsim.channel import MeasurementReport, N_CELLS, N_SSB
+from eshopsim.channel import MeasurementReport, N_CELLS, N_SSB, reduce_series
 from eshopsim.events import (
     A3EventEngine,
     HcpConfig,
@@ -12,12 +12,6 @@ from eshopsim.events import (
 from oracles import drive_engine, quiet, random_trace, scan_events
 
 CELLS = (0, 1, 2)
-
-
-def _report(t, best):
-    frame = np.full((3, N_SSB), -160.0)
-    frame[:, 0] = best
-    return MeasurementReport(t, frame)
 
 
 def test_a3_entry_examples():
@@ -40,9 +34,9 @@ def test_hcp_validation():
 
 def test_step_t0_then_a3():
     engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
-    t0 = engine.step(_report(1000, [-84.0, -80.0, -95.0]))
+    t0 = engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
     assert [(e.kind, e.t_ms) for e in t0] == [("T0", 1000)]
-    evs = engine.step(_report(1040, [-84.0, -80.0, -95.0]))
+    evs = engine.step(MeasurementReport(1040, [-84.0, -80.0, -95.0]))
     assert [(e.kind, e.t_ms) for e in evs] == [("A3", 1040)]
     rec = episodes_from_events(t0 + evs)[-1]
     assert rec.a3_ms - rec.t0_ms == 40 and not rec.aborted
@@ -50,8 +44,8 @@ def test_step_t0_then_a3():
 
 def test_step_abort_when_condition_lost():
     engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
-    t0 = engine.step(_report(1000, [-84.0, -80.0, -95.0]))
-    evs = engine.step(_report(1040, [-84.0, -83.9, -95.0]))
+    t0 = engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
+    evs = engine.step(MeasurementReport(1040, [-84.0, -83.9, -95.0]))
     assert [(e.kind, e.t_ms) for e in evs] == [("ABORT", 1040)]
     assert episodes_from_events(t0 + evs)[-1].aborted
     assert all(e.kind != "A3" for e in evs)
@@ -59,8 +53,8 @@ def test_step_abort_when_condition_lost():
 
 def test_step_candidate_switch_aborts_and_rearms():
     engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
-    engine.step(_report(1000, [-84.0, -80.0, -95.0]))
-    evs = engine.step(_report(1040, [-84.0, -80.0, -75.0]))
+    engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
+    evs = engine.step(MeasurementReport(1040, [-84.0, -80.0, -75.0]))
     assert [(e.kind, e.target) for e in evs] == [("ABORT", 1), ("T0", 2)]
 
 
@@ -69,7 +63,7 @@ def test_step_tie_between_neighbors_goes_to_the_lower_cell(serving):
     best = [-80.0] * 3
     best[serving] = -84.0
     engine = A3EventEngine("ue", HcpConfig(), serving_cell=serving)
-    evs = engine.step(_report(0, best))
+    evs = engine.step(MeasurementReport(0, best))
     assert [(e.kind, e.target) for e in evs] == [("T0", min(set(CELLS) - {serving}))]
 
 
@@ -80,9 +74,9 @@ def test_step_tie_between_neighbors_goes_to_the_lower_cell(serving):
     hys=st.sampled_from([0.0, 1.0]),
 )
 def test_step_targets_the_argmax_neighbor(seed, tie_to, serving0, hys):
-    """Events of step over random (3, 12) frames, some forced to tie two
-    cells, equal those of a reference that takes the strongest neighbor with
-    np.argmax."""
+    """Events of step over random (3, 12) frames reduced by ``reduce_series``,
+    some forced to tie two cells, equal those of a reference that takes the
+    strongest neighbor with np.argmax."""
     # a 1 dB grid and cells shifted by up to 8 dB: the A3 entry both holds and fails
     rng = np.random.Generator(np.random.PCG64(seed))
     n = len(tie_to)
@@ -94,9 +88,9 @@ def test_step_targets_the_argmax_neighbor(seed, tie_to, serving0, hys):
     hcp = HcpConfig(hysteresis_db=hys)
     engine = A3EventEngine("ue", hcp, serving_cell=serving0)
     serving, armed, got, want = serving0, None, [], []
-    for i, frame in enumerate(frames):
+    for i, (frame, cell_best) in enumerate(zip(frames, reduce_series(frames)[1])):
         t = 40 * i
-        evs = engine.step(MeasurementReport(t, frame))
+        evs = engine.step(MeasurementReport(t, cell_best))
         got += [(e.kind, e.t_ms, e.serving, e.target) for e in evs]
         if engine.pending is not None:
             engine.apply_handover(t)
@@ -118,41 +112,41 @@ def test_step_targets_the_argmax_neighbor(seed, tie_to, serving0, hys):
 
 def test_step_rejects_out_of_order():
     engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
-    engine.step(_report(1000, [-84.0, -90.0, -95.0]))
+    engine.step(MeasurementReport(1000, [-84.0, -90.0, -95.0]))
     with pytest.raises(ValueError):
-        engine.step(_report(1000, [-84.0, -90.0, -95.0]))
+        engine.step(MeasurementReport(1000, [-84.0, -90.0, -95.0]))
 
 
 def test_apply_handover_switches_roles():
     engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
-    engine.step(_report(0, [-84.0, -80.0, -95.0]))
-    engine.step(_report(40, [-84.0, -80.0, -95.0]))
+    engine.step(MeasurementReport(0, [-84.0, -80.0, -95.0]))
+    engine.step(MeasurementReport(40, [-84.0, -80.0, -95.0]))
     ev = engine.apply_handover(engine.pending.t_ms + 20.0)
     assert ev.kind == "CMD" and ev.serving == 0 and ev.target == 1
     assert engine.serving_cell == 1
     # old serving is now a neighbor and must not instantly re-trigger
-    evs = engine.step(_report(80, [-84.0, -80.0, -95.0]))
+    evs = engine.step(MeasurementReport(80, [-84.0, -80.0, -95.0]))
     assert evs == []
 
 
 def test_apply_handover_rejects_bad_records():
     engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
-    engine.step(_report(1000, [-84.0, -80.0, -95.0]))
-    engine.step(_report(1040, [-84.0, -83.9, -95.0]))  # aborted: no A3 waits
+    engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
+    engine.step(MeasurementReport(1040, [-84.0, -83.9, -95.0]))  # aborted: no A3 waits
     with pytest.raises(ValueError):
         engine.apply_handover(1060.0)
-    engine.step(_report(1080, [-84.0, -80.0, -95.0]))
-    engine.step(_report(1120, [-84.0, -80.0, -95.0]))  # A3 at 1120
+    engine.step(MeasurementReport(1080, [-84.0, -80.0, -95.0]))
+    engine.step(MeasurementReport(1120, [-84.0, -80.0, -95.0]))  # A3 at 1120
     with pytest.raises(ValueError):
         engine.apply_handover(1110.0)
 
 
 def test_no_second_t0_while_command_pending():
     engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
-    engine.step(_report(0, [-84.0, -80.0, -95.0]))
-    engine.step(_report(40, [-84.0, -80.0, -95.0]))
+    engine.step(MeasurementReport(0, [-84.0, -80.0, -95.0]))
+    engine.step(MeasurementReport(40, [-84.0, -80.0, -95.0]))
     assert engine.pending is not None
-    evs = engine.step(_report(80, [-84.0, -70.0, -95.0]))
+    evs = engine.step(MeasurementReport(80, [-84.0, -70.0, -95.0]))
     assert evs == []
 
 
@@ -162,7 +156,7 @@ def test_ttt_longer_than_one_report():
     best = [-84.0, -80.0, -95.0]
     out = []
     for i in range(5):
-        out += engine.step(_report(i * 40, best))
+        out += engine.step(MeasurementReport(i * 40, best))
     assert [(e.kind, e.t_ms) for e in out] == [("T0", 0), ("A3", 120)]
 
 
@@ -172,7 +166,7 @@ def test_hysteresis_delays_t0_on_a_ramp():
         engine = A3EventEngine("ue", HcpConfig(hysteresis_db=hys), serving_cell=0)
         for i in range(40):
             mn = -90.0 + 0.5 * i
-            evs = engine.step(_report(i * 40, [-84.0, mn, -120.0]))
+            evs = engine.step(MeasurementReport(i * 40, [-84.0, mn, -120.0]))
             for e in evs:
                 if e.kind == "T0":
                     return e.t_ms
@@ -219,7 +213,7 @@ def test_quiet_reports_change_nothing(seed, ttt_ms, hysteresis_db, offset_db):
         entry = a3_entry(max(frame[c] for c in CELLS if c != s), frame[s], hcp)
         is_quiet = quiet(engine, entry)
         before = (engine.serving_cell, engine.armed, engine.pending)
-        events = engine.step(_report(t, frame))
+        events = engine.step(MeasurementReport(t, frame))
         if is_quiet:
             quiet_count += 1
             assert events == []

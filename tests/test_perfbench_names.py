@@ -1,17 +1,27 @@
 """The benchmark (``perfbench/spans.py``) times layers by wrapping program
 functions at the names their callers look up. A renamed or deleted name
-breaks every traced benchmark pass; this test makes it fail the test suite.
+breaks every traced benchmark pass; these tests make it fail the test suite,
+as does a wrapped name that is no longer called once per unit of its work.
 """
 
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from conftest import tiny_config
 from eshopsim import cli, controller
 
 
-def test_benchmark_wraps_resolve_and_restore(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import spans
 
+    return spans
+
+
+def test_benchmark_wraps_resolve_and_restore(spans):
     originals = (cli.simulate_eshop, cli.oracle_countdown, controller.model_forward)
     tracer = spans.Tracer()
     try:
@@ -20,3 +30,20 @@ def test_benchmark_wraps_resolve_and_restore(monkeypatch):
     finally:
         tracer.__exit__(None, None, None)  # also undoes a partial install
     assert (cli.simulate_eshop, cli.oracle_countdown, controller.model_forward) == originals
+
+
+def test_traced_pipeline_records_each_layer_per_unit_of_work(spans, tmp_path):
+    # positions are one trace per UE; every stepped report is one report object
+    cfg = tiny_config(tmp_path / "run")
+    with spans.Tracer() as tracer:
+        cli.cmd_simulate(cfg)
+        cli.cmd_build_dataset(cfg, quiet=True)
+        cli.cmd_train(cfg)
+        cli.cmd_eval(cfg)
+        cli.cmd_eshop(cfg, oracle=True)
+    names = Counter(span[0] for span in tracer.spans)
+    n_ues = cfg.scenario.num_ues
+    assert names["simulate.run_ue"] == names["scenario.position_at"] == n_ues
+    assert names["channel.sample"] == names["channel.l3_update"] == n_ues
+    steps = names["events.step"]
+    assert names["channel.make_report"] == steps == tracer.counts["events.step_calls"] > 0

@@ -18,7 +18,7 @@ from eshopsim.scenario import (
     spawn_trajectory,
 )
 from eshopsim.simulate import run_ue
-from oracles import bearing_from_bs
+from oracles import bearing_from_bs, position_at_instant
 
 
 def test_spawn_is_deterministic():
@@ -76,7 +76,7 @@ def _traj(radius=50.0, speed=25.0, start=0.0, direction=1, duration=120.0):
 
 def test_position_identity_at_t0():
     t = _traj(start=0.3)
-    p = position_at(t, 0.0)
+    (p,) = position_at(t, [0.0])
     assert p[0] == pytest.approx(50.0 * math.cos(0.3), abs=1e-12)
     assert p[1] == pytest.approx(50.0 * math.sin(0.3), abs=1e-12)
     assert p[2] == 1.5
@@ -85,7 +85,7 @@ def test_position_identity_at_t0():
 def test_position_antipodal_at_half_period():
     t = _traj(start=0.0)
     half_period_ms = math.pi * t.radius_m / t.speed_mps * 1000.0
-    p = position_at(t, half_period_ms)
+    (p,) = position_at(t, [half_period_ms])
     assert p[0] == pytest.approx(-50.0, abs=1e-9)
     assert p[1] == pytest.approx(0.0, abs=1e-9)
 
@@ -93,17 +93,15 @@ def test_position_antipodal_at_half_period():
 def test_full_revolution_period():
     t = _traj(radius=50.0, speed=25.0)
     period_s = 2.0 * math.pi * 50.0 / 25.0
-    p0 = position_at(t, 0.0)
-    p1 = position_at(t, period_s * 1000.0)
+    p0, p1 = position_at(t, [0.0, period_s * 1000.0])
     assert np.allclose(p0, p1, atol=1e-9)
 
 
 def test_position_rejects_out_of_range():
     t = _traj(duration=10.0)
-    with pytest.raises(ValueError):
-        position_at(t, -1.0)
-    with pytest.raises(ValueError):
-        position_at(t, 10_001.0)
+    for bad in (-1.0, 10_001.0, math.nan):
+        with pytest.raises(ValueError):
+            position_at(t, [0.0, bad, 40.0])
 
 
 @given(
@@ -114,8 +112,30 @@ def test_position_rejects_out_of_range():
 )
 def test_positions_stay_on_circle(t_ms, radius, start, direction):
     t = _traj(radius=radius, start=start, direction=direction, duration=60.0)
-    p = position_at(t, t_ms)
+    (p,) = position_at(t, [t_ms])
     assert math.hypot(p[0], p[1]) == pytest.approx(radius, abs=1e-9)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    duration_s=st.one_of(st.just(8.04), st.floats(min_value=0.01, max_value=30.0)),
+    outside_ms=st.one_of(st.floats(max_value=-1e-9), st.integers(min_value=1, max_value=40)),
+)
+def test_positions_on_the_report_grid_equal_the_per_instant_reference(
+    seed, duration_s, outside_ms
+):
+    # the trace is the per-instant positions bit for bit, on the grid that
+    # ends on the duration (8.04 s is 8040 ms, not 8039.999...)
+    traj = spawn_trajectory(seed, ScenarioConfig(duration_s=duration_s))
+    times = range(0, traj.duration_ms + 1, REPORT_PERIOD_MS)
+    want = np.array([position_at_instant(traj, t) for t in times])
+    assert np.array_equal(position_at(traj, times).view(np.int64), want.view(np.int64))
+    # a time before the start or after the end is refused
+    late = outside_ms if outside_ms < 0 else traj.duration_ms + outside_ms
+    with pytest.raises(ValueError):
+        position_at_instant(traj, late)
+    with pytest.raises(ValueError, match="outside"):
+        position_at(traj, [*times, late])
 
 
 def test_arc_length_between_reports():

@@ -12,7 +12,7 @@ import eshopsim
 import oracles
 from eshopsim import simulate
 from eshopsim.artifacts import read_table
-from eshopsim.channel import ChannelParams, ChannelState, reduce_series
+from eshopsim.channel import ChannelParams, ChannelState
 from eshopsim.events import A3EventEngine, HcpConfig, a3_entry, episodes_from_events
 from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
 from eshopsim.simulate import (
@@ -43,20 +43,23 @@ def test_run_ue_report_stream_shape():
     run = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=1)
     assert run.times_ms.size == 126  # 0..5000 inclusive, 40 ms apart
     assert np.all(np.diff(run.times_ms) == REPORT_PERIOD_MS)
-    assert run.l3_rsrp.shape == (126, 3, 12)
-    assert np.isfinite(run.l3_rsrp).all()
+    assert run.best_beams.shape == run.best_rsrp.shape == (126, 3)
+    assert run.best_beams.dtype == np.int64
+    assert np.all((run.best_beams >= 0) & (run.best_beams < 12))
+    assert np.isfinite(run.best_rsrp).all()
 
 
 @pytest.mark.parametrize("los_mode", ["los", "nlos"])
 @pytest.mark.parametrize("seed", [3, 17, 2024])
 def test_run_ue_equals_per_report_loop(los_mode, seed):
-    # the bulk channel and filter passes keep every bit of the loop that
-    # samples, filters and steps one report at a time
+    # the bulk position, channel, filter and reduction passes keep every bit
+    # of the loop that samples, filters, reduces and steps one report at a time
     sc = ScenarioConfig(num_ues=2, duration_s=12.0)
     args = (1, sc, ChannelParams(los_mode=los_mode), HcpConfig(hysteresis_db=1.0), seed)
     got, want = run_ue(*args), run_ue_per_report(*args)
     assert np.array_equal(got.times_ms, want.times_ms)
-    assert np.array_equal(got.l3_rsrp.view(np.int64), want.l3_rsrp.view(np.int64))
+    assert np.array_equal(got.best_beams.view(np.int64), want.best_beams.view(np.int64))
+    assert np.array_equal(got.best_rsrp.view(np.int64), want.best_rsrp.view(np.int64))
     assert got.events == want.events
     assert any(ev.kind == "A3" for ev in got.events)
 
@@ -80,7 +83,8 @@ def test_run_ue_steps_where_the_per_report_loop_acts(
     args = (0, sc, ChannelParams(los_mode=los_mode), hcp, seed)
     got, want = run_ue(*args), run_ue_per_report(*args)
     assert np.array_equal(got.times_ms, want.times_ms)
-    assert np.array_equal(got.l3_rsrp.view(np.int64), want.l3_rsrp.view(np.int64))
+    assert np.array_equal(got.best_beams.view(np.int64), want.best_beams.view(np.int64))
+    assert np.array_equal(got.best_rsrp.view(np.int64), want.best_rsrp.view(np.int64))
     assert got.events == want.events
 
 
@@ -92,7 +96,7 @@ def _equal_to_the_per_report_loop(monkeypatch, seed, duration_s, **hcp) -> UeRun
     step = A3EventEngine.step
 
     def recording(engine, report):
-        best = report.rsrp_dbm.max(axis=1)
+        best = report.best_rsrp
         s = engine.serving_cell
         entry = a3_entry(max(best[c] for c in range(3) if c != s), best[s], engine.hcp)
         stepped.append((report.t_ms, oracles.quiet(engine, entry)))
@@ -104,7 +108,8 @@ def _equal_to_the_per_report_loop(monkeypatch, seed, duration_s, **hcp) -> UeRun
     got_steps, stepped[:] = list(stepped), []
     want = run_ue_per_report(*args)
     assert np.array_equal(got.times_ms, want.times_ms)
-    assert np.array_equal(got.l3_rsrp.view(np.int64), want.l3_rsrp.view(np.int64))
+    assert np.array_equal(got.best_beams.view(np.int64), want.best_beams.view(np.int64))
+    assert np.array_equal(got.best_rsrp.view(np.int64), want.best_rsrp.view(np.int64))
     assert got.events == want.events
     assert got_steps == [(t, False) for t, quiet in stepped if not quiet]
     return got
@@ -178,7 +183,8 @@ def test_run_ue_deterministic():
     sc = ScenarioConfig(num_ues=1, duration_s=8.0)
     a = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=4)
     b = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=4)
-    assert np.array_equal(a.l3_rsrp, b.l3_rsrp)
+    assert np.array_equal(a.best_beams, b.best_beams)
+    assert np.array_equal(a.best_rsrp, b.best_rsrp)
     assert a.events == b.events
 
 
@@ -225,10 +231,10 @@ def test_log_round_trip(tmp_path):
     for run in runs:
         got = reports[run.ue_id]
         assert np.array_equal(got["times_ms"], run.times_ms)
-        beams, rsrp = reduce_series(run.l3_rsrp)
-        assert got["best_beams"].dtype == np.int64 and np.array_equal(got["best_beams"], beams)
+        assert got["best_beams"].dtype == np.int64
+        assert np.array_equal(got["best_beams"], run.best_beams)
         # repr round-trips exactly
-        assert np.array_equal(got["best_rsrp"].view(np.int64), rsrp.view(np.int64))
+        assert np.array_equal(got["best_rsrp"].view(np.int64), run.best_rsrp.view(np.int64))
         got_ev = [row[1:] for row in event_rows if row[0] == run.ue_id]
         assert [(kind, float(t), int(s), int(tg)) for kind, t, s, tg in got_ev] == [
             (e.kind, float(e.t_ms), e.serving, e.target) for e in run.events
@@ -247,25 +253,26 @@ def test_log_round_trip(tmp_path):
 def test_report_log_keeps_the_reduced_series_bit_for_bit(
     tmp_path_factory, n_reports, exponent, decimals, seed
 ):
-    # mantissas in (-10, 10) of both signs, rounded to few decimals to make
-    # ties, scaled to magnitudes from 1e-300 to 1e300
+    # mantissas in (-10, 10) of both signs, rounded to few decimals, scaled
+    # to magnitudes from 1e-300 to 1e300
     rng = np.random.Generator(np.random.PCG64(seed))
+    times = np.arange(n_reports, dtype=np.int64) * REPORT_PERIOD_MS
     runs = [
-        UeRun(f"ue{i:03d}", np.arange(n_reports, dtype=np.int64) * REPORT_PERIOD_MS, l3, [])
-        for i, l3 in enumerate(
-            rng.uniform(-10.0, 10.0, size=(2, n_reports, 3, 12)).round(decimals) * 10.0**exponent
-        )
+        UeRun(f"ue{i:03d}", times, beams, rsrp, [])
+        for i, (beams, rsrp) in enumerate(zip(
+            rng.integers(0, 12, size=(2, n_reports, 3)),
+            rng.uniform(-10.0, 10.0, size=(2, n_reports, 3)).round(decimals) * 10.0**exponent,
+        ))
     ]
     rp = tmp_path_factory.mktemp("log") / "reports.csv"
     write_report_log(rp, runs, "deadbeef", 11)
     _, reports = read_report_log(rp)
     assert list(reports) == [run.ue_id for run in runs]
     for run in runs:
-        beams, rsrp = reduce_series(run.l3_rsrp)
         got = reports[run.ue_id]
         assert np.array_equal(got["times_ms"], run.times_ms)
-        assert np.array_equal(got["best_beams"].view(np.int64), beams.view(np.int64))
-        assert np.array_equal(got["best_rsrp"].view(np.int64), rsrp.view(np.int64))
+        assert np.array_equal(got["best_beams"].view(np.int64), run.best_beams.view(np.int64))
+        assert np.array_equal(got["best_rsrp"].view(np.int64), run.best_rsrp.view(np.int64))
 
 
 def test_report_log_groups_interleaved_ues_in_order_of_first_appearance(tmp_path):
@@ -281,10 +288,10 @@ def test_report_log_groups_interleaved_ues_in_order_of_first_appearance(tmp_path
     _, reports = read_report_log(rp)
     assert list(reports) == [b.ue_id, a.ue_id]
     for run in (a, b):
-        beams, rsrp = reduce_series(run.l3_rsrp)
-        assert np.array_equal(reports[run.ue_id]["times_ms"], run.times_ms)
-        assert np.array_equal(reports[run.ue_id]["best_beams"], beams)
-        assert np.array_equal(reports[run.ue_id]["best_rsrp"].view(np.int64), rsrp.view(np.int64))
+        got = reports[run.ue_id]
+        assert np.array_equal(got["times_ms"], run.times_ms)
+        assert np.array_equal(got["best_beams"], run.best_beams)
+        assert np.array_equal(got["best_rsrp"].view(np.int64), run.best_rsrp.view(np.int64))
 
 
 def test_report_log_refuses_a_ue_id_too_wide_to_parse(tmp_path):
@@ -299,7 +306,7 @@ def test_report_log_refuses_a_ue_id_too_wide_to_parse(tmp_path):
 def test_los_and_nlos_logs_differ(tmp_path):
     los = _small_run()
     nlos = _small_run(los_mode="nlos")
-    assert not np.array_equal(los[0].l3_rsrp, nlos[0].l3_rsrp)
+    assert not np.array_equal(los[0].best_rsrp, nlos[0].best_rsrp)
     # NLoS mean level sits well below LoS at identical geometry
-    assert nlos[0].l3_rsrp.mean() < los[0].l3_rsrp.mean() - 5.0
+    assert nlos[0].best_rsrp.mean() < los[0].best_rsrp.mean() - 5.0
 
