@@ -446,8 +446,8 @@ def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRu
     command_ms = None
     times, beams, bests, events = [], [], [], []
     for t in range(0, traj.duration_ms + 1, REPORT_PERIOD_MS):
-        l3 = filt.update(chan.sample(position_at_instant(traj, t)))
-        best = [max(row) for row in l3.tolist()]
+        rows = filt.update(chan.sample(position_at_instant(traj, t))).tolist()
+        best = [max(row) for row in rows]
         if engine is None:
             engine = A3EventEngine(ue_id, hcp, best.index(max(best)))
         if command_ms is not None and command_ms <= t:
@@ -458,7 +458,7 @@ def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRu
                 command_ms = ev.t_ms + float(prep_rng.uniform(D_PREP_MIN_MS, D_PREP_MAX_MS))
             events.append(ev)
         times.append(t)
-        beams.append([row.index(m) for row, m in zip(l3.tolist(), best)])
+        beams.append([row.index(m) for row, m in zip(rows, best)])
         bests.append(best)
     return UeRun(ue_id, np.asarray(times, dtype=np.int64), np.array(beams, dtype=np.int64),
                  np.array(bests), events)
