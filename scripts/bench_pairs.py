@@ -18,7 +18,9 @@ when the parent's quartile spread is wider than bound x its median (unless
 every run of the change reads better than every run of the parent), else
 "no regression". It exits with status 1 when a data set the two sides share
 has different ``data set N: digest`` lines, or when one side gave a data set
-two digests. Standard library only.
+two digests. A digest covers each artifact's ``config_hash`` too, so a change
+that only moves the hash differs here as well; ``scripts/artifact_digests.py``
+tells such a difference from one of content. Standard library only.
 """
 
 from __future__ import annotations
@@ -96,6 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"data sets with more than one digest on a side: {len(unstable)} {unstable}")
     if differ or unstable:
         print("artifact bytes differ: exit status 1")
+    if differ:
+        print(
+            "a data set digest covers config_hash, so a change to config_hash alone also lands "
+            "here; scripts/artifact_digests.py --parent DIR --change DIR marks each differing "
+            "file 'config_hash only' or not"
+        )
     for name, direction in better.items():
         p, c = values["parent"][name], values["change"][name]
         sign = 1.0 if direction == "lower" else -1.0

@@ -141,21 +141,17 @@ class ChannelState:
 
 
 class L3FilterState:
-    """Exponential L3 filter F_n = (1-a) F_{n-1} + a M_n, seeded by the first sample."""
-
-    def __init__(self, a: float = L3_FILTER_COEFF):
-        if not (0.0 < a <= 1.0):
-            raise ValueError("filter coefficient must lie in (0, 1]")
-        self.a = a
+    """Exponential L3 filter F_n = (1-a) F_{n-1} + a M_n, a = ``L3_FILTER_COEFF``,
+    seeded by the first sample."""
 
     def update(self, raw) -> np.ndarray:
         """Filters a UE's whole trace of samples (N, ...) in time order;
         returns the filtered values (N, ...)."""
         raw = np.asarray(raw, dtype=float)
-        out = self.a * raw  # each row then adds (1 - a) times the row before it
+        out = L3_FILTER_COEFF * raw  # each row then adds (1 - a) times the row before it
         out[:1] = raw[:1]
         rows = list(out.reshape(len(out), math.prod(raw.shape[1:])))  # views, also of scalars
-        scaled, keep = np.empty(math.prod(raw.shape[1:])), 1.0 - self.a
+        scaled, keep = np.empty(math.prod(raw.shape[1:])), 1.0 - L3_FILTER_COEFF
         for prev, row in zip(rows, rows[1:]):
             row += np.multiply(prev, keep, out=scaled)
         return out

@@ -24,6 +24,7 @@ from eshopsim.artifacts import read_json, write_json, write_table
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.controller import (
     ENTRY_RULE,
+    MODEL_RULE,
     HoComparison,
     degradation_stats,
     entry_countdown,
@@ -350,12 +351,12 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             d_prep = float(ep.command_ms) - float(ep.a3_ms)
             legacy_cmd = ep.a3_ms + d_prep
             early = simulate_eshop(
-                ep, times[: len(preds)], preds, d_prep, cfg.signaling, window_start_ms=prev_cmd
+                ep, times[: len(preds)], preds, d_prep, MODEL_RULE, window_start_ms=prev_cmd
             )
             entry = simulate_eshop(ep, times, rule, d_prep, ENTRY_RULE, window_start_ms=prev_cmd)
             prev_cmd = float(ep.command_ms)
             serving_trace = rsrp[:, ep.serving_cell]
-            if max(legacy_cmd, early.command_ms) > times[-1]:
+            if legacy_cmd > times[-1]:  # simulate_eshop never commands after a3 + d_prep
                 skipped_gap += 1
                 continue
             by_rule.append((legacy_cmd - entry.command_ms, entry.wasted, entry.fellback))

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 from eshopsim.artifacts import from_json
 from eshopsim.channel import ChannelParams
-from eshopsim.controller import GUARD_MS, SignalingConfig
+from eshopsim.controller import GUARD_MS
 from eshopsim.dataset import DatasetConfig
 from eshopsim.events import HcpConfig
 from eshopsim.scenario import ScenarioConfig
@@ -30,7 +30,6 @@ class ExperimentConfig:
     hcp: HcpConfig = field(default_factory=HcpConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    signaling: SignalingConfig = field(default_factory=SignalingConfig)
     output_dir: str = "runs/default"
     master_seed: int = 1
 

@@ -18,28 +18,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from eshopsim import tcn
-from eshopsim.dataset import N_FEATURES, WindowBank, label_tef
+from eshopsim.dataset import WindowBank, label_tef
 from eshopsim.events import HoEventRecord
-from eshopsim.tcn import ModelParams, model_forward
+from eshopsim.tcn import ModelParams
 
 
 GUARD_MS = 200.0  # prepared resources expire this long after preparation; longer than the TTT
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignalingConfig:
-    """Trigger settings of the early preparation."""
+    """Trigger rule of the early preparation: ``consecutive_required`` (k >= 1)
+    countdowns in a row at or below the threshold."""
 
-    trigger_threshold_ms: float = 40.0
-    consecutive_required: int = 2
-
-    def __post_init__(self) -> None:
-        if self.consecutive_required < 1:
-            raise ValueError("need at least one triggering prediction")
+    trigger_threshold_ms: float
+    consecutive_required: int
 
 
+# the model's operating point: two countdowns in a row at or below one report period
+MODEL_RULE = SignalingConfig(trigger_threshold_ms=40.0, consecutive_required=2)
 # the entry rule: prepare at the first report whose countdown is 0 (a T0)
 ENTRY_RULE = SignalingConfig(trigger_threshold_ms=0.0, consecutive_required=1)
+
+model_forward = tcn.model_forward  # no caller: bound for ``perfbench/spans.py``'s wrapper
 
 
 @dataclass
@@ -78,7 +79,8 @@ def simulate_eshop(
     Preparation starts at the first report of (window_start, a3] that closes a
     run of ``consecutive_required`` predictions at or below the threshold; the
     command is gated by the UE's A3 report, so it never precedes a3 even for
-    early triggers. Legacy preparation starts at a3 itself.
+    early triggers. Legacy preparation starts at a3 itself, and no trigger
+    comes after a3, so the command lies in [a3, a3 + d_prep].
     """
     if episode.aborted or episode.a3_ms is None:
         raise ValueError("cannot prepare an aborted episode")
@@ -120,38 +122,6 @@ def entry_countdown(report_times_ms: np.ndarray, episodes: list[HoEventRecord]) 
 # ---------------------------------------------------------------------------
 
 
-class StreamingCountdown:
-    """Online per-report inference; reset at each handover command boundary.
-
-    Each report runs the one-window ``model_forward`` on the last
-    ``window_len`` rows of the segment, placed by the number of reports since
-    the last command, so it gives the bits of the offline ``infer_countdown``.
-    """
-
-    def __init__(self, params: ModelParams, window_len: int):
-        self.params = params
-        self.window_len = window_len
-        self._rows: list[np.ndarray] = []
-        self._count = 0  # reports since the last command
-
-    def on_command(self) -> None:
-        """A handover command closes the segment; windows never cross it."""
-        self._rows = []
-        self._count = 0
-
-    def push(self, row: np.ndarray) -> float:
-        row = np.asarray(row, dtype=float)
-        if row.shape != (N_FEATURES,):
-            raise ValueError(f"feature row must have {N_FEATURES} entries")
-        self._rows.append(row)
-        self._count += 1
-        if len(self._rows) > self.window_len:
-            self._rows.pop(0)
-        window = np.zeros((self.window_len, N_FEATURES))
-        window[self.window_len - len(self._rows) :, :] = np.asarray(self._rows)
-        return model_forward(self.params, window, self._count - 1)
-
-
 def infer_countdown(
     params: ModelParams,
     rows: np.ndarray,
@@ -165,7 +135,8 @@ def infer_countdown(
     windows share once per segment, the rest in 32-window GEMM tiles, and
     the head per window; a row's bits depend on no other row of its tile, so
     each prediction has the bits of the one-window pass at the report's place
-    in its segment: offline and online (``StreamingCountdown``) agree bit-exactly.
+    in its segment, which the streaming test oracle
+    (``tests/oracles.StreamingCountdown``) runs one report at a time.
     """
     bank = WindowBank(rows, segments, np.arange(len(rows)), window_len, dtype=params.dtype)
     return tcn.predict(params, bank)

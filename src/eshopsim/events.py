@@ -136,8 +136,8 @@ def episodes_from_events(events: Iterable[HoEvent]) -> list[HoEventRecord]:
     the events end, an armed T0 is dropped and a waiting A3 keeps no command.
     Anything else (a cell outside 0-2, serving equal to target, an event
     naming other cells than the episode it closes or commands, time going
-    back or not finite, a T0 or A3 off the whole millisecond, an unknown
-    kind or an event out of turn) raises ValueError."""
+    back or not finite, a T0, A3 or ABORT off the report instants 0, 40,
+    80, ... ms, an unknown kind or an event out of turn) raises ValueError."""
     episodes: list[HoEventRecord] = []
     armed: HoEventRecord | None = None  # the open T0
     waiting: HoEventRecord | None = None  # the A3 without its command
@@ -146,8 +146,8 @@ def episodes_from_events(events: Iterable[HoEvent]) -> list[HoEventRecord]:
     for ev in events:
         if not last_t <= ev.t_ms < math.inf:
             raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms is not finite or goes back")
-        if ev.kind in (EVENT_T0, EVENT_A3) and not float(ev.t_ms).is_integer():
-            raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms is not a whole millisecond")
+        if ev.kind != EVENT_CMD and not (ev.t_ms >= 0 and ev.t_ms % REPORT_PERIOD_MS == 0):
+            raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms is not a report instant")
         last_t = ev.t_ms
         if ev.serving not in cells or ev.target not in cells or ev.serving == ev.target:
             raise ValueError(f"{ev.ue_id}: {ev.kind} at {ev.t_ms} ms names serving {ev.serving} "

@@ -24,6 +24,8 @@ MODEL_SCHEMA = "tcn-model/1"
 _MAGIC = b"TCN1"
 DTYPE = np.float32  # the model's one precision: trained, selected, stored and served
 _FILE_DTYPE = np.dtype(DTYPE).newbyteorder("<")
+BATCH_SIZE = 64  # training windows per Adam step
+CHUNK_WINDOWS = 256  # inference windows per time-major chunk, rounded up to whole tiles
 
 
 class TrainingDiverged(RuntimeError):
@@ -54,19 +56,13 @@ class TcnModelConfig:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 64
     epochs: int = 100
     patience: int = 10  # early-stop patience in epochs; 0 disables
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0 (0 disables early stopping)")
 
@@ -353,13 +349,12 @@ def live_param_count(params: ModelParams, window_len: int) -> int:
     """Parameters that can receive a gradient from windows of ``window_len``.
 
     A conv tap p of dilation d is dead when d*p >= window_len: it never sees
-    an input, so its gradient is exactly zero. Counted from the taps the
-    kernels visit.
+    an input, so its gradient is exactly zero. A block keeps its first
+    min(k, ceil(window_len / d)) taps.
     """
     dead = 0
-    for bp, (n, stride) in zip(params.blocks, _cone_plan(params.config, window_len)):
-        live = sum(1 for _ in _taps(n, len(bp.w), stride))
-        dead += bp.w[live:].size
+    for bp, d in zip(params.blocks, params.config.dilations):
+        dead += bp.w[-(-window_len // d) :].size
     return params.param_count() - dead
 
 
@@ -500,13 +495,14 @@ def _chunk_pass(params: ModelParams, plan, bufs: list[np.ndarray], n: int) -> np
     return _head_forward(bufs[-1][0, :n].reshape(n, 1, -1), params.dense)[0]
 
 
-def _infer(params: ModelParams, W: int, segments, n: int, batch_size: int) -> np.ndarray:
+def _infer(params: ModelParams, W: int, segments, n: int) -> np.ndarray:
     """Predictions of the n windows of W steps that ``segments`` yields per
     segment, as (model input x from segment position x0, x0, each window's
-    time-0 position t0): chunks of ``batch_size`` windows, in whole tiles,
-    take each segment's settled rows as its windows fill their slots."""
+    time-0 position t0): chunks of ``CHUNK_WINDOWS`` windows (fewer when n
+    is smaller), in whole tiles, take each segment's settled rows as its
+    windows fill their slots."""
     depths, plan = _inference_plan(params.config, W)
-    chunk = min(-(-batch_size // TILE_ROWS), -(-n // TILE_ROWS)) * TILE_ROWS
+    chunk = min(-(-CHUNK_WINDOWS // TILE_ROWS), -(-n // TILE_ROWS)) * TILE_ROWS
     widths = [params.config.in_channels] + [params.config.hidden_channels] * len(params.blocks)
     bufs = [np.zeros((c + len(t), chunk, w), params.dtype) for (_, _, c, t), w in zip(plan, widths)]
     out = np.empty(n, dtype=np.float64)
@@ -540,7 +536,7 @@ def model_forward(params: ModelParams, window: np.ndarray, position: int) -> flo
         raise ValueError(f"position in the segment must be >= 0, got {position}")
     T = len(window)
     t0 = position - (T - 1)
-    return float(_infer(params, T, [(window, t0, np.array([t0]))], 1, TILE_ROWS)[0])
+    return float(_infer(params, T, [(window, t0, np.array([t0]))], 1)[0])
 
 
 def receptive_field(config: TcnModelConfig) -> int:
@@ -615,20 +611,20 @@ def compute_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
 class _Adam:
     """Adam with the constants of Kingma & Ba (arXiv:1412.6980)."""
 
+    ALPHA = 1e-3  # the step size
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, flat: np.ndarray, learning_rate: float):
+    def __init__(self, flat: np.ndarray):
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self.t = 0
-        self.learning_rate = learning_rate
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         """One update of the whole parameter vector. The ufuncs are those of
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2 and
-        flat -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in that order; they are
+        flat -= alpha * (m/bc1) / (sqrt(v/bc2) + eps), in that order; they are
         elementwise, so each element gets the bits a per-array update gives
         it. Two scratch vectors hold the temporaries."""
         b1, b2 = self.BETA1, self.BETA2
@@ -641,23 +637,22 @@ class _Adam:
         m += np.multiply(1.0 - b1, grad, out=tmp)
         v *= b2
         v += np.multiply(1.0 - b2, np.square(grad, out=tmp), out=tmp)
-        np.multiply(self.learning_rate, np.divide(m, bc1, out=step), out=step)
+        np.multiply(self.ALPHA, np.divide(m, bc1, out=step), out=step)
         step /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), self.EPS, out=tmp)
         flat -= step
 
 
-def predict(params: ModelParams, bank, batch_size: int = 256) -> np.ndarray:
+def predict(params: ModelParams, bank) -> np.ndarray:
     """Predictions over a window bank (order preserved).
 
     Each segment's settled rows (``_inference_plan``) are computed once, in
     tiles anchored at the segment start, and freed before the next segment.
-    The windows fill chunks of ``batch_size``, rounded up to whole tiles of
-    ``TILE_ROWS``, across segments; a chunk computes its windows' other rows
-    time-major, every GEMM on one tile of windows, and the head per window.
-    Each prediction has the bits of ``model_forward`` on its window, in any batch.
+    The windows fill chunks of ``CHUNK_WINDOWS``, rounded up to whole tiles
+    of ``TILE_ROWS``, across segments; a chunk computes its windows' other
+    rows time-major, every GEMM on one tile of windows, and the head per
+    window. Each prediction has the bits of ``model_forward`` on its window,
+    in any chunk.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n, W = len(bank), bank.window_len
     out = np.empty(n, dtype=np.float64)
     if n == 0:
@@ -674,7 +669,7 @@ def predict(params: ModelParams, bank, batch_size: int = 256) -> np.ndarray:
             x[max(0, -lo) :] = bank.rows[first + max(lo, 0) : first + hi]
             yield x, lo, t0
 
-    out[order] = _infer(params, W, segments(), n, batch_size)
+    out[order] = _infer(params, W, segments(), n)
     return out
 
 
@@ -692,7 +687,7 @@ def train(
     if len(train_bank) == 0:
         raise ValueError("empty train split")
     params = init_params(model_cfg, DTYPE)
-    opt = _Adam(params.flat, train_cfg.learning_rate)
+    opt = _Adam(params.flat)
     rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
     n = len(train_bank)
     y_train = np.asarray(train_bank.y, dtype=DTYPE)
@@ -705,8 +700,8 @@ def train(
     for epoch in range(1, train_cfg.epochs + 1):
         perm = rng.permutation(n)
         sse = 0.0
-        for lo in range(0, n, train_cfg.batch_size):
-            idx = perm[lo : lo + train_cfg.batch_size]
+        for lo in range(0, n, BATCH_SIZE):
+            idx = perm[lo : lo + BATCH_SIZE]
             X = np.asarray(train_bank.gather(idx), dtype=DTYPE)
             yb = y_train[idx]
             yhat, cache = forward_batch(params, X)

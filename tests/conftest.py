@@ -33,7 +33,7 @@ def tiny_config(out_dir, **overrides):
         scenario=ScenarioConfig(num_ues=5, duration_s=14.0, speeds_mps=(25.0,)),
         hcp=HcpConfig(hysteresis_db=1.0),
         dataset=DatasetConfig(window_len=16, horizon_s=8.0),
-        train=TrainConfig(epochs=2, batch_size=32, patience=0, seed=0),
+        train=TrainConfig(epochs=2, patience=0, seed=0),
         output_dir=str(out_dir),
         master_seed=7,
     )

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from eshopsim import tcn
 from eshopsim.channel import (
     BEAM_AZ_3DB_DEG,
     BEAM_AZ_OFFSETS_DEG,
@@ -29,6 +30,7 @@ from eshopsim.channel import (
     path_loss,
     wrap_angle_deg,
 )
+from eshopsim.dataset import N_FEATURES
 from eshopsim.events import EVENT_A3, A3EventEngine, HcpConfig
 from eshopsim.scenario import (
     BS_POSITION,
@@ -42,6 +44,7 @@ from eshopsim.seeds import derive_seed, rng_from
 from eshopsim.simulate import D_PREP_MAX_MS, D_PREP_MIN_MS, UeRun
 from eshopsim.tcn import (
     DTYPE,
+    ModelParams,
     _Adam,
     _strided,
     _taps,
@@ -241,11 +244,10 @@ def where_backward_batch(params, cache, dyhat) -> list[np.ndarray]:
 class PerArrayAdam:
     """``tcn._Adam`` as one update per parameter array."""
 
-    def __init__(self, arrays: list[np.ndarray], learning_rate: float):
+    def __init__(self, arrays: list[np.ndarray]):
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
-        self.learning_rate = learning_rate
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
         b1, b2 = _Adam.BETA1, _Adam.BETA2
@@ -257,14 +259,14 @@ class PerArrayAdam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * np.square(g)
-            a -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _Adam.EPS)
+            a -= _Adam.ALPHA * (m / bc1) / (np.sqrt(v / bc2) + _Adam.EPS)
 
 
 def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
     """``tcn.train`` on ``where_backward_batch`` and ``PerArrayAdam``."""
     params = init_params(model_cfg, DTYPE)
     arrays = params.arrays()
-    opt = PerArrayAdam(arrays, train_cfg.learning_rate)
+    opt = PerArrayAdam(arrays)
     rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
     n = len(train_bank)
     y_train = np.asarray(train_bank.y, dtype=DTYPE)
@@ -273,8 +275,8 @@ def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
     for epoch in range(1, train_cfg.epochs + 1):
         perm = rng.permutation(n)
         sse = 0.0
-        for lo in range(0, n, train_cfg.batch_size):
-            idx = perm[lo : lo + train_cfg.batch_size]
+        for lo in range(0, n, tcn.BATCH_SIZE):
+            idx = perm[lo : lo + tcn.BATCH_SIZE]
             yhat, cache = forward_batch(params, np.asarray(train_bank.gather(idx), dtype=DTYPE))
             loss, dyhat = rmse_loss(y_train[idx], yhat)
             sse += loss * loss * len(idx)
@@ -290,6 +292,39 @@ def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
             if train_cfg.patience and since_best >= train_cfg.patience:
                 break
     return best_params, history
+
+
+class StreamingCountdown:
+    """Online per-report inference; reset at each handover command boundary
+    (reference for ``controller.infer_countdown``).
+
+    Each report runs the one-window ``model_forward`` on the last
+    ``window_len`` rows of the segment, placed by the number of reports since
+    the last command, so it gives the bits of the offline ``infer_countdown``.
+    """
+
+    def __init__(self, params: ModelParams, window_len: int):
+        self.params = params
+        self.window_len = window_len
+        self._rows: list[np.ndarray] = []
+        self._count = 0  # reports since the last command
+
+    def on_command(self) -> None:
+        """A handover command closes the segment; windows never cross it."""
+        self._rows = []
+        self._count = 0
+
+    def push(self, row: np.ndarray) -> float:
+        row = np.asarray(row, dtype=float)
+        if row.shape != (N_FEATURES,):
+            raise ValueError(f"feature row must have {N_FEATURES} entries")
+        self._rows.append(row)
+        self._count += 1
+        if len(self._rows) > self.window_len:
+            self._rows.pop(0)
+        window = np.zeros((self.window_len, N_FEATURES))
+        window[self.window_len - len(self._rows) :, :] = np.asarray(self._rows)
+        return model_forward(self.params, window, self._count - 1)
 
 
 def windowize(features: np.ndarray, labels: np.ndarray, segments: np.ndarray, window_len: int):

@@ -52,8 +52,13 @@ def test_exit_status_follows_the_digests(monkeypatch, capsys):
     argv += ["--pairs", "2"]
     assert bench_pairs.main(argv) == 0
     assert "no regression" in capsys.readouterr().out
-    _fake_runs(monkeypatch, [same, {"data set 1000": "cd"}] * 2)  # the sides differ
+    # the sides differ: the first side of a pair alternates, parent first in pair 0
+    other = {"data set 1000": "cd"}
+    _fake_runs(monkeypatch, [same, other, other, same])
     assert bench_pairs.main(argv) == 1
+    # the hint that names the tool which tells a config_hash-only difference apart
+    assert "scripts/artifact_digests.py" in capsys.readouterr().out
     # both sides gave the data set the same two digests: no difference, yet unstable
     _fake_runs(monkeypatch, [same, same, {"data set 1000": "cd"}, {"data set 1000": "cd"}])
     assert bench_pairs.main(argv) == 1
+    assert "config_hash" not in capsys.readouterr().out

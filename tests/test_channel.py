@@ -13,6 +13,7 @@ from eshopsim.channel import (
     BeamGrid,
     ChannelParams,
     ChannelState,
+    L3_FILTER_COEFF,
     L3FilterState,
     MeasurementReport,
     N_SSB,
@@ -204,23 +205,19 @@ def test_rsrp_monotone_with_distance():
 
 
 def test_l3_filter_recurrence():
-    f = L3FilterState(a=0.5)
+    assert L3_FILTER_COEFF == 0.5
+    f = L3FilterState()
     assert f.update([-100.0, -90.0]).tolist() == [-100.0, -95.0]
 
 
-def test_l3_filter_identity_coefficient():
-    f = L3FilterState(a=1.0)
-    assert f.update([-100.0, -42.0])[-1] == -42.0
-
-
 def test_l3_filter_converges_geometrically():
-    out = L3FilterState(a=0.5).update([-100.0] + [-80.0] * 40)
+    out = L3FilterState().update([-100.0] + [-80.0] * 40)
     assert out[-1] == pytest.approx(-80.0, abs=1e-9)
 
 
 @given(st.lists(st.floats(min_value=-120.0, max_value=-40.0), min_size=1, max_size=30))
 def test_l3_filter_stays_within_observed_range(samples):
-    out = L3FilterState(a=0.5).update(samples)
+    out = L3FilterState().update(samples)
     assert min(samples) - 1e-9 <= out.min() and out.max() <= max(samples) + 1e-9
 
 

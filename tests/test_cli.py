@@ -58,10 +58,10 @@ def test_config_hash_is_pinned():
     # before it; it must edit them here and say so
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     example = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
-    assert config_hash(ExperimentConfig()) == "89c1f65796a5e247"
-    assert config_hash(make_config("runs/x", 501, "los", 20, 16.0, 3)) == "a6be2182d70f1ae5"
-    assert config_hash(make_config("runs/x", 501, "nlos", 20, 16.0, 3)) == "16d6354f7a1c62e0"
-    assert config_hash(ExperimentConfig.from_dict(json.loads(example))) == "3a28e2eab9cd368b"
+    assert config_hash(ExperimentConfig()) == "f47e8b2fab660850"
+    assert config_hash(make_config("runs/x", 501, "los", 20, 16.0, 3)) == "c55053b9f3957a83"
+    assert config_hash(make_config("runs/x", 501, "nlos", 20, 16.0, 3)) == "109e7bc2e4ac0665"
+    assert config_hash(ExperimentConfig.from_dict(json.loads(example))) == "d495ee4db2f016db"
 
 
 def test_settable_config_values_are_listed():
@@ -79,8 +79,7 @@ def test_settable_config_values_are_listed():
         "channel.decorrelation_distance_m",
         "hcp.ttt_ms", "hcp.hysteresis_db", "hcp.offset_db",
         "dataset.window_len", "dataset.horizon_s", "dataset.split_ratios",
-        "train.learning_rate", "train.batch_size", "train.epochs", "train.patience", "train.seed",
-        "signaling.trigger_threshold_ms", "signaling.consecutive_required",
+        "train.epochs", "train.patience", "train.seed",
         "output_dir", "master_seed",
     ]
 
@@ -90,13 +89,13 @@ def test_config_hash_coerces_declared_types():
     ints = ExperimentConfig.from_dict(
         {
             "scenario": {"duration_s": 16, "speeds_mps": [25, 31]},
-            "signaling": {"trigger_threshold_ms": 40},
+            "hcp": {"offset_db": 3},
         }
     )
     floats = ExperimentConfig.from_dict(
         {
             "scenario": {"duration_s": 16.0, "speeds_mps": [25.0, 31.0]},
-            "signaling": {"trigger_threshold_ms": 40.0},
+            "hcp": {"offset_db": 3.0},
         }
     )
     assert config_hash(ints) == config_hash(floats)
@@ -117,7 +116,7 @@ def test_config_refuses_ttt_mismatch():
     assert ok.hcp.ttt_ms == 160
     with pytest.raises(ConfigError, match="ttt_ms"):
         ExperimentConfig.from_dict({"hcp": {"ttt_ms": 200}})
-    with pytest.raises(ConfigError, match="unknown keys"):
+    with pytest.raises(ConfigError, match=r"unknown top-level keys in config: \['signaling'\]"):
         ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}, "signaling": {"ttt_ms": 40}})
 
 
@@ -165,6 +164,12 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("signaling", "guard_ms", 200.0),
         # the model has one precision, tcn.DTYPE
         ("train", "dtype", "float32"),
+        # values no run varies: Adam's step size, the batch and the model's
+        # trigger rule (tcn._Adam.ALPHA, tcn.BATCH_SIZE, controller.MODEL_RULE)
+        ("train", "learning_rate", 1e-3),
+        ("train", "batch_size", 64),
+        ("signaling", "trigger_threshold_ms", 40.0),
+        ("signaling", "consecutive_required", 2),
     ]
     for block, key, value in removed:
         path.write_text(json.dumps({block: {key: value}, "output_dir": str(tmp_path / "run")}))
@@ -195,7 +200,7 @@ def test_main_exit_codes(tmp_path, monkeypatch):
         {"master_seed": True}, {"scenario": {"num_ues": True}},
         {"hcp": {"hysteresis_db": True}}, {"train": {"epochs": True}},
         {"dataset": {"horizon_s": math.nan}}, {"scenario": {"duration_s": math.nan}},
-        {"hcp": {"offset_db": math.inf}}, {"signaling": {"trigger_threshold_ms": math.nan}},
+        {"hcp": {"offset_db": math.inf}}, {"channel": {"shadow_sigma_los_db": math.nan}},
         {"output_dir": None}, {"master_seed": "1"},
         {"dataset": {"split_ratios": [1.2, -0.1, -0.1]}},
     ):
@@ -341,6 +346,19 @@ def _set_cell(lines, i, col, value):
     lines[i] = ",".join(cells)
 
 
+def _first_a3_episode_before_zero(lines):
+    """Moves the first T0/A3/CMD episode ahead of its UE's first event, at
+    -80, -40 and -20 ms."""
+    i = _data_row(lines, "A3")
+    episode = lines[i - 1 : i + 2]
+    del lines[i - 1 : i + 2]
+    ue = episode[0].split(",")[0]
+    first = next(j for j, line in enumerate(lines) if j > 1 and line.startswith(ue + ","))
+    for j, t_ms in enumerate(("-80", "-40", "-20")):
+        _set_cell(episode, j, 2, lambda v: t_ms)
+    lines[first:first] = episode
+
+
 def _duplicate(lines, i):
     lines.insert(i, lines[i])
 
@@ -381,6 +399,11 @@ _CORRUPT_LOGS = {
     ),
     "events_fractional_t0": (
         "events.csv", lambda ls: _set_cell(ls, _data_row(ls, "T0"), 2, lambda v: v + ".5")
+    ),
+    # an episode before the trace starts, and a T0 between two report instants
+    "events_before_zero": ("events.csv", _first_a3_episode_before_zero),
+    "events_t0_off_the_report_grid": (
+        "events.csv", lambda ls: _set_cell(ls, _data_row(ls, "T0"), 2, lambda v: str(int(v) + 20))
     ),
 }
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eshopsim.config import ConfigError, ExperimentConfig
 from eshopsim.channel import ChannelParams
 from eshopsim.controller import (
     ENTRY_RULE,
     GUARD_MS,
+    MODEL_RULE,
     SignalingConfig,
-    StreamingCountdown,
     degradation_stats,
     entry_countdown,
     infer_countdown,
@@ -21,7 +23,7 @@ from eshopsim.events import HcpConfig, HoEventRecord, episodes_from_events
 from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
 from eshopsim.simulate import D_PREP_MAX_MS, run_scenario
 from eshopsim.tcn import TcnModelConfig, init_params
-from oracles import first_trigger_scan
+from oracles import StreamingCountdown, first_trigger_scan
 
 
 def _ep(t0=1960, ue="ue000", target=1):
@@ -29,8 +31,6 @@ def _ep(t0=1960, ue="ue000", target=1):
 
 
 def test_signaling_config_validation():
-    with pytest.raises(ValueError):
-        SignalingConfig(consecutive_required=0)
     # the TTT is checked against the guard where the TTT lives
     with pytest.raises(ConfigError):
         ExperimentConfig(hcp=HcpConfig(ttt_ms=200))  # not shorter than the guard
@@ -45,7 +45,7 @@ def test_preparation_fits_inside_every_ttt():
 
 
 def test_decide_preparation_examples():
-    cfg = SignalingConfig()  # threshold 40 ms, 2 consecutive
+    cfg = MODEL_RULE  # threshold 40 ms, 2 consecutive
     # only one prediction at/below 0.04 in the window: no trigger
     tl = simulate_eshop(_ep(t0=40), np.array([0, 40, 80]), np.array([0.30, 0.08, 0.03]), 25.0, cfg)
     assert tl.trigger_ms is None and tl.fellback
@@ -53,7 +53,7 @@ def test_decide_preparation_examples():
     assert tl.trigger_ms == 40.0 and not tl.fellback
     # float32 predictions compare in float64: float32(0.1) lies above 0.1
     preds = np.full(2, 0.1, dtype=np.float32)
-    cfg = SignalingConfig(trigger_threshold_ms=100.0)
+    cfg = SignalingConfig(trigger_threshold_ms=100.0, consecutive_required=2)
     assert simulate_eshop(_ep(t0=0), np.array([0, 40]), preds, 25.0, cfg).trigger_ms is None
     preds = np.full(2, 0.1)
     assert simulate_eshop(_ep(t0=0), np.array([0, 40]), preds, 25.0, cfg).trigger_ms == 40.0
@@ -61,7 +61,7 @@ def test_decide_preparation_examples():
 
 @pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
 def test_consecutive_required_triggers_at_kth_in_window_report(k):
-    cfg = SignalingConfig(consecutive_required=k)
+    cfg = SignalingConfig(trigger_threshold_ms=40.0, consecutive_required=k)
     times = np.arange(0, 2120, 40)
     ep = _ep(t0=1960)  # A3 at 2000
     tl = simulate_eshop(ep, times, np.zeros(len(times)), 25.0, cfg)
@@ -98,7 +98,7 @@ def test_trigger_matches_report_scan_randomized():
 def test_decide_preparation_single_outstanding():
     # one preparation per episode: the first qualifying report starts it, and
     # later qualifying reports (or a broken run) do not move it
-    cfg = SignalingConfig()
+    cfg = MODEL_RULE
     times = np.arange(0, 240, 40)
     preds = np.array([0.03, 0.02, 0.01, 9.9, 0.0, 0.0])
     tl = simulate_eshop(_ep(t0=160), times, preds, 25.0, cfg)
@@ -108,10 +108,37 @@ def test_decide_preparation_single_outstanding():
 def test_simulate_legacy_timeline():
     # with no trigger the episode keeps the legacy timeline: command at A3 + d_prep
     times = np.arange(0, 2120, 40)
-    tl = simulate_eshop(_ep(t0=1960), times, np.full(len(times), np.inf), 25.0, SignalingConfig())
+    tl = simulate_eshop(_ep(t0=1960), times, np.full(len(times), np.inf), 25.0, MODEL_RULE)
     assert tl.command_ms == 2025.0 and tl.fellback and not tl.wasted
     with pytest.raises(ValueError):
-        simulate_eshop(HoEventRecord("ue", 0, 1, 100, aborted=True), times, times, 25.0, SignalingConfig())
+        simulate_eshop(HoEventRecord("ue", 0, 1, 100, aborted=True), times, times, 25.0, MODEL_RULE)
+
+
+@given(
+    rule=st.one_of(
+        st.sampled_from([MODEL_RULE, ENTRY_RULE]),
+        st.builds(SignalingConfig, st.sampled_from([0.0, 40.0, 120.0, 200.0, 1e9]),
+                  st.integers(1, 4)),
+    ),
+    t0=st.integers(0, 60),
+    ttt=st.sampled_from([1, 2, 4]),
+    d_prep=st.floats(15.0, 35.0),
+    window_start=st.one_of(st.just(-np.inf), st.floats(-100.0, 2800.0)),
+    data=st.data(),
+)
+@settings(max_examples=200)
+def test_command_lies_between_a3_and_a3_plus_d_prep(rule, t0, ttt, d_prep, window_start, data):
+    # the A3 gates every command and no trigger comes after the A3, so an
+    # early command is never later than the legacy one: cmd_eshop's skip
+    # test reads only the legacy command
+    times = np.arange(0, 4000, 40)
+    ep = HoEventRecord("ue", 0, 1, 40 * t0, a3_ms=40 * (t0 + ttt))
+    values = st.sampled_from([0.0, 0.02, 0.04, 0.041, 0.12, 0.2, np.inf])  # thresholds' edges
+    preds = data.draw(hnp.arrays(np.float64, len(times), elements=values))
+    tl = simulate_eshop(ep, times, preds, d_prep, rule, window_start_ms=window_start)
+    assert ep.a3_ms <= tl.command_ms <= ep.a3_ms + d_prep
+    if tl.fellback:
+        assert tl.command_ms == ep.a3_ms + d_prep
 
 
 def _countdown_trace(t0=1960, horizon_end=2120):
@@ -123,7 +150,7 @@ def _countdown_trace(t0=1960, horizon_end=2120):
 def test_simulate_eshop_perfect_prediction():
     times, preds = _countdown_trace()
     ep = _ep(t0=1960)
-    tl = simulate_eshop(ep, times, preds, d_prep_ms=35.0, cfg=SignalingConfig())
+    tl = simulate_eshop(ep, times, preds, d_prep_ms=35.0, cfg=MODEL_RULE)
     assert tl.trigger_ms == 1960.0  # trigger exactly at T0
     # preparation is done at 1995, inside the TTT window, so the command goes
     # out at the UE's A3 report and the whole preparation latency is saved
@@ -137,7 +164,7 @@ def test_simulate_eshop_late_trigger():
     # predictions only drop at the A3 instant itself
     preds = np.full(times.shape, 9.9)
     preds[times >= 1960] = 0.02
-    tl = simulate_eshop(ep, times, preds, d_prep_ms=30.0, cfg=SignalingConfig())
+    tl = simulate_eshop(ep, times, preds, d_prep_ms=30.0, cfg=MODEL_RULE)
     assert tl.trigger_ms == 2000.0
     assert tl.command_ms == 2030.0  # max(a3, prep done)
     assert not tl.fellback
@@ -147,7 +174,7 @@ def test_simulate_eshop_no_trigger_falls_back():
     times = np.arange(0, 2120, 40)
     ep = _ep(t0=1960)
     preds = np.full(times.shape, 9.9)
-    tl = simulate_eshop(ep, times, preds, d_prep_ms=20.0, cfg=SignalingConfig())
+    tl = simulate_eshop(ep, times, preds, d_prep_ms=20.0, cfg=MODEL_RULE)
     assert tl.trigger_ms is None
     assert tl.fellback and not tl.wasted
     assert tl.command_ms == 2020.0
@@ -158,7 +185,7 @@ def test_simulate_eshop_wasted_preparation():
     ep = _ep(t0=3000)
     preds = np.full(times.shape, 9.9)
     preds[(times >= 1000) & (times <= 1080)] = 0.01  # spurious early dip
-    tl = simulate_eshop(ep, times, preds, d_prep_ms=20.0, cfg=SignalingConfig())
+    tl = simulate_eshop(ep, times, preds, d_prep_ms=20.0, cfg=MODEL_RULE)
     assert tl.wasted and tl.fellback
     assert tl.trigger_ms == 1040.0
     assert tl.command_ms == 3060.0  # falls back to legacy timing
@@ -218,7 +245,7 @@ def test_entry_rule_equals_the_oracle_but_after_an_early_aborted_t0(los_mode, tt
             if ep.aborted or ep.command_ms is None:
                 continue
             d_prep = ep.command_ms - ep.a3_ms
-            want = simulate_eshop(ep, times, oracle, d_prep, cfg.signaling, prev_cmd)
+            want = simulate_eshop(ep, times, oracle, d_prep, MODEL_RULE, prev_cmd)
             got = simulate_eshop(ep, times, rule, d_prep, ENTRY_RULE, prev_cmd)
             early_abort = any(
                 e.aborted and prev_cmd < e.t0_ms and ep.a3_ms - e.t0_ms > GUARD_MS + d_prep
@@ -311,9 +338,9 @@ def test_streaming_causality_under_truncation_paper_tcn():
 
 
 def test_streaming_equals_batch_inference_across_predict_chunks():
-    # 1,200 reports make three batches of the offline path (512, 512, 176);
-    # the command boundaries fall inside the first batch, on the edge to the
-    # second, and inside the second
+    # 1,200 reports make five chunks of the offline path (4 x CHUNK_WINDOWS
+    # = 256, then 176); the command boundaries fall inside the second chunk,
+    # on the edge of the third, and inside the fourth
     params = init_params(PAPER_TCN, np.float32)
     rng = np.random.Generator(np.random.PCG64(13))
     n = 1200

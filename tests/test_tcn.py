@@ -1,4 +1,5 @@
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def test_predict_is_batch_invariant(k, dilations, T, n, c_in, hidden, dense, dty
     bank = array_bank(X, np.zeros(n))
     want = np.asarray([model_forward(params, x, T - 1) for x in X])
     for b in (1, 31, 32, 33, data.draw(st.integers(min_value=1, max_value=n)), n):
-        assert np.array_equal(tcn.predict(params, bank, batch_size=b), want)
+        assert np.array_equal(predict_in_chunks(params, bank, b), want)
 
 
 def _segmented_bank(data, rows, window_len, dtype, max_windows=None):
@@ -323,7 +324,7 @@ def test_predict_equals_full_sequence_oracle(k, dilations, c_in, hidden, seed, d
     X = bank.gather(np.arange(len(bank)))
     want, _ = full_sequence_tcn(params, X, np.zeros(len(bank)))
     batch = data.draw(st.integers(min_value=1, max_value=len(bank)))
-    assert np.array_equal(tcn.predict(params, bank, batch_size=batch), want)
+    assert np.array_equal(predict_in_chunks(params, bank, batch), want)
 
 
 @given(
@@ -364,7 +365,7 @@ def test_predict_equals_one_window_pass_narrow_widths(
     positions = bank.end - bank.seg_start
     want = np.asarray([model_forward(params, x, p) for x, p in zip(X, positions)])
     for b in (1, 31, 32, 33, data.draw(st.integers(min_value=1, max_value=len(bank))), len(bank)):
-        assert np.array_equal(tcn.predict(params, bank, batch_size=b), want)
+        assert np.array_equal(predict_in_chunks(params, bank, b), want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -399,13 +400,6 @@ def test_predict_bits_do_not_depend_on_the_chunk_slot(cfg, W, dtype):
             ends = [*range(len(other) - s, len(other)), len(rows) - 1]
             got = tcn.predict(params, WindowBank(rows, segments, ends, W, dtype))
             assert got[s].tobytes() == want, f"slot {s}"
-
-
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_predict_refuses_a_batch_size_below_one(batch_size):
-    bank = array_bank(np.zeros((2, 5, SMALL.in_channels)), np.zeros(2))
-    with pytest.raises(ValueError, match="batch_size"):
-        tcn.predict(init_params(SMALL), bank, batch_size=batch_size)
 
 
 @given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
@@ -462,12 +456,13 @@ def test_backward_equals_where_oracle_bit_for_bit(cfg, T, dtype):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_train_equals_per_array_oracle_bit_for_bit(tmp_path, dtype):
+def test_train_equals_per_array_oracle_bit_for_bit(tmp_path, monkeypatch, dtype):
     cfg = TcnModelConfig(
         in_channels=4, kernel_size=3, dilations=(1, 2, 4), hidden_channels=6, dense_sizes=(6, 4), seed=5
     )
     bank, val = _overfit_data(n=40, seed=11), _overfit_data(n=12, seed=12)
-    tr = TrainConfig(epochs=3, batch_size=16, patience=0, seed=4)
+    monkeypatch.setattr(tcn, "BATCH_SIZE", 16)  # three batches an epoch, the last one short
+    tr = TrainConfig(epochs=3, patience=0, seed=4)
     if np.dtype(dtype) != tcn.DTYPE:
         # train runs only in DTYPE; the kernels it steps stay dtype-generic,
         # so their steps are checked here against the oracle's, batch by batch
@@ -483,19 +478,25 @@ def test_train_equals_per_array_oracle_bit_for_bit(tmp_path, dtype):
     assert (tmp_path / "a.tcn").read_bytes() == (tmp_path / "b.tcn").read_bytes()
 
 
+def test_adam_takes_the_defaults_of_kingma_and_ba():
+    # no run varies the step size or the batch: they are constants, not settings
+    assert (_Adam.ALPHA, _Adam.BETA1, _Adam.BETA2, _Adam.EPS) == (1e-3, 0.9, 0.999, 1e-8)
+    assert tcn.BATCH_SIZE == 64
+
+
 def _assert_steps_equal_per_array_oracle(bank, cfg, tr, dtype):
     """``train``'s batches in ``dtype``: ``backward_batch`` plus ``_Adam.step``
     against ``where_backward_batch`` plus ``PerArrayAdam``, bit for bit."""
     params = init_params(cfg, dtype)
     want = params.copy()
-    opt, oracle = _Adam(params.flat, tr.learning_rate), PerArrayAdam(want.arrays(), tr.learning_rate)
+    opt, oracle = _Adam(params.flat), PerArrayAdam(want.arrays())
     rng = np.random.Generator(np.random.PCG64(tr.seed))
     y = np.asarray(bank.y, dtype=dtype)
     steps = 0
     for _ in range(tr.epochs):
         perm = rng.permutation(len(bank))
-        for lo in range(0, len(bank), tr.batch_size):
-            idx = perm[lo : lo + tr.batch_size]
+        for lo in range(0, len(bank), tcn.BATCH_SIZE):
+            idx = perm[lo : lo + tcn.BATCH_SIZE]
             X = np.asarray(bank.gather(idx), dtype=dtype)
             yhat, cache = forward_batch(params, X)
             _, dyhat = rmse_loss(y[idx], yhat)
@@ -506,7 +507,7 @@ def _assert_steps_equal_per_array_oracle(bank, cfg, tr, dtype):
             assert params.flat.dtype == dtype
             assert params.flat.tobytes() == want.flat.tobytes(), f"step {steps}"
             steps += 1
-    assert steps == tr.epochs * -(-len(bank) // tr.batch_size)
+    assert steps == tr.epochs * -(-len(bank) // tcn.BATCH_SIZE)
 
 
 def test_params_are_views_of_one_flat_vector():
@@ -534,14 +535,15 @@ def test_live_param_count_paper_config():
     assert live_param_count(params, 2000) == 84_513
 
 
-def test_dead_taps_never_move_in_training():
+def test_dead_taps_never_move_in_training(monkeypatch):
     # taps with d*p >= W never see an input: zero gradient, zero Adam step
     cfg = TcnModelConfig(
         in_channels=4, kernel_size=3, dilations=(1, 2, 4, 8), hidden_channels=4, dense_sizes=(4,), seed=4
     )
     T = 8
     bank = _overfit_data(T=T, seed=7)
-    tr = TrainConfig(epochs=3, batch_size=8, patience=0, seed=2)
+    monkeypatch.setattr(tcn, "BATCH_SIZE", 8)
+    tr = TrainConfig(epochs=3, patience=0, seed=2)
     params, _ = train(bank, bank, cfg, tr)
     init = init_params(cfg, np.float32)
     dead = 0
@@ -582,6 +584,12 @@ def test_receptive_field_probe_matches_formula(k, n_dil):
     assert measure_receptive_field(cfg) == receptive_field(cfg)
 
 
+def predict_in_chunks(params, bank, chunk: int) -> np.ndarray:
+    """``tcn.predict`` with chunks of ``chunk`` windows (rounded up to whole tiles)."""
+    with patch.object(tcn, "CHUNK_WINDOWS", chunk):
+        return tcn.predict(params, bank)
+
+
 def array_bank(X: np.ndarray, y: np.ndarray) -> WindowBank:
     """Raw (X, y) arrays as a window bank: each window of X (n, T, C) is a
     segment of its own, of exactly T rows."""
@@ -599,22 +607,24 @@ def _overfit_data(n=32, T=16, c=4, seed=0):
     return array_bank(X, y)
 
 
-def test_train_overfits_small_set():
+def test_train_overfits_small_set(monkeypatch):
     bank = _overfit_data()
     cfg = TcnModelConfig(
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=8, dense_sizes=(8,), seed=0
     )
-    tr = TrainConfig(epochs=500, batch_size=32, patience=0, seed=0)
+    monkeypatch.setattr(tcn, "BATCH_SIZE", 32)
+    tr = TrainConfig(epochs=500, patience=0, seed=0)
     params, history = train(bank, array_bank(np.zeros((0, 16, 4)), np.zeros(0)), cfg, tr)
     assert history[-1]["train_rmse"] < 0.01
 
 
-def test_train_loss_mostly_non_increasing():
+def test_train_loss_mostly_non_increasing(monkeypatch):
     bank = _overfit_data(seed=3)
     cfg = TcnModelConfig(
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=8, dense_sizes=(8,), seed=1
     )
-    tr = TrainConfig(epochs=200, batch_size=32, patience=0, seed=1)
+    monkeypatch.setattr(tcn, "BATCH_SIZE", 32)
+    tr = TrainConfig(epochs=200, patience=0, seed=1)
     _, history = train(bank, array_bank(np.zeros((0, 16, 4)), np.zeros(0)), cfg, tr)
     losses = [h["train_rmse"] for h in history]
     warmup = 10
@@ -622,12 +632,13 @@ def test_train_loss_mostly_non_increasing():
     assert increases <= 0.05 * (len(losses) - warmup)
 
 
-def test_train_deterministic_given_seed():
+def test_train_deterministic_given_seed(monkeypatch):
     bank = _overfit_data(seed=5)
     cfg = TcnModelConfig(
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=4, dense_sizes=(4,), seed=2
     )
-    tr = TrainConfig(epochs=5, batch_size=8, patience=0, seed=9)
+    monkeypatch.setattr(tcn, "BATCH_SIZE", 8)
+    tr = TrainConfig(epochs=5, patience=0, seed=9)
     p1, h1 = train(bank, bank, cfg, tr)
     p2, h2 = train(bank, bank, cfg, tr)
     assert h1 == h2
@@ -635,12 +646,14 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(a, b)
 
 
-def test_train_diverged_raises():
+def test_train_diverged_raises(monkeypatch):
     bank = _overfit_data(seed=6)
     cfg = TcnModelConfig(
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=4, dense_sizes=(4,), seed=2
     )
-    tr = TrainConfig(learning_rate=1e18, epochs=50, batch_size=32, patience=0)
+    monkeypatch.setattr(tcn._Adam, "ALPHA", 1e18)
+    monkeypatch.setattr(tcn, "BATCH_SIZE", 32)
+    tr = TrainConfig(epochs=50, patience=0)
     with pytest.raises(TrainingDiverged):
         train(bank, bank, cfg, tr)
 
