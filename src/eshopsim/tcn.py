@@ -14,6 +14,7 @@ deterministic for a fixed seed in single-threaded mode.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -225,24 +226,38 @@ def _taps(T: int, k: int, stride: int):
         yield p, j0, slice(off + j0 * stride - p, T - p, stride)
 
 
+def _aligned(shape, dtype, fill) -> np.ndarray:
+    """An array of ``fill`` from a 64-byte boundary: numpy's float add runs
+    about 2.5 times slower into an output whose vectors straddle cache lines."""
+    n = math.prod(shape)
+    buf = np.empty(n + 64, dtype=dtype)
+    out = buf[-buf.ctypes.data % 64 // buf.itemsize :][:n].reshape(shape)
+    out[...] = fill
+    return out
+
+
 def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
     """y[j] = b + sum_p w[p] . x[t_j - p], zero history before t=0.
 
     The outputs are the positions t_j of ``_strided(x, stride)``; stride 1 is
-    the full sequence. Taps are added in order, bias first.
+    the full sequence. Taps are added in order, bias first, each as one
+    (rows, C_in) @ (C_in, C_out) GEMM per window into a scratch whose rows
+    below the tap's first output j0 hold -0.0; the whole scratch is added, and
+    x + (-0.0) == x for every float x: the bits of ``y[:, j0:] +=``.
     """
     B, T, _ = x.shape
     k, _, c_out = w.shape
-    m = (T - 1) // stride + 1
-    y = np.empty((B, m, c_out), dtype=x.dtype)
-    y[...] = b
+    y = _aligned((B, (T - 1) // stride + 1, c_out), x.dtype, b)
+    g = np.empty_like(y)
     for p, j0, sl in _taps(T, k, stride):
-        y[:, j0:, :] += x[:, sl, :] @ w[p]
+        g[:, :j0] = -0.0
+        np.matmul(x[:, sl, :], w[p], out=g[:, j0:])
+        y += g
     return y
 
 
 def _dconv_backward(
-    x: np.ndarray,
+    xph: list[np.ndarray],
     w: np.ndarray,
     dy: np.ndarray,
     stride: int,
@@ -250,54 +265,78 @@ def _dconv_backward(
     db: np.ndarray,
     input_grad: bool = True,
 ) -> np.ndarray | None:
-    """Gradients of ``_dconv_forward``: dw and db are written into the given
-    arrays (dw zeroed, so a dead tap keeps 0); returns dx, or None unless
-    ``input_grad``."""
-    B, T, c_in = x.shape
+    """Gradients of ``_dconv_forward`` from its input split into stride phases
+    (``xph[r]`` is ``x[:, r::stride]``): dw and db are written into the given
+    arrays (dw zeroed, so a dead tap keeps 0); returns dx as (stride, B, m,
+    C_in) phases, or None unless ``input_grad``. Tap p's dw and dx GEMMs take
+    the flat (B*(m-j0))-row copies of its phase's leading rows and of
+    dy[:, j0:]; each dx GEMM is added to its phase through a scratch whose
+    later rows hold -0.0, taps in order."""
+    T = sum(a.shape[1] for a in xph)
+    B, _, c_in = xph[0].shape
     k, _, c_out = w.shape
     m = dy.shape[1]
     dy.sum(axis=(0, 1), out=db)
-    dx = np.zeros_like(x) if input_grad else None
+    if input_grad:
+        dx = _aligned((stride, B, m, c_in), dy.dtype, 0.0)  # phases of m - 1 rows leave row m-1 0
+        pad = np.empty((B, m, c_in), dtype=dy.dtype)
+    ds = ds_j0 = None
     for p, j0, sl in _taps(T, k, stride):
-        ds = dy[:, j0:, :].reshape(-1, c_out)
-        np.matmul(x[:, sl, :].reshape(-1, c_in).T, ds, out=dw[p])
+        n, r = m - j0, sl.start  # every tap starts in the first row of its phase
+        if j0 != ds_j0:
+            ds = None  # freed before the next copy
+            ds, ds_j0 = dy[:, j0:, :].reshape(-1, c_out), j0
+        np.matmul(xph[r][:, :n].reshape(-1, c_in).T, ds, out=dw[p])
         if input_grad:
-            dx[:, sl, :] += (ds @ w[p].T).reshape(B, m - j0, c_in)
-    return dx
+            pad[:, n:] = -0.0
+            pad[:, :n] = (ds @ w[p].T).reshape(B, n, c_in)
+            dx[r] += pad
+    return dx if input_grad else None
 
 
-def _relu_grad(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _relu_grad(g: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.where(mask, g, 0)`` bit for bit (-0.0, NaN and inf included),
     without its per-element branch: the same-width integer view of g times
-    the bool mask, viewed back as float."""
-    return (g.view(f"i{g.itemsize}") * mask).view(g.dtype)
+    the bool mask, viewed back as float; into ``out`` when given (g itself
+    may be it)."""
+    i = f"i{g.itemsize}"
+    return np.multiply(g.view(i), mask, out=None if out is None else out.view(i)).view(g.dtype)
 
 
 def _block_forward(x: np.ndarray, bp: BlockParams, stride: int):
-    """Residual unit relu(skip(x) + relu(conv(x))) at the outputs of ``_strided``."""
+    """Residual unit relu(skip(x) + relu(conv(x))) at the outputs of ``_strided``;
+    the cache holds x's stride phases and the relu masks of conv(x) and the sum."""
     z = _dconv_forward(x, bp.w, bp.b, stride)
-    h = np.maximum(z, 0)
-    xs = _strided(x, stride)
-    r = xs @ bp.proj if bp.proj is not None else xs
-    u = r + h
-    y = np.maximum(u, 0)
-    return y, (x, z > 0, u > 0)
+    zpos = z > 0
+    xph = [np.ascontiguousarray(x[:, r::stride]) for r in range(stride)]
+    r = _strided(x, stride) @ bp.proj if bp.proj is not None else xph[(x.shape[1] - 1) % stride]
+    u = np.add(r, np.maximum(z, 0, out=z), out=z)
+    upos = u > 0
+    return np.maximum(u, 0, out=u), (xph, zpos, upos)
 
 
 def _block_backward(
     dy: np.ndarray, bp: BlockParams, cache, stride: int, grad: BlockParams, input_grad: bool = True
 ):
-    """Writes the block's gradients into ``grad``; returns dx as ``_dconv_backward``."""
-    x, zpos, upos = cache
-    du = _relu_grad(dy, upos)
-    dz = _relu_grad(du, zpos)
-    dx = _dconv_backward(x, bp.w, dz, stride, grad.w, grad.b, input_grad)
+    """Writes the block's gradients into ``grad``, overwriting dy; returns dx,
+    or None unless ``input_grad``. The skip path adds to phase (T-1) mod
+    stride after the taps; then the phases are interleaved into dx once."""
+    xph, zpos, upos = cache
+    T = sum(a.shape[1] for a in xph)
+    off = (T - 1) % stride
+    du = _relu_grad(dy, upos, out=dy)
     if bp.proj is not None:
         du2 = du.reshape(-1, du.shape[2])
-        np.matmul(_strided(x, stride).reshape(-1, x.shape[2]).T, du2, out=grad.proj)
-    if input_grad:
-        dxs = _strided(dx, stride)
-        dxs += du if bp.proj is None else (du2 @ bp.proj.T).reshape(dxs.shape)
+        np.matmul(xph[off].reshape(du2.shape[0], -1).T, du2, out=grad.proj)
+    dz = _relu_grad(du, zpos, out=None if input_grad else du)  # only the skip path reads du
+    dxph = _dconv_backward(xph, bp.w, dz, stride, grad.w, grad.b, input_grad)
+    if not input_grad:
+        return None
+    dxph[off] += du if bp.proj is None else (du2 @ bp.proj.T).reshape(dxph[off].shape)
+    dx = np.empty((len(dy), T, xph[0].shape[2]), dtype=dy.dtype)
+    for r, a in enumerate(dxph):
+        dxr = dx[:, r::stride]
+        dxr[...] = a[:, : dxr.shape[1]]
     return dx
 
 
@@ -619,6 +658,7 @@ class _Adam:
     def __init__(self, flat: np.ndarray):
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
+        self.scratch = np.empty((2, flat.size), dtype=flat.dtype)
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
@@ -626,13 +666,13 @@ class _Adam:
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2 and
         flat -= alpha * (m/bc1) / (sqrt(v/bc2) + eps), in that order; they are
         elementwise, so each element gets the bits a per-array update gives
-        it. Two scratch vectors hold the temporaries."""
+        it. Two scratch vectors, made once, hold the temporaries."""
         b1, b2 = self.BETA1, self.BETA2
         self.t += 1
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         m, v = self.m, self.v
-        step, tmp = np.empty_like(m), np.empty_like(m)
+        step, tmp = self.scratch
         m *= b1
         m += np.multiply(1.0 - b1, grad, out=tmp)
         v *= b2
@@ -702,17 +742,16 @@ def train(
         sse = 0.0
         for lo in range(0, n, BATCH_SIZE):
             idx = perm[lo : lo + BATCH_SIZE]
-            X = np.asarray(train_bank.gather(idx), dtype=DTYPE)
-            yb = y_train[idx]
-            yhat, cache = forward_batch(params, X)
-            loss, dyhat = rmse_loss(yb, yhat)
+            # X is freed once cached as phases; the cache and gradient after the step
+            yhat, cache = forward_batch(params, np.asarray(train_bank.gather(idx), dtype=DTYPE))
+            loss, dyhat = rmse_loss(y_train[idx], yhat)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch offset {lo}"
                 )
             sse += loss * loss * len(idx)
-            grads = backward_batch(params, cache, dyhat)
-            opt.step(params.flat, grads.flat)
+            opt.step(params.flat, backward_batch(params, cache, dyhat).flat)
+            del cache
         train_rmse = float(np.sqrt(sse / n))
         if len(val_bank):
             val_pred = predict(params, val_bank)

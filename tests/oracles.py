@@ -46,9 +46,10 @@ from eshopsim.tcn import (
     DTYPE,
     ModelParams,
     _Adam,
+    _cone_plan,
+    _head_forward,
     _strided,
     _taps,
-    forward_batch,
     init_params,
     model_forward,
     predict,
@@ -172,14 +173,54 @@ def measure_receptive_field(config, margin: int = 48) -> int:
 
 
 # ---------------------------------------------------------------------------
-# TCN backward pass with np.where relu gradients and a new array per
-# gradient, per-array Adam, and the training loop over both (reference for
-# the branch-free relu gradient and the flat parameter and gradient vectors)
+# TCN training pass as one sliced add per tap: the forward, the backward with
+# np.where relu gradients and a new array per gradient, per-array Adam, and
+# the training loop over them (reference, bit for bit, for the contiguous
+# kernels, the branch-free relu gradient and the flat parameter and gradient
+# vectors)
 # ---------------------------------------------------------------------------
 
 
+def per_tap_dconv_forward(x, w, b, stride: int):
+    """``tcn._dconv_forward`` adding each tap's per-window GEMM into the
+    outputs it reaches, ``y[:, j0:]``."""
+    B, T, _ = x.shape
+    k, _, c_out = w.shape
+    m = (T - 1) // stride + 1
+    y = np.empty((B, m, c_out), dtype=x.dtype)
+    y[...] = b
+    for p, j0, sl in _taps(T, k, stride):
+        y[:, j0:, :] += x[:, sl, :] @ w[p]
+    return y
+
+
+def per_tap_block_forward(x, bp, stride: int):
+    """``tcn._block_forward`` on ``per_tap_dconv_forward``, a new array per step."""
+    z = per_tap_dconv_forward(x, bp.w, bp.b, stride)
+    h = np.maximum(z, 0)
+    xs = _strided(x, stride)
+    r = xs @ bp.proj if bp.proj is not None else xs
+    u = r + h
+    y = np.maximum(u, 0)
+    return y, (x, z > 0, u > 0)
+
+
+def per_tap_forward_batch(params, X: np.ndarray):
+    """``tcn.forward_batch`` on ``per_tap_block_forward``: the predictions and
+    the cache ``tcn.backward_batch`` reads."""
+    plan = _cone_plan(params.config, X.shape[1])
+    h = _strided(X, params.config.dilations[0])
+    caches = []
+    for bp, (_, stride) in zip(params.blocks, plan):
+        h, c = per_tap_block_forward(h, bp, stride)
+        caches.append(c)
+    yhat, head_caches = _head_forward(h[:, -1:, :], params.dense)
+    return yhat, (caches, head_caches, plan)
+
+
 def alloc_dconv_backward(x, w, dy, stride: int, input_grad: bool = True):
-    """``tcn._dconv_backward`` returning (dx, dw, db) in new arrays."""
+    """``tcn._dconv_backward`` returning (dx, dw, db) in new arrays, with dx
+    whole and each tap's GEMM added into the rows it reaches, ``dx[:, sl]``."""
     B, T, c_in = x.shape
     k, _, c_out = w.shape
     m = dy.shape[1]
@@ -263,7 +304,8 @@ class PerArrayAdam:
 
 
 def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
-    """``tcn.train`` on ``where_backward_batch`` and ``PerArrayAdam``."""
+    """``tcn.train`` on ``per_tap_forward_batch``, ``where_backward_batch`` and
+    ``PerArrayAdam``."""
     params = init_params(model_cfg, DTYPE)
     arrays = params.arrays()
     opt = PerArrayAdam(arrays)
@@ -277,7 +319,8 @@ def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
         sse = 0.0
         for lo in range(0, n, tcn.BATCH_SIZE):
             idx = perm[lo : lo + tcn.BATCH_SIZE]
-            yhat, cache = forward_batch(params, np.asarray(train_bank.gather(idx), dtype=DTYPE))
+            X = np.asarray(train_bank.gather(idx), dtype=DTYPE)
+            yhat, cache = per_tap_forward_batch(params, X)
             loss, dyhat = rmse_loss(y_train[idx], yhat)
             sse += loss * loss * len(idx)
             opt.step(arrays, where_backward_batch(params, cache, dyhat))

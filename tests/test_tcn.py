@@ -37,6 +37,7 @@ from oracles import (
     measure_receptive_field,
     naive_causal_conv,
     per_array_train,
+    per_tap_forward_batch,
     where_backward_batch,
 )
 
@@ -429,15 +430,54 @@ def test_relu_grad_equals_where_bit_for_bit(dtype, data):
     assert _relu_grad(g3, m3[:1]).tobytes() == np.where(m3[:1], g3, 0).tobytes()
 
 
+KERNEL_CASES = [
+    (SMALL, 12),  # identity skips after block 0
+    (TcnModelConfig(5, 3, (1, 2, 4), hidden_channels=6, dense_sizes=(6, 3)), 9),
+    (TcnModelConfig(), 96),  # the paper TCN at the reference window
+    (TcnModelConfig(), 64),  # and at the inference workload's
+]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize(
-    "cfg, T",
-    [
-        (SMALL, 12),  # identity skips after block 0
-        (TcnModelConfig(5, 3, (1, 2, 4), hidden_channels=6, dense_sizes=(6, 3)), 9),
-        (TcnModelConfig(), 96),  # the paper TCN at the reference window
-    ],
-)
+@pytest.mark.parametrize("cfg, T", KERNEL_CASES)
+def test_forward_equals_per_tap_oracle_bit_for_bit(cfg, T, dtype):
+    # each tap's GEMM lands in a scratch whose other rows hold -0.0, added
+    # whole: x + (-0.0) == x for every float x, so the outputs and every array
+    # the backward reads keep the bits of the per-tap sliced add. Signed zeros
+    # sit in the biases and inputs; NaN, inf and -inf each in a window of their
+    # own, since a window's GEMMs read only its rows
+    rng = np.random.Generator(np.random.PCG64(T))
+    params = init_params(cfg, dtype)
+    for a in params.arrays():
+        if a.ndim == 1:
+            a[...] = rng.normal(size=a.shape) * 0.3
+            a[::3] = -0.0
+    X = rng.normal(size=(6, T, cfg.in_channels)).astype(dtype)
+    X[0, -3:] = -0.0
+    X[1, T // 2, 0] = np.nan
+    X[2, -1, -1] = np.inf
+    X[3, 0, 0] = -np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf makes the NaN this test wants
+        got_y, (got, got_head, got_plan) = forward_batch(params, X)
+        want_y, (want, want_head, want_plan) = per_tap_forward_batch(params, X)
+    assert np.isnan(got_y[1]) and np.isfinite(got_y[[0, 4, 5]]).all()
+    assert got_y.dtype == want_y.dtype and got_y.tobytes() == want_y.tobytes()
+    assert got_plan == want_plan
+    pairs = []
+    for (xph, zpos, upos), (x, want_z, want_u), (_, stride) in zip(got, want, want_plan):
+        assert len(xph) == stride  # each block caches its input split into its stride phases
+        pairs += [(a, x[:, r::stride]) for r, a in enumerate(xph)]
+        pairs += [(zpos, want_z), (upos, want_u)]
+    pairs += [(g, w) for gc, wc in zip(got_head, want_head) for g, w in zip(gc, wc)]
+    for g, w in pairs:
+        if w is None:  # the output layer keeps no relu mask
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cfg, T", KERNEL_CASES)
 def test_backward_equals_where_oracle_bit_for_bit(cfg, T, dtype):
     rng = np.random.Generator(np.random.PCG64(T))
     params = init_params(cfg, dtype)
@@ -449,7 +489,7 @@ def test_backward_equals_where_oracle_bit_for_bit(cfg, T, dtype):
     yhat, cache = forward_batch(params, X)
     dyhat = rng.normal(size=5).astype(dtype)
     got = backward_batch(params, cache, dyhat)
-    want = where_backward_batch(params, cache, dyhat)
+    want = where_backward_batch(params, per_tap_forward_batch(params, X)[1], dyhat)
     assert got.flat.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
     for a, b in zip(got.arrays(), want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -485,8 +525,9 @@ def test_adam_takes_the_defaults_of_kingma_and_ba():
 
 
 def _assert_steps_equal_per_array_oracle(bank, cfg, tr, dtype):
-    """``train``'s batches in ``dtype``: ``backward_batch`` plus ``_Adam.step``
-    against ``where_backward_batch`` plus ``PerArrayAdam``, bit for bit."""
+    """``train``'s batches in ``dtype``: ``forward_batch``, ``backward_batch``
+    and ``_Adam.step`` against ``per_tap_forward_batch``,
+    ``where_backward_batch`` and ``PerArrayAdam``, bit for bit."""
     params = init_params(cfg, dtype)
     want = params.copy()
     opt, oracle = _Adam(params.flat), PerArrayAdam(want.arrays())
@@ -501,7 +542,7 @@ def _assert_steps_equal_per_array_oracle(bank, cfg, tr, dtype):
             yhat, cache = forward_batch(params, X)
             _, dyhat = rmse_loss(y[idx], yhat)
             opt.step(params.flat, backward_batch(params, cache, dyhat).flat)
-            yhat, cache = forward_batch(want, X)
+            yhat, cache = per_tap_forward_batch(want, X)
             _, dyhat = rmse_loss(y[idx], yhat)
             oracle.step(want.arrays(), where_backward_batch(want, cache, dyhat))
             assert params.flat.dtype == dtype
@@ -654,7 +695,8 @@ def test_train_diverged_raises(monkeypatch):
     monkeypatch.setattr(tcn._Adam, "ALPHA", 1e18)
     monkeypatch.setattr(tcn, "BATCH_SIZE", 32)
     tr = TrainConfig(epochs=50, patience=0)
-    with pytest.raises(TrainingDiverged):
+    # the overflow on the way to a non-finite loss is what this test provokes
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged):
         train(bank, bank, cfg, tr)
 
 
