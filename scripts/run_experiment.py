@@ -14,25 +14,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from eshopsim import cli
 from eshopsim.config import ExperimentConfig
-from eshopsim.dataset import DatasetConfig
-from eshopsim.events import HcpConfig
-from eshopsim.scenario import ScenarioConfig
 from eshopsim.channel import ChannelParams
+from eshopsim.scenario import ScenarioConfig
 from eshopsim.tcn import TrainConfig
 
 
 def make_config(out_dir: str, seed: int, los_mode: str, num_ues: int, duration_s: float, epochs: int) -> ExperimentConfig:
+    """The experiment (every other value is the default) at a size and seed."""
     return ExperimentConfig(
-        scenario=ScenarioConfig(num_ues=num_ues, duration_s=duration_s, speeds_mps=(25.0,)),
-        channel=ChannelParams(
-            los_mode=los_mode,
-            shadow_sigma_los_db=2.0,
-            shadow_sigma_nlos_db=3.0,
-            decorrelation_distance_m=25.0,
-        ),
-        hcp=HcpConfig(hysteresis_db=1.0),
-        dataset=DatasetConfig(window_len=96, horizon_s=3.0),
-        train=TrainConfig(epochs=epochs, patience=8, seed=1),
+        scenario=ScenarioConfig(num_ues=num_ues, duration_s=duration_s),
+        channel=ChannelParams(los_mode=los_mode),
+        train=TrainConfig(epochs=epochs),
         output_dir=out_dir,
         master_seed=seed,
     )

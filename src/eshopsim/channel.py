@@ -80,9 +80,9 @@ class ChannelParams:
     """Channel configuration block."""
 
     los_mode: str = "los"  # "los" | "nlos"
-    shadow_sigma_los_db: float = 4.0
-    shadow_sigma_nlos_db: float = 7.8
-    decorrelation_distance_m: float = 10.0
+    shadow_sigma_los_db: float = 2.0
+    shadow_sigma_nlos_db: float = 3.0
+    decorrelation_distance_m: float = 25.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.los_mode, str) or self.los_mode.lower() not in ("los", "nlos"):

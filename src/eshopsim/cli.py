@@ -2,9 +2,9 @@
 
 Every artifact records the configuration hash and master seed (the dataset
 .npz files through their sha256 in meta.json); rerunning the pipeline with
-the same configuration and seed in single-threaded mode reproduces every
-artifact byte for byte (wall-clock timings live in a separate,
-non-deterministic timings.json).
+the same configuration and seed on the same machine and BLAS build reproduces
+every artifact byte for byte, since the program runs BLAS on one thread
+(wall-clock timings live in a separate, non-deterministic timings.json).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -63,20 +63,13 @@ REPORT_SCHEMA = "consolidated-report/2"
 # ---------------------------------------------------------------------------
 
 
+_RUN_FILES = ("reports.csv", "events.csv", "dataset", "model.tcn", "history.csv", "metrics.json",
+              "predictions.csv", "comparison.csv", "cdf.csv", "summary.json", "timings.json")
+
+
 def _paths(out_dir: str) -> dict[str, str]:
-    return {
-        "reports": os.path.join(out_dir, "reports.csv"),
-        "events": os.path.join(out_dir, "events.csv"),
-        "dataset": os.path.join(out_dir, "dataset"),
-        "model": os.path.join(out_dir, "model.tcn"),
-        "history": os.path.join(out_dir, "history.csv"),
-        "metrics": os.path.join(out_dir, "metrics.json"),
-        "predictions": os.path.join(out_dir, "predictions.csv"),
-        "comparison": os.path.join(out_dir, "comparison.csv"),
-        "cdf": os.path.join(out_dir, "cdf.csv"),
-        "summary": os.path.join(out_dir, "summary.json"),
-        "timings": os.path.join(out_dir, "timings.json"),
-    }
+    """Each file of a run directory, by its name without the extension."""
+    return {name.split(".")[0]: os.path.join(out_dir, name) for name in _RUN_FILES}
 
 
 def _load_summary(path: str) -> dict:

@@ -42,8 +42,8 @@ SPLITS = ("train", "val", "test")
 
 @dataclass
 class DatasetConfig:
-    window_len: int = 64
-    horizon_s: float = 8.0
+    window_len: int = 96
+    horizon_s: float = 3.0
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self) -> None:
@@ -204,13 +204,13 @@ _RAW_COLUMNS = {
 }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DatasetMeta:
     schema_version: str = DATASET_SCHEMA
     config_hash: str = ""
     master_seed: int = 0
-    horizon_s: float = 8.0
-    window_len: int = 64
+    horizon_s: float
+    window_len: int
     rsrp_mean: tuple[float, float, float] = (0.0, 0.0, 0.0)  # one per cell
     rsrp_std: tuple[float, float, float] = (1.0, 1.0, 1.0)
     exclusion_counts: dict[str, int] = field(default_factory=dict)

@@ -32,7 +32,7 @@ class HcpConfig:
     """Handover control parameters; HOM = offset + hysteresis."""
 
     ttt_ms: int = 40
-    hysteresis_db: float = 0.0
+    hysteresis_db: float = 1.0
     offset_db: float = 3.0
 
     def __post_init__(self) -> None:

@@ -41,7 +41,7 @@ class UeTrajectory:
 class ScenarioConfig:
     """Mobility scenario block: UE speeds, run length and UE count."""
 
-    speeds_mps: tuple[float, ...] = (25.0, 31.0)
+    speeds_mps: tuple[float, ...] = (25.0,)
     duration_s: float = 20.0
     num_ues: int = 10
 

@@ -7,19 +7,42 @@ an adaptive-moment optimizer, and the five evaluation metrics.
 All convolutions zero-pad the past, so no output depends on future inputs.
 The head reads only the last timestep, so the model passes compute each block
 only at the positions that timestep depends on (its dependency cone).
-Gradients are exact (checked against central finite differences); training is
-deterministic for a fixed seed in single-threaded mode.
+Gradients are exact (checked against central finite differences). Training is
+deterministic for a fixed seed on one machine and BLAS build: importing this
+module pins numpy's bundled OpenBLAS to one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from eshopsim.artifacts import from_json, replacing
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, whatever the environment
+    said when numpy loaded: a GEMM's last bits may change with its thread
+    count, and training carries them into the model."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        (name,) = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_") and n.endswith(".so")]
+        set_threads = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_set_num_threads64_
+    except (ValueError, OSError, AttributeError):
+        warnings.warn(f"BLAS threads left unpinned: no single {libs}/libscipy_openblas64_*.so "
+                      "exporting scipy_openblas_set_num_threads64_", RuntimeWarning)
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
+_pin_blas_to_one_thread()
 
 MODEL_SCHEMA = "tcn-model/1"
 _MAGIC = b"TCN1"
@@ -47,19 +70,17 @@ class TcnModelConfig:
             raise ValueError("kernel size must be >= 1")
         if len(self.dilations) == 0:
             raise ValueError("need at least one dilation")
-        for a, b in zip(self.dilations, self.dilations[1:]):
-            if b <= a:
-                raise ValueError("dilations must be strictly increasing")
-        for d in self.dilations:
-            if d < 1 or (d & (d - 1)) != 0:
-                raise ValueError("dilations must be powers of two")
+        if any(b <= a for a, b in zip(self.dilations, self.dilations[1:])):
+            raise ValueError("dilations must be strictly increasing")
+        if any(d < 1 or (d & (d - 1)) != 0 for d in self.dilations):
+            raise ValueError("dilations must be powers of two")
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 100
-    patience: int = 10  # early-stop patience in epochs; 0 disables
-    seed: int = 0
+    patience: int = 8  # early-stop patience in epochs; 0 disables
+    seed: int = 1
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -160,22 +181,13 @@ class ModelParams:
 
 
 def _layer_channels(config: TcnModelConfig) -> list[tuple[int, int]]:
-    chans = []
-    c_in = config.in_channels
-    for _ in config.dilations:
-        chans.append((c_in, config.hidden_channels))
-        c_in = config.hidden_channels
-    return chans
+    c = config.hidden_channels
+    return [(config.in_channels, c)] + [(c, c)] * (len(config.dilations) - 1)
 
 
 def _dense_dims(config: TcnModelConfig) -> list[tuple[int, int]]:
-    dims = []
-    d_in = config.hidden_channels
-    for size in config.dense_sizes:
-        dims.append((d_in, size))
-        d_in = size
-    dims.append((d_in, 1))  # scalar countdown head
-    return dims
+    sizes = [config.hidden_channels, *config.dense_sizes, 1]  # to the scalar countdown head
+    return list(zip(sizes, sizes[1:]))
 
 
 def init_params(config: TcnModelConfig, dtype=np.float64) -> ModelParams:
@@ -568,9 +580,7 @@ def model_forward(params: ModelParams, window: np.ndarray, position: int) -> flo
     slot 0 of a one-tile chunk: the bits ``predict`` gives it in any batch."""
     window = np.asarray(window, dtype=params.dtype)
     if window.ndim != 2 or window.shape[1] != params.config.in_channels:
-        raise ValueError(
-            f"window must be (T, {params.config.in_channels}), got {window.shape}"
-        )
+        raise ValueError(f"window must be (T, {params.config.in_channels}), got {window.shape}")
     if position < 0:
         raise ValueError(f"position in the segment must be >= 0, got {position}")
     T = len(window)
@@ -629,8 +639,7 @@ def compute_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
         r2 = 1.0 - msse / var_y
         evs = 1.0 - (msse - float(np.mean(res)) ** 2) / var_y
     else:
-        r2 = None
-        evs = None
+        r2 = evs = None
         undefined["r2"] = "constant targets: total sum of squares is zero"
         undefined["evs"] = "constant targets: variance of y is zero"
     pos = y > 0.0  # a countdown of 0 (at T0) has no relative error
@@ -746,9 +755,7 @@ def train(
             yhat, cache = forward_batch(params, np.asarray(train_bank.gather(idx), dtype=DTYPE))
             loss, dyhat = rmse_loss(y_train[idx], yhat)
             if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch offset {lo}"
-                )
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch offset {lo}")
             sse += loss * loss * len(idx)
             opt.step(params.flat, backward_batch(params, cache, dyhat).flat)
             del cache

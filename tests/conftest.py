@@ -21,22 +21,26 @@ def rng():
     return np.random.Generator(np.random.PCG64(1234))
 
 
+# Shadowing wider than the experiment's default, at which the simulator's
+# unit tests and tiny_config are written.
+WIDE_SHADOWING = {"shadow_sigma_los_db": 4.0, "shadow_sigma_nlos_db": 7.8, "decorrelation_distance_m": 10.0}
+
+# Where tiny_config departs from the defaults; each value differs from the
+# default's (test_cli checks it).
+TINY = {
+    "scenario": {"num_ues": 5, "duration_s": 14.0},
+    "channel": WIDE_SHADOWING,
+    "dataset": {"window_len": 16, "horizon_s": 8.0},
+    "train": {"epochs": 2, "patience": 0, "seed": 0},
+    "master_seed": 7,
+}
+
+
 def tiny_config(out_dir, **overrides):
     """Small but complete experiment configuration for pipeline tests."""
     from eshopsim.config import ExperimentConfig
-    from eshopsim.dataset import DatasetConfig
-    from eshopsim.events import HcpConfig
-    from eshopsim.scenario import ScenarioConfig
-    from eshopsim.tcn import TrainConfig
 
-    cfg = ExperimentConfig(
-        scenario=ScenarioConfig(num_ues=5, duration_s=14.0, speeds_mps=(25.0,)),
-        hcp=HcpConfig(hysteresis_db=1.0),
-        dataset=DatasetConfig(window_len=16, horizon_s=8.0),
-        train=TrainConfig(epochs=2, patience=0, seed=0),
-        output_dir=str(out_dir),
-        master_seed=7,
-    )
+    cfg = ExperimentConfig.from_dict({**TINY, "output_dir": str(out_dir)})
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import WIDE_SHADOWING
 from eshopsim.channel import (
     BEAM_AZ_OFFSETS_DEG,
     BEAM_EL_TILTS_DEG,
@@ -127,7 +128,7 @@ def _shadow_along(positions, seed=9):
     RSRP with the geometry and the fast fading (replayed from the seed's
     stream, 3 shadow then 36 fading draws per report) taken out."""
     positions = np.asarray(positions, dtype=float)
-    raw = ChannelState(ChannelParams(), np.random.Generator(np.random.PCG64(seed))).sample(positions)
+    raw = ChannelState(ChannelParams(**WIDE_SHADOWING), np.random.Generator(np.random.PCG64(seed))).sample(positions)
     draws = np.random.Generator(np.random.PCG64(seed)).standard_normal((len(positions), 39))
     fading = FAST_FADING_SIGMA_DB * draws[:, 3:].reshape(-1, 3, N_SSB)
     az, el, d3d = bearings_from_bs(positions)
@@ -139,7 +140,7 @@ def _shadow_along(positions, seed=9):
 def test_shadow_zero_distance_keeps_value():
     pos = [50.0, 10.0, 1.5]
     shadow = _shadow_along([pos, pos, pos])
-    initial = ChannelParams().shadow_sigma_db * np.random.Generator(np.random.PCG64(9)).standard_normal(3)
+    initial = ChannelParams(**WIDE_SHADOWING).shadow_sigma_db * np.random.Generator(np.random.PCG64(9)).standard_normal(3)
     assert shadow == pytest.approx(np.tile(initial, (3, 1)), abs=1e-9)
 
 
@@ -148,11 +149,11 @@ def test_shadow_long_distance_forgets():
     # whose empirical stddev matches sigma
     vals = _shadow_along([[50.0 + 1000.0 * i, 0.0, 1.5] for i in range(4000)]).ravel()
     assert abs(vals.mean()) < 0.25
-    assert vals.std() == pytest.approx(ChannelParams().shadow_sigma_db, rel=0.05)
+    assert vals.std() == pytest.approx(ChannelParams(**WIDE_SHADOWING).shadow_sigma_db, rel=0.05)
 
 
 def test_shadow_stationary_stddev_monte_carlo(rng):
-    params = ChannelParams()  # sigma 4 dB, decorrelation 10 m
+    params = ChannelParams(**WIDE_SHADOWING)  # sigma 4 dB, decorrelation 10 m
     n = 1_000_000
     rho = math.exp(-1.0 / params.decorrelation_distance_m)
     c = math.sqrt(1.0 - rho * rho) * params.shadow_sigma_db
@@ -168,7 +169,7 @@ def test_shadow_stationary_stddev_monte_carlo(rng):
 def _sample_without_shadow(pos, seed=9):
     """L1 RSRP of a fresh channel, its initial shadowing added back and its
     fast fading, drawn after the three shadow draws, taken out."""
-    params = ChannelParams()
+    params = ChannelParams(**WIDE_SHADOWING)
     chan = ChannelState(params, np.random.Generator(np.random.PCG64(seed)))
     draws = np.random.Generator(np.random.PCG64(seed))
     shadow = params.shadow_sigma_db * draws.standard_normal(3)
@@ -226,7 +227,7 @@ def test_l3_filter_stays_within_observed_range(samples):
 def test_trace_passes_equal_per_report_calls(n, los_mode, seed):
     # one channel and one filter call over a trace keep every bit of the
     # per-report reference (shadowing memory, draw order, filter recurrence)
-    params = ChannelParams(los_mode=los_mode)
+    params = ChannelParams(los_mode=los_mode, **WIDE_SHADOWING)
     rng = np.random.Generator(np.random.PCG64(seed))
     positions = np.column_stack([rng.uniform(-60.0, 60.0, (n, 2)), np.full(n, 1.5)])
     raw = ChannelState(params, np.random.Generator(np.random.PCG64(seed))).sample(positions)
@@ -262,7 +263,7 @@ def test_make_report_validation():
 
 def test_rsrp_periodic_along_circle():
     # impairments off: the geometry repeats exactly after one revolution
-    traj = spawn_trajectory(5, ScenarioConfig(duration_s=60.0))
+    traj = spawn_trajectory(5, ScenarioConfig(duration_s=60.0, speeds_mps=(25.0, 31.0)))
     period_ms = 2.0 * math.pi * traj.radius_m / traj.speed_mps * 1000.0
     for t in (0.0, 1234.0, 5000.0):
         a, b = map(_sample_without_shadow, position_at(traj, [t, t + period_ms]))
@@ -270,7 +271,7 @@ def test_rsrp_periodic_along_circle():
 
 
 def test_channel_state_deterministic():
-    params = ChannelParams()
+    params = ChannelParams(**WIDE_SHADOWING)
     pos = np.array([50.0, 10.0, 1.5])
     a = ChannelState(params, np.random.Generator(np.random.PCG64(9)))
     b = ChannelState(params, np.random.Generator(np.random.PCG64(9)))
@@ -283,4 +284,4 @@ def test_channel_params_validation():
         ChannelParams(los_mode="urban")
     with pytest.raises(ValueError):
         ChannelParams(decorrelation_distance_m=0.0)
-    assert ChannelParams(los_mode="NLOS").shadow_sigma_db == 7.8
+    assert ChannelParams(los_mode="NLOS", **WIDE_SHADOWING).shadow_sigma_db == 7.8

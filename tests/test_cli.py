@@ -3,13 +3,17 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import artifact_bytes, make_config, series_of_runs, tiny_config
+import eshopsim
+from conftest import TINY, artifact_bytes, make_config, series_of_runs, tiny_config
 from eshopsim import cli, tcn
+from eshopsim.channel import ChannelParams
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.dataset import (
     DataError,
@@ -23,6 +27,15 @@ from eshopsim.seeds import derive_seed
 from eshopsim.simulate import read_event_log, read_report_log, run_scenario
 
 
+def leaves(doc, prefix=""):
+    """(dotted key, value) of each settable value of a configuration document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
 def test_default_config_round_trip(tmp_path):
     cfg = ExperimentConfig()
     path = tmp_path / "cfg.json"
@@ -33,16 +46,12 @@ def test_default_config_round_trip(tmp_path):
 
 
 def test_readme_config_lists_every_key():
-    # the Configuration section's example is a valid document with every key
+    # the Configuration section's example lists every key, at its default
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     example = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
     doc = json.loads(example)
-    ExperimentConfig.from_dict(doc)
-
-    def keys(d):
-        return {k: keys(v) if isinstance(v, dict) else None for k, v in d.items()}
-
-    assert keys(doc) == keys(ExperimentConfig().to_dict())
+    assert [key for key, _ in leaves(doc)] == [key for key, _ in leaves(ExperimentConfig().to_dict())]
+    assert ExperimentConfig.from_dict(doc) == ExperimentConfig()
 
 
 def test_config_hash_ignores_output_dir():
@@ -56,24 +65,30 @@ def test_config_hash_ignores_output_dir():
 def test_config_hash_is_pinned():
     # a change that moves these hashes invalidates every run directory made
     # before it; it must edit them here and say so
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    example = re.search(r"## Configuration.*?```json\n(.*?)```", readme, re.S).group(1)
-    assert config_hash(ExperimentConfig()) == "f47e8b2fab660850"
+    assert config_hash(ExperimentConfig()) == "c5619f9bc0f1b9c9"
     assert config_hash(make_config("runs/x", 501, "los", 20, 16.0, 3)) == "c55053b9f3957a83"
     assert config_hash(make_config("runs/x", 501, "nlos", 20, 16.0, 3)) == "109e7bc2e4ac0665"
-    assert config_hash(ExperimentConfig.from_dict(json.loads(example))) == "d495ee4db2f016db"
+
+
+# the values make_config sets: the experiment's size, mode, seed and output
+SIZED = {"scenario.num_ues", "scenario.duration_s", "train.epochs", "channel.los_mode", "master_seed", "output_dir"}
+
+
+def test_the_experiment_is_the_default_configuration():
+    # make_config changes only the sized values of the default, and
+    # tiny_config restates none of the default's values
+    default = dict(leaves(ExperimentConfig().to_dict()))
+    for mode in ("los", "nlos"):
+        made = dict(leaves(make_config("runs/x", 501, mode, 20, 16.0, 3).to_dict()))
+        assert made.keys() == default.keys()
+        assert {k for k in made if made[k] != default[k]} <= SIZED
+    tiny = dict(leaves(ExperimentConfig.from_dict(TINY).to_dict()))
+    assert [k for k, _ in leaves(TINY) if tiny[k] == default[k]] == []
 
 
 def test_settable_config_values_are_listed():
     # every settable value of the experiment; a new knob must edit this list
-    def leaves(doc, prefix=""):
-        for key, value in doc.items():
-            if isinstance(value, dict):
-                yield from leaves(value, f"{prefix}{key}.")
-            else:
-                yield prefix + key
-
-    assert list(leaves(ExperimentConfig().to_dict())) == [
+    assert [key for key, _ in leaves(ExperimentConfig().to_dict())] == [
         "scenario.speeds_mps", "scenario.duration_s", "scenario.num_ues",
         "channel.los_mode", "channel.shadow_sigma_los_db", "channel.shadow_sigma_nlos_db",
         "channel.decorrelation_distance_m",
@@ -570,6 +585,28 @@ def test_pipeline_outputs_are_deterministic(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the program runs BLAS on one thread whatever the environment says;
+    # unpinned, 2 threads train other bits already at 3 UEs, 4 s and one epoch
+    cfg = make_config(str(tmp_path), 501, "los", 3, 4.0, 1)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    code = (
+        "import sys; from eshopsim import cli\n"
+        "for cmd in ('simulate', 'build-dataset', 'train', 'eval', 'eshop'):\n"
+        "    assert cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(eshopsim.__file__).resolve().parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        run_dir = tmp_path / threads
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "cfg.json"), str(run_dir)],
+                       env=env, capture_output=True, check=True)
+        runs.append(artifact_bytes(run_dir))
+    assert {"model.tcn", "history.csv", "predictions.csv", "summary.json"} <= set(runs[0])
+    assert runs[0] == runs[1]
+
+
 def test_dataset_from_the_log_equals_the_dataset_from_memory(tmp_path):
     # the report log carries every bit build-dataset reads of the traces
     cfg = tiny_config(tmp_path / "run")
@@ -620,6 +657,22 @@ def test_los_flag_changes_channel(tmp_path):
     a = (tmp_path / "los" / "reports.csv").read_text().splitlines()[2]
     b = (tmp_path / "nlos" / "reports.csv").read_text().splitlines()[2]
     assert a != b
+
+
+def test_an_nlos_run_at_the_los_sigma_gives_the_los_events(tmp_path):
+    # the LoS/NLoS axis is the shadowing sigma: the path loss, in which the
+    # modes differ too, is the same for the co-sited cells and cancels in the A3 gap
+    def events(name, **channel):
+        cfg = make_config(str(tmp_path / name), 501, "los", 6, 14.0, 1)
+        cfg.channel = ChannelParams(**channel)
+        cli.cmd_simulate(cfg)
+        return (tmp_path / name / "events.csv").read_text().splitlines()[1:]  # below the header line
+
+    los = events("los")
+    assert len(los) > 1
+    sigma = ChannelParams().shadow_sigma_los_db
+    assert events("nlos-at-los-sigma", los_mode="nlos", shadow_sigma_nlos_db=sigma) == los
+    assert events("nlos", los_mode="nlos") != los
 
 
 def test_report_merges_runs(tmp_path):

@@ -227,12 +227,9 @@ def test_entry_rule_equals_the_oracle_but_after_an_early_aborted_t0(los_mode, tt
     # wasted), except where an aborted T0 precedes the A3 by more than the
     # guard plus d_prep: that preparation expires, and the episode falls back.
     assert D_PREP_MAX_MS < REPORT_PERIOD_MS  # the shortest TTT
-    cfg = ExperimentConfig(hcp=HcpConfig(ttt_ms=ttt_ms, hysteresis_db=1.0))
+    cfg = ExperimentConfig(hcp=HcpConfig(ttt_ms=ttt_ms))
     runs = run_scenario(
-        ScenarioConfig(num_ues=20, duration_s=16.0, speeds_mps=(25.0,)),
-        ChannelParams(los_mode=los_mode, shadow_sigma_los_db=2.0, shadow_sigma_nlos_db=3.0,
-                      decorrelation_distance_m=25.0),
-        cfg.hcp, master_seed=501,
+        ScenarioConfig(num_ues=20, duration_s=16.0), ChannelParams(los_mode=los_mode), cfg.hcp, master_seed=501
     )
     same = parted = 0
     for run in runs:
@@ -357,7 +354,7 @@ def test_streaming_equals_batch_inference_across_predict_chunks():
 
 
 def test_standardized_rows_uses_meta_stats():
-    meta = DatasetMeta(rsrp_mean=(-80.0, -80.0, -80.0), rsrp_std=(2.0, 2.0, 2.0))
+    meta = DatasetMeta(horizon_s=8.0, window_len=64, rsrp_mean=(-80.0, -80.0, -80.0), rsrp_std=(2.0, 2.0, 2.0))
     rsrp = np.array([[-78.0, -82.0, -80.0]])
     beams = np.array([[0, 3, 11]])
     rows = standardized_rows(rsrp, beams, meta)

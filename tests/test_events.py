@@ -33,7 +33,7 @@ def test_hcp_validation():
 
 
 def test_step_t0_then_a3():
-    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(hysteresis_db=0.0), serving_cell=0)
     t0 = engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
     assert [(e.kind, e.t_ms) for e in t0] == [("T0", 1000)]
     evs = engine.step(MeasurementReport(1040, [-84.0, -80.0, -95.0]))
@@ -43,7 +43,7 @@ def test_step_t0_then_a3():
 
 
 def test_step_abort_when_condition_lost():
-    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(hysteresis_db=0.0), serving_cell=0)
     t0 = engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
     evs = engine.step(MeasurementReport(1040, [-84.0, -83.9, -95.0]))
     assert [(e.kind, e.t_ms) for e in evs] == [("ABORT", 1040)]
@@ -52,7 +52,7 @@ def test_step_abort_when_condition_lost():
 
 
 def test_step_candidate_switch_aborts_and_rearms():
-    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(hysteresis_db=0.0), serving_cell=0)
     engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
     evs = engine.step(MeasurementReport(1040, [-84.0, -80.0, -75.0]))
     assert [(e.kind, e.target) for e in evs] == [("ABORT", 1), ("T0", 2)]
@@ -62,7 +62,7 @@ def test_step_candidate_switch_aborts_and_rearms():
 def test_step_tie_between_neighbors_goes_to_the_lower_cell(serving):
     best = [-80.0] * 3
     best[serving] = -84.0
-    engine = A3EventEngine("ue", HcpConfig(), serving_cell=serving)
+    engine = A3EventEngine("ue", HcpConfig(hysteresis_db=0.0), serving_cell=serving)
     evs = engine.step(MeasurementReport(0, best))
     assert [(e.kind, e.target) for e in evs] == [("T0", min(set(CELLS) - {serving}))]
 
@@ -111,14 +111,14 @@ def test_step_targets_the_argmax_neighbor(seed, tie_to, serving0, hys):
 
 
 def test_step_rejects_out_of_order():
-    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(hysteresis_db=0.0), serving_cell=0)
     engine.step(MeasurementReport(1000, [-84.0, -90.0, -95.0]))
     with pytest.raises(ValueError):
         engine.step(MeasurementReport(1000, [-84.0, -90.0, -95.0]))
 
 
 def test_apply_handover_switches_roles():
-    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(hysteresis_db=0.0), serving_cell=0)
     engine.step(MeasurementReport(0, [-84.0, -80.0, -95.0]))
     engine.step(MeasurementReport(40, [-84.0, -80.0, -95.0]))
     ev = engine.apply_handover(engine.pending.t_ms + 20.0)
@@ -130,7 +130,7 @@ def test_apply_handover_switches_roles():
 
 
 def test_apply_handover_rejects_bad_records():
-    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(hysteresis_db=0.0), serving_cell=0)
     engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
     engine.step(MeasurementReport(1040, [-84.0, -83.9, -95.0]))  # aborted: no A3 waits
     with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ def test_apply_handover_rejects_bad_records():
 
 
 def test_no_second_t0_while_command_pending():
-    engine = A3EventEngine("ue", HcpConfig(), serving_cell=0)
+    engine = A3EventEngine("ue", HcpConfig(hysteresis_db=0.0), serving_cell=0)
     engine.step(MeasurementReport(0, [-84.0, -80.0, -95.0]))
     engine.step(MeasurementReport(40, [-84.0, -80.0, -95.0]))
     assert engine.pending is not None
@@ -151,7 +151,7 @@ def test_no_second_t0_while_command_pending():
 
 
 def test_ttt_longer_than_one_report():
-    hcp = HcpConfig(ttt_ms=120)
+    hcp = HcpConfig(ttt_ms=120, hysteresis_db=0.0)
     engine = A3EventEngine("ue", hcp, serving_cell=0)
     best = [-84.0, -80.0, -95.0]
     out = []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import WIDE_SHADOWING
 from eshopsim.channel import ChannelParams
 from eshopsim.events import HcpConfig
 from eshopsim.scenario import (
@@ -22,14 +23,14 @@ from oracles import bearing_from_bs, position_at_instant
 
 
 def test_spawn_is_deterministic():
-    sc = ScenarioConfig()
+    sc = ScenarioConfig(speeds_mps=(25.0, 31.0))
     a = spawn_trajectory(7, sc)
     b = spawn_trajectory(7, sc)
     assert a == b
 
 
 def test_spawn_radius_bounds_and_separation():
-    sc = ScenarioConfig()
+    sc = ScenarioConfig(speeds_mps=(25.0, 31.0))
     radii = []
     speeds = set()
     for seed in range(10_000):
@@ -51,7 +52,7 @@ def test_spawn_rejects_bad_scenarios():
 
 
 def test_distinct_seeds_give_distinct_trajectories():
-    sc = ScenarioConfig()
+    sc = ScenarioConfig(speeds_mps=(25.0, 31.0))
     pairs = [(spawn_trajectory(2 * i, sc), spawn_trajectory(2 * i + 1, sc)) for i in range(1000)]
     same = sum(
         a.radius_m == b.radius_m
@@ -126,7 +127,7 @@ def test_positions_on_the_report_grid_equal_the_per_instant_reference(
 ):
     # the trace is the per-instant positions bit for bit, on the grid that
     # ends on the duration (8.04 s is 8040 ms, not 8039.999...)
-    traj = spawn_trajectory(seed, ScenarioConfig(duration_s=duration_s))
+    traj = spawn_trajectory(seed, ScenarioConfig(duration_s=duration_s, speeds_mps=(25.0, 31.0)))
     times = range(0, traj.duration_ms + 1, REPORT_PERIOD_MS)
     want = np.array([position_at_instant(traj, t) for t in times])
     assert np.array_equal(position_at(traj, times).view(np.int64), want.view(np.int64))
@@ -213,7 +214,7 @@ def test_bearings_straight_above_and_below():
 
 def test_report_grid():
     # reports at 0, 40, 80, ... up to and including the duration
-    sc = ScenarioConfig(num_ues=1, duration_s=1.0)
-    grid = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=1).times_ms
+    sc = ScenarioConfig(num_ues=1, duration_s=1.0, speeds_mps=(25.0, 31.0))
+    grid = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=0.0), master_seed=1).times_ms
     assert grid[0] == 0 and grid[-1] == 1000
     assert np.all(np.diff(grid) == REPORT_PERIOD_MS)

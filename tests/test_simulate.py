@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import eshopsim
 import oracles
+from conftest import WIDE_SHADOWING
 from eshopsim import simulate
 from eshopsim.artifacts import read_table
 from eshopsim.channel import ChannelParams, ChannelState
@@ -28,19 +29,19 @@ from eshopsim.simulate import (
 from oracles import run_ue_per_report
 
 
-def _small_run(**channel_overrides):
+def _small_run(los_mode="los"):
     sc = ScenarioConfig(num_ues=2, duration_s=14.0, speeds_mps=(25.0,))
     return run_scenario(
         sc,
-        ChannelParams(**channel_overrides),
+        ChannelParams(los_mode=los_mode, **WIDE_SHADOWING),
         HcpConfig(hysteresis_db=1.0),
         master_seed=11,
     )
 
 
 def test_run_ue_report_stream_shape():
-    sc = ScenarioConfig(num_ues=1, duration_s=5.0)
-    run = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=1)
+    sc = ScenarioConfig(num_ues=1, duration_s=5.0, speeds_mps=(25.0, 31.0))
+    run = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=0.0), master_seed=1)
     assert run.times_ms.size == 126  # 0..5000 inclusive, 40 ms apart
     assert np.all(np.diff(run.times_ms) == REPORT_PERIOD_MS)
     assert run.best_beams.shape == run.best_rsrp.shape == (126, 3)
@@ -54,8 +55,8 @@ def test_run_ue_report_stream_shape():
 def test_run_ue_equals_per_report_loop(los_mode, seed):
     # the bulk position, channel, filter and reduction passes keep every bit
     # of the loop that samples, filters, reduces and steps one report at a time
-    sc = ScenarioConfig(num_ues=2, duration_s=12.0)
-    args = (1, sc, ChannelParams(los_mode=los_mode), HcpConfig(hysteresis_db=1.0), seed)
+    sc = ScenarioConfig(num_ues=2, duration_s=12.0, speeds_mps=(25.0, 31.0))
+    args = (1, sc, ChannelParams(los_mode=los_mode, **WIDE_SHADOWING), HcpConfig(hysteresis_db=1.0), seed)
     got, want = run_ue(*args), run_ue_per_report(*args)
     assert np.array_equal(got.times_ms, want.times_ms)
     assert np.array_equal(got.best_beams.view(np.int64), want.best_beams.view(np.int64))
@@ -78,9 +79,9 @@ def test_run_ue_steps_where_the_per_report_loop_acts(
 ):
     # stepping the engine only where it can act keeps the events and every
     # bit of the loop that steps each report
-    sc = ScenarioConfig(num_ues=1, duration_s=duration_s)
+    sc = ScenarioConfig(num_ues=1, duration_s=duration_s, speeds_mps=(25.0, 31.0))
     hcp = HcpConfig(ttt_ms=ttt_ms, hysteresis_db=hysteresis_db, offset_db=offset_db)
-    args = (0, sc, ChannelParams(los_mode=los_mode), hcp, seed)
+    args = (0, sc, ChannelParams(los_mode=los_mode, **WIDE_SHADOWING), hcp, seed)
     got, want = run_ue(*args), run_ue_per_report(*args)
     assert np.array_equal(got.times_ms, want.times_ms)
     assert np.array_equal(got.best_beams.view(np.int64), want.best_beams.view(np.int64))
@@ -103,7 +104,8 @@ def _equal_to_the_per_report_loop(monkeypatch, seed, duration_s, **hcp) -> UeRun
         return step(engine, report)
 
     monkeypatch.setattr(A3EventEngine, "step", recording)
-    args = (0, ScenarioConfig(num_ues=1, duration_s=duration_s), ChannelParams(), HcpConfig(**hcp), seed)
+    sc = ScenarioConfig(num_ues=1, duration_s=duration_s, speeds_mps=(25.0, 31.0))
+    args = (0, sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(**{"hysteresis_db": 0.0, **hcp}), seed)
     got = run_ue(*args)
     got_steps, stepped[:] = list(stepped), []
     want = run_ue_per_report(*args)
@@ -164,7 +166,7 @@ def test_run_ue_refuses_a_non_finite_frame(monkeypatch):
 
     monkeypatch.setattr(ChannelState, "sample", with_nan)
     with pytest.raises(ValueError, match="report values must be finite"):
-        run_ue(0, ScenarioConfig(num_ues=1, duration_s=4.0), ChannelParams(), HcpConfig(), 1)
+        run_ue(0, ScenarioConfig(num_ues=1, duration_s=4.0), ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=0.0), 1)
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -180,9 +182,10 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 def test_run_ue_deterministic():
-    sc = ScenarioConfig(num_ues=1, duration_s=8.0)
-    a = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=4)
-    b = run_ue(0, sc, ChannelParams(), HcpConfig(), master_seed=4)
+    sc = ScenarioConfig(num_ues=1, duration_s=8.0, speeds_mps=(25.0, 31.0))
+    hcp = HcpConfig(hysteresis_db=0.0)
+    a = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), hcp, master_seed=4)
+    b = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), hcp, master_seed=4)
     assert np.array_equal(a.best_beams, b.best_beams)
     assert np.array_equal(a.best_rsrp, b.best_rsrp)
     assert a.events == b.events
@@ -191,7 +194,7 @@ def test_run_ue_deterministic():
 def test_full_revolution_crosses_three_borders():
     # one revolution must produce at least one handover per cell border
     sc = ScenarioConfig(num_ues=1, duration_s=17.0, speeds_mps=(25.0,))
-    run = run_ue(0, sc, ChannelParams(), HcpConfig(hysteresis_db=1.0), master_seed=2)
+    run = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=1.0), master_seed=2)
     a3_count = sum(1 for e in run.events if e.kind == "A3")
     assert a3_count >= 3
     # and the serving cell visits all three cells across the commands

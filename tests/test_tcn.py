@@ -694,7 +694,7 @@ def test_train_diverged_raises(monkeypatch):
     )
     monkeypatch.setattr(tcn._Adam, "ALPHA", 1e18)
     monkeypatch.setattr(tcn, "BATCH_SIZE", 32)
-    tr = TrainConfig(epochs=50, patience=0)
+    tr = TrainConfig(epochs=50, patience=0, seed=0)
     # the overflow on the way to a non-finite loss is what this test provokes
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged):
         train(bank, bank, cfg, tr)
@@ -756,3 +756,10 @@ def test_config_validation():
         ExperimentConfig.from_dict({"train": {"dtype": "float32"}})  # one model precision
     with pytest.raises(ValueError, match="patience"):
         TrainConfig(patience=-1)
+
+
+def test_blas_pin_says_what_it_looked_for_where_it_finds_no_library(monkeypatch, tmp_path):
+    # a numpy without the bundled OpenBLAS: the pin warns instead of guessing
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    with pytest.warns(RuntimeWarning, match=r"numpy\.libs/libscipy_openblas64_\*\.so exporting"):
+        tcn._pin_blas_to_one_thread()
