@@ -5,12 +5,13 @@
 
 Each checkout runs, with its own program and its own
 ``run_experiment.make_config``, the pipeline simulate -> build-dataset ->
-train -> eval -> eshop -> eshop --oracle over a fixed matrix: the sizes of
-the benchmark's ref-los and infer-w64 workloads, LoS and NLoS, and two
-seeds. The sha256 of every file in each run directory is taken after
-``eshop``; the files ``eshop --oracle`` rewrites are taken again, under
-``oracle/``. ``timings.json`` is left out: it holds wall times. Each file is
-also digested with its run's ``config_hash`` replaced by a placeholder. The
+train -> eval -> eshop -> report -> eshop --oracle over a fixed matrix: the
+sizes of the benchmark's ref-los and infer-w64 workloads, LoS and NLoS, and
+two seeds. ``report`` merges the run alone into its ``report.csv``. The
+sha256 of every file in each run directory is taken after ``report``; the
+files ``eshop --oracle`` rewrites are taken again, under ``oracle/``.
+``timings.json`` is left out: it holds wall times. Each file is also
+digested with its run's ``config_hash`` replaced by a placeholder. The
 script prints each file whose digest differs between the checkouts (or
 exists in one only), marked "config_hash only" where the placeholder digests
 agree, and exits 1 if there is any, else 0.
@@ -71,6 +72,7 @@ for name, (ues, seconds, epochs, dataset, mode, seed) in matrix.items():
     cli.cmd_train(cfg)
     cli.cmd_eval(cfg)
     cli.cmd_eshop(cfg)
+    cli.cmd_report([str(run_dir)], str(run_dir / "report.csv"))  # before eshop --oracle
     model = digests(run_dir, run_hash)
     cli.cmd_eshop(cfg, oracle=True)
     oracle = digests(run_dir, run_hash)

@@ -119,40 +119,37 @@ def _record_timing(out_dir: str, command: str, seconds: float) -> None:
     write_json(path, doc)
 
 
-def _read_log(cfg: ExperimentConfig, key: str, reader):
+_WRITTEN_BY = dict(reports="simulate", events="simulate", dataset="build-dataset", model="train")
+
+
+def _read_run_file(cfg: ExperimentConfig, key: str, reader, bound_hash):
+    """``reader(path)`` of the run file ``key``. A file that is missing, that
+    ``reader`` cannot read (ValueError) or whose ``bound_hash(result)`` is not
+    ``cfg``'s configuration hash is refused with DataError."""
     path = _paths(cfg.output_dir)[key]
     if not os.path.exists(path):
-        raise DataError(f"missing log file: {path} (run 'simulate' first)")
+        raise DataError(f"missing run file: {path} (run '{_WRITTEN_BY[key]}' first)")
     try:
-        fields, data = reader(path)
-    except ValueError as exc:  # e.g. a log of an older schema or a malformed event
-        raise DataError(f"unreadable log: {exc}") from exc
-    if fields.get("config_hash") != config_hash(cfg):
+        result = reader(path)
+    except ValueError as exc:  # e.g. a file cut short or of an older schema
+        raise DataError(f"unreadable run file {path}: {exc}") from exc
+    if bound_hash(result) != config_hash(cfg):
         raise DataError(f"{path} was written under a different configuration")
-    return data
+    return result
 
 
-def _read_dataset(cfg: ExperimentConfig) -> DatasetBundle:
-    bundle = read_dataset(_paths(cfg.output_dir)["dataset"])
-    if bundle.meta.config_hash != config_hash(cfg):
-        raise DataError("dataset was built under a different configuration")
-    return bundle
+# the configuration hash each kind of run file was written under
+def _log_hash(log: tuple[dict, dict]) -> str | None:
+    return log[0].get("config_hash")
 
 
-def _load_model(cfg: ExperimentConfig) -> tcn.ModelParams:
-    path = _paths(cfg.output_dir)["model"]
-    if not os.path.exists(path):
-        raise DataError("missing model file (run 'train' first)")
-    try:
-        params, header = tcn.load_model(path)
-    except ValueError as exc:  # e.g. a truncated file
-        raise DataError(f"unreadable model file {path}: {exc}") from exc
-    extra = header.get("extra")
-    if not isinstance(extra, dict) or "config_hash" not in extra:
-        raise DataError(f"model header of {path} names no configuration")
-    if extra["config_hash"] != config_hash(cfg):
-        raise DataError("model was trained under a different configuration")
-    return params
+def _dataset_hash(bundle: DatasetBundle) -> str:
+    return bundle.meta.config_hash
+
+
+def _model_hash(model: tuple[tcn.ModelParams, dict]) -> str | None:
+    extra = model[1].get("extra")
+    return extra.get("config_hash") if isinstance(extra, dict) else None
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +186,8 @@ def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
 def cmd_build_dataset(cfg: ExperimentConfig, quiet: bool = False) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
-    per_ue = _read_log(cfg, "reports", read_report_log)
-    episodes = _read_log(cfg, "events", read_event_log)
+    per_ue = _read_run_file(cfg, "reports", read_report_log, _log_hash)[1]
+    episodes = _read_run_file(cfg, "events", read_event_log, _log_hash)[1]
     for ue, rec in per_ue.items():
         rec["episodes"] = episodes.get(ue, [])
     bundle = build_dataset(
@@ -200,11 +197,11 @@ def cmd_build_dataset(cfg: ExperimentConfig, quiet: bool = False) -> dict:
         config_hash=config_hash(cfg),
         master_seed=cfg.master_seed,
     )
-    write_dataset(_paths(cfg.output_dir)["dataset"], bundle)
     meta = bundle.meta
     total = meta.kept_count + sum(meta.exclusion_counts.values())
     if total != meta.raw_count:
         raise DataError("exclusion counts do not reconcile with the raw row count")
+    write_dataset(_paths(cfg.output_dir)["dataset"], bundle)
     if not quiet:
         print("exclusion reconciliation:")
         print(f"  {'raw rows':<20}{meta.raw_count:>10}")
@@ -230,7 +227,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    bundle = _read_dataset(cfg)
+    bundle = _read_run_file(cfg, "dataset", read_dataset, _dataset_hash)
     w = bundle.meta.window_len
     train_bank = WindowBank.labeled(bundle.splits["train"], bundle.meta, dtype=tcn.DTYPE)
     val_bank = WindowBank.labeled(bundle.splits["val"], bundle.meta, dtype=tcn.DTYPE)
@@ -271,8 +268,8 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    bundle = _read_dataset(cfg)
-    params = _load_model(cfg)
+    bundle = _read_run_file(cfg, "dataset", read_dataset, _dataset_hash)
+    params = _read_run_file(cfg, "model", tcn.load_model, _model_hash)[0]
     digest = config_hash(cfg)
     bank = WindowBank.labeled(bundle.splits["test"], bundle.meta, dtype=tcn.DTYPE)
     if len(bank) == 0:
@@ -305,10 +302,10 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    bundle = _read_dataset(cfg)
-    episodes_by_ue = _read_log(cfg, "events", read_event_log)
+    bundle = _read_run_file(cfg, "dataset", read_dataset, _dataset_hash)
+    episodes_by_ue = _read_run_file(cfg, "events", read_event_log, _log_hash)[1]
     if not oracle:
-        params = _load_model(cfg)
+        params = _read_run_file(cfg, "model", tcn.load_model, _model_hash)[0]
     meta = bundle.meta
     traces = {  # every report of a UE sits in one split
         ue: (table, rows)
@@ -316,15 +313,14 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         for ue, rows in table.ue_rows().items()
     }
 
-    comparisons: list[HoComparison] = []
+    # the model's (or the oracle's) countdown first, then the entry rule's, on the same episodes
+    compared: tuple[list[HoComparison], list[HoComparison]] = ([], [])
     rsrp_a3: list[float] = []
-    by_rule: list[tuple[float, bool, bool]] = []  # the entry rule's advance, wasted, fellback
     skipped_gap = 0
     for ue in sorted(traces):
         table, rows = traces[ue]
         times, rsrp = table.t_ms[rows], table.best_rsrp[rows]
         episodes = episodes_by_ue.get(ue, [])
-        rule = entry_countdown(times, episodes)
         if oracle:
             preds = oracle_countdown(times, episodes, cfg.dataset.horizon_s)
         else:
@@ -334,46 +330,45 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             n = np.searchsorted(times, max(a3s, default=-np.inf), side="right")
             features = standardized_rows(rsrp[:n], table.best_beams[rows][:n], meta)
             preds = infer_countdown(params, features, table.segments[rows][:n], meta.window_len)
+        replays = (
+            (times[: len(preds)], preds, MODEL_RULE),
+            (times, entry_countdown(times, episodes), ENTRY_RULE),
+        )
         prev_cmd = -np.inf
         for k, ep in enumerate(episodes):
             if ep.aborted:
                 continue
-            if ep.command_ms is None:
+            # every command of simulate_eshop lies in [a3, a3 + d_prep], inside the trace here
+            if ep.command_ms is None or ep.command_ms > times[-1]:
                 skipped_gap += 1
                 continue
             d_prep = float(ep.command_ms) - float(ep.a3_ms)
             legacy_cmd = ep.a3_ms + d_prep
-            early = simulate_eshop(
-                ep, times[: len(preds)], preds, d_prep, MODEL_RULE, window_start_ms=prev_cmd
-            )
-            entry = simulate_eshop(ep, times, rule, d_prep, ENTRY_RULE, window_start_ms=prev_cmd)
-            prev_cmd = float(ep.command_ms)
-            serving_trace = rsrp[:, ep.serving_cell]
-            if legacy_cmd > times[-1]:  # simulate_eshop never commands after a3 + d_prep
-                skipped_gap += 1
-                continue
-            by_rule.append((legacy_cmd - entry.command_ms, entry.wasted, entry.fellback))
-            rsrp_legacy = serving_rsrp_at(times, serving_trace, legacy_cmd)
-            rsrp_early = serving_rsrp_at(times, serving_trace, early.command_ms)
-            rsrp_a3.append(serving_rsrp_at(times, serving_trace, float(ep.a3_ms)))
-            comparisons.append(
-                HoComparison(
-                    episode_id=f"{ue}:{k}",
-                    t0_ms=ep.t0_ms,
-                    a3_ms=ep.a3_ms,
-                    d_prep_ms=d_prep,
-                    legacy_cmd_ms=legacy_cmd,
-                    eshop_cmd_ms=early.command_ms,
-                    advance_ms=legacy_cmd - early.command_ms,
-                    rsrp_legacy_cmd_dbm=rsrp_legacy,
-                    rsrp_eshop_cmd_dbm=rsrp_early,
-                    wasted=early.wasted,
-                    fellback=early.fellback,
+            serving = rsrp[:, ep.serving_cell]
+            rsrp_legacy = serving_rsrp_at(times, serving, legacy_cmd)
+            rsrp_a3.append(serving_rsrp_at(times, serving, float(ep.a3_ms)))
+            for out, (t, countdown, rule) in zip(compared, replays):
+                timeline = simulate_eshop(ep, t, countdown, d_prep, rule, window_start_ms=prev_cmd)
+                out.append(
+                    HoComparison(
+                        episode_id=f"{ue}:{k}",
+                        t0_ms=ep.t0_ms,
+                        a3_ms=ep.a3_ms,
+                        d_prep_ms=d_prep,
+                        legacy_cmd_ms=legacy_cmd,
+                        eshop_cmd_ms=timeline.command_ms,
+                        advance_ms=legacy_cmd - timeline.command_ms,
+                        rsrp_legacy_cmd_dbm=rsrp_legacy,
+                        rsrp_eshop_cmd_dbm=serving_rsrp_at(times, serving, timeline.command_ms),
+                        wasted=timeline.wasted,
+                        fellback=timeline.fellback,
+                    )
                 )
-            )
+            prev_cmd = float(ep.command_ms)
+    comparisons = compared[0]
     if not comparisons:
         raise DataError("no comparable handover episodes in the logs")
-    stats = degradation_stats(comparisons, rsrp_a3)
+    stats, rule_stats = (degradation_stats(c, rsrp_a3) for c in compared)
 
     digest = config_hash(cfg)
     columns = [f.name for f in fields(HoComparison)]
@@ -388,7 +383,6 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         [[stats.cdf_delta_rsrp_db, stats.cdf_cumulative_prob]],
         config_hash=digest, master_seed=cfg.master_seed,
     )
-    rule_advance, rule_wasted, rule_fellback = zip(*by_rule)
     payload = {
         "oracle": oracle,
         "n_compared": stats.n_compared,
@@ -399,14 +393,15 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         "fallback_rate": stats.fallback_rate,
         "median_benefit_db": float(np.median(stats.benefit_db)),
         "entry_rule": {  # the same episodes, prepared at the first T0 after the last command
-            "mean_advance_ms": float(np.mean(rule_advance)),
-            "wasted_rate": float(np.mean(rule_wasted)),
-            "fallback_rate": float(np.mean(rule_fellback)),
-            "n_compared": len(by_rule),
+            "mean_advance_ms": rule_stats.mean_advance_ms,
+            "wasted_rate": rule_stats.wasted_rate,
+            "fallback_rate": rule_stats.fallback_rate,
+            "n_compared": rule_stats.n_compared,
         },
     }
     _update_summary(cfg.output_dir, cfg, "eshop", payload)
-    _record_timing(cfg.output_dir, "eshop", time.perf_counter() - t_start)
+    command = "eshop-oracle" if oracle else "eshop"  # each keeps its own wall time
+    _record_timing(cfg.output_dir, command, time.perf_counter() - t_start)
     return payload
 
 
@@ -437,6 +432,9 @@ def cmd_report(run_dirs: list[str], out_file: str) -> dict:
             raise DataError(
                 f"summary schema mismatch in {path}: {doc.get('schema_version')}"
             )
+        eshop = doc.get("eshop")
+        if isinstance(eshop, dict) and eshop.get("oracle"):
+            raise DataError(f"{path} holds the oracle's eshop numbers, not the model's")
         summaries.append((path, doc))
 
     by_group: dict[str, list[tuple[str, dict]]] = {}

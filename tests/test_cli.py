@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,34 @@ def test_eval_survives_truncated_timings(tmp_path):
     assert list(json.loads(timings.read_text())) == ["eval"]
 
 
+def test_build_dataset_refuses_unreconciled_counts_before_writing(tmp_path, built_run, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(built_run, out)
+    build = cli.build_dataset
+
+    def miscounted(*args, **kwargs):  # one kept row more than the raw rows hold
+        bundle = build(*args, **kwargs)
+        return replace(bundle, meta=replace(bundle.meta, kept_count=bundle.meta.kept_count + 1))
+
+    monkeypatch.setattr(cli, "build_dataset", miscounted)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(tiny_config(out).to_dict()))
+    before = artifact_bytes(out)
+    assert cli.main(["build-dataset", "--config", str(cfgfile)]) == 3
+    assert artifact_bytes(out) == before
+
+
+def test_eshop_oracle_keeps_the_model_wall_time(tmp_path):
+    out = tmp_path / "run"
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(tiny_config(out).to_dict()))
+    for command in (["simulate"], ["build-dataset"], ["train"], ["eshop"], ["eshop", "--oracle"]):
+        assert cli.main([*command, "--config", str(cfgfile)]) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    assert {"eshop", "eshop-oracle"} <= set(timings)
+    assert all(timings[key] > 0.0 for key in ("eshop", "eshop-oracle"))
+
+
 def _run_pipeline(out_dir, cfg=None):
     cfg = cfg or tiny_config(out_dir)
     assert cli.cmd_simulate(cfg)["a3_count"] > 0
@@ -512,6 +541,41 @@ def test_eshop_inference_stops_at_the_last_replayed_a3(tmp_path, monkeypatch):
     assert {name: (out / name).read_bytes() for name in names} == written
     assert calls == [traces[ue][2] for ue in sorted(traces)]
     assert sum(calls) < sum(len(f) for f, _, _ in traces.values())
+
+
+def test_eshop_skips_an_episode_commanded_past_the_trace(tmp_path):
+    # the event grammar accepts a CMD after the UE's last report, where no RSRP
+    # is known: eshop counts that episode in n_skipped_trace_gap and compares
+    # the others
+    out = tmp_path / "run"
+    cfg = _run_pipeline(out)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg.to_dict()))
+
+    def compared_ids():
+        return [row.split(",")[0] for row in (out / "comparison.csv").read_text().splitlines()[2:]]
+
+    events = out / "events.csv"
+    lines = events.read_text().splitlines()
+    last = {row.split(",")[0]: i for i, row in enumerate(lines[2:], 2)}  # UE -> its last event
+    ue, i = next((ue, i) for ue, i in sorted(last.items()) if lines[i].split(",")[1] == "CMD")
+    episode_id = f"{ue}:{len(read_event_log(events)[1][ue]) - 1}"
+    before = {}
+    for oracle in (False, True):
+        before[oracle] = cli.cmd_eshop(cfg, oracle=oracle)
+        assert episode_id in compared_ids()
+    cells = lines[i].split(",")
+    cells[2] = str(int(cfg.scenario.duration_s * 1000) + 40)  # one period after the last report
+    lines[i] = ",".join(cells)
+    events.write_text("\n".join(lines) + "\n")
+    for oracle, flags in ((False, []), (True, ["--oracle"])):
+        assert cli.main(["eshop", "--config", str(cfgfile), *flags]) == 0
+        payload = json.loads((out / "summary.json").read_text())["eshop"]
+        assert payload["oracle"] is oracle
+        assert payload["n_skipped_trace_gap"] == before[oracle]["n_skipped_trace_gap"] + 1
+        n = before[oracle]["n_compared"] - 1
+        assert payload["n_compared"] == payload["entry_rule"]["n_compared"] == n
+        assert episode_id not in compared_ids() and len(compared_ids()) == n
 
 
 def test_full_pipeline_artifacts(tmp_path):
@@ -678,10 +742,9 @@ def test_an_nlos_run_at_the_los_sigma_gives_the_los_events(tmp_path):
 def test_report_merges_runs(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
-    _run_pipeline(out1)
-    # identical config, second run dir
-    cfg2 = tiny_config(out2)
-    _run_pipeline(out2, cfg2)
+    # identical config, second run dir; report reads the model's eshop section
+    for cfg in (tiny_config(out1), tiny_config(out2)):
+        cli.cmd_eshop(_run_pipeline(cfg.output_dir, cfg))
     report = tmp_path / "report.csv"
     result = cli.cmd_report([str(out1), str(out2)], str(report))
     assert result["groups"] == ["los"]
@@ -730,6 +793,25 @@ def test_report_text_of_hand_made_summaries(tmp_path):
         "fallback_rate,0.5,,1.0,\r\n"
     ).encode()
     assert result["metrics"] == [line.split(",")[0] for line in report.read_text().splitlines()[2:]]
+
+
+def test_report_refuses_an_oracle_eshop_section(tmp_path):
+    # eshop --oracle writes the same section, flagged; report reads the model's
+    # numbers only, so a run whose last eshop was the oracle's is refused
+    run_dirs = []
+    for name, oracle in (("model", False), ("oracle", True)):
+        (tmp_path / name).mkdir()
+        doc = {"schema_version": cli.SUMMARY_SCHEMA, "los_mode": "los",
+               "eshop": {"oracle": oracle, "mean_advance_ms": 20.0, "fallback_rate": 0.0}}
+        (tmp_path / name / "summary.json").write_text(json.dumps(doc))
+        run_dirs.append(str(tmp_path / name))
+    report = tmp_path / "report.csv"
+    assert cli.cmd_report(run_dirs[:1], str(report))["metrics"] == ["mean_advance_ms", "fallback_rate"]
+    report.unlink()
+    with pytest.raises(DataError, match=re.escape(str(tmp_path / "oracle" / "summary.json"))):
+        cli.cmd_report(run_dirs, str(report))
+    assert cli.main(["report", *run_dirs, "--out-file", str(report)]) == 3
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("value", ["0.5", True, [0.5], {"mean": 0.5}])
