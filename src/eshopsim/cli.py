@@ -30,7 +30,6 @@ from eshopsim.controller import (
     entry_countdown,
     infer_countdown,
     oracle_countdown,
-    serving_rsrp_at,
     simulate_eshop,
 )
 from eshopsim.dataset import (
@@ -314,9 +313,9 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     }
 
     # the model's (or the oracle's) countdown first, then the entry rule's, on the same episodes
-    compared: tuple[list[HoComparison], list[HoComparison]] = ([], [])
-    rsrp_a3: list[float] = []
-    skipped_gap = 0
+    comparisons: list[HoComparison] = []
+    rule_comparisons: list[HoComparison] = []
+    n_a3 = 0  # the episodes that reach their A3
     for ue in sorted(traces):
         table, rows = traces[ue]
         times, rsrp = table.t_ms[rows], table.best_rsrp[rows]
@@ -330,50 +329,18 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             n = np.searchsorted(times, max(a3s, default=-np.inf), side="right")
             features = standardized_rows(rsrp[:n], table.best_beams[rows][:n], meta)
             preds = infer_countdown(params, features, table.segments[rows][:n], meta.window_len)
-        replays = (
-            (times[: len(preds)], preds, MODEL_RULE),
-            (times, entry_countdown(times, episodes), ENTRY_RULE),
-        )
-        prev_cmd = -np.inf
-        for k, ep in enumerate(episodes):
-            if ep.aborted:
-                continue
-            # every command of simulate_eshop lies in [a3, a3 + d_prep], inside the trace here
-            if ep.command_ms is None or ep.command_ms > times[-1]:
-                skipped_gap += 1
-                continue
-            d_prep = float(ep.command_ms) - float(ep.a3_ms)
-            legacy_cmd = ep.a3_ms + d_prep
-            serving = rsrp[:, ep.serving_cell]
-            rsrp_legacy = serving_rsrp_at(times, serving, legacy_cmd)
-            rsrp_a3.append(serving_rsrp_at(times, serving, float(ep.a3_ms)))
-            for out, (t, countdown, rule) in zip(compared, replays):
-                timeline = simulate_eshop(ep, t, countdown, d_prep, rule, window_start_ms=prev_cmd)
-                out.append(
-                    HoComparison(
-                        episode_id=f"{ue}:{k}",
-                        t0_ms=ep.t0_ms,
-                        a3_ms=ep.a3_ms,
-                        d_prep_ms=d_prep,
-                        legacy_cmd_ms=legacy_cmd,
-                        eshop_cmd_ms=timeline.command_ms,
-                        advance_ms=legacy_cmd - timeline.command_ms,
-                        rsrp_legacy_cmd_dbm=rsrp_legacy,
-                        rsrp_eshop_cmd_dbm=serving_rsrp_at(times, serving, timeline.command_ms),
-                        wasted=timeline.wasted,
-                        fellback=timeline.fellback,
-                    )
-                )
-            prev_cmd = float(ep.command_ms)
-    comparisons = compared[0]
+        comparisons += simulate_eshop(episodes, times, rsrp, preds, MODEL_RULE)
+        rule = entry_countdown(times, episodes)
+        rule_comparisons += simulate_eshop(episodes, times, rsrp, rule, ENTRY_RULE)
+        n_a3 += sum(not ep.aborted for ep in episodes)
     if not comparisons:
         raise DataError("no comparable handover episodes in the logs")
-    stats, rule_stats = (degradation_stats(c, rsrp_a3) for c in compared)
+    stats, rule_stats = degradation_stats(comparisons), degradation_stats(rule_comparisons)
 
     digest = config_hash(cfg)
     columns = [f.name for f in fields(HoComparison)]
     write_table(
-        paths["comparison"], "ho-comparison/1", columns,
+        paths["comparison"], "ho-comparison/2", columns,
         [[[int(v) if isinstance(v, bool) else v for v in (getattr(c, name) for c in comparisons)]
           for name in columns]],  # flags as 0/1
         config_hash=digest, master_seed=cfg.master_seed,
@@ -386,7 +353,7 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     payload = {
         "oracle": oracle,
         "n_compared": stats.n_compared,
-        "n_skipped_trace_gap": skipped_gap,
+        "n_skipped_trace_gap": n_a3 - stats.n_compared,
         "mean_advance_ms": stats.mean_advance_ms,
         "mean_d_prep_ms": stats.mean_d_prep_ms,
         "wasted_rate": stats.wasted_rate,

@@ -52,6 +52,7 @@ class HoComparison:
     legacy_cmd_ms: float
     eshop_cmd_ms: float
     advance_ms: float
+    rsrp_a3_dbm: float  # the serving cell's, as at both commands
     rsrp_legacy_cmd_dbm: float
     rsrp_eshop_cmd_dbm: float
     wasted: bool
@@ -66,7 +67,7 @@ class EshopTimeline:
     fellback: bool
 
 
-def simulate_eshop(
+def eshop_timeline(
     episode: HoEventRecord,
     report_times_ms: np.ndarray,
     preds_tef_s: np.ndarray,
@@ -100,6 +101,53 @@ def simulate_eshop(
         # prepared resources expired before the A3 arrived
         return EshopTimeline(trigger_ms, command_ms=a3 + d_prep_ms, wasted=True, fellback=True)
     return EshopTimeline(trigger_ms, command_ms=max(a3, prep_done), wasted=False, fellback=False)
+
+
+def simulate_eshop(
+    episodes: list[HoEventRecord],
+    times_ms: np.ndarray,
+    rsrp_dbm: np.ndarray,
+    preds_tef_s: np.ndarray,
+    cfg: SignalingConfig,
+) -> list[HoComparison]:
+    """Replays one UE: its episodes against a countdown over its first
+    ``len(preds_tef_s)`` reports, each cell's RSRP in ``rsrp_dbm`` (N, 3).
+
+    Aborted episodes, and those whose command is missing or falls after the
+    last report, are skipped. Each other episode's trigger window starts at
+    the previous command, and its ``d_prep`` is command - A3: the legacy
+    command is the logged one, and the early one lies between the A3 and it,
+    so every RSRP read is inside the trace.
+    """
+    comparisons = []
+    prev_cmd = -np.inf
+    for k, ep in enumerate(episodes):
+        if ep.aborted or ep.command_ms is None or ep.command_ms > times_ms[-1]:
+            continue
+        d_prep = float(ep.command_ms) - float(ep.a3_ms)
+        legacy_cmd = ep.a3_ms + d_prep
+        timeline = eshop_timeline(
+            ep, times_ms[: len(preds_tef_s)], preds_tef_s, d_prep, cfg, window_start_ms=prev_cmd
+        )
+        serving = rsrp_dbm[:, ep.serving_cell]
+        comparisons.append(
+            HoComparison(
+                episode_id=f"{ep.ue_id}:{k}",
+                t0_ms=ep.t0_ms,
+                a3_ms=ep.a3_ms,
+                d_prep_ms=d_prep,
+                legacy_cmd_ms=legacy_cmd,
+                eshop_cmd_ms=timeline.command_ms,
+                advance_ms=legacy_cmd - timeline.command_ms,
+                rsrp_a3_dbm=serving_rsrp_at(times_ms, serving, float(ep.a3_ms)),
+                rsrp_legacy_cmd_dbm=serving_rsrp_at(times_ms, serving, legacy_cmd),
+                rsrp_eshop_cmd_dbm=serving_rsrp_at(times_ms, serving, timeline.command_ms),
+                wasted=timeline.wasted,
+                fellback=timeline.fellback,
+            )
+        )
+        prev_cmd = float(ep.command_ms)
+    return comparisons
 
 
 def oracle_countdown(
@@ -170,18 +218,12 @@ def serving_rsrp_at(
     return float(np.interp(t_ms, times, serving_best_dbm))
 
 
-def degradation_stats(
-    comparisons: list[HoComparison], rsrp_a3_dbm: list[float]
-) -> DegradationStats:
-    """Aggregate per-episode comparisons.
-
-    ``rsrp_a3_dbm`` holds, in comparison order, the pre-handover serving
-    cell's RSRP at the A3 report; the CDF is of its drop until the legacy
-    command.
-    """
+def degradation_stats(comparisons: list[HoComparison]) -> DegradationStats:
+    """Aggregate per-episode comparisons; the CDF is of the serving cell's
+    RSRP drop from the A3 report until the legacy command."""
     if not comparisons:
         raise ValueError("no episodes to aggregate")
-    deltas = np.asarray(rsrp_a3_dbm) - np.asarray([c.rsrp_legacy_cmd_dbm for c in comparisons])
+    deltas = np.asarray([c.rsrp_a3_dbm - c.rsrp_legacy_cmd_dbm for c in comparisons])
     order = np.argsort(deltas, kind="stable")
     cdf_x = deltas[order]
     cdf_p = (np.arange(len(deltas)) + 1) / len(deltas)

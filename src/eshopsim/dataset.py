@@ -270,38 +270,27 @@ def build_dataset(
     """
     if not per_ue:
         raise DataError("no UE runs to build a dataset from")
-    ue_ids = sorted(per_ue)
-    assignment = split_ues(ue_ids, cfg.split_ratios, split_seed)
+    assignment = split_ues(sorted(per_ue), cfg.split_ratios, split_seed)
 
-    staged: dict[str, dict] = {}
-    counts = {name: 0 for name in REASON_NAMES.values()}
-    raw_total = 0
-    for ue in ue_ids:
+    def columns(ue: str) -> dict[str, np.ndarray]:
         rec = per_ue[ue]
         times = np.asarray(rec["times_ms"], dtype=np.int64)
         labels, reasons = label_tef(times, rec["episodes"], cfg.horizon_s)
-        staged[ue] = {
-            "ue_ids": np.full(len(times), ue),
-            "t_ms": times,
-            "segments": segment_ids(times, command_times(rec["episodes"])),
-            "reasons": reasons,
-            "labels": labels,
-            "best_beams": rec["best_beams"],
-            "best_rsrp": rec["best_rsrp"],
-        }
-        raw_total += len(times)
-        vals, freq = np.unique(reasons, return_counts=True)
-        for v, f in zip(vals, freq):
-            counts[REASON_NAMES[int(v)]] += int(f)
+        segments = segment_ids(times, command_times(rec["episodes"]))
+        return dict(ue_ids=np.full(len(times), ue), t_ms=times, segments=segments, reasons=reasons,
+                    labels=labels, best_beams=rec["best_beams"], best_rsrp=rec["best_rsrp"])
 
-    train_rows = [
-        staged[ue]["best_rsrp"][staged[ue]["reasons"] == REASON_KEPT]
-        for ue in assignment["train"]
-    ]
-    train_rows = [r for r in train_rows if len(r)]
-    if not train_rows:
+    splits: dict[str, RowTable] = {}
+    for name, ues in assignment.items():
+        parts = [columns(ue) for ue in ues] or [_RAW_COLUMNS]
+        splits[name] = RowTable(**{key: np.concatenate([p[key] for p in parts]) for key in _RAW_COLUMNS})
+    reasons = np.concatenate([table.reasons for table in splits.values()])
+    counts = np.bincount(reasons, minlength=len(REASON_NAMES))
+
+    train = splits["train"]
+    train_rsrp = train.best_rsrp[train.reasons == REASON_KEPT]
+    if not len(train_rsrp):
         raise DataError("train split holds no labeled samples")
-    train_rsrp = np.concatenate(train_rows, axis=0)
     mean = train_rsrp.mean(axis=0)
     std = train_rsrp.std(axis=0)
     if np.any(std <= 0.0):
@@ -314,16 +303,11 @@ def build_dataset(
         window_len=cfg.window_len,
         rsrp_mean=tuple(float(x) for x in mean),
         rsrp_std=tuple(float(x) for x in std),
-        exclusion_counts={k: v for k, v in counts.items() if k != "kept"},
-        kept_count=counts["kept"],
-        raw_count=raw_total,
+        exclusion_counts={REASON_NAMES[r]: int(n) for r, n in enumerate(counts) if r != REASON_KEPT},
+        kept_count=int(counts[REASON_KEPT]),
+        raw_count=len(reasons),
         split_ues=assignment,
     )
-    splits: dict[str, RowTable] = {}
-    for name, ues in assignment.items():
-        parts = [staged[ue] for ue in ues] or [_RAW_COLUMNS]
-        columns = {key: np.concatenate([p[key] for p in parts]) for key in _RAW_COLUMNS}
-        splits[name] = RowTable(**columns)
     return DatasetBundle(splits=splits, meta=meta)
 
 

@@ -513,8 +513,7 @@ def _settled_rows(params: ModelParams, x: np.ndarray, x0: int, depths: list[int]
         lo, hi = max(a - span, a_in), min(a + n * TILE_ROWS, a_in + len(h))
         xin[lo - a + span : hi - a + span] = h[lo - a_in : hi - a_in]
         tiles = lambda s: xin[s : s + n * TILE_ROWS].reshape(n, TILE_ROWS, -1)  # noqa: E731
-        z = np.empty((n, TILE_ROWS, bp.w.shape[2]), dtype=h.dtype)
-        z[...] = bp.b
+        z = _aligned((n, TILE_ROWS, bp.w.shape[2]), h.dtype, bp.b)
         for p in range(len(bp.w)):  # taps in order, bias first, as _dconv_forward
             z += tiles(span - p * d) @ bp.w[p]
         r = tiles(span) @ bp.proj if bp.proj is not None else tiles(span)

@@ -78,21 +78,19 @@ def test_entry_rule_falls_back_only_after_an_early_aborted_t0(runs, mode):
     cfg, _, oracle = runs[mode, "a"]
     run_dir = Path(cfg.output_dir)
     _, episodes = read_event_log(run_dir / "events.csv")
-    with read_table(run_dir / "comparison.csv", "ho-comparison/1") as (_, _, data):
-        compared = {row[0] for row in csv.reader(data)}
+    with read_table(run_dir / "comparison.csv", "ho-comparison/2") as (_, header, data):
+        compared = [dict(zip(header, row)) for row in csv.reader(data)]
     early_aborts = 0
-    for ue, eps in episodes.items():
-        prev_cmd = -np.inf
-        for k, ep in enumerate(eps):
-            if ep.aborted or ep.command_ms is None:
-                continue
-            if f"{ue}:{k}" in compared:
-                d_prep = ep.command_ms - ep.a3_ms
-                early_aborts += any(
-                    e.aborted and prev_cmd < e.t0_ms and ep.a3_ms - e.t0_ms > GUARD_MS + d_prep
-                    for e in eps
-                )
-            prev_cmd = ep.command_ms
+    prev = {}  # UE -> the command of its last compared episode
+    for row in compared:
+        ue = row["episode_id"].split(":")[0]
+        a3, d_prep = float(row["a3_ms"]), float(row["d_prep_ms"])
+        prev_cmd = prev.get(ue, -np.inf)
+        early_aborts += any(
+            e.aborted and prev_cmd < e.t0_ms and a3 - e.t0_ms > GUARD_MS + d_prep
+            for e in episodes[ue]
+        )
+        prev[ue] = float(row["legacy_cmd_ms"])
     assert len(compared) == oracle["n_compared"]
     assert oracle["entry_rule"]["fallback_rate"] == early_aborts / len(compared)
 

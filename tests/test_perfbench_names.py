@@ -58,6 +58,9 @@ def test_traced_pipeline_records_each_layer_per_unit_of_work(spans, tmp_path):
     assert names["channel.sample"] == names["channel.l3_update"] == n_ues
     steps = names["events.step"]
     assert names["channel.make_report"] == steps == tracer.counts["events.step_calls"] > 0
+    # every UE has a trace; each eshop run replays it once per countdown
+    # (the model's or the oracle's, and the entry rule's)
+    assert tracer.counts["controller.simulate_eshop_calls"] == 2 * 2 * n_ues
     # Every wrapped name is called, so no per-layer metric reads 0 for want of
     # a caller. forward_batch is recorded as tcn.train.forward under tcn.train,
     # and cmd_eshop(oracle=True) as cli.eshop_oracle. No pipeline path calls
