@@ -22,6 +22,8 @@ L3_FILTER_COEFF = 0.5  # settles within ~4 reports
 
 TX_POWER_PER_SSB_DBM = 30.0
 FAST_FADING_SIGMA_DB = 2.0  # i.i.d. per beam and sample
+SHADOW_SIGMA_DB = {"los": 2.0, "nlos": 3.0}  # per propagation mode
+DECORRELATION_DISTANCE_M = 25.0  # of the shadowing, over the distance moved
 
 # one 12-beam grid tiles each 120-degree sector
 BEAM_AZ_OFFSETS_DEG = (-40.0, 0.0, 40.0)  # from the sector boresight
@@ -80,26 +82,15 @@ class ChannelParams:
     """Channel configuration block."""
 
     los_mode: str = "los"  # "los" | "nlos"
-    shadow_sigma_los_db: float = 2.0
-    shadow_sigma_nlos_db: float = 3.0
-    decorrelation_distance_m: float = 25.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.los_mode, str) or self.los_mode.lower() not in ("los", "nlos"):
             raise ValueError("los_mode must be 'los' or 'nlos'")
         self.los_mode = self.los_mode.lower()
-        if self.shadow_sigma_los_db <= 0.0 or self.shadow_sigma_nlos_db <= 0.0:
-            raise ValueError("shadow sigmas must be positive")
-        if self.decorrelation_distance_m <= 0.0:
-            raise ValueError("decorrelation distance must be positive")
 
     @property
     def los(self) -> bool:
         return self.los_mode == "los"
-
-    @property
-    def shadow_sigma_db(self) -> float:
-        return self.shadow_sigma_los_db if self.los else self.shadow_sigma_nlos_db
 
 
 class ChannelState:
@@ -125,13 +116,13 @@ class ChannelState:
         draws = self.rng.standard_normal((n, N_CELLS + N_CELLS * N_SSB))
         az, el, d3d = bearings_from_bs(positions)
         pl = np.array([path_loss(d, los=p.los) for d in d3d])
-        sigma = p.shadow_sigma_db
+        sigma = SHADOW_SIGMA_DB[p.los_mode]
         # the shadowing recurrence on Python floats: the IEEE operations of a row update
         moved = row_norms(np.diff(positions, axis=0)).tolist()
         innovations = draws[:, :N_CELLS].tolist()
         shadow = [[sigma * x for x in row] for row in innovations[:1]]  # stationary initialization
         for delta_d, innovation in zip(moved, innovations[1:]):
-            rho = math.exp(-delta_d / p.decorrelation_distance_m)
+            rho = math.exp(-delta_d / DECORRELATION_DISTANCE_M)
             k = math.sqrt(1.0 - rho * rho) * sigma
             shadow.append([rho * s + k * x for s, x in zip(shadow[-1], innovation)])
         gains = self.grid.gains_dbi(az, el)

@@ -163,7 +163,7 @@ def cmd_simulate(cfg: ExperimentConfig, parallel: int = 0) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    runs = run_scenario(cfg.scenario, cfg.channel, cfg.hcp, cfg.master_seed)
+    runs = run_scenario(cfg.scenario, cfg.channel, cfg.master_seed)
     paths = _paths(cfg.output_dir)
     digest = config_hash(cfg)
     write_report_log(paths["reports"], runs, digest, cfg.master_seed)

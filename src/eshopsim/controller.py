@@ -23,7 +23,7 @@ from eshopsim.events import HoEventRecord
 from eshopsim.tcn import ModelParams
 
 
-GUARD_MS = 200.0  # prepared resources expire this long after preparation; longer than the TTT
+GUARD_MS = 200.0  # prepared resources expire this long after preparation; longer than events.TTT_MS
 
 
 @dataclass(frozen=True)

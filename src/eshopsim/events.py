@@ -26,20 +26,10 @@ EVENT_A3 = "A3"
 EVENT_ABORT = "ABORT"
 EVENT_CMD = "CMD"
 
-
-@dataclass
-class HcpConfig:
-    """Handover control parameters; HOM = offset + hysteresis."""
-
-    ttt_ms: int = 40
-    hysteresis_db: float = 1.0
-    offset_db: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.ttt_ms <= 0 or self.ttt_ms % REPORT_PERIOD_MS != 0:
-            raise ValueError("TTT must be a positive multiple of the 40 ms report period")
-        if self.hysteresis_db not in (0.0, 1.0):
-            raise ValueError("hysteresis is configured as 0 or 1 dB")
+# handover control parameters; the HO margin is offset + hysteresis
+TTT_MS = 40  # time-to-trigger: one report period
+HYSTERESIS_DB = 1.0
+OFFSET_DB = 3.0
 
 
 @dataclass
@@ -64,19 +54,18 @@ class HoEvent:
     target: int
 
 
-def a3_entry(mn_dbm, mp_dbm, hcp: HcpConfig):
+def a3_entry(mn_dbm, mp_dbm):
     """A3 entry condition: neighbor exceeds serving by the HO margin (strict), also on arrays."""
-    return mn_dbm > mp_dbm + hcp.offset_db + hcp.hysteresis_db
+    return mn_dbm > mp_dbm + OFFSET_DB + HYSTERESIS_DB
 
 
 class A3EventEngine:
     """Per-UE measurement-event state machine fed by 40 ms reports."""
 
-    def __init__(self, ue_id: str, hcp: HcpConfig, serving_cell: int):
+    def __init__(self, ue_id: str, serving_cell: int):
         if serving_cell not in range(N_CELLS):
             raise ValueError("serving cell not in layout")
         self.ue_id = ue_id
-        self.hcp = hcp
         self.serving_cell = serving_cell
         self.armed: HoEvent | None = None  # the T0 whose TTT runs, and its candidate
         self.pending: HoEvent | None = None  # the A3 that waits for its command
@@ -93,7 +82,7 @@ class A3EventEngine:
         s = self.serving_cell
         # the strongest neighbor; max keeps the first of equals, the lower cell
         n_star = max((c for c in range(N_CELLS) if c != s), key=best.__getitem__)
-        entry = a3_entry(best[n_star], best[s], self.hcp)
+        entry = a3_entry(best[n_star], best[s])
 
         if self.pending is not None:
             # A3 already reported; no arming until the command is applied
@@ -102,9 +91,9 @@ class A3EventEngine:
         t0 = self.armed
         if t0 is not None:
             if entry and n_star == t0.target:
-                if t >= t0.t_ms + self.hcp.ttt_ms:
+                if t >= t0.t_ms + TTT_MS:
                     self.armed = None
-                    a3_ms = t0.t_ms + self.hcp.ttt_ms
+                    a3_ms = t0.t_ms + TTT_MS
                     self.pending = HoEvent(self.ue_id, EVENT_A3, a3_ms, s, n_star)
                     events.append(self.pending)
                 return events

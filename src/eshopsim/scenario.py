@@ -20,14 +20,14 @@ SECTOR_BORESIGHTS_DEG = (90.0, 210.0, 330.0)  # cells 0-2; azimuth 0 deg points 
 BS_POSITION = (0.0, 0.0, BS_HEIGHT_M)
 RADIUS_MIN_M = 40.0  # UE circle radii are drawn uniformly from this range
 RADIUS_MAX_M = 60.0
+SPEED_MPS = 25.0  # every UE's speed along its circle
 
 
 @dataclass(frozen=True)
 class UeTrajectory:
-    """Closed-form circular path around the site: radius, speed, phase, direction."""
+    """Closed-form circular path around the site at ``SPEED_MPS``: radius, phase, direction."""
 
     radius_m: float
-    speed_mps: float
     start_angle_rad: float
     direction: int  # +1 counter-clockwise, -1 clockwise
     duration_s: float
@@ -39,15 +39,12 @@ class UeTrajectory:
 
 @dataclass
 class ScenarioConfig:
-    """Mobility scenario block: UE speeds, run length and UE count."""
+    """Mobility scenario block: run length and UE count."""
 
-    speeds_mps: tuple[float, ...] = (25.0,)
     duration_s: float = 20.0
     num_ues: int = 10
 
     def __post_init__(self) -> None:
-        if len(self.speeds_mps) == 0 or any(v <= 0.0 for v in self.speeds_mps):
-            raise ValueError("speed set must be non-empty and positive")
         if self.duration_s <= 0.0:
             raise ValueError("duration must be positive")
         if self.num_ues < 1:
@@ -57,17 +54,14 @@ class ScenarioConfig:
 def spawn_trajectory(seed: int, scenario: ScenarioConfig) -> UeTrajectory:
     """Draw a randomized circular trajectory.
 
-    Draw order (fixed for reproducibility): radius, start angle, direction,
-    speed index.
+    Draw order (fixed for reproducibility): radius, start angle, direction.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     radius = float(rng.uniform(RADIUS_MIN_M, RADIUS_MAX_M))
     start_angle = float(rng.uniform(0.0, 2.0 * math.pi))
     direction = 1 if int(rng.integers(0, 2)) == 1 else -1
-    speed = float(scenario.speeds_mps[int(rng.integers(0, len(scenario.speeds_mps)))])
     return UeTrajectory(
         radius_m=radius,
-        speed_mps=speed,
         start_angle_rad=start_angle,
         direction=direction,
         duration_s=scenario.duration_s,
@@ -79,7 +73,7 @@ def position_at(traj: UeTrajectory, times_ms) -> np.ndarray:
     t_ms = np.asarray(times_ms, dtype=float)
     if not np.all((0.0 <= t_ms) & (t_ms <= traj.duration_ms)):
         raise ValueError(f"report times outside [0, {traj.duration_ms}] ms")
-    omega = traj.speed_mps / traj.radius_m  # rad/s
+    omega = SPEED_MPS / traj.radius_m  # rad/s
     theta = traj.start_angle_rad + traj.direction * omega * (t_ms / 1000.0)
     r = traj.radius_m
     # libm per row: numpy's vectorized cos and sin differ in the last bit

@@ -30,7 +30,6 @@ from eshopsim.channel import (
 from eshopsim.events import (
     EVENT_A3,
     A3EventEngine,
-    HcpConfig,
     HoEvent,
     HoEventRecord,
     a3_entry,
@@ -46,7 +45,7 @@ from eshopsim.seeds import derive_seed, rng_from
 
 REPORT_LOG_SCHEMA = "report-log/3"
 EVENT_LOG_SCHEMA = "event-log/1"
-# the preparation latency of each handover, drawn uniformly; at most the TTT
+# the preparation latency of each handover, drawn uniformly; at most events.TTT_MS
 D_PREP_MIN_MS = 15.0
 D_PREP_MAX_MS = 35.0
 
@@ -62,13 +61,7 @@ class UeRun:
     events: list[HoEvent]
 
 
-def run_ue(
-    ue_index: int,
-    scenario: ScenarioConfig,
-    channel_cfg: ChannelParams,
-    hcp: HcpConfig,
-    master_seed: int,
-) -> UeRun:
+def run_ue(ue_index: int, scenario: ScenarioConfig, channel_cfg: ChannelParams, master_seed: int) -> UeRun:
     """One UE's reports, per cell its best beam and that L3 RSRP, and its events.
     The engine steps every report while a T0 is armed; else the loop jumps to the
     first report at or after the waiting A3's command, or to the serving cell's next A3 entry."""
@@ -87,8 +80,8 @@ def run_ue(
     beams, best = reduce_series(l3_rsrp)  # the reduction every later step reads
     # per serving cell s: the reports where the strongest neighbor meets the A3 entry condition
     neighbors = [np.delete(best, s, axis=1).max(axis=1) for s in range(N_CELLS)]
-    entries = [np.flatnonzero(a3_entry(nb, best[:, s], hcp)) for s, nb in enumerate(neighbors)]
-    engine = A3EventEngine(ue_id, hcp, int(np.argmax(best[0])))
+    entries = [np.flatnonzero(a3_entry(nb, best[:, s])) for s, nb in enumerate(neighbors)]
+    engine = A3EventEngine(ue_id, int(np.argmax(best[0])))
     command_ms: float | None = None  # drawn command time of the A3 that waits
     events: list[HoEvent] = []
     i = 0
@@ -115,14 +108,9 @@ def run_ue(
     return UeRun(ue_id, np.asarray(times, dtype=np.int64), beams, best, events)
 
 
-def run_scenario(
-    scenario: ScenarioConfig,
-    channel_cfg: ChannelParams,
-    hcp: HcpConfig,
-    master_seed: int,
-) -> list[UeRun]:
+def run_scenario(scenario: ScenarioConfig, channel_cfg: ChannelParams, master_seed: int) -> list[UeRun]:
     """Run all UEs, in UE id order; each draws from its own sub-seeded streams."""
-    runs = [run_ue(i, scenario, channel_cfg, hcp, master_seed) for i in range(scenario.num_ues)]
+    runs = [run_ue(i, scenario, channel_cfg, master_seed) for i in range(scenario.num_ues)]
     return sorted(runs, key=lambda r: r.ue_id)
 
 

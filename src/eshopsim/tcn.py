@@ -49,6 +49,7 @@ _MAGIC = b"TCN1"
 DTYPE = np.float32  # the model's one precision: trained, selected, stored and served
 _FILE_DTYPE = np.dtype(DTYPE).newbyteorder("<")
 BATCH_SIZE = 64  # training windows per Adam step
+PATIENCE = 8  # epochs without a better validation RMSE before training stops; 0 never stops
 CHUNK_WINDOWS = 256  # inference windows per time-major chunk, rounded up to whole tiles
 
 
@@ -79,14 +80,11 @@ class TcnModelConfig:
 @dataclass
 class TrainConfig:
     epochs: int = 100
-    patience: int = 8  # early-stop patience in epochs; 0 disables
     seed: int = 1
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0 (0 disables early stopping)")
 
 
 @dataclass
@@ -279,7 +277,7 @@ def _dconv_backward(
 ) -> np.ndarray | None:
     """Gradients of ``_dconv_forward`` from its input split into stride phases
     (``xph[r]`` is ``x[:, r::stride]``): dw and db are written into the given
-    arrays (dw zeroed, so a dead tap keeps 0); returns dx as (stride, B, m,
+    arrays (a dead tap's dw is left as given); returns dx as (stride, B, m,
     C_in) phases, or None unless ``input_grad``. Tap p's dw and dx GEMMs take
     the flat (B*(m-j0))-row copies of its phase's leading rows and of
     dy[:, j0:]; each dx GEMM is added to its phase through a scratch whose
@@ -427,11 +425,12 @@ def forward_batch(params: ModelParams, X: np.ndarray):
     return yhat, (caches, head_caches, plan)
 
 
-def backward_batch(params: ModelParams, cache, dyhat: np.ndarray) -> ModelParams:
-    """Gradient of every parameter, laid out like ``params``: the kernels
-    write straight into the views of one zeroed flat vector."""
+def backward_batch(params: ModelParams, cache, dyhat: np.ndarray, grads: ModelParams) -> None:
+    """Writes the gradient of every parameter into ``grads``, laid out like
+    ``params``: the kernels overwrite each live slot through ``out=`` and
+    leave a dead tap's as they find it, so a zeroed buffer reused for
+    windows of one length keeps every dead tap at 0."""
     caches, head_caches, plan = cache
-    grads = params.zeros_like()
     dv = _head_backward(dyhat, params.dense, head_caches, grads.dense)
     dh = dv[:, None, :]  # the last block writes only the last timestep
     for i in range(len(params.blocks) - 1, -1, -1):
@@ -439,7 +438,6 @@ def backward_batch(params: ModelParams, cache, dyhat: np.ndarray) -> ModelParams
         dh = _block_backward(
             dh, params.blocks[i], caches[i], plan[i][1], grads.blocks[i], input_grad=i > 0
         )
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +733,7 @@ def train(
     if len(train_bank) == 0:
         raise ValueError("empty train split")
     params = init_params(model_cfg, DTYPE)
+    grads = params.zeros_like()  # every batch has one window length: see backward_batch
     opt = _Adam(params.flat)
     rng = np.random.Generator(np.random.PCG64(train_cfg.seed))
     n = len(train_bank)
@@ -756,7 +755,8 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch offset {lo}")
             sse += loss * loss * len(idx)
-            opt.step(params.flat, backward_batch(params, cache, dyhat).flat)
+            backward_batch(params, cache, dyhat, grads)
+            opt.step(params.flat, grads.flat)
             del cache
         train_rmse = float(np.sqrt(sse / n))
         if len(val_bank):
@@ -772,7 +772,7 @@ def train(
             since_best = 0
         else:
             since_best += 1
-            if train_cfg.patience and since_best >= train_cfg.patience:
+            if PATIENCE and since_best >= PATIENCE:
                 break
     return best_params, history
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from eshopsim import channel, events
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile(
@@ -21,17 +23,31 @@ def rng():
     return np.random.Generator(np.random.PCG64(1234))
 
 
-# Shadowing wider than the experiment's default, at which the simulator's
-# unit tests and tiny_config are written.
-WIDE_SHADOWING = {"shadow_sigma_los_db": 4.0, "shadow_sigma_nlos_db": 7.8, "decorrelation_distance_m": 10.0}
+def widen_shadowing(mp):
+    """Shadowing wider than the experiment's, at which the simulator's unit
+    tests are written: the channel constants, patched on ``mp``."""
+    mp.setattr(channel, "SHADOW_SIGMA_DB", {"los": 4.0, "nlos": 7.8})
+    mp.setattr(channel, "DECORRELATION_DISTANCE_M", 10.0)
+
+
+@pytest.fixture
+def wide_shadowing(monkeypatch):
+    widen_shadowing(monkeypatch)
+
+
+def set_hcp(mp, **values):
+    """Patch the handover control constants of ``events`` on ``mp``, named
+    in lower case: ttt_ms, hysteresis_db, offset_db."""
+    for key, value in values.items():
+        mp.setattr(events, key.upper(), value)
+
 
 # Where tiny_config departs from the defaults; each value differs from the
 # default's (test_cli checks it).
 TINY = {
     "scenario": {"num_ues": 5, "duration_s": 14.0},
-    "channel": WIDE_SHADOWING,
     "dataset": {"window_len": 16, "horizon_s": 8.0},
-    "train": {"epochs": 2, "patience": 0, "seed": 0},
+    "train": {"epochs": 2, "seed": 0},
     "master_seed": 7,
 }
 

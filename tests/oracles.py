@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from eshopsim import tcn
+from eshopsim import channel, events, scenario, tcn
 from eshopsim.channel import (
     BEAM_AZ_3DB_DEG,
     BEAM_AZ_OFFSETS_DEG,
@@ -31,7 +31,7 @@ from eshopsim.channel import (
     wrap_angle_deg,
 )
 from eshopsim.dataset import N_FEATURES
-from eshopsim.events import EVENT_A3, A3EventEngine, HcpConfig
+from eshopsim.events import EVENT_A3, A3EventEngine
 from eshopsim.scenario import (
     BS_POSITION,
     REPORT_PERIOD_MS,
@@ -332,7 +332,7 @@ def per_array_train(train_bank, val_bank, model_cfg, train_cfg):
             best_val, best_params, since_best = val_rmse, params.copy(), 0
         else:
             since_best += 1
-            if train_cfg.patience and since_best >= train_cfg.patience:
+            if tcn.PATIENCE and since_best >= tcn.PATIENCE:
                 break
     return best_params, history
 
@@ -427,7 +427,7 @@ def position_at_instant(traj: UeTrajectory, t_ms: float) -> np.ndarray:
     for ``scenario.position_at``)."""
     if not (0.0 <= t_ms <= traj.duration_ms):
         raise ValueError(f"t_ms={t_ms} outside [0, {traj.duration_ms}]")
-    omega = traj.speed_mps / traj.radius_m  # rad/s
+    omega = scenario.SPEED_MPS / traj.radius_m  # rad/s
     theta = traj.start_angle_rad + traj.direction * omega * (t_ms / 1000.0)
     return np.array(
         [
@@ -459,8 +459,8 @@ def shadow_step(prev_db, delta_d_m: float, params: ChannelParams, rng: np.random
     """Gauss-Markov shadowing update with stationary distribution N(0, sigma^2)."""
     if delta_d_m < 0.0:
         raise ValueError("delta_d must be non-negative")
-    rho = math.exp(-delta_d_m / params.decorrelation_distance_m)
-    sigma = params.shadow_sigma_db
+    rho = math.exp(-delta_d_m / channel.DECORRELATION_DISTANCE_M)
+    sigma = channel.SHADOW_SIGMA_DB[params.los_mode]
     prev_db = np.asarray(prev_db, dtype=float)
     noise = rng.standard_normal(prev_db.shape) if prev_db.shape else rng.standard_normal()
     return rho * prev_db + math.sqrt(1.0 - rho * rho) * sigma * noise
@@ -483,7 +483,7 @@ class PerReportChannel:
         az, el, d3d = bearing_from_bs(ue_pos)
         if self._shadow is None:
             # stationary initialization
-            self._shadow = p.shadow_sigma_db * self.rng.standard_normal(N_CELLS)
+            self._shadow = channel.SHADOW_SIGMA_DB[p.los_mode] * self.rng.standard_normal(N_CELLS)
         else:
             delta_d = float(np.linalg.norm(np.asarray(ue_pos) - self._last_pos))
             self._shadow = shadow_step(self._shadow, delta_d, p, self.rng)
@@ -510,13 +510,13 @@ class PerReportL3Filter:
         return self.value.copy()
 
 
-def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRun:
+def run_ue_per_report(ue_index, scenario_cfg, channel_cfg, master_seed) -> UeRun:
     """``simulate.run_ue`` one report at a time: each instant takes one
     position, samples the channel there, filters that one frame, reduces it
     to each cell's best beam and steps the engine on that (reference for the
     bulk position, channel, filter and reduction passes)."""
     ue_id = f"ue{ue_index:03d}"
-    traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario)
+    traj = spawn_trajectory(derive_seed(master_seed, "trajectory", ue_index), scenario_cfg)
     chan = PerReportChannel(channel_cfg, rng_from(master_seed, "channel", ue_index))
     prep_rng = rng_from(master_seed, "prep-latency", ue_index)
     filt = PerReportL3Filter()
@@ -527,7 +527,7 @@ def run_ue_per_report(ue_index, scenario, channel_cfg, hcp, master_seed) -> UeRu
         rows = filt.update(chan.sample(position_at_instant(traj, t))).tolist()
         best = [max(row) for row in rows]
         if engine is None:
-            engine = A3EventEngine(ue_id, hcp, best.index(max(best)))
+            engine = A3EventEngine(ue_id, best.index(max(best)))
         if command_ms is not None and command_ms <= t:
             events.append(engine.apply_handover(command_ms))
             command_ms = None
@@ -554,18 +554,13 @@ def quiet(engine: A3EventEngine, entry: bool) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def scan_events(
-    times: np.ndarray,
-    best: np.ndarray,
-    cell_ids: tuple[int, ...],
-    hcp: HcpConfig,
-    serving0: int,
-    d_preps: list[float],
-):
-    """Forward scan with explicit TTT lookahead; returns (kind, t, serving, target)."""
+def scan_events(times: np.ndarray, best: np.ndarray, cell_ids: tuple[int, ...], serving0: int, d_preps: list[float]):
+    """Forward scan with explicit TTT lookahead; returns (kind, t, serving, target).
+    Reads the handover control constants of ``events`` at call time."""
     times = np.asarray(times)
+    ttt_ms = events.TTT_MS
     n = len(times)
-    events = []
+    found = []
     serving = serving0
     pending_cmd = None  # (cmd_time, target)
     prep_iter = iter(d_preps)
@@ -575,13 +570,13 @@ def scan_events(
         nb = [j for j in range(len(cell_ids)) if j != s_idx]
         vals = [best[i, j] for j in nb]
         j_star = nb[int(np.argmax(vals))]
-        entry = best[i, j_star] > best[i, s_idx] + hcp.offset_db + hcp.hysteresis_db
+        entry = best[i, j_star] > best[i, s_idx] + events.OFFSET_DB + events.HYSTERESIS_DB
         return entry, cell_ids[j_star]
 
     i = 0
     while i < n:
         if pending_cmd is not None and times[i] >= pending_cmd[0]:
-            events.append(("CMD", pending_cmd[0], serving, pending_cmd[1]))
+            found.append(("CMD", pending_cmd[0], serving, pending_cmd[1]))
             serving = pending_cmd[1]
             pending_cmd = None
         entry, cand = condition(i)
@@ -590,43 +585,37 @@ def scan_events(
             continue
         # arm here; look ahead through the whole TTT window
         t0 = int(times[i])
-        events.append(("T0", t0, serving, cand))
+        found.append(("T0", t0, serving, cand))
         j = i + 1
         failed_at = None
         completed = False
-        while j < n and times[j] <= t0 + hcp.ttt_ms:
+        while j < n and times[j] <= t0 + ttt_ms:
             e_j, cand_j = condition(j)
             if not (e_j and cand_j == cand):
                 failed_at = j
                 break
-            if times[j] == t0 + hcp.ttt_ms:
+            if times[j] == t0 + ttt_ms:
                 completed = True
                 break
             j += 1
         if completed:
-            a3 = t0 + hcp.ttt_ms
-            events.append(("A3", a3, serving, cand))
+            a3 = t0 + ttt_ms
+            found.append(("A3", a3, serving, cand))
             d = next(prep_iter)
             pending_cmd = (a3 + d, cand)
             i = j + 1
         elif failed_at is not None:
-            events.append(("ABORT", int(times[failed_at]), serving, cand))
+            found.append(("ABORT", int(times[failed_at]), serving, cand))
             i = failed_at  # re-examined: may re-arm at the same instant
         else:
             break  # trace ended while armed
-    return events
+    return found
 
 
-def drive_engine(
-    times: np.ndarray,
-    best: np.ndarray,
-    hcp: HcpConfig,
-    serving0: int,
-    d_preps: list[float],
-):
+def drive_engine(times: np.ndarray, best: np.ndarray, serving0: int, d_preps: list[float]):
     """Feed the production engine the same trace; returns comparable tuples
     and the engine's events."""
-    engine = A3EventEngine("ue", hcp, serving0)
+    engine = A3EventEngine("ue", serving0)
     prep_iter = iter(d_preps)
     command_ms = None
     events = []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import WIDE_SHADOWING
+from conftest import widen_shadowing
+from eshopsim import channel, scenario
 from eshopsim.channel import (
     BEAM_AZ_OFFSETS_DEG,
     BEAM_EL_TILTS_DEG,
@@ -128,7 +129,7 @@ def _shadow_along(positions, seed=9):
     RSRP with the geometry and the fast fading (replayed from the seed's
     stream, 3 shadow then 36 fading draws per report) taken out."""
     positions = np.asarray(positions, dtype=float)
-    raw = ChannelState(ChannelParams(**WIDE_SHADOWING), np.random.Generator(np.random.PCG64(seed))).sample(positions)
+    raw = ChannelState(ChannelParams(), np.random.Generator(np.random.PCG64(seed))).sample(positions)
     draws = np.random.Generator(np.random.PCG64(seed)).standard_normal((len(positions), 39))
     fading = FAST_FADING_SIGMA_DB * draws[:, 3:].reshape(-1, 3, N_SSB)
     az, el, d3d = bearings_from_bs(positions)
@@ -137,42 +138,41 @@ def _shadow_along(positions, seed=9):
     return (geometry + fading - raw)[:, :, 0]
 
 
-def test_shadow_zero_distance_keeps_value():
+def test_shadow_zero_distance_keeps_value(wide_shadowing):
     pos = [50.0, 10.0, 1.5]
     shadow = _shadow_along([pos, pos, pos])
-    initial = ChannelParams(**WIDE_SHADOWING).shadow_sigma_db * np.random.Generator(np.random.PCG64(9)).standard_normal(3)
+    initial = channel.SHADOW_SIGMA_DB["los"] * np.random.Generator(np.random.PCG64(9)).standard_normal(3)
     assert shadow == pytest.approx(np.tile(initial, (3, 1)), abs=1e-9)
 
 
-def test_shadow_long_distance_forgets():
+def test_shadow_long_distance_forgets(wide_shadowing):
     # reports 1 km apart (100 decorrelation distances): independent draws
     # whose empirical stddev matches sigma
     vals = _shadow_along([[50.0 + 1000.0 * i, 0.0, 1.5] for i in range(4000)]).ravel()
     assert abs(vals.mean()) < 0.25
-    assert vals.std() == pytest.approx(ChannelParams(**WIDE_SHADOWING).shadow_sigma_db, rel=0.05)
+    assert vals.std() == pytest.approx(channel.SHADOW_SIGMA_DB["los"], rel=0.05)
 
 
-def test_shadow_stationary_stddev_monte_carlo(rng):
-    params = ChannelParams(**WIDE_SHADOWING)  # sigma 4 dB, decorrelation 10 m
+def test_shadow_stationary_stddev_monte_carlo(rng, wide_shadowing):
+    sigma = channel.SHADOW_SIGMA_DB["los"]  # 4 dB, decorrelation 10 m
     n = 1_000_000
-    rho = math.exp(-1.0 / params.decorrelation_distance_m)
-    c = math.sqrt(1.0 - rho * rho) * params.shadow_sigma_db
+    rho = math.exp(-1.0 / channel.DECORRELATION_DISTANCE_M)
+    c = math.sqrt(1.0 - rho * rho) * sigma
     noise = rng.standard_normal(n)
     vals = np.empty(n)
     s = 0.0
     for i in range(n):
         s = rho * s + c * noise[i]
         vals[i] = s
-    assert vals[1000:].std() == pytest.approx(params.shadow_sigma_db, rel=0.02)
+    assert vals[1000:].std() == pytest.approx(sigma, rel=0.02)
 
 
 def _sample_without_shadow(pos, seed=9):
     """L1 RSRP of a fresh channel, its initial shadowing added back and its
     fast fading, drawn after the three shadow draws, taken out."""
-    params = ChannelParams(**WIDE_SHADOWING)
-    chan = ChannelState(params, np.random.Generator(np.random.PCG64(seed)))
+    chan = ChannelState(ChannelParams(), np.random.Generator(np.random.PCG64(seed)))
     draws = np.random.Generator(np.random.PCG64(seed))
-    shadow = params.shadow_sigma_db * draws.standard_normal(3)
+    shadow = channel.SHADOW_SIGMA_DB["los"] * draws.standard_normal(3)
     fading = FAST_FADING_SIGMA_DB * draws.standard_normal((3, N_SSB))
     return chan.sample(np.asarray(pos)[None])[0] + shadow[:, None] - fading
 
@@ -227,12 +227,14 @@ def test_l3_filter_stays_within_observed_range(samples):
 def test_trace_passes_equal_per_report_calls(n, los_mode, seed):
     # one channel and one filter call over a trace keep every bit of the
     # per-report reference (shadowing memory, draw order, filter recurrence)
-    params = ChannelParams(los_mode=los_mode, **WIDE_SHADOWING)
+    params = ChannelParams(los_mode=los_mode)
     rng = np.random.Generator(np.random.PCG64(seed))
     positions = np.column_stack([rng.uniform(-60.0, 60.0, (n, 2)), np.full(n, 1.5)])
-    raw = ChannelState(params, np.random.Generator(np.random.PCG64(seed))).sample(positions)
-    ref_chan = PerReportChannel(params, np.random.Generator(np.random.PCG64(seed)))
-    raw_ref = np.array([ref_chan.sample(pos) for pos in positions])
+    with pytest.MonkeyPatch.context() as mp:
+        widen_shadowing(mp)
+        raw = ChannelState(params, np.random.Generator(np.random.PCG64(seed))).sample(positions)
+        ref_chan = PerReportChannel(params, np.random.Generator(np.random.PCG64(seed)))
+        raw_ref = np.array([ref_chan.sample(pos) for pos in positions])
     assert np.array_equal(raw.view(np.int64), raw_ref.view(np.int64))
     ref_filt = PerReportL3Filter()
     l3_ref = np.array([ref_filt.update(frame) for frame in raw_ref])
@@ -263,15 +265,15 @@ def test_make_report_validation():
 
 def test_rsrp_periodic_along_circle():
     # impairments off: the geometry repeats exactly after one revolution
-    traj = spawn_trajectory(5, ScenarioConfig(duration_s=60.0, speeds_mps=(25.0, 31.0)))
-    period_ms = 2.0 * math.pi * traj.radius_m / traj.speed_mps * 1000.0
+    traj = spawn_trajectory(5, ScenarioConfig(duration_s=60.0))
+    period_ms = 2.0 * math.pi * traj.radius_m / scenario.SPEED_MPS * 1000.0
     for t in (0.0, 1234.0, 5000.0):
         a, b = map(_sample_without_shadow, position_at(traj, [t, t + period_ms]))
         assert np.max(np.abs(a - b)) < 1e-6
 
 
-def test_channel_state_deterministic():
-    params = ChannelParams(**WIDE_SHADOWING)
+def test_channel_state_deterministic(wide_shadowing):
+    params = ChannelParams()
     pos = np.array([50.0, 10.0, 1.5])
     a = ChannelState(params, np.random.Generator(np.random.PCG64(9)))
     b = ChannelState(params, np.random.Generator(np.random.PCG64(9)))
@@ -282,6 +284,5 @@ def test_channel_state_deterministic():
 def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(los_mode="urban")
-    with pytest.raises(ValueError):
-        ChannelParams(decorrelation_distance_m=0.0)
-    assert ChannelParams(los_mode="NLOS", **WIDE_SHADOWING).shadow_sigma_db == 7.8
+    nlos = ChannelParams(los_mode="NLOS")
+    assert nlos.los_mode == "nlos" and not nlos.los

@@ -13,8 +13,7 @@ import pytest
 
 import eshopsim
 from conftest import TINY, artifact_bytes, make_config, series_of_runs, tiny_config
-from eshopsim import cli, tcn
-from eshopsim.channel import ChannelParams
+from eshopsim import channel, cli, tcn
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.dataset import (
     DataError,
@@ -66,9 +65,9 @@ def test_config_hash_ignores_output_dir():
 def test_config_hash_is_pinned():
     # a change that moves these hashes invalidates every run directory made
     # before it; it must edit them here and say so
-    assert config_hash(ExperimentConfig()) == "c5619f9bc0f1b9c9"
-    assert config_hash(make_config("runs/x", 501, "los", 20, 16.0, 3)) == "c55053b9f3957a83"
-    assert config_hash(make_config("runs/x", 501, "nlos", 20, 16.0, 3)) == "109e7bc2e4ac0665"
+    assert config_hash(ExperimentConfig()) == "115748a261452787"
+    assert config_hash(make_config("runs/x", 501, "los", 20, 16.0, 3)) == "ddc3362617e7b388"
+    assert config_hash(make_config("runs/x", 501, "nlos", 20, 16.0, 3)) == "718434a62d7a84b8"
 
 
 # the values make_config sets: the experiment's size, mode, seed and output
@@ -90,12 +89,10 @@ def test_the_experiment_is_the_default_configuration():
 def test_settable_config_values_are_listed():
     # every settable value of the experiment; a new knob must edit this list
     assert [key for key, _ in leaves(ExperimentConfig().to_dict())] == [
-        "scenario.speeds_mps", "scenario.duration_s", "scenario.num_ues",
-        "channel.los_mode", "channel.shadow_sigma_los_db", "channel.shadow_sigma_nlos_db",
-        "channel.decorrelation_distance_m",
-        "hcp.ttt_ms", "hcp.hysteresis_db", "hcp.offset_db",
+        "scenario.duration_s", "scenario.num_ues",
+        "channel.los_mode",
         "dataset.window_len", "dataset.horizon_s", "dataset.split_ratios",
-        "train.epochs", "train.patience", "train.seed",
+        "train.epochs", "train.seed",
         "output_dir", "master_seed",
     ]
 
@@ -104,14 +101,14 @@ def test_config_hash_coerces_declared_types():
     # 16 and 16.0 are one duration; a run directory must accept either spelling
     ints = ExperimentConfig.from_dict(
         {
-            "scenario": {"duration_s": 16, "speeds_mps": [25, 31]},
-            "hcp": {"offset_db": 3},
+            "scenario": {"duration_s": 16},
+            "dataset": {"horizon_s": 8, "split_ratios": [1, 0, 0]},
         }
     )
     floats = ExperimentConfig.from_dict(
         {
-            "scenario": {"duration_s": 16.0, "speeds_mps": [25.0, 31.0]},
-            "hcp": {"offset_db": 3.0},
+            "scenario": {"duration_s": 16.0},
+            "dataset": {"horizon_s": 8.0, "split_ratios": [1.0, 0.0, 0.0]},
         }
     )
     assert config_hash(ints) == config_hash(floats)
@@ -126,14 +123,10 @@ def test_config_hash_coerces_declared_types():
 
 
 def test_config_refuses_ttt_mismatch():
-    # the TTT is the HCP block's: the preparation latency fits inside it and
-    # the 200 ms guard outlasts it
-    ok = ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}})
-    assert ok.hcp.ttt_ms == 160
-    with pytest.raises(ConfigError, match="ttt_ms"):
-        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 200}})
-    with pytest.raises(ConfigError, match=r"unknown top-level keys in config: \['signaling'\]"):
-        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 160}, "signaling": {"ttt_ms": 40}})
+    # the TTT is the constant events.TTT_MS: no block of a config sets one
+    for block in ("hcp", "signaling"):
+        with pytest.raises(ConfigError, match=rf"unknown top-level keys in config: \['{block}'\]"):
+            ExperimentConfig.from_dict({block: {"ttt_ms": 160}})
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -186,11 +179,41 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("train", "batch_size", 64),
         ("signaling", "trigger_threshold_ms", 40.0),
         ("signaling", "consecutive_required", 2),
+        # values no run varies: the UE speed, the shadowing, the handover
+        # control parameters (the whole hcp block) and the early-stop
+        # patience (scenario.SPEED_MPS, channel.SHADOW_SIGMA_DB and
+        # DECORRELATION_DISTANCE_M, events.TTT_MS, HYSTERESIS_DB and
+        # OFFSET_DB, tcn.PATIENCE)
+        ("scenario", "speeds_mps", [25.0]),
+        ("channel", "shadow_sigma_los_db", 2.0),
+        ("channel", "shadow_sigma_nlos_db", 3.0),
+        ("channel", "decorrelation_distance_m", 25.0),
+        ("hcp", "ttt_ms", 40),
+        ("hcp", "hysteresis_db", 1.0),
+        ("hcp", "offset_db", 3.0),
+        ("train", "patience", 8),
     ]
     for block, key, value in removed:
         path.write_text(json.dumps({block: {key: value}, "output_dir": str(tmp_path / "run")}))
         assert cli.main(["simulate", "--config", str(path)]) == 2, key
+    path.write_text(json.dumps({"hcp": {}, "output_dir": str(tmp_path / "run")}))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
     assert not (tmp_path / "run").exists()
+
+
+def test_an_unreadable_config_file_exits_2(tmp_path, monkeypatch, capsys):
+    # a file that is no UTF-8 text, and a directory, are config errors that
+    # name the path, not crashes; nothing is written
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_text(json.dumps({"output_dir": str(out)}), encoding="utf-16")
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    for path in (utf16, folder):
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+    assert not out.exists() and sorted(os.listdir(tmp_path)) == ["folder.json", "utf16.json"]
 
 
 def _model_headers(blob: bytes):
@@ -212,11 +235,11 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     # number goes, a number that is not finite (json.dumps writes the raw NaN
     # and Infinity tokens) and an output directory that is no string
     for block in (
-        {"scenario": {"num_ues": 0}}, {"train": {"patience": -1}}, {"channel": {"los_mode": 1}},
+        {"scenario": {"num_ues": 0}}, {"train": {"epochs": 0}}, {"channel": {"los_mode": 1}},
         {"master_seed": True}, {"scenario": {"num_ues": True}},
-        {"hcp": {"hysteresis_db": True}}, {"train": {"epochs": True}},
+        {"dataset": {"horizon_s": True}}, {"train": {"epochs": True}},
         {"dataset": {"horizon_s": math.nan}}, {"scenario": {"duration_s": math.nan}},
-        {"hcp": {"offset_db": math.inf}}, {"channel": {"shadow_sigma_los_db": math.nan}},
+        {"scenario": {"duration_s": math.inf}}, {"dataset": {"horizon_s": -math.inf}},
         {"output_dir": None}, {"master_seed": "1"},
         {"dataset": {"split_ratios": [1.2, -0.1, -0.1]}},
     ):
@@ -676,7 +699,7 @@ def test_dataset_from_the_log_equals_the_dataset_from_memory(tmp_path):
     cfg = tiny_config(tmp_path / "run")
     cli.cmd_simulate(cfg)
     cli.cmd_build_dataset(cfg, quiet=True)
-    runs = run_scenario(cfg.scenario, cfg.channel, cfg.hcp, cfg.master_seed)
+    runs = run_scenario(cfg.scenario, cfg.channel, cfg.master_seed)
     bundle = build_dataset(
         series_of_runs(runs),
         cfg.dataset,
@@ -723,20 +746,19 @@ def test_los_flag_changes_channel(tmp_path):
     assert a != b
 
 
-def test_an_nlos_run_at_the_los_sigma_gives_the_los_events(tmp_path):
+def test_an_nlos_run_at_the_los_sigma_gives_the_los_events(tmp_path, monkeypatch):
     # the LoS/NLoS axis is the shadowing sigma: the path loss, in which the
     # modes differ too, is the same for the co-sited cells and cancels in the A3 gap
-    def events(name, **channel):
-        cfg = make_config(str(tmp_path / name), 501, "los", 6, 14.0, 1)
-        cfg.channel = ChannelParams(**channel)
-        cli.cmd_simulate(cfg)
+    def events(name, los_mode):
+        cli.cmd_simulate(make_config(str(tmp_path / name), 501, los_mode, 6, 14.0, 1))
         return (tmp_path / name / "events.csv").read_text().splitlines()[1:]  # below the header line
 
-    los = events("los")
+    los = events("los", "los")
     assert len(los) > 1
-    sigma = ChannelParams().shadow_sigma_los_db
-    assert events("nlos-at-los-sigma", los_mode="nlos", shadow_sigma_nlos_db=sigma) == los
-    assert events("nlos", los_mode="nlos") != los
+    nlos = events("nlos", "nlos")
+    assert nlos != los
+    monkeypatch.setitem(channel.SHADOW_SIGMA_DB, "nlos", channel.SHADOW_SIGMA_DB["los"])
+    assert events("nlos-at-los-sigma", "nlos") == los
 
 
 def test_report_merges_runs(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eshopsim.config import ConfigError, ExperimentConfig
+from conftest import set_hcp
+from eshopsim.config import ExperimentConfig
 from eshopsim.channel import ChannelParams
 from eshopsim.controller import (
     ENTRY_RULE,
@@ -20,7 +21,7 @@ from eshopsim.controller import (
     HoComparison,
 )
 from eshopsim.dataset import DatasetMeta, N_FEATURES, standardized_rows
-from eshopsim.events import EVENT_CMD, HcpConfig, HoEventRecord, episodes_from_events
+from eshopsim.events import EVENT_CMD, TTT_MS, HoEventRecord, episodes_from_events
 from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
 from eshopsim.simulate import D_PREP_MAX_MS, run_scenario
 from eshopsim.tcn import TcnModelConfig, init_params
@@ -31,18 +32,12 @@ def _ep(t0=1960, ue="ue000", target=1):
     return HoEventRecord(ue, 0, target, t0, a3_ms=t0 + 40)
 
 
-def test_signaling_config_validation():
-    # the TTT is checked against the guard where the TTT lives
-    with pytest.raises(ConfigError):
-        ExperimentConfig(hcp=HcpConfig(ttt_ms=200))  # not shorter than the guard
-
-
 def test_preparation_fits_inside_every_ttt():
-    # HcpConfig keeps the TTT at one report period or more, so a preparation
-    # latency of at most one period always completes inside it
-    assert D_PREP_MAX_MS <= REPORT_PERIOD_MS
-    with pytest.raises(ValueError):
-        HcpConfig(ttt_ms=REPORT_PERIOD_MS // 2)
+    # the TTT is a whole number of report periods, at least one, so a
+    # preparation latency of at most one period completes inside it; and
+    # the guard outlasts the TTT
+    assert TTT_MS > 0 and TTT_MS % REPORT_PERIOD_MS == 0
+    assert D_PREP_MAX_MS <= REPORT_PERIOD_MS <= TTT_MS < GUARD_MS
 
 
 def test_decide_preparation_examples():
@@ -221,17 +216,16 @@ def test_entry_countdown_is_zero_at_every_t0():
 
 @pytest.mark.parametrize("ttt_ms", [40, 80, 160])
 @pytest.mark.parametrize("los_mode", ["los", "nlos"])
-def test_entry_rule_equals_the_oracle_but_after_an_early_aborted_t0(los_mode, ttt_ms):
+def test_entry_rule_equals_the_oracle_but_after_an_early_aborted_t0(monkeypatch, los_mode, ttt_ms):
     # The regime: every TTT outlasts every preparation latency, and the A3
     # gates the command. Then preparing at the first T0 after the last
     # command gives the oracle's timeline (command at the A3, nothing
     # wasted), except where an aborted T0 precedes the A3 by more than the
     # guard plus d_prep: that preparation expires, and the episode falls back.
     assert D_PREP_MAX_MS < REPORT_PERIOD_MS  # the shortest TTT
-    cfg = ExperimentConfig(hcp=HcpConfig(ttt_ms=ttt_ms))
-    runs = run_scenario(
-        ScenarioConfig(num_ues=20, duration_s=16.0), ChannelParams(los_mode=los_mode), cfg.hcp, master_seed=501
-    )
+    set_hcp(monkeypatch, ttt_ms=ttt_ms)
+    cfg = ExperimentConfig()
+    runs = run_scenario(ScenarioConfig(num_ues=20, duration_s=16.0), ChannelParams(los_mode=los_mode), master_seed=501)
     same = parted = 0
     for run in runs:
         episodes = episodes_from_events(run.events)
@@ -302,7 +296,7 @@ def test_replay_ignores_a_trigger_before_the_previous_command():
 
 def test_replay_of_the_oracle_countdown_never_falls_back():
     cfg = ExperimentConfig()
-    runs = run_scenario(ScenarioConfig(num_ues=6, duration_s=16.0), ChannelParams(), cfg.hcp, 501)
+    runs = run_scenario(ScenarioConfig(num_ues=6, duration_s=16.0), ChannelParams(), 501)
     run = next(r for r in runs if any(e.kind == EVENT_CMD for e in r.events))
     episodes = episodes_from_events(run.events)
     oracle = oracle_countdown(run.times_ms, episodes, cfg.dataset.horizon_s)

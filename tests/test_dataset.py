@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import WIDE_SHADOWING, series_of_runs
+from conftest import series_of_runs, widen_shadowing
 from eshopsim.channel import ChannelParams, reduce_series
 from eshopsim.dataset import (
     DataError,
@@ -21,7 +21,7 @@ from eshopsim.dataset import (
     write_dataset,
     N_FEATURES,
 )
-from eshopsim.events import HcpConfig, HoEventRecord
+from eshopsim.events import HoEventRecord
 from eshopsim.scenario import ScenarioConfig
 from eshopsim.simulate import run_scenario
 from oracles import label_scan, random_episode_set, windowize
@@ -179,8 +179,9 @@ def test_one_hot_blocks_sum_to_one():
 
 
 def _pipeline_bundle(tmp_path, num_ues=6, seed=13):
-    sc = ScenarioConfig(num_ues=num_ues, duration_s=14.0, speeds_mps=(25.0,))
-    runs = run_scenario(sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=1.0), master_seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        widen_shadowing(mp)
+        runs = run_scenario(ScenarioConfig(num_ues=num_ues, duration_s=14.0), ChannelParams(), master_seed=seed)
     return build_dataset(
         series_of_runs(runs), DatasetConfig(window_len=8, horizon_s=8.0), split_seed=3, config_hash="abc", master_seed=seed
     )

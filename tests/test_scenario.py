@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import WIDE_SHADOWING
+from eshopsim import scenario
 from eshopsim.channel import ChannelParams
-from eshopsim.events import HcpConfig
 from eshopsim.scenario import (
     BS_POSITION,
     REPORT_PERIOD_MS,
     SECTOR_BORESIGHTS_DEG,
     ScenarioConfig,
+    UeTrajectory,
     bearings_from_bs,
     position_at,
     row_norms,
@@ -23,36 +23,29 @@ from oracles import bearing_from_bs, position_at_instant
 
 
 def test_spawn_is_deterministic():
-    sc = ScenarioConfig(speeds_mps=(25.0, 31.0))
+    sc = ScenarioConfig()
     a = spawn_trajectory(7, sc)
     b = spawn_trajectory(7, sc)
     assert a == b
 
 
 def test_spawn_radius_bounds_and_separation():
-    sc = ScenarioConfig(speeds_mps=(25.0, 31.0))
-    radii = []
-    speeds = set()
-    for seed in range(10_000):
-        t = spawn_trajectory(seed, sc)
-        radii.append(t.radius_m)
-        speeds.add(t.speed_mps)
-    radii = np.asarray(radii)
+    sc = ScenarioConfig()
+    radii = np.asarray([spawn_trajectory(seed, sc).radius_m for seed in range(10_000)])
     assert radii.min() >= 40.0 and radii.max() <= 60.0
     # individual circles end up separated by up to tens of meters
     assert radii.max() - radii.min() > 15.0
-    assert speeds == {25.0, 31.0}
 
 
 def test_spawn_rejects_bad_scenarios():
     with pytest.raises(ValueError):
         ScenarioConfig(duration_s=0.0)
     with pytest.raises(ValueError):
-        ScenarioConfig(speeds_mps=())
+        ScenarioConfig(num_ues=0)
 
 
 def test_distinct_seeds_give_distinct_trajectories():
-    sc = ScenarioConfig(speeds_mps=(25.0, 31.0))
+    sc = ScenarioConfig()
     pairs = [(spawn_trajectory(2 * i, sc), spawn_trajectory(2 * i + 1, sc)) for i in range(1000)]
     same = sum(
         a.radius_m == b.radius_m
@@ -63,16 +56,8 @@ def test_distinct_seeds_give_distinct_trajectories():
     assert same == 0
 
 
-def _traj(radius=50.0, speed=25.0, start=0.0, direction=1, duration=120.0):
-    from eshopsim.scenario import UeTrajectory
-
-    return UeTrajectory(
-        radius_m=radius,
-        speed_mps=speed,
-        start_angle_rad=start,
-        direction=direction,
-        duration_s=duration,
-    )
+def _traj(radius=50.0, start=0.0, direction=1, duration=120.0):
+    return UeTrajectory(radius_m=radius, start_angle_rad=start, direction=direction, duration_s=duration)
 
 
 def test_position_identity_at_t0():
@@ -85,14 +70,15 @@ def test_position_identity_at_t0():
 
 def test_position_antipodal_at_half_period():
     t = _traj(start=0.0)
-    half_period_ms = math.pi * t.radius_m / t.speed_mps * 1000.0
+    half_period_ms = math.pi * t.radius_m / scenario.SPEED_MPS * 1000.0
     (p,) = position_at(t, [half_period_ms])
     assert p[0] == pytest.approx(-50.0, abs=1e-9)
     assert p[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_full_revolution_period():
-    t = _traj(radius=50.0, speed=25.0)
+    assert scenario.SPEED_MPS == 25.0
+    t = _traj(radius=50.0)
     period_s = 2.0 * math.pi * 50.0 / 25.0
     p0, p1 = position_at(t, [0.0, period_s * 1000.0])
     assert np.allclose(p0, p1, atol=1e-9)
@@ -127,7 +113,7 @@ def test_positions_on_the_report_grid_equal_the_per_instant_reference(
 ):
     # the trace is the per-instant positions bit for bit, on the grid that
     # ends on the duration (8.04 s is 8040 ms, not 8039.999...)
-    traj = spawn_trajectory(seed, ScenarioConfig(duration_s=duration_s, speeds_mps=(25.0, 31.0)))
+    traj = spawn_trajectory(seed, ScenarioConfig(duration_s=duration_s))
     times = range(0, traj.duration_ms + 1, REPORT_PERIOD_MS)
     want = np.array([position_at_instant(traj, t) for t in times])
     assert np.array_equal(position_at(traj, times).view(np.int64), want.view(np.int64))
@@ -139,11 +125,14 @@ def test_positions_on_the_report_grid_equal_the_per_instant_reference(
         position_at(traj, [*times, late])
 
 
-def test_arc_length_between_reports():
-    for speed, expected in ((25.0, 1.0), (31.0, 1.24)):
-        t = _traj(speed=speed)
-        omega = speed / t.radius_m
-        arc = t.radius_m * omega * (REPORT_PERIOD_MS / 1000.0)
+def test_arc_length_between_reports(monkeypatch):
+    # the UE moves SPEED_MPS times one report period along its circle
+    for speed, expected in ((None, 1.0), (31.0, 1.24)):
+        if speed is not None:
+            monkeypatch.setattr(scenario, "SPEED_MPS", speed)
+        t = _traj()
+        p0, p1 = position_at(t, [0.0, REPORT_PERIOD_MS])
+        arc = t.radius_m * (math.atan2(p1[1], p1[0]) - math.atan2(p0[1], p0[0]))
         assert arc == pytest.approx(expected, abs=1e-12)
 
 
@@ -214,7 +203,6 @@ def test_bearings_straight_above_and_below():
 
 def test_report_grid():
     # reports at 0, 40, 80, ... up to and including the duration
-    sc = ScenarioConfig(num_ues=1, duration_s=1.0, speeds_mps=(25.0, 31.0))
-    grid = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=0.0), master_seed=1).times_ms
+    grid = run_ue(0, ScenarioConfig(num_ues=1, duration_s=1.0), ChannelParams(), master_seed=1).times_ms
     assert grid[0] == 0 and grid[-1] == 1000
     assert np.all(np.diff(grid) == REPORT_PERIOD_MS)

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import eshopsim
 import oracles
-from conftest import WIDE_SHADOWING
-from eshopsim import simulate
+from conftest import set_hcp, widen_shadowing
+from eshopsim import scenario, simulate
 from eshopsim.artifacts import read_table
 from eshopsim.channel import ChannelParams, ChannelState
-from eshopsim.events import A3EventEngine, HcpConfig, a3_entry, episodes_from_events
+from eshopsim.events import A3EventEngine, a3_entry, episodes_from_events
 from eshopsim.scenario import REPORT_PERIOD_MS, ScenarioConfig
 from eshopsim.simulate import (
     EVENT_LOG_SCHEMA,
@@ -30,18 +30,13 @@ from oracles import run_ue_per_report
 
 
 def _small_run(los_mode="los"):
-    sc = ScenarioConfig(num_ues=2, duration_s=14.0, speeds_mps=(25.0,))
-    return run_scenario(
-        sc,
-        ChannelParams(los_mode=los_mode, **WIDE_SHADOWING),
-        HcpConfig(hysteresis_db=1.0),
-        master_seed=11,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        widen_shadowing(mp)
+        return run_scenario(ScenarioConfig(num_ues=2, duration_s=14.0), ChannelParams(los_mode), master_seed=11)
 
 
-def test_run_ue_report_stream_shape():
-    sc = ScenarioConfig(num_ues=1, duration_s=5.0, speeds_mps=(25.0, 31.0))
-    run = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=0.0), master_seed=1)
+def test_run_ue_report_stream_shape(wide_shadowing):
+    run = run_ue(0, ScenarioConfig(num_ues=1, duration_s=5.0), ChannelParams(), master_seed=1)
     assert run.times_ms.size == 126  # 0..5000 inclusive, 40 ms apart
     assert np.all(np.diff(run.times_ms) == REPORT_PERIOD_MS)
     assert run.best_beams.shape == run.best_rsrp.shape == (126, 3)
@@ -52,11 +47,10 @@ def test_run_ue_report_stream_shape():
 
 @pytest.mark.parametrize("los_mode", ["los", "nlos"])
 @pytest.mark.parametrize("seed", [3, 17, 2024])
-def test_run_ue_equals_per_report_loop(los_mode, seed):
+def test_run_ue_equals_per_report_loop(wide_shadowing, los_mode, seed):
     # the bulk position, channel, filter and reduction passes keep every bit
     # of the loop that samples, filters, reduces and steps one report at a time
-    sc = ScenarioConfig(num_ues=2, duration_s=12.0, speeds_mps=(25.0, 31.0))
-    args = (1, sc, ChannelParams(los_mode=los_mode, **WIDE_SHADOWING), HcpConfig(hysteresis_db=1.0), seed)
+    args = (1, ScenarioConfig(num_ues=2, duration_s=12.0), ChannelParams(los_mode), seed)
     got, want = run_ue(*args), run_ue_per_report(*args)
     assert np.array_equal(got.times_ms, want.times_ms)
     assert np.array_equal(got.best_beams.view(np.int64), want.best_beams.view(np.int64))
@@ -79,10 +73,11 @@ def test_run_ue_steps_where_the_per_report_loop_acts(
 ):
     # stepping the engine only where it can act keeps the events and every
     # bit of the loop that steps each report
-    sc = ScenarioConfig(num_ues=1, duration_s=duration_s, speeds_mps=(25.0, 31.0))
-    hcp = HcpConfig(ttt_ms=ttt_ms, hysteresis_db=hysteresis_db, offset_db=offset_db)
-    args = (0, sc, ChannelParams(los_mode=los_mode, **WIDE_SHADOWING), hcp, seed)
-    got, want = run_ue(*args), run_ue_per_report(*args)
+    args = (0, ScenarioConfig(num_ues=1, duration_s=duration_s), ChannelParams(los_mode), seed)
+    with pytest.MonkeyPatch.context() as mp:
+        widen_shadowing(mp)
+        set_hcp(mp, ttt_ms=ttt_ms, hysteresis_db=hysteresis_db, offset_db=offset_db)
+        got, want = run_ue(*args), run_ue_per_report(*args)
     assert np.array_equal(got.times_ms, want.times_ms)
     assert np.array_equal(got.best_beams.view(np.int64), want.best_beams.view(np.int64))
     assert np.array_equal(got.best_rsrp.view(np.int64), want.best_rsrp.view(np.int64))
@@ -92,20 +87,22 @@ def test_run_ue_steps_where_the_per_report_loop_acts(
 def _equal_to_the_per_report_loop(monkeypatch, seed, duration_s, **hcp) -> UeRun:
     """``run_ue`` and ``run_ue_per_report`` on one UE: the same bits and
     events, and ``run_ue`` steps exactly the reports the loop steps that
-    ``oracles.quiet`` does not call quiet."""
+    ``oracles.quiet`` does not call quiet. Runs at the wide shadowing, with
+    no hysteresis unless ``hcp`` sets it."""
     stepped = []  # (report time, quiet) of each engine step
     step = A3EventEngine.step
 
     def recording(engine, report):
         best = report.best_rsrp
         s = engine.serving_cell
-        entry = a3_entry(max(best[c] for c in range(3) if c != s), best[s], engine.hcp)
+        entry = a3_entry(max(best[c] for c in range(3) if c != s), best[s])
         stepped.append((report.t_ms, oracles.quiet(engine, entry)))
         return step(engine, report)
 
     monkeypatch.setattr(A3EventEngine, "step", recording)
-    sc = ScenarioConfig(num_ues=1, duration_s=duration_s, speeds_mps=(25.0, 31.0))
-    args = (0, sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(**{"hysteresis_db": 0.0, **hcp}), seed)
+    widen_shadowing(monkeypatch)
+    set_hcp(monkeypatch, **{"hysteresis_db": 0.0, **hcp})
+    args = (0, ScenarioConfig(num_ues=1, duration_s=duration_s), ChannelParams(), seed)
     got = run_ue(*args)
     got_steps, stepped[:] = list(stepped), []
     want = run_ue_per_report(*args)
@@ -117,10 +114,13 @@ def _equal_to_the_per_report_loop(monkeypatch, seed, duration_s, **hcp) -> UeRun
     return got
 
 
-@pytest.mark.parametrize("ttt_ms, seed, offset_db", [(40, 4, 1.0), (320, 0, -1.0)])
-def test_run_ue_applies_a_command_due_at_a_report_instant(monkeypatch, ttt_ms, seed, offset_db):
+@pytest.mark.parametrize(
+    "ttt_ms, seed, offset_db, speed_mps", [(40, 4, 1.0, 25.0), (320, 0, -1.0, 31.0)], ids=["40-4-1.0", "320-0--1.0"]
+)
+def test_run_ue_applies_a_command_due_at_a_report_instant(monkeypatch, ttt_ms, seed, offset_db, speed_mps):
     # a preparation of exactly one report period puts every command on a
     # report instant, where the new serving cell may arm a T0 at once
+    monkeypatch.setattr(scenario, "SPEED_MPS", speed_mps)
     for module in (simulate, oracles):
         monkeypatch.setattr(module, "D_PREP_MIN_MS", 40.0)
         monkeypatch.setattr(module, "D_PREP_MAX_MS", 40.0)
@@ -156,7 +156,7 @@ def test_run_ue_ends_where_the_serving_cell_never_enters_again(monkeypatch, ttt_
     assert _equal_to_the_per_report_loop(monkeypatch, 1, 12.0, ttt_ms=ttt_ms, offset_db=60.0).events == []
 
 
-def test_run_ue_refuses_a_non_finite_frame(monkeypatch):
+def test_run_ue_refuses_a_non_finite_frame(monkeypatch, wide_shadowing):
     sample = ChannelState.sample
 
     def with_nan(self, positions):
@@ -166,7 +166,7 @@ def test_run_ue_refuses_a_non_finite_frame(monkeypatch):
 
     monkeypatch.setattr(ChannelState, "sample", with_nan)
     with pytest.raises(ValueError, match="report values must be finite"):
-        run_ue(0, ScenarioConfig(num_ues=1, duration_s=4.0), ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=0.0), 1)
+        run_ue(0, ScenarioConfig(num_ues=1, duration_s=4.0), ChannelParams(), 1)
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -181,20 +181,18 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_run_ue_deterministic():
-    sc = ScenarioConfig(num_ues=1, duration_s=8.0, speeds_mps=(25.0, 31.0))
-    hcp = HcpConfig(hysteresis_db=0.0)
-    a = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), hcp, master_seed=4)
-    b = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), hcp, master_seed=4)
+def test_run_ue_deterministic(wide_shadowing):
+    sc = ScenarioConfig(num_ues=1, duration_s=8.0)
+    a = run_ue(0, sc, ChannelParams(), master_seed=4)
+    b = run_ue(0, sc, ChannelParams(), master_seed=4)
     assert np.array_equal(a.best_beams, b.best_beams)
     assert np.array_equal(a.best_rsrp, b.best_rsrp)
     assert a.events == b.events
 
 
-def test_full_revolution_crosses_three_borders():
+def test_full_revolution_crosses_three_borders(wide_shadowing):
     # one revolution must produce at least one handover per cell border
-    sc = ScenarioConfig(num_ues=1, duration_s=17.0, speeds_mps=(25.0,))
-    run = run_ue(0, sc, ChannelParams(**WIDE_SHADOWING), HcpConfig(hysteresis_db=1.0), master_seed=2)
+    run = run_ue(0, ScenarioConfig(num_ues=1, duration_s=17.0), ChannelParams(), master_seed=2)
     a3_count = sum(1 for e in run.events if e.kind == "A3")
     assert a3_count >= 3
     # and the serving cell visits all three cells across the commands

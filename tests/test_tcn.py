@@ -198,7 +198,8 @@ def test_full_gradient_check_small_net():
     y = rng.normal(size=3) + 2.0
 
     loss, cache, dyhat = _loss_fn(params, X, y)
-    grads = backward_batch(params, cache, dyhat)
+    grads = params.zeros_like()
+    backward_batch(params, cache, dyhat, grads)
     for analytic, a in zip(grads.arrays(), params.arrays()):
         fd = fd_gradient(lambda: _loss_fn(params, X, y)[0], [a], h=1e-6)[0]
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
@@ -235,7 +236,8 @@ def test_cone_forward_backward_equal_full_sequence(k, dilations, T, B, c_in, hid
     want_y, want_grads = full_sequence_tcn(params, X, dyhat)
     yhat, cache = forward_batch(params, X)
     assert np.array_equal(yhat, want_y)
-    grads = backward_batch(params, cache, dyhat)
+    grads = params.zeros_like()
+    backward_batch(params, cache, dyhat, grads)
     for got, want in zip(grads.arrays(), want_grads):
         assert np.array_equal(got, want)
 
@@ -488,7 +490,8 @@ def test_backward_equals_where_oracle_bit_for_bit(cfg, T, dtype):
     X[0, -3:] = -0.0  # signed zeros reach the relu masks
     yhat, cache = forward_batch(params, X)
     dyhat = rng.normal(size=5).astype(dtype)
-    got = backward_batch(params, cache, dyhat)
+    got = params.zeros_like()
+    backward_batch(params, cache, dyhat, got)
     want = where_backward_batch(params, per_tap_forward_batch(params, X)[1], dyhat)
     assert got.flat.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
     for a, b in zip(got.arrays(), want):
@@ -502,7 +505,8 @@ def test_train_equals_per_array_oracle_bit_for_bit(tmp_path, monkeypatch, dtype)
     )
     bank, val = _overfit_data(n=40, seed=11), _overfit_data(n=12, seed=12)
     monkeypatch.setattr(tcn, "BATCH_SIZE", 16)  # three batches an epoch, the last one short
-    tr = TrainConfig(epochs=3, patience=0, seed=4)
+    monkeypatch.setattr(tcn, "PATIENCE", 0)  # no early stop
+    tr = TrainConfig(epochs=3, seed=4)
     if np.dtype(dtype) != tcn.DTYPE:
         # train runs only in DTYPE; the kernels it steps stay dtype-generic,
         # so their steps are checked here against the oracle's, batch by batch
@@ -518,10 +522,31 @@ def test_train_equals_per_array_oracle_bit_for_bit(tmp_path, monkeypatch, dtype)
     assert (tmp_path / "a.tcn").read_bytes() == (tmp_path / "b.tcn").read_bytes()
 
 
+def test_train_stops_after_patience_epochs_without_a_better_validation(monkeypatch):
+    cfg = TcnModelConfig(
+        in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=6, dense_sizes=(6,), seed=5
+    )
+    bank, val = _overfit_data(n=40, seed=11), _overfit_data(n=12, seed=12)
+    monkeypatch.setattr(tcn, "BATCH_SIZE", 16)
+    monkeypatch.setattr(tcn, "PATIENCE", 2)
+    tr = TrainConfig(epochs=200, seed=4)
+    params, history = train(bank, val, cfg, tr)
+    want, want_history = per_array_train(bank, val, cfg, tr)
+    assert history == want_history and params.flat.tobytes() == want.flat.tobytes()
+    # the last two epochs found no better validation RMSE than the best before
+    # them, every earlier run of two did; the best epoch's parameters come back
+    val_rmse = [h["val_rmse"] for h in history]
+    assert len(val_rmse) < tr.epochs and min(val_rmse[-2:]) >= min(val_rmse[:-2])
+    assert all(min(val_rmse[i : i + 2]) < min(val_rmse[:i]) for i in range(1, len(val_rmse) - 2))
+    rmse = np.sqrt(np.mean(np.square(np.asarray(val.y, dtype=np.float64) - tcn.predict(params, val))))
+    assert rmse == min(val_rmse)
+
+
 def test_adam_takes_the_defaults_of_kingma_and_ba():
-    # no run varies the step size or the batch: they are constants, not settings
+    # no run varies the step size, the batch or the early-stop patience:
+    # they are constants, not settings
     assert (_Adam.ALPHA, _Adam.BETA1, _Adam.BETA2, _Adam.EPS) == (1e-3, 0.9, 0.999, 1e-8)
-    assert tcn.BATCH_SIZE == 64
+    assert (tcn.BATCH_SIZE, tcn.PATIENCE) == (64, 8)
 
 
 def _assert_steps_equal_per_array_oracle(bank, cfg, tr, dtype):
@@ -531,6 +556,7 @@ def _assert_steps_equal_per_array_oracle(bank, cfg, tr, dtype):
     params = init_params(cfg, dtype)
     want = params.copy()
     opt, oracle = _Adam(params.flat), PerArrayAdam(want.arrays())
+    grads = params.zeros_like()  # one buffer, as train keeps
     rng = np.random.Generator(np.random.PCG64(tr.seed))
     y = np.asarray(bank.y, dtype=dtype)
     steps = 0
@@ -541,7 +567,8 @@ def _assert_steps_equal_per_array_oracle(bank, cfg, tr, dtype):
             X = np.asarray(bank.gather(idx), dtype=dtype)
             yhat, cache = forward_batch(params, X)
             _, dyhat = rmse_loss(y[idx], yhat)
-            opt.step(params.flat, backward_batch(params, cache, dyhat).flat)
+            backward_batch(params, cache, dyhat, grads)
+            opt.step(params.flat, grads.flat)
             yhat, cache = per_tap_forward_batch(want, X)
             _, dyhat = rmse_loss(y[idx], yhat)
             oracle.step(want.arrays(), where_backward_batch(want, cache, dyhat))
@@ -584,7 +611,8 @@ def test_dead_taps_never_move_in_training(monkeypatch):
     T = 8
     bank = _overfit_data(T=T, seed=7)
     monkeypatch.setattr(tcn, "BATCH_SIZE", 8)
-    tr = TrainConfig(epochs=3, patience=0, seed=2)
+    monkeypatch.setattr(tcn, "PATIENCE", 0)  # no early stop
+    tr = TrainConfig(epochs=3, seed=2)
     params, _ = train(bank, bank, cfg, tr)
     init = init_params(cfg, np.float32)
     dead = 0
@@ -654,7 +682,8 @@ def test_train_overfits_small_set(monkeypatch):
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=8, dense_sizes=(8,), seed=0
     )
     monkeypatch.setattr(tcn, "BATCH_SIZE", 32)
-    tr = TrainConfig(epochs=500, patience=0, seed=0)
+    monkeypatch.setattr(tcn, "PATIENCE", 0)  # no early stop
+    tr = TrainConfig(epochs=500, seed=0)
     params, history = train(bank, array_bank(np.zeros((0, 16, 4)), np.zeros(0)), cfg, tr)
     assert history[-1]["train_rmse"] < 0.01
 
@@ -665,7 +694,8 @@ def test_train_loss_mostly_non_increasing(monkeypatch):
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=8, dense_sizes=(8,), seed=1
     )
     monkeypatch.setattr(tcn, "BATCH_SIZE", 32)
-    tr = TrainConfig(epochs=200, patience=0, seed=1)
+    monkeypatch.setattr(tcn, "PATIENCE", 0)  # no early stop
+    tr = TrainConfig(epochs=200, seed=1)
     _, history = train(bank, array_bank(np.zeros((0, 16, 4)), np.zeros(0)), cfg, tr)
     losses = [h["train_rmse"] for h in history]
     warmup = 10
@@ -679,7 +709,8 @@ def test_train_deterministic_given_seed(monkeypatch):
         in_channels=4, kernel_size=3, dilations=(1, 2), hidden_channels=4, dense_sizes=(4,), seed=2
     )
     monkeypatch.setattr(tcn, "BATCH_SIZE", 8)
-    tr = TrainConfig(epochs=5, patience=0, seed=9)
+    monkeypatch.setattr(tcn, "PATIENCE", 0)  # no early stop
+    tr = TrainConfig(epochs=5, seed=9)
     p1, h1 = train(bank, bank, cfg, tr)
     p2, h2 = train(bank, bank, cfg, tr)
     assert h1 == h2
@@ -694,7 +725,8 @@ def test_train_diverged_raises(monkeypatch):
     )
     monkeypatch.setattr(tcn._Adam, "ALPHA", 1e18)
     monkeypatch.setattr(tcn, "BATCH_SIZE", 32)
-    tr = TrainConfig(epochs=50, patience=0, seed=0)
+    monkeypatch.setattr(tcn, "PATIENCE", 0)  # no early stop
+    tr = TrainConfig(epochs=50, seed=0)
     # the overflow on the way to a non-finite loss is what this test provokes
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged):
         train(bank, bank, cfg, tr)
@@ -754,8 +786,6 @@ def test_config_validation():
         TcnModelConfig(kernel_size=0)
     with pytest.raises(ConfigError, match=r"unknown keys in config\.train: \['dtype'\]"):
         ExperimentConfig.from_dict({"train": {"dtype": "float32"}})  # one model precision
-    with pytest.raises(ValueError, match="patience"):
-        TrainConfig(patience=-1)
 
 
 def test_blas_pin_says_what_it_looked_for_where_it_finds_no_library(monkeypatch, tmp_path):
