@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import set_hcp
-from eshopsim.config import ExperimentConfig
+from eshopsim.config import ConfigError, ExperimentConfig
 from eshopsim.channel import ChannelParams
 from eshopsim.controller import (
     ENTRY_RULE,
@@ -30,6 +30,14 @@ from oracles import StreamingCountdown, first_trigger_scan
 
 def _ep(t0=1960, ue="ue000", target=1):
     return HoEventRecord(ue, 0, target, t0, a3_ms=t0 + 40)
+
+
+def test_signaling_config_validation():
+    # the TTT is the constant events.TTT_MS, shorter than the guard; no
+    # config sets it, so a file that tries to is refused
+    assert TTT_MS < GUARD_MS
+    with pytest.raises(ConfigError, match="hcp"):
+        ExperimentConfig.from_dict({"hcp": {"ttt_ms": 200}})
 
 
 def test_preparation_fits_inside_every_ttt():

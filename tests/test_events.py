@@ -27,6 +27,14 @@ def test_a3_entry_examples(monkeypatch):
     assert a3_entry(-81.0, -84.0) is False
 
 
+def test_hcp_validation():
+    # the handover control parameters take values a cell configures: the
+    # TTT a positive multiple of the report period, the hysteresis 0 or 1 dB
+    assert events.TTT_MS > 0 and events.TTT_MS % events.REPORT_PERIOD_MS == 0
+    assert events.HYSTERESIS_DB in (0.0, 1.0)
+    assert events.OFFSET_DB >= 0.0
+
+
 def test_step_t0_then_a3(no_hysteresis):
     engine = A3EventEngine("ue", serving_cell=0)
     t0 = engine.step(MeasurementReport(1000, [-84.0, -80.0, -95.0]))
