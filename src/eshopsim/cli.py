@@ -1,10 +1,11 @@
 """Command-line front end: simulate, build-dataset, train, eval, eshop, report.
 
-Every artifact records the configuration hash and master seed (the dataset
-.npz files through their sha256 in meta.json); rerunning the pipeline with
-the same configuration and seed on the same machine and BLAS build reproduces
-every artifact byte for byte, since the program runs BLAS on one thread
-(wall-clock timings live in a separate, non-deterministic timings.json).
+Every artifact records the configuration hash and master seed (the dataset's
+rows.npz, and the report log that train, eval and eshop join it to, through
+their sha256 in meta.json); rerunning the pipeline with the same configuration
+and seed on the same machine and BLAS build reproduces every artifact byte for
+byte, since the program runs BLAS on one thread (wall-clock timings live in a
+separate, non-deterministic timings.json).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -20,7 +21,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from eshopsim.artifacts import read_json, write_json, write_table
+from eshopsim.artifacts import file_sha256, read_json, write_json, write_table
 from eshopsim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from eshopsim.controller import (
     ENTRY_RULE,
@@ -33,10 +34,12 @@ from eshopsim.controller import (
     simulate_eshop,
 )
 from eshopsim.dataset import (
+    LOG_FILE,
     DataError,
     DatasetBundle,
     WindowBank,
     build_dataset,
+    join_log,
     read_dataset,
     standardized_rows,
     write_dataset,
@@ -142,13 +145,24 @@ def _log_hash(log: tuple[dict, dict]) -> str | None:
     return log[0].get("config_hash")
 
 
-def _dataset_hash(bundle: DatasetBundle) -> str:
-    return bundle.meta.config_hash
+def _dataset_hash(stored: tuple) -> str:
+    return stored[0].config_hash
 
 
 def _model_hash(model: tuple[tcn.ModelParams, dict]) -> str | None:
     extra = model[1].get("extra")
     return extra.get("config_hash") if isinstance(extra, dict) else None
+
+
+def _read_dataset(cfg: ExperimentConfig) -> tuple[DatasetBundle, dict[str, dict]]:
+    """The data set joined to the report log it was built from, and that log's
+    records per UE; another log (by sha256) is refused with DataError."""
+    meta, stored = _read_run_file(cfg, "dataset", read_dataset, _dataset_hash)
+    per_ue = _read_run_file(cfg, "reports", read_report_log, _log_hash)[1]
+    log = _paths(cfg.output_dir)["reports"]
+    if file_sha256(log) != meta.file_sha256[LOG_FILE]:
+        raise DataError(f"{log} is not the report log the data set was built from (run 'build-dataset')")
+    return DatasetBundle(join_log(per_ue, stored), meta), per_ue
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +214,8 @@ def cmd_build_dataset(cfg: ExperimentConfig, quiet: bool = False) -> dict:
     total = meta.kept_count + sum(meta.exclusion_counts.values())
     if total != meta.raw_count:
         raise DataError("exclusion counts do not reconcile with the raw row count")
-    write_dataset(_paths(cfg.output_dir)["dataset"], bundle)
+    paths = _paths(cfg.output_dir)
+    write_dataset(paths["dataset"], bundle, paths["reports"])
     if not quiet:
         print("exclusion reconciliation:")
         print(f"  {'raw rows':<20}{meta.raw_count:>10}")
@@ -213,7 +228,7 @@ def cmd_build_dataset(cfg: ExperimentConfig, quiet: bool = False) -> dict:
         "kept_count": meta.kept_count,
         "excluded": meta.exclusion_counts,
         "split_sizes": {
-            name: int(np.sum(table.reasons == 0)) for name, table in bundle.splits.items()
+            name: int(np.sum(bundle.split(name).reasons == 0)) for name in meta.split_ues
         },
         "split_ues": {name: len(ues) for name, ues in meta.split_ues.items()},
     }
@@ -226,10 +241,10 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    bundle = _read_run_file(cfg, "dataset", read_dataset, _dataset_hash)
-    w = bundle.meta.window_len
-    train_bank = WindowBank.labeled(bundle.splits["train"], bundle.meta, dtype=tcn.DTYPE)
-    val_bank = WindowBank.labeled(bundle.splits["val"], bundle.meta, dtype=tcn.DTYPE)
+    bundle = _read_dataset(cfg)[0]
+    w = cfg.dataset.window_len
+    train_bank = WindowBank.labeled(bundle.split("train"), bundle.meta, w, dtype=tcn.DTYPE)
+    val_bank = WindowBank.labeled(bundle.split("val"), bundle.meta, w, dtype=tcn.DTYPE)
     if len(train_bank) == 0:
         raise DataError("train split holds no samples")
     model_cfg = tcn.TcnModelConfig()  # the paper TCN
@@ -267,10 +282,10 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    bundle = _read_run_file(cfg, "dataset", read_dataset, _dataset_hash)
+    bundle = _read_dataset(cfg)[0]
     params = _read_run_file(cfg, "model", tcn.load_model, _model_hash)[0]
     digest = config_hash(cfg)
-    bank = WindowBank.labeled(bundle.splits["test"], bundle.meta, dtype=tcn.DTYPE)
+    bank = WindowBank.labeled(bundle.split("test"), bundle.meta, cfg.dataset.window_len, tcn.DTYPE)
     if len(bank) == 0:
         raise DataError("split 'test' holds no samples")
     preds = tcn.predict(params, bank)
@@ -297,29 +312,22 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
-    """Replays each UE's stored dataset trace against its logged episodes."""
+    """Replays each UE's logged reports against its logged episodes."""
     t_start = time.perf_counter()
     _check_run_dir(cfg)
     paths = _paths(cfg.output_dir)
-    bundle = _read_run_file(cfg, "dataset", read_dataset, _dataset_hash)
+    bundle, per_ue = _read_dataset(cfg)
     episodes_by_ue = _read_run_file(cfg, "events", read_event_log, _log_hash)[1]
     if not oracle:
         params = _read_run_file(cfg, "model", tcn.load_model, _model_hash)[0]
-    meta = bundle.meta
-    traces = {  # every report of a UE sits in one split
-        ue: (table, rows)
-        for table in bundle.splits.values()
-        for ue, rows in table.ue_rows().items()
-    }
 
     # the model's (or the oracle's) countdown first, then the entry rule's, on the same episodes
     comparisons: list[HoComparison] = []
     rule_comparisons: list[HoComparison] = []
     n_a3 = 0  # the episodes that reach their A3
-    for ue in sorted(traces):
-        table, rows = traces[ue]
-        times, rsrp = table.t_ms[rows], table.best_rsrp[rows]
-        episodes = episodes_by_ue.get(ue, [])
+    for ue in sorted(per_ue):
+        rec, episodes = per_ue[ue], episodes_by_ue.get(ue, [])
+        times, rsrp = rec["times_ms"], rec["best_rsrp"]
         if oracle:
             preds = oracle_countdown(times, episodes, cfg.dataset.horizon_s)
         else:
@@ -327,8 +335,9 @@ def cmd_eshop(cfg: ExperimentConfig, oracle: bool = False) -> dict:
             # A3, so inference stops at the report of the last replayed A3
             a3s = [ep.a3_ms for ep in episodes if not ep.aborted and ep.command_ms is not None]
             n = np.searchsorted(times, max(a3s, default=-np.inf), side="right")
-            features = standardized_rows(rsrp[:n], table.best_beams[rows][:n], meta)
-            preds = infer_countdown(params, features, table.segments[rows][:n], meta.window_len)
+            features = standardized_rows(rsrp[:n], rec["best_beams"][:n], bundle.meta)
+            segments = bundle.rows.segments[bundle.rows.ue_ids == ue][:n]
+            preds = infer_countdown(params, features, segments, cfg.dataset.window_len)
         comparisons += simulate_eshop(episodes, times, rsrp, preds, MODEL_RULE)
         rule = entry_countdown(times, episodes)
         rule_comparisons += simulate_eshop(episodes, times, rsrp, rule, ENTRY_RULE)

@@ -1,6 +1,8 @@
 """Supervised dataset construction: encode the per-cell strongest beams as
 features, attach countdown labels for the next entry-criterion fulfillment,
-split leakage-free at UE granularity, and persist with a bit-exact round trip.
+split leakage-free at UE granularity, and persist what the data set adds to
+each report of the log (segment, reason, label) with a bit-exact round trip;
+``join_log`` joins it back to the log, which meta.json binds by sha256.
 
 Labels count down to the earliest T0 at or after the sample (0 at T0 itself),
 restricted to the sample's pre-command segment; samples whose target T0
@@ -22,7 +24,9 @@ from eshopsim.artifacts import file_sha256, from_json, read_json, replacing, wri
 from eshopsim.channel import N_CELLS, N_SSB
 from eshopsim.events import HoEventRecord
 
-DATASET_SCHEMA = "dataset/3"
+DATASET_SCHEMA = "dataset/4"
+ROWS_FILE = "rows.npz"
+LOG_FILE = "reports.csv"  # the report log the rows were labeled from
 
 REASON_KEPT = 0
 REASON_ABORTED_TARGET = 1
@@ -172,45 +176,47 @@ def split_ues(ue_ids: list[str], ratios: tuple[float, float, float], seed: int) 
 
 @dataclass
 class RowTable:
-    """All reduced rows of one split's UEs, labeled and excluded alike: every
-    report of each UE, its rows contiguous and in time order."""
+    """Reports labeled and excluded alike: the report log's columns beside
+    the stored ones, each UE's rows contiguous and in time order."""
 
     ue_ids: np.ndarray  # (N,) str
     t_ms: np.ndarray  # (N,) int
+    best_beams: np.ndarray  # (N, 3) int, strongest beam per cell
+    best_rsrp: np.ndarray  # (N, 3) float, its L3 RSRP in dBm, unstandardized
     segments: np.ndarray  # (N,) int, per-UE segment index
     reasons: np.ndarray  # (N,) uint8
     labels: np.ndarray  # (N,) float, NaN when excluded
-    best_beams: np.ndarray  # (N, 3) int, strongest beam per cell
-    best_rsrp: np.ndarray  # (N, 3) float, its L3 RSRP in dBm, unstandardized
 
     def __len__(self) -> int:
         return len(self.t_ms)
 
-    def ue_rows(self) -> dict[str, slice]:
-        """The slice of the table that holds each UE's rows."""
-        ues, first, count = np.unique(self.ue_ids, return_index=True, return_counts=True)
-        return {str(ue): slice(a, a + n) for ue, a, n in zip(ues, first, count)}
+    def of_ues(self, ues) -> "RowTable":
+        """The rows of the UEs ``ues``, in sorted UE order (which fixes the bits of the train statistics)."""
+        idx = np.flatnonzero(np.isin(self.ue_ids, ues))
+        idx = idx[np.argsort(self.ue_ids[idx], kind="stable")]
+        return RowTable(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
-# Zero-row template of the columns a split file stores.
-_RAW_COLUMNS = {
-    "ue_ids": np.asarray([], dtype=str),
-    "t_ms": np.zeros(0, dtype=np.int64),
-    "segments": np.zeros(0, dtype=np.int64),
-    "reasons": np.zeros(0, dtype=np.uint8),
-    "labels": np.zeros(0),
-    "best_beams": np.zeros((0, N_CELLS), dtype=np.int64),
-    "best_rsrp": np.zeros((0, N_CELLS)),
-}
+STORED_COLUMNS = ("segments", "reasons", "labels")  # in rows.npz; the others are the log's
 
 
-@dataclass(kw_only=True)
+def join_log(per_ue: dict[str, dict], stored: dict[str, np.ndarray]) -> RowTable:
+    """The report log's records per UE (as ``read_report_log`` gives them)
+    beside the ``stored`` columns, which hold one row per report in the same
+    order: UE by UE, each UE's reports in time order."""
+    counts = [len(rec["times_ms"]) for rec in per_ue.values()]
+    if any(len(column) != sum(counts) for column in stored.values()):
+        raise DataError(f"the data set and the report log ({sum(counts)} reports) disagree in length")
+    keys = ("times_ms", "best_beams", "best_rsrp")  # RowTable's fields after ue_ids
+    logged = (np.concatenate([rec[key] for rec in per_ue.values()]) for key in keys)
+    return RowTable(np.repeat(list(per_ue), counts), *logged, **stored)
+
+
+@dataclass
 class DatasetMeta:
     schema_version: str = DATASET_SCHEMA
     config_hash: str = ""
     master_seed: int = 0
-    horizon_s: float
-    window_len: int
     rsrp_mean: tuple[float, float, float] = (0.0, 0.0, 0.0)  # one per cell
     rsrp_std: tuple[float, float, float] = (1.0, 1.0, 1.0)
     exclusion_counts: dict[str, int] = field(default_factory=dict)
@@ -220,13 +226,8 @@ class DatasetMeta:
     file_sha256: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.window_len < 1:
-            raise ValueError("window length must be >= 1")
         if any(s <= 0.0 for s in self.rsrp_std):
             raise ValueError("RSRP standard deviations must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d) -> "DatasetMeta":
@@ -242,8 +243,11 @@ class DatasetMeta:
 
 @dataclass
 class DatasetBundle:
-    splits: dict[str, RowTable]
+    rows: RowTable  # every report of the log, in the stored order
     meta: DatasetMeta
+
+    def split(self, name: str) -> RowTable:
+        return self.rows.of_ues(self.meta.split_ues[name])
 
 
 def standardized_rows(
@@ -272,22 +276,16 @@ def build_dataset(
         raise DataError("no UE runs to build a dataset from")
     assignment = split_ues(sorted(per_ue), cfg.split_ratios, split_seed)
 
-    def columns(ue: str) -> dict[str, np.ndarray]:
-        rec = per_ue[ue]
+    def stored(rec: dict) -> tuple[np.ndarray, ...]:  # in the order of STORED_COLUMNS
         times = np.asarray(rec["times_ms"], dtype=np.int64)
         labels, reasons = label_tef(times, rec["episodes"], cfg.horizon_s)
-        segments = segment_ids(times, command_times(rec["episodes"]))
-        return dict(ue_ids=np.full(len(times), ue), t_ms=times, segments=segments, reasons=reasons,
-                    labels=labels, best_beams=rec["best_beams"], best_rsrp=rec["best_rsrp"])
+        return segment_ids(times, command_times(rec["episodes"])), reasons, labels
 
-    splits: dict[str, RowTable] = {}
-    for name, ues in assignment.items():
-        parts = [columns(ue) for ue in ues] or [_RAW_COLUMNS]
-        splits[name] = RowTable(**{key: np.concatenate([p[key] for p in parts]) for key in _RAW_COLUMNS})
-    reasons = np.concatenate([table.reasons for table in splits.values()])
-    counts = np.bincount(reasons, minlength=len(REASON_NAMES))
+    per_column = zip(*map(stored, per_ue.values()))
+    rows = join_log(per_ue, {key: np.concatenate(c) for key, c in zip(STORED_COLUMNS, per_column)})
+    counts = np.bincount(rows.reasons, minlength=len(REASON_NAMES))
 
-    train = splits["train"]
+    train = rows.of_ues(assignment["train"])
     train_rsrp = train.best_rsrp[train.reasons == REASON_KEPT]
     if not len(train_rsrp):
         raise DataError("train split holds no labeled samples")
@@ -299,16 +297,14 @@ def build_dataset(
     meta = DatasetMeta(
         config_hash=config_hash,
         master_seed=master_seed,
-        horizon_s=cfg.horizon_s,
-        window_len=cfg.window_len,
         rsrp_mean=tuple(float(x) for x in mean),
         rsrp_std=tuple(float(x) for x in std),
         exclusion_counts={REASON_NAMES[r]: int(n) for r, n in enumerate(counts) if r != REASON_KEPT},
         kept_count=int(counts[REASON_KEPT]),
-        raw_count=len(reasons),
+        raw_count=len(rows),
         split_ues=assignment,
     )
-    return DatasetBundle(splits=splits, meta=meta)
+    return DatasetBundle(rows=rows, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +312,20 @@ def build_dataset(
 # ---------------------------------------------------------------------------
 
 
-def write_dataset(dirpath, bundle: DatasetBundle) -> None:
-    """One ``<split>.npz`` of raw columns per split, plus meta.json with their sha256."""
+def write_dataset(dirpath, bundle: DatasetBundle, log_path) -> None:
+    """``rows.npz`` of the stored columns, and meta.json with its sha256 and
+    that of the report log at ``log_path`` the rows were labeled from."""
     os.makedirs(dirpath, exist_ok=True)
-    meta = bundle.meta
-    meta.file_sha256 = {}
-    for name, table in bundle.splits.items():
-        path = os.path.join(dirpath, f"{name}.npz")
-        with replacing(path, "wb") as fh:
-            np.savez(fh, **{key: getattr(table, key) for key in _RAW_COLUMNS})
-        meta.file_sha256[f"{name}.npz"] = file_sha256(path)
-    write_json(os.path.join(dirpath, "meta.json"), meta.to_dict())
+    path = os.path.join(dirpath, ROWS_FILE)
+    with replacing(path, "wb") as fh:
+        np.savez(fh, **{key: getattr(bundle.rows, key) for key in STORED_COLUMNS})
+    bundle.meta.file_sha256 = {ROWS_FILE: file_sha256(path), LOG_FILE: file_sha256(log_path)}
+    write_json(os.path.join(dirpath, "meta.json"), asdict(bundle.meta))
 
 
-def read_dataset(dirpath) -> DatasetBundle:
+def read_dataset(dirpath) -> tuple[DatasetMeta, dict[str, np.ndarray]]:
+    """The meta and the stored columns; ``join_log`` joins them to the log,
+    once its sha256 has been checked against ``meta.file_sha256``."""
     meta_path = os.path.join(dirpath, "meta.json")
     if not os.path.exists(meta_path):
         raise DataError(f"missing dataset meta: {meta_path} (run 'build-dataset' first)")
@@ -342,23 +338,17 @@ def read_dataset(dirpath) -> DatasetBundle:
         raise DataError(
             f"dataset schema mismatch: {meta.schema_version} != {DATASET_SCHEMA}"
         )
-    files = meta.file_sha256
-    if sorted(files) != sorted(f"{name}.npz" for name in SPLITS):
-        raise DataError("dataset meta must list exactly one .npz file per split: "
-                        + ", ".join(f"{name}.npz" for name in SPLITS))
-    splits: dict[str, RowTable] = {}
-    for name, digest in files.items():
-        path = os.path.join(dirpath, name)
-        if not os.path.exists(path):
-            raise DataError(f"missing dataset file: {path}")
-        if file_sha256(path) != digest:
-            raise DataError(f"dataset file corrupt or truncated: {path}")
-        with np.load(path, allow_pickle=False) as npz:
-            if sorted(npz.files) != sorted(_RAW_COLUMNS):
-                raise DataError(f"unexpected dataset columns in {path}")
-            columns = {key: npz[key] for key in _RAW_COLUMNS}
-        splits[name.removesuffix(".npz")] = RowTable(**columns)
-    return DatasetBundle(splits=splits, meta=meta)
+    if sorted(meta.file_sha256) != sorted((ROWS_FILE, LOG_FILE)):
+        raise DataError(f"dataset meta must list exactly {ROWS_FILE} and {LOG_FILE}")
+    path = os.path.join(dirpath, ROWS_FILE)
+    if not os.path.exists(path):
+        raise DataError(f"missing dataset file: {path}")
+    if file_sha256(path) != meta.file_sha256[ROWS_FILE]:
+        raise DataError(f"dataset file corrupt or truncated: {path}")
+    with np.load(path, allow_pickle=False) as npz:
+        if sorted(npz.files) != sorted(STORED_COLUMNS):
+            raise DataError(f"unexpected dataset columns in {path}")
+        return meta, {key: npz[key] for key in STORED_COLUMNS}
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +380,15 @@ class WindowBank:
         self.seg_start, self.end = window_bounds(segments, ends)
 
     @classmethod
-    def labeled(cls, table: RowTable, meta: DatasetMeta, dtype=np.float64) -> "WindowBank":
-        """Windows of ``meta.window_len`` ending at the kept rows of a table,
+    def labeled(cls, table: RowTable, meta: DatasetMeta, window_len: int, dtype=np.float64) -> "WindowBank":
+        """Windows of ``window_len`` rows ending at the kept rows of a table,
         with their labels."""
         # segment boundaries must also break at UE boundaries
         ue_codes = np.unique(table.ue_ids, return_inverse=True)[1]
         combined = table.segments.astype(np.int64) + (ue_codes.astype(np.int64) << 32)
         kept = np.nonzero(table.reasons == REASON_KEPT)[0]
         rows = standardized_rows(table.best_rsrp, table.best_beams, meta)
-        bank = cls(rows, combined, kept, meta.window_len, dtype)
+        bank = cls(rows, combined, kept, window_len, dtype)
         bank.y, bank.ue_ids, bank.t_ms = table.labels[kept], table.ue_ids[kept], table.t_ms[kept]
         return bank
 

@@ -20,7 +20,6 @@ from conftest import artifact_bytes, make_config
 from eshopsim import cli
 from eshopsim.artifacts import read_table
 from eshopsim.controller import GUARD_MS
-from eshopsim.dataset import read_dataset
 from eshopsim.simulate import read_event_log
 
 SEED = 11
@@ -101,14 +100,14 @@ def test_run_is_byte_deterministic(runs, mode):
     assert artifact_bytes(a) == artifact_bytes(b)
 
 
-def _perfect_label_predictor(dataset_dir):
+def _perfect_label_predictor(cfg):
     """Stands in for ``oracle_countdown``: returns the stored dataset label of
     each report of the UE, excluded rows at +inf."""
     by_ue = {}
-    for table in read_dataset(dataset_dir).splits.values():
-        for ue in np.unique(table.ue_ids):
-            rows = table.ue_ids == ue
-            by_ue[str(ue)] = (table.t_ms[rows], table.labels[rows])
+    table = cli._read_dataset(cfg)[0].rows
+    for ue in np.unique(table.ue_ids):
+        rows = table.ue_ids == ue
+        by_ue[str(ue)] = (table.t_ms[rows], table.labels[rows])
 
     def predict(times, episodes, horizon_s):
         if not episodes:
@@ -127,6 +126,6 @@ def test_perfect_label_predictor_reproduces_oracle(runs, mode, tmp_path, monkeyp
     shutil.copytree(cfg.output_dir, run_dir)
     cfg = replace(cfg, output_dir=str(run_dir))
     oracle_rows = (run_dir / "comparison.csv").read_bytes()
-    monkeypatch.setattr(cli, "oracle_countdown", _perfect_label_predictor(run_dir / "dataset"))
+    monkeypatch.setattr(cli, "oracle_countdown", _perfect_label_predictor(cfg))
     assert cli.cmd_eshop(cfg, oracle=True) == oracle
     assert (run_dir / "comparison.csv").read_bytes() == oracle_rows

@@ -19,7 +19,6 @@ from eshopsim.dataset import (
     DataError,
     DatasetConfig,
     build_dataset,
-    read_dataset,
     standardized_rows,
     write_dataset,
 )
@@ -322,7 +321,7 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     std = doc["rsrp_std"]
     mistyped = [
         {**doc, **fields} for fields in (
-            {"window_len": "16"}, {"window_len": 16.5}, {"window_len": 0},
+            {"kept_count": "16"}, {"kept_count": 16.5}, {"window_len": 16},
             {"rsrp_std": [math.nan, *std[1:]]}, {"rsrp_std": [0.0, *std[1:]]},
             {"rsrp_std": [-1.0, *std[1:]]}, {"rsrp_mean": "-80"}, {"rsrp_std": std * 2},
         )
@@ -335,9 +334,9 @@ def test_main_exit_codes(tmp_path, monkeypatch):
         for command in ("train", "eshop"):
             assert cli.main([command, "--config", str(cfgfile)]) == 3, text
         assert artifact_bytes(out) == before
-    # a meta.json that binds only some of the split files
+    # a meta.json that binds the rows but not the report log
     doc = json.loads(good_meta)
-    del doc["file_sha256"]["test.npz"]
+    del doc["file_sha256"]["reports.csv"]
     meta.write_text(json.dumps(doc))
     before = artifact_bytes(out)
     for command in (["train"], ["eval"], ["eshop"], ["eshop", "--oracle"]):
@@ -466,9 +465,7 @@ def test_corrupt_logs_exit_3(tmp_path, built_run, case):
     (out / name).write_text("\n".join(lines) + "\n")
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(tiny_config(out).to_dict()))
-    commands = [["build-dataset"]]
-    if name == "events.csv":  # eshop reads the event log, not the report log
-        commands.append(["eshop", "--oracle"])
+    commands = [["build-dataset"], ["eshop", "--oracle"]]  # eshop reads both logs
     before = artifact_bytes(out)
     for command in commands:
         assert cli.main([*command, "--config", str(cfgfile)]) == 3, command
@@ -537,18 +534,18 @@ def test_eshop_inference_stops_at_the_last_replayed_a3(tmp_path, monkeypatch):
     names = ("comparison.csv", "cdf.csv", "summary.json")
     written = {name: (out / name).read_bytes() for name in names}
 
-    bundle = read_dataset(out / "dataset")
+    bundle = cli._read_dataset(cfg)[0]
+    table = bundle.rows
     episodes = read_event_log(out / "events.csv")[1]
     traces = {}  # UE -> (features, segments, reports up to the last replayed A3)
-    for table in bundle.splits.values():
-        for ue in map(str, np.unique(table.ue_ids)):
-            rows = table.ue_ids == ue
-            replayed = [
-                ep for ep in episodes.get(ue, []) if not ep.aborted and ep.command_ms is not None
-            ]
-            n = int(np.sum(table.t_ms[rows] <= max(ep.a3_ms for ep in replayed))) if replayed else 0
-            features = standardized_rows(table.best_rsrp[rows], table.best_beams[rows], bundle.meta)
-            traces[ue] = (features, table.segments[rows], n)
+    for ue in map(str, np.unique(table.ue_ids)):
+        rows = table.ue_ids == ue
+        replayed = [
+            ep for ep in episodes.get(ue, []) if not ep.aborted and ep.command_ms is not None
+        ]
+        n = int(np.sum(table.t_ms[rows] <= max(ep.a3_ms for ep in replayed))) if replayed else 0
+        features = standardized_rows(table.best_rsrp[rows], table.best_beams[rows], bundle.meta)
+        traces[ue] = (features, table.segments[rows], n)
 
     infer, calls = cli.infer_countdown, []
 
@@ -630,14 +627,15 @@ def test_full_pipeline_artifacts(tmp_path):
 
 
 def test_eval_matches_library_evaluate(tmp_path):
-    from eshopsim.dataset import WindowBank, read_dataset
+    from eshopsim.dataset import WindowBank
 
     out = tmp_path / "run"
     cfg = _run_pipeline(out)
     paths = cli._paths(str(out))
     params, _ = tcn.load_model(paths["model"])
-    bundle = read_dataset(paths["dataset"])
-    bank = WindowBank.labeled(bundle.splits["test"], bundle.meta, dtype=np.float32)
+    bundle = cli._read_dataset(cfg)[0]
+    bank = WindowBank.labeled(bundle.split("test"), bundle.meta, cfg.dataset.window_len,
+                              dtype=np.float32)
     rep = tcn.compute_metrics(np.asarray(bank.y, dtype=np.float64), tcn.predict(params, bank))
     with open(paths["metrics"]) as fh:
         stored = json.load(fh)["metrics"]
@@ -668,7 +666,7 @@ def test_pipeline_outputs_are_deterministic(tmp_path):
         cfg = _run_pipeline(tmp_path / name)
         cli.cmd_eshop(cfg)
         runs.append(artifact_bytes(tmp_path / name))
-    assert {"reports.csv", "events.csv", "dataset/train.npz", "dataset/meta.json"} <= set(runs[0])
+    assert {"reports.csv", "events.csv", "dataset/rows.npz", "dataset/meta.json"} <= set(runs[0])
     assert runs[0] == runs[1]
 
 
@@ -707,9 +705,9 @@ def test_dataset_from_the_log_equals_the_dataset_from_memory(tmp_path):
         config_hash=config_hash(cfg),
         master_seed=cfg.master_seed,
     )
-    write_dataset(tmp_path / "memory", bundle)
+    write_dataset(tmp_path / "memory", bundle, tmp_path / "run" / "reports.csv")
     from_log = artifact_bytes(tmp_path / "run" / "dataset")
-    assert sorted(from_log) == ["meta.json", "test.npz", "train.npz", "val.npz"]
+    assert sorted(from_log) == ["meta.json", "rows.npz"]
     assert artifact_bytes(tmp_path / "memory") == from_log
 
 
@@ -928,20 +926,31 @@ def test_commands_refuse_dataset_of_another_config(tmp_path, capsys):
         assert artifact_bytes(out) == before  # refused before writing anything
 
 
-def test_eshop_needs_no_report_log(tmp_path):
-    # eshop replays the traces stored in the dataset: the report log is read
-    # by build-dataset only
-    with_log, without_log = tmp_path / "with", tmp_path / "without"
-    _run_pipeline(with_log)
-    shutil.copytree(with_log, without_log)
-    (without_log / "reports.csv").unlink()
-    for oracle in (False, True):
-        results = []
-        for run_dir in (with_log, without_log):
-            payload = cli.cmd_eshop(tiny_config(run_dir), oracle=oracle)
-            summary = json.loads((run_dir / "summary.json").read_text())
-            assert summary["eshop"] == payload
-            files = {name: (run_dir / name).read_bytes() for name in ("comparison.csv", "cdf.csv")}
-            results.append((payload, files))
-        assert results[0] == results[1]
-    assert not (without_log / "reports.csv").exists()
+def test_commands_refuse_a_missing_or_changed_report_log(tmp_path, capsys):
+    # train, eval and eshop read the features from the report log the data
+    # set was built from: without it, or with another one, they write nothing
+    out = tmp_path / "run"
+    cfg = _run_pipeline(out)
+    cli.cmd_eshop(cfg)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg.to_dict()))
+    log = out / "reports.csv"
+    good = log.read_bytes()
+    lines = good.split(b"\n")
+    cells = lines[3].split(b",")
+    assert cells[3][-1:].isdigit()  # c0_rsrp: one digit of it changes
+    cells[3] = cells[3][:-1] + str((int(cells[3][-1:]) + 1) % 10).encode()
+    lines[3] = b",".join(cells)
+    changed = b"\n".join(lines)
+    for text, message in ((None, "missing run file"), (changed, "not the report log")):
+        log.unlink(missing_ok=True)
+        if text is not None:
+            log.write_bytes(text)
+        capsys.readouterr()
+        before = artifact_bytes(out)
+        for command in (["train"], ["eval"], ["eshop"], ["eshop", "--oracle"]):
+            assert cli.main([*command, "--config", str(cfgfile)]) == 3, command
+            assert message in capsys.readouterr().err
+            assert artifact_bytes(out) == before
+    log.write_bytes(good)
+    assert cli.main(["eshop", "--config", str(cfgfile)]) == 0

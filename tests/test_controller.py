@@ -412,7 +412,7 @@ def test_streaming_equals_batch_inference_across_predict_chunks():
 
 
 def test_standardized_rows_uses_meta_stats():
-    meta = DatasetMeta(horizon_s=8.0, window_len=64, rsrp_mean=(-80.0, -80.0, -80.0), rsrp_std=(2.0, 2.0, 2.0))
+    meta = DatasetMeta(rsrp_mean=(-80.0, -80.0, -80.0), rsrp_std=(2.0, 2.0, 2.0))
     rsrp = np.array([[-78.0, -82.0, -80.0]])
     beams = np.array([[0, 3, 11]])
     rows = standardized_rows(rsrp, beams, meta)

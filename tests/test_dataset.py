@@ -4,8 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import series_of_runs, widen_shadowing
 from eshopsim.channel import ChannelParams, reduce_series
+from eshopsim.artifacts import file_sha256
 from eshopsim.dataset import (
+    SPLITS,
     DataError,
+    DatasetBundle,
     DatasetConfig,
     REASON_ABORTED_TARGET,
     REASON_KEPT,
@@ -14,6 +17,7 @@ from eshopsim.dataset import (
     build_dataset,
     build_feature_matrix,
     command_times,
+    join_log,
     label_tef,
     read_dataset,
     split_ues,
@@ -23,7 +27,7 @@ from eshopsim.dataset import (
 )
 from eshopsim.events import HoEventRecord
 from eshopsim.scenario import ScenarioConfig
-from eshopsim.simulate import run_scenario
+from eshopsim.simulate import read_report_log, run_scenario, write_report_log
 from oracles import label_scan, random_episode_set, windowize
 
 
@@ -179,9 +183,12 @@ def test_one_hot_blocks_sum_to_one():
 
 
 def _pipeline_bundle(tmp_path, num_ues=6, seed=13):
+    """A data set built from simulated runs, whose report log is written to
+    ``tmp_path / "reports.csv"``."""
     with pytest.MonkeyPatch.context() as mp:
         widen_shadowing(mp)
         runs = run_scenario(ScenarioConfig(num_ues=num_ues, duration_s=14.0), ChannelParams(), master_seed=seed)
+    write_report_log(tmp_path / "reports.csv", runs, "abc", seed)
     return build_dataset(
         series_of_runs(runs), DatasetConfig(window_len=8, horizon_s=8.0), split_seed=3, config_hash="abc", master_seed=seed
     )
@@ -191,23 +198,23 @@ def test_build_dataset_reconciles_counts(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
     meta = bundle.meta
     assert meta.raw_count == meta.kept_count + sum(meta.exclusion_counts.values())
-    total_rows = sum(len(t) for t in bundle.splits.values())
-    assert total_rows == meta.raw_count
-    kept_rows = sum(int((t.reasons == REASON_KEPT).sum()) for t in bundle.splits.values())
+    total_rows = sum(len(bundle.split(name)) for name in SPLITS)
+    assert total_rows == len(bundle.rows) == meta.raw_count
+    kept_rows = sum(int((bundle.split(name).reasons == REASON_KEPT).sum()) for name in SPLITS)
     assert kept_rows == meta.kept_count
     assert meta.kept_count > 0
 
 
 def test_train_split_standardization(tmp_path):
     bundle = _pipeline_bundle(tmp_path, num_ues=8)
-    train = bundle.splits["train"]
+    train = bundle.split("train")
     kept = train.reasons == REASON_KEPT
     rsrp_cols = [0, 13, 26]
     feats = standardized_rows(train.best_rsrp, train.best_beams, bundle.meta)[kept][:, rsrp_cols]
     assert np.all(np.abs(feats.mean(axis=0)) < 1e-6)
     assert np.all(np.abs(feats.std(axis=0) - 1.0) < 1e-6)
     # held-out splits reuse the train statistics: their mean is generally offset
-    val = bundle.splits["val"]
+    val = bundle.split("val")
     vrows = standardized_rows(val.best_rsrp, val.best_beams, bundle.meta)
     vfeats = vrows[val.reasons == REASON_KEPT][:, rsrp_cols]
     assert np.any(np.abs(vfeats.mean(axis=0)) > 1e-6)
@@ -216,10 +223,10 @@ def test_train_split_standardization(tmp_path):
 def test_labels_in_horizon(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
     at_t0 = 0
-    for table in bundle.splits.values():
+    for table in map(bundle.split, SPLITS):
         kept = table.reasons == REASON_KEPT
         assert np.all(table.labels[kept] >= 0.0)
-        assert np.all(table.labels[kept] <= bundle.meta.horizon_s)
+        assert np.all(table.labels[kept] <= 8.0)  # the horizon
         assert np.all(np.isnan(table.labels[~kept]))
         at_t0 += int(np.sum(table.labels[kept] == 0.0))
     assert at_t0 > 0  # the rows at T0 are kept with label 0
@@ -227,12 +234,14 @@ def test_labels_in_horizon(tmp_path):
 
 def test_dataset_round_trip_bit_exact(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
-    out = tmp_path / "dataset"
-    write_dataset(out, bundle)
-    loaded = read_dataset(out)
-    assert loaded.meta.to_dict() == bundle.meta.to_dict()
-    for name, table in bundle.splits.items():
-        got = loaded.splits[name]
+    out, log = tmp_path / "dataset", tmp_path / "reports.csv"
+    write_dataset(out, bundle, log)
+    meta, stored = read_dataset(out)
+    assert meta == bundle.meta
+    assert meta.file_sha256["reports.csv"] == file_sha256(log)
+    loaded = DatasetBundle(join_log(read_report_log(log)[1], stored), meta)
+    for name in SPLITS:
+        table, got = bundle.split(name), loaded.split(name)
         assert np.array_equal(got.ue_ids, table.ue_ids)
         assert np.array_equal(got.t_ms, table.t_ms)
         assert np.array_equal(got.segments, table.segments)
@@ -246,11 +255,19 @@ def test_dataset_round_trip_bit_exact(tmp_path):
         )
 
 
+def test_join_refuses_a_log_of_another_length(tmp_path):
+    bundle = _pipeline_bundle(tmp_path)
+    per_ue = read_report_log(tmp_path / "reports.csv")[1]
+    stored = {key: getattr(bundle.rows, key)[:-1] for key in ("segments", "reasons", "labels")}
+    with pytest.raises(DataError, match="disagree in length"):
+        join_log(per_ue, stored)
+
+
 def test_dataset_truncation_detected(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
     out = tmp_path / "dataset"
-    write_dataset(out, bundle)
-    path = out / "train.npz"
+    write_dataset(out, bundle, tmp_path / "reports.csv")
+    path = out / "rows.npz"
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(DataError, match="corrupt or truncated"):
@@ -262,7 +279,7 @@ def test_dataset_schema_mismatch_detected(tmp_path):
 
     bundle = _pipeline_bundle(tmp_path)
     out = tmp_path / "dataset"
-    write_dataset(out, bundle)
+    write_dataset(out, bundle, tmp_path / "reports.csv")
     meta = json.loads((out / "meta.json").read_text())
     meta["schema_version"] = "dataset/0"
     (out / "meta.json").write_text(json.dumps(meta))
@@ -270,11 +287,28 @@ def test_dataset_schema_mismatch_detected(tmp_path):
         read_dataset(out)
 
 
+def test_dataset_meta_listing_other_files_refused(tmp_path):
+    import json
+
+    bundle = _pipeline_bundle(tmp_path)
+    out = tmp_path / "dataset"
+    write_dataset(out, bundle, tmp_path / "reports.csv")
+    good = json.loads((out / "meta.json").read_text())
+    digest = good["file_sha256"]["rows.npz"]
+    for files in (
+        {"rows.npz": digest},  # the log unbound
+        {**good["file_sha256"], "train.npz": digest},  # a dataset/3 split file besides
+        {"train.npz": digest, "val.npz": digest, "test.npz": digest},
+    ):
+        (out / "meta.json").write_text(json.dumps({**good, "file_sha256": files}))
+        with pytest.raises(DataError, match="must list exactly rows.npz and reports.csv"):
+            read_dataset(out)
+
+
 def test_window_bank_matches_windowize(tmp_path):
     bundle = _pipeline_bundle(tmp_path)
-    table = bundle.splits["train"]
-    assert bundle.meta.window_len == 8
-    bank = WindowBank.labeled(table, bundle.meta)
+    table = bundle.split("train")
+    bank = WindowBank.labeled(table, bundle.meta, 8)
     features = standardized_rows(table.best_rsrp, table.best_beams, bundle.meta)
     # windowize on each UE slice must agree with the bank's gather, so windows
     # also break at UE boundaries

@@ -61,6 +61,8 @@ def test_traced_pipeline_records_each_layer_per_unit_of_work(spans, tmp_path):
     # every UE has a trace; each eshop run replays it once per countdown
     # (the model's or the oracle's, and the entry rule's)
     assert tracer.counts["controller.simulate_eshop_calls"] == 2 * 2 * n_ues
+    # one parse of the report log per command from build-dataset on
+    assert tracer.counts["simulate.read_report_log_calls"] == 5
     # Every wrapped name is called, so no per-layer metric reads 0 for want of
     # a caller. forward_batch is recorded as tcn.train.forward under tcn.train,
     # and cmd_eshop(oracle=True) as cli.eshop_oracle. No pipeline path calls
